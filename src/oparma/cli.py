@@ -121,7 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--noise", help="noise JSON file (default: unit gaussian)")
     sp.add_argument("--window", type=int, default=200, help="simulation window length")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--seed", type=int, help="override the noise file's seed (default gaussian: 0)"
+    )
     sp.add_argument("--out")
 
     return parser
@@ -182,8 +184,7 @@ def _cmd_check_circle(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .engine.noise import sample_path
-    from .engine.simulate import build_split_kernel, simulate_ma, simulate_theorem1
+    from .engine.simulate import simulate_ma, simulate_theorem1
     from .laurent import laurent_coeffs
 
     model = load_model(args.model)
@@ -193,18 +194,10 @@ def _cmd_simulate(args) -> int:
     if args.t1 < args.t0:
         raise SpecificationError(f"--t1 must be >= --t0, got ({args.t0}, {args.t1})")
     t_range = (args.t0, args.t1)
-    # one shared path wide enough for either method, so switching --method
-    # (or comparing the two) reads the same innovations at the same times
-    kernel, split = build_split_kernel(model, k_trunc=args.k_trunc)
-    coeffs = laurent_coeffs(model)
-    reach = max(kernel.l_max, -kernel.l_min, abs(coeffs.k_min), abs(coeffs.k_max))
-    path = sample_path(
-        spec, args.t1 - args.t0 + 2 * reach + 1, t_start=args.t0 - reach
-    )
     if args.method == "split":
-        res = simulate_theorem1(model, path, t_range, split=split, k_trunc=args.k_trunc)
+        res = simulate_theorem1(model, spec, t_range, k_trunc=args.k_trunc)
     else:
-        res = simulate_ma(model, coeffs, path, t_range)
+        res = simulate_ma(model, laurent_coeffs(model), spec, t_range)
     if args.format == "csv":
         print(
             f"method={res.method} K={res.truncation_K} "
@@ -290,8 +283,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .engine.noise import NoiseSpec, sample_path
-    from .engine.simulate import build_split_kernel, simulate_ma, simulate_theorem1
+    from .engine.noise import NoiseSpec
+    from .engine.simulate import simulate_ma, simulate_theorem1
     from .laurent import laurent_coeffs, unit_circle_check
     from .spectral import check_split, hyperbolic_split
 
@@ -304,7 +297,7 @@ def _cmd_verify(args) -> int:
             spec = dataclasses.replace(spec, seed=args.seed)
     else:
         spec = NoiseSpec(
-            kind="gaussian", dim=model.dim, params={"sigma": 1.0}, seed=args.seed
+            kind="gaussian", dim=model.dim, params={"sigma": 1.0}, seed=args.seed or 0
         )
     checks = []
 
@@ -351,17 +344,14 @@ def _cmd_verify(args) -> int:
     )
 
     t1 = args.window - 1
-    kernel, _ = build_split_kernel(model, split=split)
-    reach = max(kernel.l_max, -kernel.l_min, abs(coeffs.k_min), abs(coeffs.k_max))
-    path = sample_path(spec, t1 + 2 * reach + 1, t_start=-reach)
-    res_split = simulate_theorem1(model, path, (0, t1), split=split)
+    res_split = simulate_theorem1(model, spec, (0, t1), split=split)
     record(
         "simulated path satisfies the defining recursion",
         "relative residual <= 1e-8",
         res_split.max_residual,
         res_split.max_residual <= 1e-8,
     )
-    res_ma = simulate_ma(model, coeffs, path, (0, t1))
+    res_ma = simulate_ma(model, coeffs, spec, (0, t1))
     gap = float(abs(res_split.values - res_ma.values).max())
     record(
         "split series and moving average agree on one noise path",

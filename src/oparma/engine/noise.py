@@ -9,8 +9,12 @@ statistical computation that cares about tails reads the log channel.
 
 Streams are counter-based (Philox) and keyed by (seed, stream): one
 stream per replicate makes replicated runs bitwise reproducible no
-matter how replicates are chunked or threaded, as long as each
-replicate's draws stay sequential within its own stream.
+matter how replicates are chunked or threaded.  Within a stream the
+noise is time-addressed: Z_t is a function of (seed, stream, t) alone,
+so every window, truncation depth and simulation method that reads Z_t
+sees the same value.  Z_t for t >= 0 is row t of the (seed, stream)
+generator; Z_t for t < 0 is row -t-1 of a mirror generator keyed by
+(seed, stream) plus a fixed extra spawn-key entry.
 """
 
 from __future__ import annotations
@@ -42,6 +46,12 @@ CLAMP_LOG = 700.0
 UNIT_TOL = 1e-12
 
 _E_TO_E = math.exp(math.e)
+
+#: extra spawn-key entry of the mirror generator that carries t < 0
+_MIRROR_KEY = 1
+
+#: draws per discarded chunk when a window starts past row 0
+_SKIP_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -181,7 +191,11 @@ class NoisePath:
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream), platform independent."""
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=(int(stream),))
+    return _philox(seed, (int(stream),))
+
+
+def _philox(seed: int, spawn_key: tuple) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -200,44 +214,70 @@ def _gamma_tail_grid(x1: float):
     return t_grid, neg_log_tail
 
 
-def _sample_gamma_inv_tail_logmag(rng, n, x1):
+def _gamma_inv_tail_logmag(uniforms, x1):
     t_grid, neg_log_tail = _gamma_tail_grid(x1)
-    v = 1.0 - rng.random(n)  # in (0, 1], avoids -log(0)
-    target = -np.log(v)
+    target = -np.log(1.0 - uniforms)  # 1 - U in (0, 1], avoids -log(0)
     t = np.interp(target, neg_log_tail, t_grid)
     return np.exp(t)  # Y = log X = e^t
+
+
+def _draw(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next ``n`` rows of raw draws: d normals or one uniform per row."""
+    if spec.kind in ("gaussian", "componentwise_gaussian"):
+        return rng.standard_normal((n, spec.dim))
+    return rng.random(n)
+
+
+def _rows(spec: NoiseSpec, spawn_key: tuple, first: int, n: int) -> np.ndarray:
+    """Rows ``first`` .. ``first + n - 1`` of the raw draws keyed by ``spawn_key``.
+
+    Earlier rows are drawn in fixed-size chunks and thrown away; chunked
+    draws match one big draw bit for bit, and memory stays O(n d).
+    """
+    rng = _philox(spec.seed, spawn_key)
+    step = max(1, _SKIP_DRAWS // spec.dim)
+    for lo in range(0, first, step):
+        _draw(spec, rng, min(step, first - lo))
+    return _draw(spec, rng, n)
 
 
 def sample_path(
     spec: NoiseSpec, count: int, t_start: int = 0, stream: int = 0
 ) -> NoisePath:
-    """Draw ``count`` i.i.d. innovations as a window starting at ``t_start``."""
+    """The innovations Z_t for t_start <= t < t_start + count.
+
+    Z_t depends only on (spec, stream, t), so overlapping windows agree bit
+    for bit: row t of ``make_rng(spec.seed, stream)`` for t >= 0, row -t-1
+    of the mirror generator for t < 0.
+    """
     if count < 1:
         raise SpecificationError("count must be >= 1")
     d = spec.dim
     p = spec.params
-    rng = make_rng(spec.seed, stream)
-    if spec.kind in ("gaussian", "componentwise_gaussian"):
-        key = "sigma" if spec.kind == "gaussian" else "sigmas"
-        sig = _sigma_vector(p, d, key, allow_scalar=spec.kind == "gaussian")
-        vals = (rng.standard_normal((count, d)) * sig).astype(complex)
-        return NoisePath(t_start=t_start, values=vals)
     if spec.kind == "point_mass":
         v = np.asarray(p["value"], dtype=complex)
         vals = np.tile(v, (count, 1))
         logm = np.full(count, _safe_log(np.linalg.norm(v)))
         return NoisePath(t_start=t_start, values=vals, log_mags=logm)
-    if spec.kind == "pareto_exp":
-        x = _unit_direction(p, d)
-        pareto = 1.0 / (1.0 - rng.random(count))  # inverse CDF of index-1 Pareto
-        logm = pareto  # log ||Z|| = P exactly (unit direction)
-        clamped = int((pareto > CLAMP_LOG).sum())
-        vals = np.exp(np.minimum(pareto, CLAMP_LOG))[:, None] * x[None, :]
-        return NoisePath(t_start=t_start, values=vals, log_mags=logm, n_clamped=clamped)
-    # gamma_inv_tail
+    t_stop = t_start + count
+    parts = []
+    if t_start < 0:  # the mirror rows -t-1, read backwards into time order
+        hi = min(t_stop, 0)
+        parts.append(_rows(spec, (int(stream), _MIRROR_KEY), -hi, hi - t_start)[::-1])
+    if t_stop > 0:
+        lo = max(t_start, 0)
+        parts.append(_rows(spec, (int(stream),), lo, t_stop - lo))
+    raw = np.concatenate(parts)
+    if spec.kind in ("gaussian", "componentwise_gaussian"):
+        key = "sigma" if spec.kind == "gaussian" else "sigmas"
+        sig = _sigma_vector(p, d, key, allow_scalar=spec.kind == "gaussian")
+        return NoisePath(t_start=t_start, values=(raw * sig).astype(complex))
     x = _unit_direction(p, d)
-    x1 = float(p.get("x1", _E_TO_E))
-    logm = _sample_gamma_inv_tail_logmag(rng, count, x1)
+    if spec.kind == "pareto_exp":
+        # inverse CDF of index-1 Pareto; log ||Z|| = P exactly (unit direction)
+        logm = 1.0 / (1.0 - raw)
+    else:
+        logm = _gamma_inv_tail_logmag(raw, float(p.get("x1", _E_TO_E)))
     clamped = int((logm > CLAMP_LOG).sum())
     vals = np.exp(np.minimum(logm, CLAMP_LOG))[:, None] * x[None, :]
     return NoisePath(t_start=t_start, values=vals, log_mags=logm, n_clamped=clamped)

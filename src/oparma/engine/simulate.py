@@ -9,17 +9,17 @@ Two independent routes to the same process:
 - the MA(infinity) route: direct two-sided convolution with the
   transfer function's Laurent coefficients.
 
-Both reduce to a finite lag kernel applied to a shared noise window, so
-agreement between them (and a small residual in the defining recursion)
-certifies the solution rather than assuming it.  The anticausal index
-bookkeeping is validated by the recursion residual on every simulation,
-not trusted from the derivation.
+Both reduce to a finite lag kernel applied to the same time-addressed
+innovations Z_t (see :mod:`.noise`), so agreement between them (and a
+small residual in the defining recursion) certifies the solution rather
+than assuming it.  The anticausal index bookkeeping is validated by the
+recursion residual on every simulation, not trusted from the derivation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -264,6 +264,26 @@ def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
     return float(num / den)
 
 
+def _simulate(model, kernel, noise, t_range, stream, method, truncation_k):
+    """Apply ``kernel`` to the noise on ``t_range`` and measure the recursion residual."""
+    t0, t1 = int(t_range[0]), int(t_range[1])
+    if t1 < t0:
+        raise SpecificationError(f"empty time range {t_range}")
+    path = _materialize_noise(noise, model.dim, t0, t1, kernel, stream)
+    res = SimulationResult(
+        t_start=t0,
+        values=_convolve(kernel, path, t0, t1),
+        method=method,
+        truncation_K=truncation_k,
+        max_residual=float("nan"),
+        noise=path,
+        diagnostics=dict(kernel.diagnostics),
+    )
+    if t1 - t0 < model.p:
+        return res
+    return replace(res, max_residual=recursion_residual(model, res, path))
+
+
 def simulate_theorem1(
     model: ArmaModel,
     noise,
@@ -278,27 +298,8 @@ def simulate_theorem1(
     ``noise`` is a NoiseSpec (a window of exactly the required reach is
     sampled) or a NoisePath that must already cover it.
     """
-    t0, t1 = int(t_range[0]), int(t_range[1])
-    if t1 < t0:
-        raise SpecificationError(f"empty time range {t_range}")
-    kernel, split = build_split_kernel(model, split, tail_tol, k_trunc)
-    path = _materialize_noise(noise, model.dim, t0, t1, kernel, stream)
-    y = _convolve(kernel, path, t0, t1)
-    holder = _PathView(t0, y)
-    resid = (
-        recursion_residual(model, holder, path)
-        if t1 - t0 >= model.p
-        else float("nan")
-    )
-    return SimulationResult(
-        t_start=t0,
-        values=y,
-        method="theorem1_split",
-        truncation_K=-kernel.l_min,
-        max_residual=resid,
-        noise=path,
-        diagnostics=dict(kernel.diagnostics),
-    )
+    kernel, _ = build_split_kernel(model, split, tail_tol, k_trunc)
+    return _simulate(model, kernel, noise, t_range, stream, "theorem1_split", -kernel.l_min)
 
 
 def simulate_ma(
@@ -314,35 +315,9 @@ def simulate_ma(
             f"coefficients failed their reconstruction check "
             f"(residual {coeffs.reconstruction_residual:.3e} > 1e-6)"
         )
-    t0, t1 = int(t_range[0]), int(t_range[1])
-    if t1 < t0:
-        raise SpecificationError(f"empty time range {t_range}")
+    reach = max(abs(coeffs.k_min), abs(coeffs.k_max))
     kernel = laurent_kernel(coeffs)
-    path = _materialize_noise(noise, model.dim, t0, t1, kernel, stream)
-    y = _convolve(kernel, path, t0, t1)
-    holder = _PathView(t0, y)
-    resid = (
-        recursion_residual(model, holder, path)
-        if t1 - t0 >= model.p
-        else float("nan")
-    )
-    return SimulationResult(
-        t_start=t0,
-        values=y,
-        method="ma_infinity",
-        truncation_K=max(abs(coeffs.k_min), abs(coeffs.k_max)),
-        max_residual=resid,
-        noise=path,
-        diagnostics=dict(kernel.diagnostics),
-    )
-
-
-class _PathView:
-    __slots__ = ("t_start", "values")
-
-    def __init__(self, t_start, values):
-        self.t_start = t_start
-        self.values = values
+    return _simulate(model, kernel, noise, t_range, stream, "ma_infinity", reach)
 
 
 @dataclass(frozen=True)
@@ -479,13 +454,15 @@ def stationarity_ks(
 ) -> dict:
     """Two-sample KS check of distributional shift invariance.
 
-    Compares the empirical laws of (||Y_t||, ||Y_{t+1}||) at t = 0 and
-    t = t_shift across independent replicates.  Returns the two marginal
-    KS statistics and the 1% critical value 1.628 * sqrt(2/replicates).
+    Compares the empirical laws of (||Y_t||, ||Y_{t+1}||) at t = t_a and
+    t = t_a + t_shift across independent replicates.  Returns the two
+    marginal KS statistics and the 1% critical value 1.628 * sqrt(2/replicates).
     """
     from scipy.stats import ks_2samp
 
     kernel, _ = build_split_kernel(model, None, tail_tol)
+    # each replicate's noise window starts at t = 0, so t_a = l_max; the law
+    # is shift invariant, so any t_a would do
     t1 = t_shift + 1
     need = (t1 - kernel.l_min) - (0 - kernel.l_max) + 1
     norms = np.empty((replicates, t1 + 1))
@@ -493,10 +470,7 @@ def stationarity_ks(
     for lo in range(0, replicates, chunk):
         ids = range(lo, min(lo + chunk, replicates))
         block = np.stack(
-            [
-                sample_path(noise_spec, need, t_start=-kernel.l_max, stream=rid).values
-                for rid in ids
-            ]
+            [sample_path(noise_spec, need, stream=rid).values for rid in ids]
         )  # (c, need, d)
         c = block.shape[0]
         y = np.zeros((c, t1 + 1, model.dim), dtype=complex)

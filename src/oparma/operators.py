@@ -450,20 +450,13 @@ class CompanionLift:
     """Order-1 representation of an order-p model on the p-fold product space.
 
     ``operator`` is the block companion matrix (first block row A_1..A_p,
-    identity blocks on the subdiagonal), ``ma_ops`` embed each B_k into
-    the top-left block, and ``noise_embedding`` maps a d-vector into the
-    first block of a pd-vector.
+    identity blocks on the subdiagonal) and ``noise_embedding`` maps a
+    d-vector into the first block of a pd-vector.
     """
 
     operator: Operator
-    ma_ops: tuple
     noise_embedding: np.ndarray
-    block_dim: int
     p: int
-
-    def project_first_block(self, vectors: np.ndarray) -> np.ndarray:
-        """Extract the original-space components from lifted vectors."""
-        return vectors[..., : self.block_dim]
 
 
 def companion_lift(model: ArmaModel) -> CompanionLift:
@@ -477,9 +470,7 @@ def companion_lift(model: ArmaModel) -> CompanionLift:
     if p == 1:
         return CompanionLift(
             operator=model.ar_ops[0],
-            ma_ops=model.ma_ops,
             noise_embedding=np.eye(d, dtype=complex),
-            block_dim=d,
             p=1,
         )
     big = np.zeros((p * d, p * d), dtype=complex)
@@ -488,18 +479,11 @@ def companion_lift(model: ArmaModel) -> CompanionLift:
     for i in range(1, p):
         idx = np.arange(d)
         big[i * d + idx, (i - 1) * d + idx] = 1.0
-    lifted_ma = []
-    for b in model.ma_ops:
-        bm = np.zeros((p * d, p * d), dtype=complex)
-        bm[:d, :d] = b.matrix
-        lifted_ma.append(dense_operator(bm))
     embed = np.zeros((p * d, d), dtype=complex)
     embed[:d, :] = np.eye(d)
     return CompanionLift(
         operator=dense_operator(big),
-        ma_ops=tuple(lifted_ma),
         noise_embedding=embed,
-        block_dim=d,
         p=p,
     )
 

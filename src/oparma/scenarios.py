@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import exp1, gammaln
 
 from .engine.moments import moment_estimate
-from .engine.noise import NoiseSpec, log_magnitude_samples, make_rng, sample_path
+from .engine.noise import NoiseSpec, log_magnitude_samples, make_rng
 from .engine.simulate import (
     build_split_kernel,
     partial_sum_quantiles,
@@ -645,11 +645,8 @@ def _scenario_hyperbolic_pipeline(params, seed):
         )
     )
 
-    kernel, _ = build_split_kernel(model, split=split)
-    reach = max(kernel.l_max, -kernel.l_min, abs(coeffs.k_min), abs(coeffs.k_max))
     noise = NoiseSpec(kind="gaussian", dim=d, params={"sigma": 1.0}, seed=seed)
-    path = sample_path(noise, t1 + 2 * reach + 1, t_start=-reach)
-    res_split = simulate_theorem1(model, path, t_range=(0, t1), split=split)
+    res_split = simulate_theorem1(model, noise, t_range=(0, t1), split=split)
     checks.append(
         _check(
             "[direct] split-series simulation satisfies the defining recursion "
@@ -660,7 +657,7 @@ def _scenario_hyperbolic_pipeline(params, seed):
         )
     )
 
-    res_ma = simulate_ma(model, coeffs, path, t_range=(0, t1))
+    res_ma = simulate_ma(model, coeffs, noise, t_range=(0, t1))
     gap = float(np.linalg.norm(res_split.values - res_ma.values, axis=1).max())
     checks.append(
         _check(

@@ -181,7 +181,7 @@ def hyperbolic_split(
     proj, n_used, quad_diff = riesz_projector(op, n_quad, max_quad, margin)
     d = op.dim
     m = op.matrix
-    sv = np.linalg.svd(proj, compute_uv=False)
+    u, sv, _ = np.linalg.svd(proj)
     lo, hi = RANK_BAND
     ambiguous = sv[(sv > lo) & (sv < hi)]
     if ambiguous.size:
@@ -191,7 +191,7 @@ def hyperbolic_split(
         )
     rank = int((sv >= hi).sum())
 
-    u_in = np.linalg.svd(proj)[0][:, :rank] if rank else np.zeros((d, 0), dtype=complex)
+    u_in = u[:, :rank]
     comp = np.eye(d) - proj
     u_out = (
         np.linalg.svd(comp)[0][:, : d - rank]

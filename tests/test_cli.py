@@ -332,25 +332,31 @@ class TestSubcommands:
         assert out1.read_bytes() != out2.read_bytes()
 
     def test_simulate_methods_agree(self, hyper_model, gauss_noise, capsys):
-        code, out_split = run_cli(
-            "simulate", "--model", str(hyper_model), "--noise", str(gauss_noise),
-            "--t1", "9", capsys=capsys,
-        )
-        assert code == 0
-        code, out_ma = run_cli(
-            "simulate", "--model", str(hyper_model), "--noise", str(gauss_noise),
-            "--t1", "9", "--method", "ma", capsys=capsys,
-        )
-        assert code == 0
-        va = np.array(
-            [[c if isinstance(c, float) else complex(*c) for c in row]
-             for row in json.loads(out_split)["values"]]
-        )
-        vb = np.array(
-            [[c if isinstance(c, float) else complex(*c) for c in row]
-             for row in json.loads(out_ma)["values"]]
-        )
-        assert np.abs(va - vb).max() <= 1e-6
+        # one window at the start of the stream, one wholly before it
+        for t0, t1 in (("0", "9"), ("-30", "-11")):
+            values = {}
+            for method in ("split", "ma"):
+                code, out = run_cli(
+                    "simulate", "--model", str(hyper_model), "--noise", str(gauss_noise),
+                    "--t0", t0, "--t1", t1, "--method", method, capsys=capsys,
+                )
+                assert code == 0
+                values[method] = np.array(
+                    [[c if isinstance(c, float) else complex(*c) for c in row]
+                     for row in json.loads(out)["values"]]
+                )
+            assert np.abs(values["split"] - values["ma"]).max() <= 1e-6
+
+    def test_simulate_overlapping_windows_agree(self, hyper_model, gauss_noise, capsys):
+        paths = {}
+        for t0, t1 in ((0, 9), (3, 12)):
+            code, out = run_cli(
+                "simulate", "--model", str(hyper_model), "--noise", str(gauss_noise),
+                "--t0", str(t0), "--t1", str(t1), "--seed", "5", capsys=capsys,
+            )
+            assert code == 0
+            paths[t0] = json.loads(out)["values"]
+        assert paths[0][3:] == paths[3][:7]
 
     def test_moments_point_mass(self, tmp_path, capsys):
         path = tmp_path / "n.json"
@@ -422,6 +428,32 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert len(doc["checks"]) == 6
+
+    def test_verify_reads_the_noise_file_seed(self, hyper_model, tmp_path):
+        outs = {}
+        for seed in (5, 9):
+            noise = tmp_path / f"seed{seed}.json"
+            noise.write_text(
+                json.dumps(
+                    {"kind": "gaussian", "dim": 2, "params": {"sigma": 1.0}, "seed": seed}
+                )
+            )
+            out = tmp_path / f"verify{seed}.json"
+            code, _ = run_cli(
+                "verify", "--model", str(hyper_model), "--noise", str(noise),
+                "--out", str(out),
+            )
+            assert code == 0
+            outs[seed] = out
+        assert outs[5].read_bytes() != outs[9].read_bytes()
+        # an explicit --seed still overrides the file
+        forced = tmp_path / "forced.json"
+        code, _ = run_cli(
+            "verify", "--model", str(hyper_model), "--noise", str(tmp_path / "seed9.json"),
+            "--seed", "5", "--out", str(forced),
+        )
+        assert code == 0
+        assert forced.read_bytes() == outs[5].read_bytes()
 
     def test_verify_unit_root_fails(self, tmp_path):
         path = tmp_path / "unitroot.json"

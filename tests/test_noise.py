@@ -10,9 +10,11 @@ from scipy.stats import kstest
 from oparma import SpecificationError, WindowError
 from oparma.engine.noise import (
     CLAMP_LOG,
+    NOISE_KINDS,
     NoisePath,
     NoiseSpec,
     log_magnitude_samples,
+    make_rng,
     sample_noise,
     sample_path,
 )
@@ -137,3 +139,69 @@ def test_spec_validation():
         NoiseSpec(kind="point_mass", dim=2, params={"value": [1.0]})
     with pytest.raises(SpecificationError):
         sample_path(NoiseSpec(kind="gaussian", dim=1), 0)
+
+
+
+def _spec(kind, dim):
+    params = {
+        "gaussian": {"sigma": 2.0},
+        "componentwise_gaussian": {"sigmas": [0.5 + i for i in range(dim)]},
+        "point_mass": {"value": [1.0 - 3.0 * i for i in range(dim)]},
+    }.get(kind, {})
+    return NoiseSpec(kind=kind, dim=dim, params=params, seed=5)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ((0, 10), (3, 10)),  # both at or past 0
+        ((-40, 60), (-15, 30)),  # both straddle 0
+        ((-25, 40), (-100, 90)),  # straddling and wholly below 0
+        ((-90, 30), (-75, 40)),  # both wholly below 0
+    ],
+)
+def test_overlapping_windows_agree_bitwise(kind, first, second):
+    spec = _spec(kind, 2)
+    a = sample_path(spec, first[1], t_start=first[0], stream=2)
+    b = sample_path(spec, second[1], t_start=second[0], stream=2)
+    lo = max(a.t_start, b.t_start)
+    hi = min(a.t_stop, b.t_stop) - 1
+    assert hi >= lo
+    np.testing.assert_array_equal(a.window(lo, hi), b.window(lo, hi))
+    if a.log_mags is not None:
+        np.testing.assert_array_equal(
+            a.log_mags[lo - a.t_start : hi - a.t_start + 1],
+            b.log_mags[lo - b.t_start : hi - b.t_start + 1],
+        )
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_far_window_matches_window_from_zero(kind):
+    spec = _spec(kind, 1)
+    t0 = 100_000
+    far = sample_path(spec, 8, t_start=t0)
+    whole = sample_path(spec, t0 + 8)
+    np.testing.assert_array_equal(far.values, whole.values[t0:])
+
+
+def test_nonnegative_times_are_rows_of_make_rng():
+    d, seed, stream = 3, 17, 4
+    spec = NoiseSpec(kind="gaussian", dim=d, params={"sigma": 1.0}, seed=seed)
+    path = sample_path(spec, 30, t_start=-10, stream=stream)
+    rows = make_rng(seed, stream).standard_normal((20, d))
+    np.testing.assert_array_equal(path.window(0, 19), rows.astype(complex))
+
+    heavy = NoiseSpec(kind="pareto_exp", dim=1, seed=seed)
+    path = sample_path(heavy, 20, t_start=5, stream=stream)
+    u = make_rng(seed, stream).random(25)[5:]
+    np.testing.assert_array_equal(path.log_mags, 1.0 / (1.0 - u))
+
+
+def test_negative_times_come_from_a_separate_stream():
+    spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=8)
+    past = sample_path(spec, 50, t_start=-50).values[::-1]  # Z_{-1}, Z_{-2}, ...
+    future = sample_path(spec, 50).values  # Z_0, Z_1, ...
+    assert np.abs(past - future).min() > 0.0
+    other = sample_path(spec, 50, t_start=-50, stream=1).values[::-1]
+    assert np.abs(past - other).max() > 1e-3

@@ -275,6 +275,34 @@ class TestWindowHandling:
         assert res.max_residual < 1e-10
 
 
+class TestTimeAddressedNoise:
+    def test_overlapping_windows_agree_exactly(self):
+        a = dense_operator(np.diag([0.5, 2.0]))
+        model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=2))])
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=5)
+        coeffs = laurent_coeffs(model)
+        early = simulate_theorem1(model, spec, t_range=(0, 9))
+        late = simulate_theorem1(model, spec, t_range=(3, 12))
+        np.testing.assert_array_equal(early.values[3:], late.values[:7])
+        early_ma = simulate_ma(model, coeffs, spec, t_range=(0, 9))
+        late_ma = simulate_ma(model, coeffs, spec, t_range=(3, 12))
+        np.testing.assert_array_equal(early_ma.values[3:], late_ma.values[:7])
+        assert np.abs(early.values - early_ma.values).max() <= 1e-9
+
+    def test_truncation_sweep_converges_geometrically(self):
+        a = dense_operator(np.diag([0.6, 1.0 / 0.6]))
+        model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=2))])
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=5)
+        ref = simulate_theorem1(model, spec, t_range=(0, 9), k_trunc=120).values
+        gaps = []
+        for k in (10, 20, 30, 40):
+            res = simulate_theorem1(model, spec, t_range=(0, 9), k_trunc=k)
+            gaps.append(np.abs(res.values - ref).max())
+        # 0.6^10 ~ 6e-3 per extra ten lags; demand at least 10x per step
+        assert all(g1 <= 0.1 * g0 for g0, g1 in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= 1e-8
+
+
 class TestStationarity:
     def test_ks_shift_invariance(self):
         a = dense_operator(np.diag([0.5, 1.8]))
