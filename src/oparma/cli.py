@@ -87,7 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="split",
         help="split series (default) or two-sided moving average",
     )
-    sp.add_argument("--K", type=int, dest="k_trunc", help="force the truncation depth")
+    sp.add_argument(
+        "--K",
+        type=int,
+        dest="k_trunc",
+        help="force the truncation depth K >= 0 (split method only)",
+    )
     sp.add_argument("--seed", type=int, help="override the noise file's seed")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out")
@@ -193,6 +198,8 @@ def _cmd_simulate(args) -> int:
         spec = dataclasses.replace(spec, seed=args.seed)
     if args.t1 < args.t0:
         raise SpecificationError(f"--t1 must be >= --t0, got ({args.t0}, {args.t1})")
+    if args.k_trunc is not None and args.method != "split":
+        raise SpecificationError("--K applies to --method split only")
     t_range = (args.t0, args.t1)
     if args.method == "split":
         res = simulate_theorem1(model, spec, t_range, k_trunc=args.k_trunc)
@@ -319,8 +326,9 @@ def _cmd_verify(args) -> int:
         cc.passed,
     )
 
-    split = hyperbolic_split(_ar_operator(model))
-    flags = check_split(split, _ar_operator(model))
+    op = _ar_operator(model)
+    split = hyperbolic_split(op)
+    flags = check_split(split, op)
     record(
         "spectral split certifies its invariants",
         "all split identities at tolerance",

@@ -83,27 +83,15 @@ class LagKernel:
         return self.l_min + self.psis.shape[0] - 1
 
 
-def _choose_truncation(split: SpectralSplit, model: ArmaModel, tail_tol: float) -> int:
-    """Smallest K with rho^K * amplification <= tail_tol, with a floor.
-
-    rho is the larger of the contracting radius and the inverse
-    expanding radius; amplification accounts for the conditioning of the
-    basis change and the MA operator sizes.  The floor d + q + 1 covers
-    nilpotent blocks whose powers vanish identically before any
-    geometric estimate kicks in.
-    """
-    rho = max(split.diagnostics["radius_inner"], split.diagnostics["radius_outer_inv"])
-    floor = split.dim + model.q + 1
-    if rho <= 0.0:
-        return floor
-    amp = (
-        np.linalg.norm(split.combine, 2)
-        * np.linalg.norm(split.combine_inv, 2)
-        * max(np.linalg.norm(b.matrix, 2) for b in model.ma_ops)
-    )
-    amp = max(amp, 1.0)
-    k = int(math.ceil(math.log(tail_tol / amp) / math.log(rho)))
-    return max(k, floor)
+def _lag_states(step: np.ndarray, inputs: list):
+    """States x_j = step x_{j-1} + inputs[j], x_{-1} = 0, inputs zero past the list."""
+    x = np.zeros_like(inputs[0])
+    for c in inputs:
+        x = step @ x + c
+        yield x
+    while True:
+        x = step @ x
+        yield x
 
 
 def build_split_kernel(
@@ -114,16 +102,32 @@ def build_split_kernel(
 ) -> tuple[LagKernel, SpectralSplit]:
     """Finite lag kernel of the split-series solution.
 
-    Causal side: coefficients on Z_{t-j}, j >= 0, built from the
-    contracting block L1 via Phi_j = L1 Phi_{j-1} + C_j (C_j = 0 past
-    q).  Anticausal side: coefficients on Z_{t+j}, j >= 1-q, built from
-    the expanding block's inverse.  Order-p models go through the block
+    Two mirrored first-order recursions over the lag m, with the MA
+    operators folded into the state (C1_k, C2_k: dual rows of the basis
+    change applied to the embedded B_k, zero past q):
+
+    - causal side: phi_m = L1 phi_{m-1} + C1_m, and psi_m += V1 phi_m
+      for m >= 0;
+    - anticausal side: a_q = 0, a_m = L2^{-1} (a_{m+1} + C2_{m+1}), and
+      psi_m -= V2 a_m for m <= q - 1.
+
+    Each side contracts in its own direction of travel.  The reach K is
+    the first lag past the MA window (K > q) at which the newest state
+    on both sides, phi_K and a_{-K}, has norm <= ``tail_tol``; measured
+    on the lifted state rather than on its first block, so an order-p
+    model whose kernel lag vanishes only transiently is not cut there.
+    ``k_trunc`` forces K instead.  Order-p models go through the block
     companion lift; the kernel maps original noise to the original
     state (first block of the lifted solution).
-
-    ``k_trunc`` forces the truncation depth instead of deriving it from
-    ``tail_tol`` (floored at q + 1 so every boundary lag exists).
     """
+    if k_trunc is not None and k_trunc < 0:
+        raise SpecificationError(f"truncation depth must be >= 0, got {k_trunc}")
+    if k_trunc is None and not tail_tol >= np.finfo(float).tiny:
+        # below the smallest normal double a contracting state can stall
+        # on a subnormal value instead of reaching the tolerance
+        raise SpecificationError(
+            f"tail_tol must be a positive normal double, got {tail_tol}"
+        )
     lift = companion_lift(model)
     if split is None:
         split = hyperbolic_split(lift.operator)
@@ -131,60 +135,43 @@ def build_split_kernel(
         raise DimensionMismatchError(
             f"split has dim {split.dim}, lifted operator has {lift.operator.dim}"
         )
-    d = model.dim
-    q = model.q
-    embed = lift.noise_embedding
-    v_in, v_out = split.basis_inner, split.basis_outer
-    r = split.rank
-    s = split.dim - r
+    d, q, r = model.dim, model.q, split.rank
+    noise_ops = [lift.noise_embedding @ b.matrix for b in model.ma_ops]
+    n2 = np.linalg.inv(split.block_outer)
     # the projections are oblique in general, so noise enters through the
     # dual rows of the basis change, not through the adjoints of the bases
-    dual_in = split.combine_inv[:r]
-    dual_out = split.combine_inv[r:]
-    c1 = [dual_in @ (embed @ b.matrix) for b in model.ma_ops]
-    c2 = [dual_out @ (embed @ b.matrix) for b in model.ma_ops]
-
-    if k_trunc is None:
-        k_trunc = _choose_truncation(split, model, tail_tol)
-    else:
-        k_trunc = max(int(k_trunc), q + 1)
-    psis = np.zeros((2 * k_trunc + 1, d, d), dtype=complex)
-
-    if r > 0:
-        phi = np.zeros((r, d), dtype=complex)
-        l1 = split.block_inner
-        for j in range(0, k_trunc + 1):
-            phi = l1 @ phi
-            if j <= q:
-                phi = phi + c1[j]
-            psis[k_trunc + j] += (v_in @ phi)[:d]
-    if s > 0:
-        l2 = split.block_outer
-        n2 = np.linalg.inv(l2)
-        # partial sums E_m = sum_{k=m}^{q} L2^{-k} C2_k, needed for the
-        # boundary lags where only part of the MA window has entered
-        dks = []
-        pw = np.eye(s, dtype=complex)
-        for k in range(0, q + 1):
-            dks.append(pw @ c2[k])
-            pw = n2 @ pw
-        e = [np.zeros((s, d), dtype=complex) for _ in range(q + 2)]
-        for m in range(q, -1, -1):
-            e[m] = e[m + 1] + dks[m]
-        for j in range(1 - q, 1):
-            w = np.linalg.matrix_power(l2, -j) @ e[1 - j]
-            psis[k_trunc - j] -= (v_out @ w)[:d]
-        w = n2 @ e[0]
-        for j in range(1, k_trunc + 1):
-            psis[k_trunc - j] -= (v_out @ w)[:d]
-            w = n2 @ w
+    causal = _lag_states(
+        split.block_inner, [split.combine_inv[:r] @ c for c in noise_ops]
+    )
+    # a_{q-1-j} = L2^{-1} a_{q-j} + L2^{-1} C2_{q-j}: the same recursion run backwards
+    anticausal = _lag_states(
+        n2, [n2 @ (split.combine_inv[r:] @ c) for c in noise_ops[::-1]]
+    )
+    phis = [next(causal)]  # phi_0, phi_1, ...
+    alphas = [np.zeros((split.dim - r, d), dtype=complex)]  # a_q = 0, a_{q-1}, ...
+    alphas += [next(anticausal) for _ in range(q)]
+    k = 0
+    while True:
+        # Frobenius norms of the newest states; vdot is the cheapest route at small d
+        tail = max(abs(np.vdot(x, x)) for x in (phis[-1], alphas[-1])) ** 0.5
+        if k == k_trunc or (k_trunc is None and k > q and tail <= tail_tol):
+            break
+        phis.append(next(causal))
+        alphas.append(next(anticausal))
+        k += 1
+    psis = np.zeros((2 * k + 1, d, d), dtype=complex)
+    # contiguous copies of the bases keep the batched products on BLAS
+    v1, v2 = (np.ascontiguousarray(v[:d]) for v in (split.basis_inner, split.basis_outer))
+    psis[k:] = v1 @ np.stack(phis)
+    anti = (v2 @ np.stack(alphas[::-1]))[: 2 * k + 1]
+    psis[: anti.shape[0]] -= anti  # lags -k .. min(q, k)
     diagnostics = {
-        "truncation_K": k_trunc,
+        "truncation_K": k,
         "radius_inner": split.diagnostics["radius_inner"],
         "radius_outer_inv": split.diagnostics["radius_outer_inv"],
         "tail_tol": tail_tol,
     }
-    return LagKernel(l_min=-k_trunc, psis=psis, diagnostics=diagnostics), split
+    return LagKernel(l_min=-k, psis=psis, diagnostics=diagnostics), split
 
 
 def laurent_kernel(coeffs: LaurentCoeffs) -> LagKernel:
@@ -219,17 +206,17 @@ def _materialize_noise(noise, dim, t0, t1, kernel: LagKernel, stream: int = 0) -
     return noise
 
 
-def _convolve(kernel: LagKernel, noise: NoisePath, t0: int, t1: int) -> np.ndarray:
-    n_t = t1 - t0 + 1
+def _convolve(kernel: LagKernel, values: np.ndarray, first: int, n_t: int) -> np.ndarray:
+    """Apply ``kernel`` to noise ``values`` of shape (..., n, d) for n_t times.
+
+    ``first`` is the row of ``values`` holding the noise at the first
+    output time; the leading axes are replicates.
+    """
     d_out = kernel.psis.shape[1]
-    out = np.zeros((n_t, d_out), dtype=complex)
-    z0 = noise.t_start
-    vals = noise.values
+    out = np.zeros(values.shape[:-2] + (n_t, d_out), dtype=complex)
     for i in range(kernel.psis.shape[0]):
-        lag = kernel.l_min + i
-        a = t0 - lag - z0
-        seg = vals[a : a + n_t]
-        out += seg @ kernel.psis[i].T
+        a = first - kernel.l_min - i
+        out += values[..., a : a + n_t, :] @ kernel.psis[i].T
     return out
 
 
@@ -272,7 +259,7 @@ def _simulate(model, kernel, noise, t_range, stream, method, truncation_k):
     path = _materialize_noise(noise, model.dim, t0, t1, kernel, stream)
     res = SimulationResult(
         t_start=t0,
-        values=_convolve(kernel, path, t0, t1),
+        values=_convolve(kernel, path.values, t0 - path.t_start, t1 - t0 + 1),
         method=method,
         truncation_K=truncation_k,
         max_residual=float("nan"),
@@ -332,6 +319,48 @@ class ProbeResult:
     replicates: int
 
 
+def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count: int, replicates: int):
+    """Noise windows [0, count) of streams 0 .. replicates - 1, stacked in chunks.
+
+    Yields ``(lo, block)`` with ``block`` of shape (c, count, d) holding
+    streams lo .. lo + c - 1; chunks hold about 4e6 values.
+    """
+    if noise_spec.dim != model.dim:
+        raise DimensionMismatchError(
+            f"noise dim {noise_spec.dim} does not match model dim {model.dim}"
+        )
+    chunk = max(1, min(replicates, int(4e6 / max(count * noise_spec.dim, 1))))
+    for lo in range(0, replicates, chunk):
+        ids = range(lo, min(lo + chunk, replicates))
+        yield lo, np.stack([sample_path(noise_spec, count, stream=rid).values for rid in ids])
+
+
+def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, n_snap, replicates: int) -> dict:
+    """S_n = sum_{j=q}^{n-1} A^{j-q} M Z_j for each n in ``n_snap``, M = sum_k A^{q-k} B_k.
+
+    Returns {n: (d, replicates) array}; replicate i reads noise stream i.
+    """
+    if model.p != 1:
+        raise SpecificationError("expects a first-order model; lift first")
+    d, q = model.dim, model.q
+    if any(n <= q for n in n_snap):
+        raise SpecificationError(f"every n in the grid must exceed q={q}")
+    a_op = model.ar_ops[0]
+    m_op = ma_moment_operator(model)
+    n_max = max(n_snap)
+    sums = {n: np.empty((d, replicates), dtype=complex) for n in n_snap}
+    for lo, block in _replicate_blocks(model, noise_spec, n_max - q, replicates):
+        c = block.shape[0]
+        s = np.zeros((d, c), dtype=complex)
+        u = m_op.copy()
+        for j in range(q, n_max):
+            s = s + u @ block[:, j - q, :].T
+            if (j + 1) in sums:
+                sums[j + 1][:, lo : lo + c] = s
+            u = apply_batch(a_op, u)
+    return sums
+
+
 def plim_probe(
     model: ArmaModel,
     noise_spec: NoiseSpec,
@@ -350,50 +379,16 @@ def plim_probe(
     the dispersion curve should be inspected rather than the flag
     trusted (the curve is returned for exactly that reason).
     """
-    if model.p != 1:
-        raise SpecificationError("probe expects a first-order model; lift first")
     rad = spectral_radius(model.ar_ops[0]).value
     if rad > 1.0 + 1e-9:
         raise SpecificationError(
             f"probe requires spectral radius <= 1, got {rad:.6f}"
         )
-    if noise_spec.dim != model.dim:
-        raise DimensionMismatchError(
-            f"noise dim {noise_spec.dim} does not match model dim {model.dim}"
-        )
     n_grid = tuple(int(n) for n in n_grid)
-    if any(n <= model.q for n in n_grid):
-        raise SpecificationError(f"every n in the grid must exceed q={model.q}")
-    a_op = model.ar_ops[0]
-    m_op = ma_moment_operator(model)
-    d = model.dim
-    q = model.q
-    n_max = 2 * max(n_grid)
-    count = n_max - q
-    snapshots = sorted(set(n_grid) | {2 * n for n in n_grid})
-    snap_index = {n: i for i, n in enumerate(snapshots)}
-    diff_norms = {n: np.empty(replicates) for n in n_grid}
-
-    chunk = max(1, min(replicates, int(4e6 / max(count * d, 1))))
-    for lo in range(0, replicates, chunk):
-        ids = range(lo, min(lo + chunk, replicates))
-        block = np.stack(
-            [sample_path(noise_spec, count, stream=rid).values for rid in ids]
-        )  # (c, count, d)
-        c = block.shape[0]
-        s = np.zeros((d, c), dtype=complex)
-        snaps = np.zeros((len(snapshots), d, c), dtype=complex)
-        u = m_op.copy()
-        for j in range(q, n_max):
-            s = s + u @ block[:, j - q, :].T
-            if (j + 1) in snap_index:
-                snaps[snap_index[j + 1]] = s
-            u = apply_batch(a_op, u)
-        for n in n_grid:
-            dd = snaps[snap_index[2 * n]] - snaps[snap_index[n]]
-            diff_norms[n][lo : lo + c] = np.linalg.norm(dd, axis=0)
+    sums = _partial_sums(model, noise_spec, set(n_grid) | {2 * n for n in n_grid}, replicates)
     dispersions = tuple(
-        float(np.quantile(diff_norms[n], quantile)) for n in n_grid
+        float(np.quantile(np.linalg.norm(sums[2 * n] - sums[n], axis=0), quantile))
+        for n in n_grid
     )
     return ProbeResult(
         n_grid=n_grid,
@@ -417,31 +412,11 @@ def partial_sum_quantiles(
     Used by the isometry growth check, where ||S_n|| drifts like sqrt(n)
     and increments never shrink.
     """
-    if model.p != 1:
-        raise SpecificationError("expects a first-order model")
     n_grid = tuple(int(n) for n in n_grid)
-    a_op = model.ar_ops[0]
-    m_op = ma_moment_operator(model)
-    d, q = model.dim, model.q
-    n_max = max(n_grid)
-    count = n_max - q
-    snap_index = {n: i for i, n in enumerate(n_grid)}
-    norms = {n: np.empty(replicates) for n in n_grid}
-    chunk = max(1, min(replicates, int(4e6 / max(count * d, 1))))
-    for lo in range(0, replicates, chunk):
-        ids = range(lo, min(lo + chunk, replicates))
-        block = np.stack(
-            [sample_path(noise_spec, count, stream=rid).values for rid in ids]
-        )
-        c = block.shape[0]
-        s = np.zeros((d, c), dtype=complex)
-        u = m_op.copy()
-        for j in range(q, n_max):
-            s = s + u @ block[:, j - q, :].T
-            if (j + 1) in snap_index:
-                norms[j + 1][lo : lo + c] = np.linalg.norm(s, axis=0)
-            u = apply_batch(a_op, u)
-    return np.array([float(np.quantile(norms[n], quantile)) for n in n_grid])
+    sums = _partial_sums(model, noise_spec, set(n_grid), replicates)
+    return np.array(
+        [float(np.quantile(np.linalg.norm(sums[n], axis=0), quantile)) for n in n_grid]
+    )
 
 
 def stationarity_ks(
@@ -463,22 +438,12 @@ def stationarity_ks(
     kernel, _ = build_split_kernel(model, None, tail_tol)
     # each replicate's noise window starts at t = 0, so t_a = l_max; the law
     # is shift invariant, so any t_a would do
-    t1 = t_shift + 1
-    need = (t1 - kernel.l_min) - (0 - kernel.l_max) + 1
-    norms = np.empty((replicates, t1 + 1))
-    chunk = max(1, min(replicates, int(4e6 / max(need * model.dim, 1))))
-    for lo in range(0, replicates, chunk):
-        ids = range(lo, min(lo + chunk, replicates))
-        block = np.stack(
-            [sample_path(noise_spec, need, stream=rid).values for rid in ids]
-        )  # (c, need, d)
-        c = block.shape[0]
-        y = np.zeros((c, t1 + 1, model.dim), dtype=complex)
-        for i in range(kernel.psis.shape[0]):
-            lag = kernel.l_min + i
-            a = -lag + kernel.l_max
-            y += block[:, a : a + t1 + 1, :] @ kernel.psis[i].T
-        norms[lo : lo + c] = np.linalg.norm(y, axis=2)
+    n_t = t_shift + 2
+    need = n_t + kernel.l_max - kernel.l_min
+    norms = np.empty((replicates, n_t))
+    for lo, block in _replicate_blocks(model, noise_spec, need, replicates):
+        y = _convolve(kernel, block, kernel.l_max, n_t)
+        norms[lo : lo + block.shape[0]] = np.linalg.norm(y, axis=2)
     crit = 1.628 * math.sqrt(2.0 / replicates)
     stat0 = float(ks_2samp(norms[:, 0], norms[:, t_shift]).statistic)
     stat1 = float(ks_2samp(norms[:, 1], norms[:, t_shift + 1]).statistic)

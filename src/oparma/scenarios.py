@@ -33,7 +33,6 @@ from .engine.simulate import (
     build_split_kernel,
     partial_sum_quantiles,
     plim_probe,
-    recursion_residual,
     simulate_ma,
     simulate_theorem1,
     stationarity_ks,

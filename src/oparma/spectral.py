@@ -199,40 +199,37 @@ def hyperbolic_split(
         else np.zeros((d, 0), dtype=complex)
     )
     combine = np.hstack([u_in, u_out])
-    combine_inv = np.linalg.inv(combine)
-    block_inner = u_in.conj().T @ m @ u_in
-    block_outer = u_out.conj().T @ m @ u_out
+    split = SpectralSplit(
+        projector=proj,
+        rank=rank,
+        basis_inner=u_in,
+        basis_outer=u_out,
+        block_inner=u_in.conj().T @ m @ u_in,
+        block_outer=u_out.conj().T @ m @ u_out,
+        combine=combine,
+        combine_inv=np.linalg.inv(combine),
+        n_quad=n_used,
+    )
 
-    norm_a = np.linalg.norm(m, 2)
-    norm_p = np.linalg.norm(proj, 2)
-    idem = float(np.linalg.norm(proj @ proj - proj, 2))
-    comm = float(np.linalg.norm(m @ proj - proj @ m, 2))
-    recon = combine @ _block_diag(block_inner, block_outer) @ combine_inv
-    simil = float(np.linalg.norm(recon - m, 2))
-    r_in = _safe_radius(block_inner)
-    r_out_inv = _safe_inv_radius(block_outer)
+    residuals = _invariant_residuals(split, m, check_tol)
+    r_in = _safe_radius(split.block_inner)
+    r_out_inv = _safe_inv_radius(split.block_outer)
 
-    diagnostics = {
+    split.diagnostics.update({
         "hyperbolicity_margin": hyperbolicity_margin(op),
         "n_quad": n_used,
         "quad_diff": quad_diff,
-        "idempotency_residual": idem,
-        "commutation_residual": comm,
-        "similarity_residual": simil,
+        **{f"{name}_residual": value for name, (value, _) in residuals.items()},
         "radius_inner": r_in,
         "radius_outer_inv": r_out_inv,
         "singular_values": sv,
         "projector_convention": "resolvent (zI - A)^{-1}, counterclockwise "
         "unit circle; P projects onto eigenvalues inside the disc",
-    }
+    })
 
-    problems = []
-    if idem > check_tol * (1.0 + norm_p):
-        problems.append(f"idempotency residual {idem:.3e}")
-    if comm > check_tol * norm_a:
-        problems.append(f"commutation residual {comm:.3e}")
-    if simil > check_tol * norm_a:
-        problems.append(f"similarity residual {simil:.3e}")
+    problems = [
+        f"{name} residual {value:.3e}" for name, (value, ok) in residuals.items() if not ok
+    ]
     if rank and not r_in < 1.0:
         problems.append(f"inner radius {r_in} not < 1")
     if rank < d and not r_out_inv < 1.0:
@@ -241,19 +238,31 @@ def hyperbolic_split(
         raise QuadratureError(
             "split failed internal checks: " + "; ".join(problems)
         )
+    return split
 
-    return SpectralSplit(
-        projector=proj,
-        rank=rank,
-        basis_inner=u_in,
-        basis_outer=u_out,
-        block_inner=block_inner,
-        block_outer=block_outer,
-        combine=combine,
-        combine_inv=combine_inv,
-        n_quad=n_used,
-        diagnostics=diagnostics,
+
+def _invariant_residuals(split: SpectralSplit, m: np.ndarray, tol: float) -> dict:
+    """Idempotency, commutation and similarity residuals of ``split`` of ``m``.
+
+    Maps each name to ``(residual, within tol)``; idempotency is measured
+    against ``tol * (1 + ||P||)``, the other two against ``tol * ||A||``.
+    """
+    proj = split.projector
+    norm_a = np.linalg.norm(m, 2)
+    recon = (
+        split.combine
+        @ _block_diag(split.block_inner, split.block_outer)
+        @ split.combine_inv
     )
+    out = {}
+    for name, diff, bound in (
+        ("idempotency", proj @ proj - proj, tol * (1.0 + np.linalg.norm(proj, 2))),
+        ("commutation", m @ proj - proj @ m, tol * norm_a),
+        ("similarity", recon - m, tol * norm_a),
+    ):
+        value = float(np.linalg.norm(diff, 2))
+        out[name] = (value, value <= bound)
+    return out
 
 
 def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,19 +278,11 @@ def check_split(split: SpectralSplit, op: Operator, tol: float = 1e-8) -> dict:
     Returns a dict of named booleans; used by the command-line ``verify``
     path so the checks can be reported individually.
     """
-    m = op.matrix
-    p = split.projector
-    norm_a = np.linalg.norm(m, 2)
-    norm_p = np.linalg.norm(p, 2)
-    recon = (
-        split.combine
-        @ _block_diag(split.block_inner, split.block_outer)
-        @ split.combine_inv
-    )
+    residuals = _invariant_residuals(split, op.matrix, tol)
     results = {
-        "idempotent": np.linalg.norm(p @ p - p, 2) <= tol * (1.0 + norm_p),
-        "commutes": np.linalg.norm(m @ p - p @ m, 2) <= tol * norm_a,
-        "similarity": np.linalg.norm(recon - m, 2) <= tol * norm_a,
+        "idempotent": residuals["idempotency"][1],
+        "commutes": residuals["commutation"][1],
+        "similarity": residuals["similarity"][1],
         "inner_contracts": split.rank == 0 or _safe_radius(split.block_inner) < 1.0,
         "outer_expands": split.rank == split.dim
         or _safe_inv_radius(split.block_outer) < 1.0,

@@ -310,6 +310,25 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["truncation_K"] == 12
 
+    def test_simulate_k_with_ma_method_exit_2(self, hyper_model, gauss_noise):
+        code, _ = run_cli(
+            "simulate",
+            "--model", str(hyper_model),
+            "--noise", str(gauss_noise),
+            "--method", "ma",
+            "--K", "3",
+        )
+        assert code == 2
+
+    def test_simulate_negative_k_exit_2(self, hyper_model, gauss_noise):
+        code, _ = run_cli(
+            "simulate",
+            "--model", str(hyper_model),
+            "--noise", str(gauss_noise),
+            "--K", "-1",
+        )
+        assert code == 2
+
     def test_simulate_rerun_bitwise(self, hyper_model, gauss_noise, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for out in (out1, out2):
@@ -454,6 +473,23 @@ class TestSubcommands:
         )
         assert code == 0
         assert forced.read_bytes() == outs[5].read_bytes()
+
+    def test_verify_non_normal_jordan_block(self, tmp_path, capsys):
+        # diagonal 0.5, superdiagonal 1: ||A^k|| grows to about 10 before it decays
+        entries = (0.5 * np.eye(6) + np.eye(6, k=1)).tolist()
+        path = tmp_path / "jordan.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "ar": [{"kind": "dense", "dim": 6, "params": {"entries": entries}}],
+                    "ma": [{"kind": "identity", "dim": 6}],
+                }
+            )
+        )
+        code, out = run_cli("verify", "--model", str(path), capsys=capsys)
+        assert code == 0
+        checks = {c["description"]: c["observed"] for c in json.loads(out)["checks"]}
+        assert checks["simulated path satisfies the defining recursion"] <= 1e-10
 
     def test_verify_unit_root_fails(self, tmp_path):
         path = tmp_path / "unitroot.json"

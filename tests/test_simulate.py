@@ -7,13 +7,14 @@ from oparma.engine.noise import NoisePath, NoiseSpec, sample_path
 from oparma.engine.simulate import (
     ProbeResult,
     build_split_kernel,
+    partial_sum_quantiles,
     plim_probe,
     recursion_residual,
     simulate_ma,
     simulate_theorem1,
     stationarity_ks,
 )
-from oparma.errors import SpecificationError, WindowError
+from oparma.errors import DimensionMismatchError, SpecificationError, WindowError
 from oparma.laurent import laurent_coeffs
 from oparma.operators import OperatorSpec, arma_model, build_operator, dense_operator
 from oparma.spectral import hyperbolic_split
@@ -110,13 +111,49 @@ class TestTruncationControl:
         assert res.truncation_K == 60
         assert res.max_residual <= 1e-12
 
-    def test_default_depth_respects_floor(self):
+    def test_zero_ar_kernel_is_exact(self):
         model = arma_model(
             [build_operator(OperatorSpec(kind="zero", dim=2))],
             [build_operator(OperatorSpec(kind="identity", dim=2))],
         )
         kernel, _ = build_split_kernel(model)
-        assert -kernel.l_min >= 2 + 0 + 1
+        k0 = -kernel.l_min
+        np.testing.assert_allclose(kernel.psis[k0], np.eye(2), rtol=0, atol=1e-15)
+        others = np.delete(kernel.psis, k0, axis=0)
+        assert others.size and np.all(others == 0.0)
+
+    def test_non_normal_tail_is_read_off_the_lags(self):
+        # Jordan-like block: ||A^k|| first grows, so a depth taken from the
+        # spectral radius alone stops while the lags are still large
+        a = dense_operator(0.5 * np.eye(6) + np.eye(6, k=1))
+        model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=6))])
+        kernel, _ = build_split_kernel(model)
+        tol = kernel.diagnostics["tail_tol"]
+        assert np.linalg.norm(kernel.psis[0], 2) <= tol
+        assert np.linalg.norm(kernel.psis[-1], 2) <= tol
+
+    def test_transiently_vanishing_lag_does_not_stop_the_depth(self):
+        # Y_t = 0.25 Y_{t-2} + Z_t: every odd lag is exactly 0, so the first
+        # block of the lifted state vanishes at lag 1 while the state does not
+        model = arma_model(
+            [dense_operator(np.array([[0.0]])), dense_operator(np.array([[0.25]]))],
+            [dense_operator(np.array([[1.0]]))],
+        )
+        spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=4)
+        res = simulate_theorem1(model, spec, t_range=(0, 49))
+        assert res.truncation_K >= 20
+        assert res.max_residual <= 1e-12
+
+    def test_forced_depth(self):
+        model = scalar_model(0.5, bs=(1.0, 0.5, 0.25))
+        kernel, _ = build_split_kernel(model, k_trunc=0)
+        assert kernel.l_min == 0 and kernel.psis.shape == (1, 1, 1)
+        np.testing.assert_allclose(kernel.psis[0], [[1.0]])
+        with pytest.raises(SpecificationError):
+            build_split_kernel(model, k_trunc=-1)
+        # a zero tolerance would never be met once the lags go subnormal
+        with pytest.raises(SpecificationError):
+            build_split_kernel(model, tail_tol=0.0)
 
     def test_deeper_truncation_shrinks_residual(self):
         model = scalar_model(0.9)
@@ -369,3 +406,21 @@ class TestPlimProbe:
             plim_probe(two, spec)
         with pytest.raises(SpecificationError):
             plim_probe(scalar_model(0.5, bs=(1.0, 1.0)), spec, n_grid=(1, 2))
+        wide = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
+        with pytest.raises(DimensionMismatchError):
+            plim_probe(scalar_model(0.5), wide, n_grid=(4, 8))
+
+
+class TestPartialSumQuantiles:
+    def test_n_within_ma_window_rejected(self):
+        model = scalar_model(0.5, bs=(1.0, 1.0, 1.0))
+        spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=0)
+        with pytest.raises(SpecificationError, match="exceed q=2"):
+            partial_sum_quantiles(model, spec, n_grid=(1, 2, 8), replicates=10)
+
+    def test_wrong_noise_dimension_rejected(self):
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
+        with pytest.raises(DimensionMismatchError):
+            partial_sum_quantiles(scalar_model(0.5), spec, n_grid=(4, 8), replicates=10)
+        with pytest.raises(DimensionMismatchError):
+            stationarity_ks(scalar_model(0.5), spec, replicates=10)

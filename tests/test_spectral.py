@@ -128,6 +128,13 @@ def test_check_split_detects_tampering():
     assert not bad_results["similarity"]
 
 
+def test_split_raises_when_invariants_miss_tolerance():
+    # with a zero tolerance the rounding-level residuals count as failures
+    a = dense_operator([[0.5, 1.0], [0.0, 2.0]])
+    with pytest.raises(QuadratureError, match="split failed internal checks: .*residual"):
+        hyperbolic_split(a, check_tol=0.0)
+
+
 def test_split_bases_are_orthonormal_and_conjugation_exact():
     rng = np.random.default_rng(17)
     s = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
