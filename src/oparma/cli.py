@@ -142,20 +142,15 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _ar_operator(model):
-    from .operators import companion_lift
-
-    return companion_lift(model).operator
-
-
 def _cmd_split(args) -> int:
+    from .operators import companion_lift
     from .spectral import hyperbolic_split
 
     model = load_model(args.model)
     kwargs = {}
     if args.n_quad is not None:
         kwargs["n_quad"] = args.n_quad
-    split = hyperbolic_split(_ar_operator(model), **kwargs)
+    split = hyperbolic_split(companion_lift(model).operator, **kwargs)
     _emit(dumps(split_payload(split)), args.out)
     return 0
 
@@ -291,9 +286,7 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .engine.noise import NoiseSpec
-    from .engine.simulate import simulate_ma, simulate_theorem1
-    from .laurent import laurent_coeffs, unit_circle_check
-    from .spectral import check_split, hyperbolic_split
+    from .scenarios import certify
 
     model = load_model(args.model)
     if args.window < model.p + 2:
@@ -306,71 +299,10 @@ def _cmd_verify(args) -> int:
         spec = NoiseSpec(
             kind="gaussian", dim=model.dim, params={"sigma": 1.0}, seed=args.seed or 0
         )
-    checks = []
-
-    def record(description, expected, observed, passed):
-        checks.append(
-            {
-                "description": description,
-                "expected": expected,
-                "observed": sanitize(observed),
-                "pass": bool(passed),
-            }
-        )
-
-    cc = unit_circle_check(model)
-    record(
-        "denominator invertible on the unit circle",
-        f"min singular value > {cc.tol:.1e}",
-        cc.min_singular_value,
-        cc.passed,
-    )
-
-    op = _ar_operator(model)
-    split = hyperbolic_split(op)
-    flags = check_split(split, op)
-    record(
-        "spectral split certifies its invariants",
-        "all split identities at tolerance",
-        {k: bool(v) for k, v in flags.items()},
-        all(flags.values()),
-    )
-    record(
-        "both spectral radii strictly inside the disc",
-        "< 1",
-        [split.diagnostics["radius_inner"], split.diagnostics["radius_outer_inv"]],
-        split.diagnostics["radius_inner"] < 1.0
-        and split.diagnostics["radius_outer_inv"] < 1.0,
-    )
-
-    coeffs = laurent_coeffs(model)
-    record(
-        "two-sided expansion reconstructs the transfer function",
-        "residual <= 1e-6",
-        coeffs.reconstruction_residual,
-        coeffs.reconstruction_residual <= 1e-6,
-    )
-
-    t1 = args.window - 1
-    res_split = simulate_theorem1(model, spec, (0, t1), split=split)
-    record(
-        "simulated path satisfies the defining recursion",
-        "relative residual <= 1e-8",
-        res_split.max_residual,
-        res_split.max_residual <= 1e-8,
-    )
-    res_ma = simulate_ma(model, coeffs, spec, (0, t1))
-    gap = float(abs(res_split.values - res_ma.values).max())
-    record(
-        "split series and moving average agree on one noise path",
-        "sup gap <= 1e-6",
-        gap,
-        gap <= 1e-6,
-    )
-
+    checks, _ = certify(model, spec, args.window - 1, residual_max=1e-8)
     passed = all(c["pass"] for c in checks)
     payload = {"model": str(args.model), "checks": checks, "passed": passed}
-    _emit(dumps(payload), args.out)
+    _emit(dumps(sanitize(payload)), args.out)
     return 0 if passed else 1
 
 

@@ -361,6 +361,14 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, n_snap, replicates: i
     return sums
 
 
+def _norm_quantile(vectors: np.ndarray, quantile: float, label: str) -> float:
+    """``quantile`` of the column norms of ``vectors``; raises if a norm is not finite."""
+    norms = np.linalg.norm(vectors, axis=0)
+    if not np.isfinite(norms).all():
+        raise OverflowError(f"||{label}|| overflows float range")
+    return float(np.quantile(norms, quantile))
+
+
 def plim_probe(
     model: ArmaModel,
     noise_spec: NoiseSpec,
@@ -377,7 +385,9 @@ def plim_probe(
     when the final dispersion falls below ``tol``.  Useful verdicts need
     geometric or at least summable tails; near loglog-type boundaries
     the dispersion curve should be inspected rather than the flag
-    trusted (the curve is returned for exactly that reason).
+    trusted (the curve is returned for exactly that reason).  Raises
+    ``OverflowError`` naming n when a partial sum or its norm leaves the
+    float range, as heavy-tailed noise can make it.
     """
     rad = spectral_radius(model.ar_ops[0]).value
     if rad > 1.0 + 1e-9:
@@ -387,8 +397,7 @@ def plim_probe(
     n_grid = tuple(int(n) for n in n_grid)
     sums = _partial_sums(model, noise_spec, set(n_grid) | {2 * n for n in n_grid}, replicates)
     dispersions = tuple(
-        float(np.quantile(np.linalg.norm(sums[2 * n] - sums[n], axis=0), quantile))
-        for n in n_grid
+        _norm_quantile(sums[2 * n] - sums[n], quantile, f"S_{2 * n} - S_{n}") for n in n_grid
     )
     return ProbeResult(
         n_grid=n_grid,
@@ -410,13 +419,12 @@ def partial_sum_quantiles(
     """``quantile`` of ||S_n|| itself (not increments) for each n.
 
     Used by the isometry growth check, where ||S_n|| drifts like sqrt(n)
-    and increments never shrink.
+    and increments never shrink.  Raises ``OverflowError`` like
+    :func:`plim_probe`.
     """
     n_grid = tuple(int(n) for n in n_grid)
     sums = _partial_sums(model, noise_spec, set(n_grid), replicates)
-    return np.array(
-        [float(np.quantile(np.linalg.norm(sums[n], axis=0), quantile)) for n in n_grid]
-    )
+    return np.array([_norm_quantile(sums[n], quantile, f"S_{n}") for n in n_grid])
 
 
 def stationarity_ks(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, SingularOperatorError, SpecificationError
-from .operators import COND_LIMIT, ArmaModel
+from .operators import COND_LIMIT, ArmaModel, companion_lift
 
 #: smallest singular value of the denominator on the circle must exceed this
 CIRCLE_TOL = 1e-6
@@ -42,52 +42,37 @@ DEFAULT_N_QUAD = 256
 MAX_N_QUAD = 8192
 
 
-def _denominator(model: ArmaModel, z: complex) -> np.ndarray:
-    d = model.dim
-    m = np.eye(d, dtype=complex)
-    zp = 1.0 + 0j
+def _denominators(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
+    """I - z A_1 - ... - z^p A_p at each node, as an (n, d, d) stack."""
+    d, n = model.dim, nodes.size
+    den = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)).copy()
+    zp = np.ones(n, dtype=complex)
     for a in model.ar_ops:
-        zp *= z
-        m -= zp * a.matrix
-    return m
+        zp = zp * nodes
+        den -= zp[:, None, None] * a.matrix[None]
+    return den
 
 
-def _numerator(model: ArmaModel, z: complex) -> np.ndarray:
-    acc = np.zeros((model.dim, model.dim), dtype=complex)
-    zp = 1.0 + 0j
+def _batched_transfer(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
+    """H at many circle nodes as a stacked (n, d, d) array."""
+    num = np.zeros((nodes.size, model.dim, model.dim), dtype=complex)
+    zp = np.ones(nodes.size, dtype=complex)
     for b in model.ma_ops:
-        acc += zp * b.matrix
-        zp *= z
-    return acc
+        num += zp[:, None, None] * b.matrix[None]
+        zp = zp * nodes
+    return np.linalg.solve(_denominators(model, nodes), num)
 
 
 def transfer_function(model: ArmaModel, z: complex) -> np.ndarray:
     """H(z) at a single point; raises if the denominator is singular there."""
-    den = _denominator(model, z)
-    sv = np.linalg.svd(den, compute_uv=False)
+    node = np.array([z], dtype=complex)
+    sv = np.linalg.svd(_denominators(model, node)[0], compute_uv=False)
     if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT:
         cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
         raise SingularOperatorError(
             f"transfer function denominator singular at z={z}", condition=cond
         )
-    return np.linalg.solve(den, _numerator(model, z))
-
-
-def _batched_transfer(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
-    """H at many circle nodes as a stacked (n, d, d) array."""
-    d = model.dim
-    n = nodes.size
-    den = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)).copy()
-    num = np.zeros((n, d, d), dtype=complex)
-    zp = np.ones(n, dtype=complex)
-    for a in model.ar_ops:
-        zp = zp * nodes
-        den -= zp[:, None, None] * a.matrix[None]
-    zp = np.ones(n, dtype=complex)
-    for b in model.ma_ops:
-        num += zp[:, None, None] * b.matrix[None]
-        zp = zp * nodes
-    return np.linalg.solve(den, num)
+    return _batched_transfer(model, node)[0]
 
 
 @dataclass(frozen=True)
@@ -108,20 +93,27 @@ def unit_circle_check(
 ) -> CircleCheck:
     """Scan the denominator's smallest singular value over circle nodes.
 
-    Also reports the condition of the leading AR operator A_p, whose
-    invertibility governs whether the anticausal side of the expansion
-    is a genuine two-sided series rather than a degenerate one (the
-    reversed-time characteristic matrix at zero is -A_p).
+    The nodes are ``n_grid`` equispaced points plus, for each nonzero
+    eigenvalue lambda of the companion lift, the point conj(lambda)/|lambda|
+    nearest to the root 1/lambda of the determinant, so a unit root
+    between grid nodes is hit exactly.  Also reports the condition of
+    the leading AR operator A_p, whose invertibility governs whether the
+    anticausal side of the expansion is a genuine two-sided series rather
+    than a degenerate one (the reversed-time characteristic matrix at
+    zero is -A_p).
     """
-    nodes = np.exp(2j * np.pi * np.arange(n_grid) / n_grid)
-    d = model.dim
-    den = np.broadcast_to(np.eye(d, dtype=complex), (n_grid, d, d)).copy()
-    zp = np.ones(n_grid, dtype=complex)
-    for a in model.ar_ops:
-        zp = zp * nodes
-        den -= zp[:, None, None] * a.matrix[None]
-    sv = np.linalg.svd(den, compute_uv=False)
-    mins = sv[:, -1]
+    eigs = np.linalg.eigvals(companion_lift(model).operator.matrix)
+    eigs = eigs[eigs != 0]
+    nodes = np.concatenate(
+        [np.exp(2j * np.pi * np.arange(n_grid) / n_grid), eigs.conj() / np.abs(eigs)]
+    )
+    # 512 nodes per batch: the eigenvalue probes add no memory over the default grid
+    mins = np.concatenate(
+        [
+            np.linalg.svd(_denominators(model, nodes[i : i + 512]), compute_uv=False)[:, -1]
+            for i in range(0, nodes.size, 512)
+        ]
+    )
     j = int(np.argmin(mins))
     ap = model.ar_ops[-1].matrix
     ap_sv = np.linalg.svd(ap, compute_uv=False)

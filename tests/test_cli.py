@@ -235,6 +235,32 @@ class TestSubcommands:
         assert code == 1
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize(
+        "ar",
+        [
+            # AR(1) diag(e^{0.3i}, 0.5): 0.3 lies between two of the 512 grid angles
+            [[[[np.cos(0.3), np.sin(0.3)], 0.0], [0.0, 0.5]]],
+            # real AR(2) with roots e^{+-0.7i} in its first component
+            [[[2 * np.cos(0.7), 0.0], [0.0, 0.2]], [[-1.0, 0.0], [0.0, 0.0]]],
+        ],
+        ids=["rotation", "real_ar2"],
+    )
+    def test_check_circle_unit_root_between_nodes(self, ar, tmp_path, capsys):
+        path = tmp_path / "between.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "ar": [{"kind": "dense", "dim": 2, "params": {"entries": m}} for m in ar],
+                    "ma": [{"kind": "identity", "dim": 2}],
+                }
+            )
+        )
+        code, out = run_cli("check-circle", "--model", str(path), capsys=capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["min_singular_value"] < 1e-12
+
     def test_check_circle_good_model(self, hyper_model, capsys):
         code, out = run_cli("check-circle", "--model", str(hyper_model), capsys=capsys)
         assert code == 0
@@ -447,6 +473,35 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert len(doc["checks"]) == 6
+
+    def test_verify_scans_the_circle_once(self, hyper_model, monkeypatch):
+        import oparma.laurent
+
+        calls = []
+        scan = oparma.laurent.unit_circle_check
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(oparma.laurent, "unit_circle_check", counting)
+        code, _ = run_cli("verify", "--model", str(hyper_model))
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_verify_emits_the_certification_chain(self, hyper_model, gauss_noise, capsys):
+        from oparma.jsonio import sanitize
+        from oparma.scenarios import certify
+
+        code, out = run_cli(
+            "verify", "--model", str(hyper_model), "--noise", str(gauss_noise),
+            "--window", "50", capsys=capsys,
+        )
+        assert code == 0
+        checks, _ = certify(
+            load_model(str(hyper_model)), load_noise(str(gauss_noise)), 49, residual_max=1e-8
+        )
+        assert json.loads(out)["checks"] == sanitize(checks)
 
     def test_verify_reads_the_noise_file_seed(self, hyper_model, tmp_path):
         outs = {}

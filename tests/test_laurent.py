@@ -112,6 +112,27 @@ def test_circle_check_pass_and_fail():
         laurent_coeffs(scalar_model([1.0], [1.0]))
 
 
+def _unit_roots_between_nodes():
+    """Models with a unit root off the 512-node grid (its min sigma there is 5e-3, 6e-4)."""
+    rotation = arma_model(
+        [dense_operator(np.diag([np.exp(0.3j), 0.5]))], [dense_operator(np.eye(2))]
+    )
+    real_ar2 = arma_model(
+        [dense_operator(np.diag([2 * np.cos(0.7), 0.2])), dense_operator(np.diag([-1.0, 0.0]))],
+        [dense_operator(np.eye(2))],
+    )
+    return [rotation, real_ar2]
+
+
+@pytest.mark.parametrize("model", _unit_roots_between_nodes(), ids=["rotation", "real_ar2"])
+def test_circle_check_probes_eigenvalue_angles(model):
+    cc = unit_circle_check(model)
+    assert not cc.passed
+    assert cc.min_singular_value < 1e-12
+    with pytest.raises(SingularOperatorError, match="nearly singular on the circle"):
+        laurent_coeffs(model)
+
+
 def test_circle_check_reports_leading_ar_singularity():
     model = arma_model(
         [dense_operator(np.diag([0.5, 2.0])), dense_operator(np.zeros((2, 2)))],

@@ -89,3 +89,14 @@ class TestAllScenariosPass:
         failed = [c["description"] for c in rep.checks if not c["pass"]]
         assert not failed, f"{name}: {failed}"
         assert len(rep.checks) >= 2
+
+
+def test_pipeline_carries_the_certification_chain():
+    rep = run_scenario("hyperbolic_pipeline", overrides={"ks_replicates": 200})
+    by_text = {c["description"]: c for c in rep.checks}
+    circle = by_text["[direct] denominator invertible on the unit circle"]
+    radii = by_text["[direct] both spectral radii strictly inside the disc"]
+    assert circle["pass"] and circle["observed"] > 1e-6
+    assert radii["pass"] and max(radii["observed"]) < 1.0
+    residual = by_text["[direct] simulated path satisfies the defining recursion"]
+    assert residual["expected"] == "relative residual <= 1e-09"

@@ -424,3 +424,19 @@ class TestPartialSumQuantiles:
             partial_sum_quantiles(scalar_model(0.5), spec, n_grid=(4, 8), replicates=10)
         with pytest.raises(DimensionMismatchError):
             stationarity_ks(scalar_model(0.5), spec, replicates=10)
+
+    def test_overflowing_sums_raise_instead_of_nan(self):
+        # pareto_exp innovations reach e^700; the norms of the sums then leave
+        # the float range and the quantiles would silently read nan
+        mult = OperatorSpec(
+            kind="multiplication", dim=4, params={"multipliers": [0.9, 0.8, 0.7, 0.6]}
+        )
+        model = arma_model(
+            [build_operator(mult)],
+            [build_operator(OperatorSpec(kind="identity", dim=4))] * 2,
+        )
+        spec = NoiseSpec(kind="pareto_exp", dim=4, params={}, seed=0)
+        with pytest.raises(OverflowError, match="S_32 - S_16"):
+            plim_probe(model, spec, n_grid=(16, 32, 64), replicates=200)
+        with pytest.raises(OverflowError, match="S_16"):
+            partial_sum_quantiles(model, spec, n_grid=(16, 32, 64), replicates=200)
