@@ -31,6 +31,7 @@ from .jsonio import (
     laurent_payload,
     load_model,
     load_noise,
+    load_operator,
     sanitize,
     simulation_csv,
     simulation_payload,
@@ -214,52 +215,26 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_moments(args) -> int:
     from .engine.moments import moment_estimate
-    from .jsonio import _load_json, _decode_operator_params
-    from .operators import OperatorSpec, build_operator
 
     spec = load_noise(args.noise)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    transform = None
-    if args.transform:
-        data = _load_json(args.transform)
-        if not isinstance(data, dict) or "kind" not in data or "dim" not in data:
-            raise SpecificationError(
-                f"{args.transform}: expected one operator object with kind and dim"
-            )
-        params = _decode_operator_params(
-            data["kind"], data["dim"], data.get("params", {}), "transform"
-        )
-        transform = build_operator(
-            OperatorSpec(kind=data["kind"], dim=data["dim"], params=params)
-        )
+    transform = load_operator(args.transform) if args.transform else None
     rep = moment_estimate(spec, transform, args.kind, args.n_samples)
     _emit(dumps(sanitize(dataclasses.asdict(rep))), args.out)
     return 0
 
 
-def _parse_override(raw: str, defaults: dict, name: str):
+def _parse_override(raw: str):
+    """KEY=VALUE as (key, JSON value), or the raw text when it is not JSON."""
     if "=" not in raw:
         raise SpecificationError(f"--set expects KEY=VALUE, got {raw!r}")
     key, text = raw.split("=", 1)
-    key = key.strip()
-    if key not in defaults:
-        raise SpecificationError(
-            f"unknown parameter {key!r} for scenario {name!r}; "
-            f"known: {sorted(defaults)}"
-        )
     try:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
-    default = defaults[key]
-    if isinstance(default, bool):
-        pass
-    elif isinstance(default, int) and isinstance(value, (int, float)):
-        value = int(value)
-    elif isinstance(default, float) and isinstance(value, (int, float)):
-        value = float(value)
-    return key, value
+    return key.strip(), value
 
 
 def _cmd_scenario(args) -> int:
@@ -270,16 +245,8 @@ def _cmd_scenario(args) -> int:
         return 0
     if not args.name:
         raise SpecificationError("scenario name required (or use --list)")
-    catalog = {e["name"]: e["defaults"] for e in list_scenarios()}
-    if args.name not in catalog:
-        raise UnknownScenarioError(
-            f"unknown scenario {args.name!r}; catalog: {', '.join(sorted(catalog))}"
-        )
-    overrides = {}
-    for raw in args.set:
-        key, value = _parse_override(raw, catalog[args.name], args.name)
-        overrides[key] = value
-    rep = run_scenario(args.name, overrides or None, seed=args.seed)
+    overrides = dict(_parse_override(raw) for raw in args.set)
+    rep = run_scenario(args.name, overrides, seed=args.seed)
     _emit(dumps(sanitize(dataclasses.asdict(rep))), args.out)
     return 0 if rep.passed else 1
 

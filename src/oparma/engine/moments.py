@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import digamma, gammaln
 
 from ..errors import SpecificationError
@@ -70,6 +69,9 @@ def gamma_inverse(y: float) -> float:
     on log gamma, to relative accuracy 1e-10.  Arguments below
     GAMMA_MIN have no preimage on the branch and raise.
     """
+    # imported here so that importing the package leaves scipy.optimize unloaded
+    from scipy.optimize import brentq
+
     y = float(y)
     if not math.isfinite(y) or y < GAMMA_MIN * (1.0 - 1e-12):
         raise SpecificationError(

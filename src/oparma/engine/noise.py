@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import exp1
 
-from ..errors import SpecificationError, WindowError
+from ..errors import SpecificationError
 
 NOISE_KINDS = (
     "gaussian",
@@ -165,22 +165,6 @@ class NoisePath:
         """One past the last covered time index."""
         return self.t_start + len(self)
 
-    def at(self, t: int) -> np.ndarray:
-        if not self.t_start <= t < self.t_stop:
-            raise WindowError(
-                f"t={t} outside noise window [{self.t_start}, {self.t_stop})"
-            )
-        return self.values[t - self.t_start]
-
-    def window(self, t0: int, t1: int) -> np.ndarray:
-        """Values for t in [t0, t1] (inclusive)."""
-        if t0 < self.t_start or t1 >= self.t_stop:
-            raise WindowError(
-                f"requested [{t0}, {t1}] not covered by noise window "
-                f"[{self.t_start}, {self.t_stop})"
-            )
-        return self.values[t0 - self.t_start : t1 - self.t_start + 1]
-
     def lognorms(self) -> np.ndarray:
         if self.log_mags is not None:
             return self.log_mags
@@ -294,11 +278,6 @@ def heavy_direction(spec: NoiseSpec) -> np.ndarray:
             f"kind {spec.kind!r} has no fixed direction (one of {HEAVY_KINDS} does)"
         )
     return _unit_direction(spec.params, spec.dim)
-
-
-def sample_noise(spec: NoiseSpec, count: int) -> np.ndarray:
-    """Plain i.i.d. draws as an (count, d) array (stream 0, window at 0)."""
-    return sample_path(spec, count).values
 
 
 def log_magnitude_samples(spec: NoiseSpec, count: int, stream: int = 0) -> np.ndarray:

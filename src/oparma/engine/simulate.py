@@ -44,6 +44,14 @@ from .noise import NoisePath, NoiseSpec, sample_path
 #: dropped tails summed over AR and MA terms stay clear of it
 DEFAULT_TAIL_TOL = 1e-12
 
+#: partial-sum probes report this quantile of the norms over replicates
+PROBE_QUANTILE = 0.9
+#: ``plim_probe`` declares convergence when its last dispersion is at most this
+PROBE_TOL = 1e-3
+
+#: the KS check compares the laws at t and t + KS_SHIFT
+KS_SHIFT = 5
+
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -183,7 +191,7 @@ def laurent_kernel(coeffs: LaurentCoeffs) -> LagKernel:
     )
 
 
-def _materialize_noise(noise, dim, t0, t1, kernel: LagKernel, stream: int = 0) -> NoisePath:
+def _materialize_noise(noise, dim, t0, t1, kernel: LagKernel) -> NoisePath:
     need_lo = t0 - kernel.l_max
     need_hi = t1 - kernel.l_min
     if isinstance(noise, NoiseSpec):
@@ -191,7 +199,7 @@ def _materialize_noise(noise, dim, t0, t1, kernel: LagKernel, stream: int = 0) -
             raise DimensionMismatchError(
                 f"noise dim {noise.dim} does not match model dim {dim}"
             )
-        return sample_path(noise, need_hi - need_lo + 1, t_start=need_lo, stream=stream)
+        return sample_path(noise, need_hi - need_lo + 1, t_start=need_lo)
     if not isinstance(noise, NoisePath):
         raise SpecificationError("noise must be a NoiseSpec or a NoisePath")
     if noise.values.shape[1] != dim:
@@ -238,25 +246,31 @@ def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
             f"(valid would be [{t_lo}, {t_hi}])"
         )
     n_t = t_hi - t_lo + 1
-    lhs = y_vals[t_lo - y0 : t_hi - y0 + 1].astype(complex).copy()
+    z_vals = z.values[t_lo - q - z.t_start : t_hi - z.t_start + 1]  # Z_{t_lo-q} .. Z_{t_hi}
+    # one power of two brings every value below 1 before the norms square
+    # them; the scaling is exact, so a ratio that was finite unscaled is unchanged
+    peak = max(np.abs(y_vals).max(), np.abs(z_vals).max())
+    scale = 2.0 ** -max(math.frexp(peak)[1], 0)
+    y_vals = y_vals * scale
+    z_vals = z_vals * scale
+    lhs = y_vals[t_lo - y0 : t_hi - y0 + 1].astype(complex)
     for i, a in enumerate(model.ar_ops, start=1):
         seg = y_vals[t_lo - i - y0 : t_hi - i - y0 + 1]
         lhs -= seg @ a.matrix.T
     rhs = np.zeros_like(lhs)
     for k, b in enumerate(model.ma_ops):
-        seg = z.values[t_lo - k - z.t_start : t_hi - k - z.t_start + 1]
-        rhs += seg @ b.matrix.T
+        rhs += z_vals[q - k : q - k + n_t] @ b.matrix.T
     num = np.linalg.norm(lhs - rhs, axis=1).max()
-    den = 1.0 + np.linalg.norm(y_vals, axis=1).max()
+    den = scale + np.linalg.norm(y_vals, axis=1).max()
     return float(num / den)
 
 
-def _simulate(model, kernel, noise, t_range, stream, method, truncation_k):
+def _simulate(model, kernel, noise, t_range, method, truncation_k):
     """Apply ``kernel`` to the noise on ``t_range`` and measure the recursion residual."""
     t0, t1 = int(t_range[0]), int(t_range[1])
     if t1 < t0:
         raise SpecificationError(f"empty time range {t_range}")
-    path = _materialize_noise(noise, model.dim, t0, t1, kernel, stream)
+    path = _materialize_noise(noise, model.dim, t0, t1, kernel)
     res = SimulationResult(
         t_start=t0,
         values=_convolve(kernel, path.values, t0 - path.t_start, t1 - t0 + 1),
@@ -277,16 +291,15 @@ def simulate_theorem1(
     t_range: tuple = (0, 199),
     split: SpectralSplit | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    stream: int = 0,
     k_trunc: int | None = None,
 ) -> SimulationResult:
     """Simulate via the split-series solution.
 
     ``noise`` is a NoiseSpec (a window of exactly the required reach is
-    sampled) or a NoisePath that must already cover it.
+    sampled from stream 0) or a NoisePath that must already cover it.
     """
     kernel, _ = build_split_kernel(model, split, tail_tol, k_trunc)
-    return _simulate(model, kernel, noise, t_range, stream, "theorem1_split", -kernel.l_min)
+    return _simulate(model, kernel, noise, t_range, "theorem1_split", -kernel.l_min)
 
 
 def simulate_ma(
@@ -294,7 +307,6 @@ def simulate_ma(
     coeffs: LaurentCoeffs,
     noise,
     t_range: tuple = (0, 199),
-    stream: int = 0,
 ) -> SimulationResult:
     """Simulate via the two-sided MA representation with given coefficients."""
     if coeffs.reconstruction_residual > 1e-6:
@@ -304,7 +316,7 @@ def simulate_ma(
         )
     reach = max(abs(coeffs.k_min), abs(coeffs.k_max))
     kernel = laurent_kernel(coeffs)
-    return _simulate(model, kernel, noise, t_range, stream, "ma_infinity", reach)
+    return _simulate(model, kernel, noise, t_range, "ma_infinity", reach)
 
 
 @dataclass(frozen=True)
@@ -314,8 +326,6 @@ class ProbeResult:
     n_grid: tuple
     dispersions: tuple
     converges: bool
-    quantile: float
-    tol: float
     replicates: int
 
 
@@ -361,12 +371,12 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, n_snap, replicates: i
     return sums
 
 
-def _norm_quantile(vectors: np.ndarray, quantile: float, label: str) -> float:
-    """``quantile`` of the column norms of ``vectors``; raises if a norm is not finite."""
+def _norm_quantile(vectors: np.ndarray, label: str) -> float:
+    """PROBE_QUANTILE of the column norms of ``vectors``; raises if one is not finite."""
     norms = np.linalg.norm(vectors, axis=0)
     if not np.isfinite(norms).all():
         raise OverflowError(f"||{label}|| overflows float range")
-    return float(np.quantile(norms, quantile))
+    return float(np.quantile(norms, PROBE_QUANTILE))
 
 
 def plim_probe(
@@ -374,22 +384,20 @@ def plim_probe(
     noise_spec: NoiseSpec,
     n_grid=(64, 128, 256, 512),
     replicates: int = 200,
-    quantile: float = 0.9,
-    tol: float = 1e-3,
 ) -> ProbeResult:
     """Probe convergence in probability of the causal partial sums.
 
-    For each n in the grid, estimates the ``quantile`` of
+    For each n in the grid, estimates the :data:`PROBE_QUANTILE` of
     ||S_{2n} - S_n|| over replicates, where S_n = sum_{j=q}^{n-1}
     A^{j-q} M Z_j and M = sum_k A^{q-k} B_k.  Convergence is declared
-    when the final dispersion falls below ``tol``.  Useful verdicts need
-    geometric or at least summable tails; near loglog-type boundaries
-    the dispersion curve should be inspected rather than the flag
-    trusted (the curve is returned for exactly that reason).  Raises
+    when the final dispersion falls below :data:`PROBE_TOL`.  Useful
+    verdicts need geometric or at least summable tails; near loglog-type
+    boundaries the dispersion curve should be inspected rather than the
+    flag trusted (the curve is returned for exactly that reason).  Raises
     ``OverflowError`` naming n when a partial sum or its norm leaves the
     float range, as heavy-tailed noise can make it.
     """
-    rad = spectral_radius(model.ar_ops[0]).value
+    rad = spectral_radius(model.ar_ops[0])
     if rad > 1.0 + 1e-9:
         raise SpecificationError(
             f"probe requires spectral radius <= 1, got {rad:.6f}"
@@ -397,14 +405,12 @@ def plim_probe(
     n_grid = tuple(int(n) for n in n_grid)
     sums = _partial_sums(model, noise_spec, set(n_grid) | {2 * n for n in n_grid}, replicates)
     dispersions = tuple(
-        _norm_quantile(sums[2 * n] - sums[n], quantile, f"S_{2 * n} - S_{n}") for n in n_grid
+        _norm_quantile(sums[2 * n] - sums[n], f"S_{2 * n} - S_{n}") for n in n_grid
     )
     return ProbeResult(
         n_grid=n_grid,
         dispersions=dispersions,
-        converges=bool(dispersions[-1] <= tol),
-        quantile=quantile,
-        tol=tol,
+        converges=bool(dispersions[-1] <= PROBE_TOL),
         replicates=replicates,
     )
 
@@ -414,9 +420,8 @@ def partial_sum_quantiles(
     noise_spec: NoiseSpec,
     n_grid,
     replicates: int = 200,
-    quantile: float = 0.9,
 ) -> np.ndarray:
-    """``quantile`` of ||S_n|| itself (not increments) for each n.
+    """:data:`PROBE_QUANTILE` of ||S_n|| itself (not increments) for each n.
 
     Used by the isometry growth check, where ||S_n|| drifts like sqrt(n)
     and increments never shrink.  Raises ``OverflowError`` like
@@ -424,41 +429,39 @@ def partial_sum_quantiles(
     """
     n_grid = tuple(int(n) for n in n_grid)
     sums = _partial_sums(model, noise_spec, set(n_grid), replicates)
-    return np.array([_norm_quantile(sums[n], quantile, f"S_{n}") for n in n_grid])
+    return np.array([_norm_quantile(sums[n], f"S_{n}") for n in n_grid])
 
 
 def stationarity_ks(
     model: ArmaModel,
     noise_spec: NoiseSpec,
     replicates: int = 10_000,
-    t_shift: int = 5,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    alpha_label: str = "1%",
 ) -> dict:
     """Two-sample KS check of distributional shift invariance.
 
     Compares the empirical laws of (||Y_t||, ||Y_{t+1}||) at t = t_a and
-    t = t_a + t_shift across independent replicates.  Returns the two
-    marginal KS statistics and the 1% critical value 1.628 * sqrt(2/replicates).
+    t = t_a + :data:`KS_SHIFT` across independent replicates.  Returns the
+    two marginal KS statistics and the 1% critical value
+    1.628 * sqrt(2/replicates).
     """
     from scipy.stats import ks_2samp
 
-    kernel, _ = build_split_kernel(model, None, tail_tol)
+    kernel, _ = build_split_kernel(model)
     # each replicate's noise window starts at t = 0, so t_a = l_max; the law
     # is shift invariant, so any t_a would do
-    n_t = t_shift + 2
+    n_t = KS_SHIFT + 2
     need = n_t + kernel.l_max - kernel.l_min
     norms = np.empty((replicates, n_t))
     for lo, block in _replicate_blocks(model, noise_spec, need, replicates):
         y = _convolve(kernel, block, kernel.l_max, n_t)
         norms[lo : lo + block.shape[0]] = np.linalg.norm(y, axis=2)
     crit = 1.628 * math.sqrt(2.0 / replicates)
-    stat0 = float(ks_2samp(norms[:, 0], norms[:, t_shift]).statistic)
-    stat1 = float(ks_2samp(norms[:, 1], norms[:, t_shift + 1]).statistic)
+    stat0 = float(ks_2samp(norms[:, 0], norms[:, KS_SHIFT]).statistic)
+    stat1 = float(ks_2samp(norms[:, 1], norms[:, KS_SHIFT + 1]).statistic)
     return {
         "ks_statistic_t": stat0,
         "ks_statistic_t_plus_1": stat1,
         "critical_value": crit,
-        "alpha": alpha_label,
+        "alpha": "1%",
         "passed": bool(stat0 < crit and stat1 < crit),
     }

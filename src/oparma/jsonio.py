@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SpecificationError
-from .operators import ArmaModel, OperatorSpec, arma_model, build_operator
+from .operators import ArmaModel, Operator, OperatorSpec, arma_model, build_operator
 
 try:
     import jsonschema
@@ -39,7 +39,6 @@ _SCHEMA_DIR = Path(__file__).parent / "schemas"
 _COMPLEX_VALUED = {
     ("dense", "entries"): "matrix",
     ("multiplication", "multipliers"): "vector",
-    ("point_mass", "value"): "vector",
 }
 
 
@@ -131,17 +130,20 @@ def _load_json(path) -> object:
         )
 
 
-def _validate(data, schema_name: str, path) -> None:
+def _validate(data, schema_name: str, path, definition: str | None = None) -> None:
+    """Validate against a shipped schema, or against one of its ``$defs``."""
     if jsonschema is None:
         return
     schema = json.loads((_SCHEMA_DIR / f"{schema_name}.schema.json").read_text())
+    if definition is not None:
+        schema = {"$defs": schema["$defs"], "$ref": f"#/$defs/{definition}"}
     validator = jsonschema.Draft202012Validator(schema)
     error = jsonschema.exceptions.best_match(validator.iter_errors(data))
     if error is not None:
         raise SpecificationError(f"{path}: {error.json_path}: {error.message}")
 
 
-def _decode_operator_params(kind: str, dim: int, params: dict, where: str) -> dict:
+def _decode_operator_params(kind: str, params: dict, where: str) -> dict:
     out = {}
     for key, value in params.items():
         role = _COMPLEX_VALUED.get((kind, key))
@@ -163,6 +165,16 @@ def _decode_operator_params(kind: str, dim: int, params: dict, where: str) -> di
     return out
 
 
+def _build_entry(entry: dict, where: str) -> Operator:
+    """Decode and materialize one schema-validated operator entry."""
+    kind = entry["kind"]
+    params = _decode_operator_params(kind, entry.get("params", {}), where)
+    try:
+        return build_operator(OperatorSpec(kind=kind, dim=entry["dim"], params=params))
+    except SpecificationError as exc:
+        raise SpecificationError(f"{where}: {exc}")
+
+
 def load_model(path) -> ArmaModel:
     """Read, validate, and materialize an ARMA model file."""
     data = _load_json(path)
@@ -172,17 +184,11 @@ def load_model(path) -> ArmaModel:
     for group in ("ar", "ma"):
         for i, entry in enumerate(data[group]):
             where = f"{group}[{i}]"
-            kind = entry["kind"]
-            dim = entry["dim"]
-            dims.append((where, dim))
+            dims.append((where, entry["dim"]))
             try:
-                params = _decode_operator_params(kind, dim, entry.get("params", {}), where)
+                ops[group].append(_build_entry(entry, where))
             except SpecificationError as exc:
                 raise SpecificationError(f"{path}: {exc}")
-            try:
-                ops[group].append(build_operator(OperatorSpec(kind=kind, dim=dim, params=params)))
-            except SpecificationError as exc:
-                raise SpecificationError(f"{path}: {where}: {exc}")
     first_where, first_dim = dims[0]
     for where, dim in dims[1:]:
         if dim != first_dim:
@@ -191,6 +197,20 @@ def load_model(path) -> ArmaModel:
             )
     try:
         return arma_model(ops["ar"], ops["ma"])
+    except SpecificationError as exc:
+        raise SpecificationError(f"{path}: {exc}")
+
+
+def load_operator(path) -> Operator:
+    """Read, validate, and materialize a file holding one operator entry.
+
+    The entry has the form of one item of a model file's ``ar`` or ``ma``
+    list (``model.schema.json#/$defs/operator``).
+    """
+    data = _load_json(path)
+    _validate(data, "model", path, definition="operator")
+    try:
+        return _build_entry(data, "operator")
     except SpecificationError as exc:
         raise SpecificationError(f"{path}: {exc}")
 

@@ -88,20 +88,21 @@ class CircleCheck:
     leading_ar_invertible: bool
 
 
-def unit_circle_check(
-    model: ArmaModel, n_grid: int = 512, tol: float = CIRCLE_TOL
-) -> CircleCheck:
+def unit_circle_check(model: ArmaModel, n_grid: int = 512) -> CircleCheck:
     """Scan the denominator's smallest singular value over circle nodes.
 
     The nodes are ``n_grid`` equispaced points plus, for each nonzero
     eigenvalue lambda of the companion lift, the point conj(lambda)/|lambda|
     nearest to the root 1/lambda of the determinant, so a unit root
-    between grid nodes is hit exactly.  Also reports the condition of
-    the leading AR operator A_p, whose invertibility governs whether the
-    anticausal side of the expansion is a genuine two-sided series rather
-    than a degenerate one (the reversed-time characteristic matrix at
-    zero is -A_p).
+    between grid nodes is hit exactly.  The check passes when the
+    smallest singular value exceeds :data:`CIRCLE_TOL`.  Also reports the
+    condition of the leading AR operator A_p, whose invertibility governs
+    whether the anticausal side of the expansion is a genuine two-sided
+    series rather than a degenerate one (the reversed-time characteristic
+    matrix at zero is -A_p).
     """
+    if n_grid < 1:
+        raise SpecificationError(f"n_grid must be >= 1, got {n_grid}")
     eigs = np.linalg.eigvals(companion_lift(model).operator.matrix)
     eigs = eigs[eigs != 0]
     nodes = np.concatenate(
@@ -122,8 +123,8 @@ def unit_circle_check(
         min_singular_value=float(mins[j]),
         worst_z=complex(nodes[j]),
         n_grid=n_grid,
-        tol=tol,
-        passed=bool(mins[j] > tol),
+        tol=CIRCLE_TOL,
+        passed=bool(mins[j] > CIRCLE_TOL),
         leading_ar_condition=ap_cond,
         leading_ar_invertible=bool(np.isfinite(ap_cond) and ap_cond < COND_LIMIT),
     )
@@ -194,20 +195,19 @@ def _extract(psi_wrapped: np.ndarray, n: int, k_min: int, k_max: int) -> np.ndar
 
 
 def laurent_coeffs(
-    model: ArmaModel,
-    k_range: tuple | None = None,
-    n_quad: int = DEFAULT_N_QUAD,
-    max_quad: int = MAX_N_QUAD,
-    rel_floor: float = REL_FLOOR,
+    model: ArmaModel, k_range: tuple | None = None, n_quad: int = DEFAULT_N_QUAD
 ) -> LaurentCoeffs:
     """Laurent coefficients of H with automatic range and grid selection.
 
     When ``k_range`` is omitted the range is chosen to cover every
-    coefficient above ``rel_floor`` times the largest one.  The node
-    count doubles until two successive grids agree on the extracted
-    block to the same relative floor.  A failed circle check aborts
-    before any quadrature happens, since the expansion does not exist.
+    coefficient above :data:`REL_FLOOR` times the largest one.  The node
+    count doubles, up to :data:`MAX_N_QUAD`, until two successive grids
+    agree on the extracted block to the same relative floor.  A failed
+    circle check aborts before any quadrature happens, since the
+    expansion does not exist.
     """
+    if n_quad < 1:
+        raise SpecificationError(f"n_quad must be >= 1, got {n_quad}")
     circle = unit_circle_check(model)
     if not circle.passed:
         raise SingularOperatorError(
@@ -235,7 +235,7 @@ def laurent_coeffs(
         psi_wrapped = np.fft.fft(hvals, axis=0) / n
         norms_wrapped = _spectral_norms(psi_wrapped)
         top = norms_wrapped.max()
-        floor = rel_floor * max(top, 1e-300)
+        floor = REL_FLOOR * max(top, 1e-300)
         if k_range is None:
             rng = _active_range(norms_wrapped, n, floor)
         else:
@@ -245,11 +245,11 @@ def laurent_coeffs(
             if prev_block is not None and prev_range == rng:
                 diff = np.abs(block - prev_block).max()
                 if diff <= floor:
-                    return _finalize(model, block, rng, n, top, rel_floor, circle)
+                    return _finalize(model, block, rng, n, top, circle)
             prev_block, prev_range = block, rng
-        if 2 * n > max_quad:
+        if 2 * n > MAX_N_QUAD:
             raise QuadratureError(
-                f"coefficient quadrature did not stagnate within {max_quad} nodes"
+                f"coefficient quadrature did not stagnate within {MAX_N_QUAD} nodes"
             )
         odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
         hodd = _batched_transfer(model, odd)
@@ -260,11 +260,11 @@ def laurent_coeffs(
         n *= 2
 
 
-def _finalize(model, block, rng, n, top, rel_floor, circle) -> LaurentCoeffs:
+def _finalize(model, block, rng, n, top, circle) -> LaurentCoeffs:
     k_min, k_max = rng
     ks = np.arange(k_min, k_max + 1)
     norms = _spectral_norms(block)
-    a, b = _fit_decay(ks, norms, rel_floor * max(top, 1e-300))
+    a, b = _fit_decay(ks, norms, REL_FLOOR * max(top, 1e-300))
     recon = _reconstruction_residual(model, block, ks, n)
     return LaurentCoeffs(
         k_min=k_min,
@@ -276,7 +276,7 @@ def _finalize(model, block, rng, n, top, rel_floor, circle) -> LaurentCoeffs:
         decay_b=b,
         reconstruction_residual=recon,
         circle=circle,
-        diagnostics={"max_norm": float(top), "rel_floor": rel_floor},
+        diagnostics={"max_norm": float(top)},
     )
 
 

@@ -184,23 +184,13 @@ def build_operator(spec: OperatorSpec) -> Operator:
     return Operator(matrix=m, spec=spec)
 
 
-def dense_operator(matrix, kind_hint: str = "dense") -> Operator:
+def dense_operator(matrix) -> Operator:
     """Wrap an explicit matrix as a dense Operator."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpecificationError(f"matrix must be square, got shape {m.shape}")
-    spec = OperatorSpec(kind=kind_hint, dim=m.shape[0], params={"entries": m.copy()})
+    spec = OperatorSpec(kind="dense", dim=m.shape[0], params={"entries": m.copy()})
     return Operator(matrix=m.copy(), spec=spec)
-
-
-def apply(op: Operator, v) -> np.ndarray:
-    """Matrix-vector product op @ v."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (op.dim,):
-        raise DimensionMismatchError(
-            f"vector has shape {v.shape}, operator dim is {op.dim}"
-        )
-    return op.matrix @ v
 
 
 def apply_batch(op: Operator, block: np.ndarray) -> np.ndarray:
@@ -349,59 +339,13 @@ def structured_norm(op: Operator, n: int) -> float:
     return math.exp(ln)
 
 
-@dataclass(frozen=True)
-class SpectralRadiusEstimate:
-    """Eigenvalue-based spectral radius with a power-norm cross-check."""
-
-    value: float
-    power_estimate: float
-    consistent: bool
-
-    def __float__(self):
-        return self.value
-
-
-def spectral_radius(op: Operator, tol: float = 0.1, n_power: int = 64) -> SpectralRadiusEstimate:
-    """Spectral radius as max |eigenvalue|, cross-checked against ||A^n||^(1/n).
-
-    The power-norm extrapolation overshoots for strongly nonnormal
-    matrices at finite n, so the default tolerance is loose; the
-    ``consistent`` flag records whether the two estimates agree within
-    ``tol * (1 + value)``.
-    """
-    if tol <= 0:
-        raise SpecificationError("tol must be positive")
+def spectral_radius(op: Operator) -> float:
+    """Spectral radius as max |eigenvalue| (0 for a nilpotent operator)."""
     try:
         eigs = np.linalg.eigvals(op.matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularOperatorError(f"eigenvalue solve failed: {exc}") from exc
-    value = float(np.abs(eigs).max()) if eigs.size else 0.0
-    ln = power_log_norm(op, n_power)
-    power_est = 0.0 if ln == -math.inf else math.exp(ln / n_power)
-    consistent = abs(power_est - value) <= tol * (1.0 + value)
-    return SpectralRadiusEstimate(value=value, power_estimate=power_est, consistent=consistent)
-
-
-def resolvent_apply(op: Operator, z: complex, v) -> np.ndarray:
-    """Solve (z I - A) x = v by dense factorization.
-
-    Raises :class:`SingularOperatorError` when z is (numerically) in the
-    spectrum, detected via the condition number of the shifted matrix
-    against :data:`COND_LIMIT`.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (op.dim,):
-        raise DimensionMismatchError(
-            f"vector has shape {v.shape}, operator dim is {op.dim}"
-        )
-    m = z * np.eye(op.dim) - op.matrix
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT:
-        cond = math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-        raise SingularOperatorError(
-            f"resolvent at z={z} is numerically singular", condition=cond
-        )
-    return np.linalg.solve(m, v)
+    return float(np.abs(eigs).max()) if eigs.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -809,14 +809,29 @@ class ScenarioReport:
         return all(c["pass"] for c in self.checks)
 
 
+def _like(value, default, where: str):
+    """``value`` converted to the type of ``default``; raises if it does not fit."""
+    if isinstance(default, list) and isinstance(value, list) and value:
+        return [_like(v, default[0], where) for v in value]
+    if not isinstance(value, bool):
+        if isinstance(default, float) and isinstance(value, (int, float)):
+            return float(value)
+        integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        if isinstance(default, int) and integral:
+            return int(value)
+    raise SpecificationError(f"{where} must be like its default {default!r}, got {value!r}")
+
+
 def run_scenario(name: str, overrides: dict | None = None, seed: int = 0) -> ScenarioReport:
     """Run one catalog scenario and report its checks.
 
-    ``overrides`` updates the scenario's default parameters (unknown keys
-    are rejected).  Reports are bitwise deterministic per (name,
-    overrides, seed) apart from runtime_ms.  Exceptions escaping a
-    scenario body signal broken infrastructure and propagate; a failed
-    check is a regular report entry with pass false.
+    ``overrides`` updates the scenario's default parameters; unknown keys
+    and values whose type does not match the default's are rejected
+    (an integral float is accepted for an integer, an integer for a
+    float).  Reports are bitwise deterministic per (name, overrides,
+    seed) apart from runtime_ms.  Exceptions escaping a scenario body
+    signal broken infrastructure and propagate; a failed check is a
+    regular report entry with pass false.
     """
     if name not in _BY_NAME:
         known = ", ".join(sorted(_BY_NAME))
@@ -830,7 +845,8 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0) -> Sce
                 f"unknown parameter(s) {bad} for scenario {name!r}; "
                 f"known: {sorted(defaults)}"
             )
-        params.update(overrides)
+        for key, value in overrides.items():
+            params[key] = _like(value, defaults[key], f"scenario {name!r} parameter {key!r}")
     t0 = time.perf_counter()
     checks = fn(params, int(seed))
     ms = int(round((time.perf_counter() - t0) * 1000.0))

@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HyperbolicityError, QuadratureError, RankAmbiguityError
+from .errors import (
+    HyperbolicityError,
+    QuadratureError,
+    RankAmbiguityError,
+    SpecificationError,
+)
 from .operators import Operator
 
 #: eigenvalues closer to the unit circle than this make the splitting
@@ -35,6 +40,9 @@ RANK_BAND = (1e-8, 1e-6)
 #: relative quadrature stagnation tolerance for the doubling loop
 QUAD_TOL = 1e-10
 
+#: tolerance of the split invariants (idempotency, commutation, similarity)
+CHECK_TOL = 1e-8
+
 DEFAULT_N_QUAD = 256
 MAX_N_QUAD = 8192
 
@@ -47,12 +55,13 @@ def hyperbolicity_margin(op: Operator) -> float:
     return float(np.abs(np.abs(eigs) - 1.0).min())
 
 
-def check_hyperbolic(op: Operator, margin: float = HYPERBOLICITY_MARGIN) -> float:
-    """Return the hyperbolicity margin, raising if it is below ``margin``."""
+def check_hyperbolic(op: Operator) -> float:
+    """Return the hyperbolicity margin; raises below :data:`HYPERBOLICITY_MARGIN`."""
     got = hyperbolicity_margin(op)
-    if got < margin:
+    if got < HYPERBOLICITY_MARGIN:
         raise HyperbolicityError(
-            f"eigenvalue within {got:.3e} of the unit circle (needs >= {margin:.1e})"
+            f"eigenvalue within {got:.3e} of the unit circle "
+            f"(needs >= {HYPERBOLICITY_MARGIN:.1e})"
         )
     return got
 
@@ -71,32 +80,27 @@ def _node_resolvent_sum(matrix: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return total
 
 
-def riesz_projector(
-    op: Operator,
-    n_quad: int = DEFAULT_N_QUAD,
-    max_quad: int = MAX_N_QUAD,
-    margin: float = HYPERBOLICITY_MARGIN,
-):
+def riesz_projector(op: Operator, n_quad: int = DEFAULT_N_QUAD):
     """Projector onto the inner invariant subspace, with grid doubling.
 
     Starts at ``n_quad`` nodes and doubles (reusing already-computed
     nodes: the 2n-grid is the n-grid plus the odd nodes) until two
     successive grids agree to :data:`QUAD_TOL` relative to ``1 + ||P||``.
-    Raises :class:`QuadratureError` if ``max_quad`` nodes do not
+    Raises :class:`QuadratureError` if :data:`MAX_N_QUAD` nodes do not
     suffice, which happens when an eigenvalue sits close enough to the
     circle that geometric convergence is too slow.
 
     Returns ``(P, n_used, last_diff)``.
     """
     if n_quad < 2:
-        raise QuadratureError("n_quad must be >= 2")
-    check_hyperbolic(op, margin)
+        raise SpecificationError(f"n_quad must be >= 2, got {n_quad}")
+    check_hyperbolic(op)
     m = op.matrix
     n = n_quad
     nodes = np.exp(2j * np.pi * np.arange(n) / n)
     acc = _node_resolvent_sum(m, nodes)
     prev = acc / n
-    while 2 * n <= max_quad:
+    while 2 * n <= MAX_N_QUAD:
         odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
         acc = acc + _node_resolvent_sum(m, odd)
         n *= 2
@@ -107,7 +111,7 @@ def riesz_projector(
         prev = cur
     raise QuadratureError(
         f"projector quadrature did not stagnate below {QUAD_TOL:.1e} "
-        f"within {max_quad} nodes; spectrum is too close to the circle"
+        f"within {MAX_N_QUAD} nodes; spectrum is too close to the circle"
     )
 
 
@@ -158,13 +162,7 @@ def _safe_inv_radius(block: np.ndarray) -> float:
     return float(np.abs(1.0 / np.linalg.eigvals(block)).max())
 
 
-def hyperbolic_split(
-    op: Operator,
-    n_quad: int = DEFAULT_N_QUAD,
-    max_quad: int = MAX_N_QUAD,
-    margin: float = HYPERBOLICITY_MARGIN,
-    check_tol: float = 1e-8,
-) -> SpectralSplit:
+def hyperbolic_split(op: Operator, n_quad: int = DEFAULT_N_QUAD) -> SpectralSplit:
     """Split ``op`` into inner and outer spectral blocks across the circle.
 
     The rank of the projector is read off its singular values with a
@@ -176,9 +174,10 @@ def hyperbolic_split(
 
     All structural invariants (idempotency, commutation with the
     operator, exactness of the block conjugation, strict radius bounds)
-    are checked here and their residuals stored in ``diagnostics``.
+    are checked here, the first three at :data:`CHECK_TOL`, and their
+    residuals stored in ``diagnostics``.
     """
-    proj, n_used, quad_diff = riesz_projector(op, n_quad, max_quad, margin)
+    proj, n_used, quad_diff = riesz_projector(op, n_quad)
     d = op.dim
     m = op.matrix
     u, sv, _ = np.linalg.svd(proj)
@@ -211,7 +210,7 @@ def hyperbolic_split(
         n_quad=n_used,
     )
 
-    residuals = _invariant_residuals(split, m, check_tol)
+    residuals = _invariant_residuals(split, m)
     r_in = _safe_radius(split.block_inner)
     r_out_inv = _safe_inv_radius(split.block_outer)
 
@@ -241,11 +240,12 @@ def hyperbolic_split(
     return split
 
 
-def _invariant_residuals(split: SpectralSplit, m: np.ndarray, tol: float) -> dict:
+def _invariant_residuals(split: SpectralSplit, m: np.ndarray) -> dict:
     """Idempotency, commutation and similarity residuals of ``split`` of ``m``.
 
-    Maps each name to ``(residual, within tol)``; idempotency is measured
-    against ``tol * (1 + ||P||)``, the other two against ``tol * ||A||``.
+    Maps each name to ``(residual, within tolerance)``; idempotency is
+    measured against ``CHECK_TOL * (1 + ||P||)``, the other two against
+    ``CHECK_TOL * ||A||``.
     """
     proj = split.projector
     norm_a = np.linalg.norm(m, 2)
@@ -256,9 +256,9 @@ def _invariant_residuals(split: SpectralSplit, m: np.ndarray, tol: float) -> dic
     )
     out = {}
     for name, diff, bound in (
-        ("idempotency", proj @ proj - proj, tol * (1.0 + np.linalg.norm(proj, 2))),
-        ("commutation", m @ proj - proj @ m, tol * norm_a),
-        ("similarity", recon - m, tol * norm_a),
+        ("idempotency", proj @ proj - proj, CHECK_TOL * (1.0 + np.linalg.norm(proj, 2))),
+        ("commutation", m @ proj - proj @ m, CHECK_TOL * norm_a),
+        ("similarity", recon - m, CHECK_TOL * norm_a),
     ):
         value = float(np.linalg.norm(diff, 2))
         out[name] = (value, value <= bound)
@@ -272,13 +272,14 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_split(split: SpectralSplit, op: Operator, tol: float = 1e-8) -> dict:
+def check_split(split: SpectralSplit, op: Operator) -> dict:
     """Re-verify the structural invariants of a split against its operator.
 
-    Returns a dict of named booleans; used by the command-line ``verify``
-    path so the checks can be reported individually.
+    Returns a dict of named booleans, at tolerance :data:`CHECK_TOL`; used
+    by the command-line ``verify`` path so the checks can be reported
+    individually.
     """
-    residuals = _invariant_residuals(split, op.matrix, tol)
+    residuals = _invariant_residuals(split, op.matrix)
     results = {
         "idempotent": residuals["idempotency"][1],
         "commutes": residuals["commutation"][1],
@@ -290,12 +291,12 @@ def check_split(split: SpectralSplit, op: Operator, tol: float = 1e-8) -> dict:
             _norm2(
                 split.basis_inner.conj().T @ split.basis_inner - np.eye(split.rank)
             )
-            <= tol
+            <= CHECK_TOL
             and _norm2(
                 split.basis_outer.conj().T @ split.basis_outer
                 - np.eye(split.dim - split.rank)
             )
-            <= tol
+            <= CHECK_TOL
         ),
     }
     return results

@@ -560,7 +560,52 @@ class TestSubcommands:
         assert code == 1
 
 
+_HYPER = {
+    "ar": [{"kind": "multiplication", "dim": 2, "params": {"multipliers": [0.5, 2.0]}}],
+    "ma": [{"kind": "identity", "dim": 2}],
+}
+_ZERO_AR = {"ar": [{"kind": "zero", "dim": 2}], "ma": [{"kind": "identity", "dim": 2}]}
+_POINT = {"kind": "point_mass", "dim": 2, "params": {"value": [1.0, 0.0]}}
+_MULT = {"kind": "multiplication", "dim": 2, "params": {"multipliers": [1, 2]}}
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            ("split --model M --n-quad 0", {"M": _HYPER}),
+            ("split --model M --n-quad 1", {"M": _HYPER}),
+            ("laurent --model M --n-quad 0", {"M": _HYPER}),
+            ("laurent --model M --n-quad -8", {"M": _HYPER}),
+            ("check-circle --model M --n-grid -4", {"M": _HYPER}),
+            ("check-circle --model M --n-grid 0", {"M": _ZERO_AR}),
+            ("scenario isometry --set powers=3", {}),
+            ("scenario volterra --set grid=abc", {}),
+            (
+                "moments --noise N --transform T",
+                {"N": _POINT, "T": {"kind": "dense", "dim": 2, "params": [1]}},
+            ),
+            ("moments --noise N --transform T", {"N": _POINT, "T": dict(_MULT, extra=1)}),
+        ],
+        ids=[
+            "split-n-quad-0",
+            "split-n-quad-1",
+            "laurent-n-quad-0",
+            "laurent-n-quad-negative",
+            "check-circle-n-grid-negative",
+            "check-circle-n-grid-0-zero-ar",
+            "scenario-list-override-not-a-list",
+            "scenario-int-override-not-a-number",
+            "transform-params-not-an-object",
+            "transform-unknown-key",
+        ],
+    )
+    def test_bad_sizes_and_inputs_exit_2(self, argv, files, tmp_path):
+        for name, doc in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv.split()]
+        assert parse_and_dispatch(argv) == 2
+
     def test_bad_file_exit_2(self, tmp_path):
         code, _ = run_cli("split", "--model", str(tmp_path / "absent.json"))
         assert code == 2
@@ -599,3 +644,9 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rank"] == 1
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        code = "import sys, oparma.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

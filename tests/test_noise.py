@@ -7,7 +7,7 @@ import pytest
 from scipy.special import exp1
 from scipy.stats import kstest
 
-from oparma import SpecificationError, WindowError
+from oparma import SpecificationError
 from oparma.engine.noise import (
     CLAMP_LOG,
     NOISE_KINDS,
@@ -15,7 +15,6 @@ from oparma.engine.noise import (
     NoiseSpec,
     log_magnitude_samples,
     make_rng,
-    sample_noise,
     sample_path,
 )
 
@@ -23,13 +22,13 @@ from oparma.engine.noise import (
 def test_point_mass_repeats_vector():
     v = [1.0, -2.0, 0.5]
     spec = NoiseSpec(kind="point_mass", dim=3, params={"value": v}, seed=1)
-    out = sample_noise(spec, 3)
+    out = sample_path(spec, 3).values
     np.testing.assert_array_equal(out, np.tile(np.asarray(v, dtype=complex), (3, 1)))
 
 
 def test_gaussian_degenerate_component_is_exactly_zero():
     spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": [1.0, 0.0]}, seed=2)
-    out = sample_noise(spec, 500)
+    out = sample_path(spec, 500).values
     assert np.abs(out[:, 1]).max() == 0.0
     assert np.abs(out[:, 0]).std() > 0.5
 
@@ -38,7 +37,7 @@ def test_componentwise_gaussian_profile():
     spec = NoiseSpec(
         kind="componentwise_gaussian", dim=3, params={"sigmas": [1.0, 2.0, 0.1]}, seed=3
     )
-    out = sample_noise(spec, 20_000).real
+    out = sample_path(spec, 20_000).values.real
     np.testing.assert_allclose(out.std(axis=0), [1.0, 2.0, 0.1], rtol=0.05)
 
 
@@ -108,13 +107,9 @@ def test_gamma_inv_tail_cutoff_validation():
 def test_noise_path_window_arithmetic():
     spec = NoiseSpec(kind="gaussian", dim=1, seed=4)
     path = sample_path(spec, 10, t_start=-3)
-    assert path.t_stop == 7
-    np.testing.assert_array_equal(path.at(-3), path.values[0])
-    np.testing.assert_array_equal(path.window(-1, 2), path.values[2:6])
-    with pytest.raises(WindowError):
-        path.at(7)
-    with pytest.raises(WindowError):
-        path.window(-4, 0)
+    assert path.t_stop == 7 and len(path) == 10
+    # values[i] is Z_{t_start + i}: the window [-1, 2] is rows 2..5
+    np.testing.assert_array_equal(sample_path(spec, 4, t_start=-1).values, path.values[2:6])
 
 
 def test_lognorms_fallback_for_gaussian():
@@ -168,7 +163,10 @@ def test_overlapping_windows_agree_bitwise(kind, first, second):
     lo = max(a.t_start, b.t_start)
     hi = min(a.t_stop, b.t_stop) - 1
     assert hi >= lo
-    np.testing.assert_array_equal(a.window(lo, hi), b.window(lo, hi))
+    np.testing.assert_array_equal(
+        a.values[lo - a.t_start : hi - a.t_start + 1],
+        b.values[lo - b.t_start : hi - b.t_start + 1],
+    )
     if a.log_mags is not None:
         np.testing.assert_array_equal(
             a.log_mags[lo - a.t_start : hi - a.t_start + 1],
@@ -190,7 +188,7 @@ def test_nonnegative_times_are_rows_of_make_rng():
     spec = NoiseSpec(kind="gaussian", dim=d, params={"sigma": 1.0}, seed=seed)
     path = sample_path(spec, 30, t_start=-10, stream=stream)
     rows = make_rng(seed, stream).standard_normal((20, d))
-    np.testing.assert_array_equal(path.window(0, 19), rows.astype(complex))
+    np.testing.assert_array_equal(path.values[10:], rows.astype(complex))
 
     heavy = NoiseSpec(kind="pareto_exp", dim=1, seed=seed)
     path = sample_path(heavy, 20, t_start=5, stream=stream)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -91,7 +92,8 @@ class TestPureMovingAverage:
         res = simulate_theorem1(model, spec, t_range=(0, 99))
         z = res.noise
         for t in range(0, 100):
-            expected = z.at(t) + z.at(t - 1)
+            i = t - z.t_start  # row of Z_t
+            expected = z.values[i] + z.values[i - 1]
             assert np.allclose(res.values[t], expected, atol=1e-13)
         assert res.max_residual < 1e-14
 
@@ -176,6 +178,34 @@ class TestRecursionResidual:
         corrupted = recursion_residual(model, holder, res.noise)
         floor = 0.5 / (1.0 + np.linalg.norm(bad, axis=1).max())
         assert corrupted >= floor
+
+    def test_finite_heavy_tailed_path_has_finite_residual(self):
+        # |Y_0| reaches 5e300, so the squares inside the norms overflow
+        # unless the values are scaled down first
+        ar = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [0.5, 2.0]})
+        model = arma_model(
+            [build_operator(ar)], [build_operator(OperatorSpec(kind="identity", dim=2))]
+        )
+        spec = NoiseSpec(kind="pareto_exp", dim=2, params={}, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = simulate_ma(model, laurent_coeffs(model), spec, t_range=(0, 5))
+        assert np.isfinite(res.values).all() and np.abs(res.values).max() > 1e300
+        assert res.max_residual < 1e-12
+
+    def test_scaling_leaves_finite_residuals_bitwise(self):
+        model = random_hyperbolic_model(np.random.default_rng(3), 3, 2)
+        spec = NoiseSpec(kind="gaussian", dim=3, params={"sigma": 100.0}, seed=4)
+        res = simulate_theorem1(model, spec, t_range=(0, 49))
+        y, z, t0 = res.values, res.noise.values, res.noise.t_start
+        assert np.abs(y).max() > 1.0  # so the values are scaled
+        # the unscaled formula, in the same order of operations, over t = 1 .. 49
+        lhs = y[1:] - y[:-1] @ model.ar_ops[0].matrix.T
+        rhs = np.zeros_like(lhs)
+        for k, b in enumerate(model.ma_ops):
+            rhs += z[1 - k - t0 : 50 - k - t0] @ b.matrix.T
+        num = np.linalg.norm(lhs - rhs, axis=1).max()
+        assert res.max_residual == num / (1.0 + np.linalg.norm(y, axis=1).max())
 
     def test_empty_overlap_raises(self):
         model = scalar_model(0.5)

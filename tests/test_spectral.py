@@ -128,11 +128,12 @@ def test_check_split_detects_tampering():
     assert not bad_results["similarity"]
 
 
-def test_split_raises_when_invariants_miss_tolerance():
+def test_split_raises_when_invariants_miss_tolerance(monkeypatch):
     # with a zero tolerance the rounding-level residuals count as failures
+    monkeypatch.setattr(spectral, "CHECK_TOL", 0.0)
     a = dense_operator([[0.5, 1.0], [0.0, 2.0]])
     with pytest.raises(QuadratureError, match="split failed internal checks: .*residual"):
-        hyperbolic_split(a, check_tol=0.0)
+        hyperbolic_split(a)
 
 
 def test_split_bases_are_orthonormal_and_conjugation_exact():
