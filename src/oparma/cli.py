@@ -19,7 +19,6 @@ from . import __version__
 from .errors import (
     HyperbolicityError,
     QuadratureError,
-    RankAmbiguityError,
     SingularOperatorError,
     SpecificationError,
     UnknownScenarioError,
@@ -45,7 +44,6 @@ _USAGE_ERRORS = (SpecificationError, WindowError, UnknownScenarioError)
 _CHECK_ERRORS = (
     SingularOperatorError,
     HyperbolicityError,
-    RankAmbiguityError,
     QuadratureError,
 )
 
@@ -62,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("split", help="unit-circle spectral splitting of the AR operator")
     sp.add_argument("--model", required=True, help="model JSON file")
-    sp.add_argument("--n-quad", type=int, help="initial contour node count")
     sp.add_argument("--out", help="write the JSON result here instead of stdout")
 
     sp = sub.add_parser("laurent", help="Laurent coefficients of the transfer function")
@@ -148,10 +145,7 @@ def _cmd_split(args) -> int:
     from .spectral import hyperbolic_split
 
     model = load_model(args.model)
-    kwargs = {}
-    if args.n_quad is not None:
-        kwargs["n_quad"] = args.n_quad
-    split = hyperbolic_split(companion_lift(model).operator, **kwargs)
+    split = hyperbolic_split(companion_lift(model).operator)
     _emit(dumps(split_payload(split)), args.out)
     return 0
 
@@ -256,8 +250,6 @@ def _cmd_verify(args) -> int:
     from .scenarios import certify
 
     model = load_model(args.model)
-    if args.window < model.p + 2:
-        raise SpecificationError(f"--window must be at least p + 2 = {model.p + 2}")
     if args.noise:
         spec = load_noise(args.noise)
         if args.seed is not None:

@@ -30,10 +30,6 @@ class HyperbolicityError(OparmaError):
     """The spectrum meets the unit circle (within tolerance)."""
 
 
-class RankAmbiguityError(OparmaError):
-    """Singular values of a projector straddle the rank threshold band."""
-
-
 class QuadratureError(OparmaError):
     """Contour quadrature failed to converge within the node cap."""
 

@@ -316,7 +316,6 @@ def split_payload(split) -> dict:
         "rank": split.rank,
         "radius_inner": sanitize(split.diagnostics.get("radius_inner")),
         "radius_outer_inv": sanitize(split.diagnostics.get("radius_outer_inv")),
-        "n_quad": split.n_quad,
         "projector": encode_matrix(split.projector, pairs=True),
         "block_inner": encode_matrix(split.block_inner, pairs=True),
         "block_outer": encode_matrix(split.block_outer, pairs=True),

@@ -95,8 +95,14 @@ def certify(model, noise, t1: int, residual_max: float):
     split's error first.  Returns ``(checks, split)``; the checks are, in
     order: circle invertibility, split invariants, both block radii,
     Laurent reconstruction, recursion residual <= ``residual_max``, and
-    the split-vs-MA gap sup_t ||Y_t^split - Y_t^MA||_2.
+    the split-vs-MA gap sup_t ||Y_t^split - Y_t^MA||_2.  A window of
+    fewer than p + 2 points, too short for the recursion residual,
+    raises :class:`SpecificationError`.
     """
+    if t1 + 1 < model.p + 2:
+        raise SpecificationError(
+            f"window must be at least p + 2 = {model.p + 2}, got {t1 + 1}"
+        )
     op = companion_lift(model).operator
     split = hyperbolic_split(op)
     flags = check_split(split, op)
@@ -828,10 +834,11 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0) -> Sce
     ``overrides`` updates the scenario's default parameters; unknown keys
     and values whose type does not match the default's are rejected
     (an integral float is accepted for an integer, an integer for a
-    float).  Reports are bitwise deterministic per (name, overrides,
-    seed) apart from runtime_ms.  Exceptions escaping a scenario body
-    signal broken infrastructure and propagate; a failed check is a
-    regular report entry with pass false.
+    float), and so is a ``*replicates`` count below 1.  Reports are
+    bitwise deterministic per (name, overrides, seed) apart from
+    runtime_ms.  Exceptions escaping a scenario body signal broken
+    infrastructure and propagate; a failed check is a regular report
+    entry with pass false.
     """
     if name not in _BY_NAME:
         known = ", ".join(sorted(_BY_NAME))
@@ -846,7 +853,10 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0) -> Sce
                 f"known: {sorted(defaults)}"
             )
         for key, value in overrides.items():
-            params[key] = _like(value, defaults[key], f"scenario {name!r} parameter {key!r}")
+            where = f"scenario {name!r} parameter {key!r}"
+            params[key] = _like(value, defaults[key], where)
+            if key.endswith("replicates") and params[key] < 1:
+                raise SpecificationError(f"{where} must be >= 1, got {params[key]}")
     t0 = time.perf_counter()
     checks = fn(params, int(seed))
     ms = int(round((time.perf_counter() - t0) * 1000.0))

@@ -1,18 +1,21 @@
 """Spectral splitting of an operator across the unit circle.
 
-The splitting separates the part of the spectrum strictly inside the
-unit circle from the part strictly outside.  The projector onto the
-inner invariant subspace is the contour integral of the resolvent,
-discretized by the trapezoid rule on equispaced circle nodes
+:func:`hyperbolic_split` separates the eigenvalues strictly inside the
+unit circle from those strictly outside with one ordered complex Schur
+factorisation A = Z T Z^H, whose leading block T11 holds the inner
+eigenvalues (Bai & Demmel 1993), and one Sylvester solve
+T11 X - X T22 = -T12 (Bartels & Stewart 1972).  The projector onto the
+inner invariant subspace along the outer one is P = Z1 (Z1^H - X Z2^H).
+
+:func:`riesz_projector` computes the same P by an independent route, the
+resolvent contour integral discretized by the trapezoid rule on
+equispaced circle nodes
 
     P = (1/n) sum_j z_j (z_j I - A)^{-1},    z_j = exp(2 pi i j / n),
 
 which converges geometrically at rate max(r_in, 1/r_out)^n where r_in
-is the largest modulus inside and r_out the smallest outside.  Signs
-and orientation are fixed so that P projects onto the eigenvalues
-INSIDE the disc; the resolvent here is (z I - A)^{-1} and the contour
-is traversed counterclockwise.  This convention is recorded in the
-split's diagnostics so downstream consumers never have to guess.
+is the largest modulus inside and r_out the smallest outside;
+:func:`check_split` compares the two.
 """
 
 from __future__ import annotations
@@ -21,43 +24,43 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    HyperbolicityError,
-    QuadratureError,
-    RankAmbiguityError,
-    SpecificationError,
-)
+from .errors import HyperbolicityError, QuadratureError
 from .operators import Operator
 
 #: eigenvalues closer to the unit circle than this make the splitting
 #: numerically meaningless
 HYPERBOLICITY_MARGIN = 1e-6
 
-#: singular values of P in this open band cannot be classified as rank
-#: contributors or noise
-RANK_BAND = (1e-8, 1e-6)
-
 #: relative quadrature stagnation tolerance for the doubling loop
 QUAD_TOL = 1e-10
 
-#: tolerance of the split invariants (idempotency, commutation, similarity)
+#: tolerance of the split invariants and of the Riesz comparison
 CHECK_TOL = 1e-8
 
+#: first and largest node counts of the Riesz quadrature
 DEFAULT_N_QUAD = 256
 MAX_N_QUAD = 8192
 
 
-def hyperbolicity_margin(op: Operator) -> float:
-    """min over eigenvalues of | |lambda| - 1 | (distance to the circle)."""
-    eigs = np.linalg.eigvals(op.matrix)
+def _margin(eigs: np.ndarray) -> float:
+    """min over ``eigs`` of | |lambda| - 1 | (inf when there are none)."""
     if eigs.size == 0:
         return np.inf
     return float(np.abs(np.abs(eigs) - 1.0).min())
 
 
+def hyperbolicity_margin(op: Operator) -> float:
+    """min over eigenvalues of | |lambda| - 1 | (distance to the circle)."""
+    return _margin(np.linalg.eigvals(op.matrix))
+
+
 def check_hyperbolic(op: Operator) -> float:
     """Return the hyperbolicity margin; raises below :data:`HYPERBOLICITY_MARGIN`."""
-    got = hyperbolicity_margin(op)
+    return _require_margin(np.linalg.eigvals(op.matrix))
+
+
+def _require_margin(eigs: np.ndarray) -> float:
+    got = _margin(eigs)
     if got < HYPERBOLICITY_MARGIN:
         raise HyperbolicityError(
             f"eigenvalue within {got:.3e} of the unit circle "
@@ -80,23 +83,22 @@ def _node_resolvent_sum(matrix: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return total
 
 
-def riesz_projector(op: Operator, n_quad: int = DEFAULT_N_QUAD):
+def riesz_projector(op: Operator):
     """Projector onto the inner invariant subspace, with grid doubling.
 
-    Starts at ``n_quad`` nodes and doubles (reusing already-computed
-    nodes: the 2n-grid is the n-grid plus the odd nodes) until two
-    successive grids agree to :data:`QUAD_TOL` relative to ``1 + ||P||``.
-    Raises :class:`QuadratureError` if :data:`MAX_N_QUAD` nodes do not
-    suffice, which happens when an eigenvalue sits close enough to the
-    circle that geometric convergence is too slow.
+    Starts at :data:`DEFAULT_N_QUAD` nodes and doubles (reusing
+    already-computed nodes: the 2n-grid is the n-grid plus the odd
+    nodes) until two successive grids agree to :data:`QUAD_TOL` relative
+    to ``1 + ||P||``.  Raises :class:`QuadratureError` if
+    :data:`MAX_N_QUAD` nodes do not suffice, which happens when an
+    eigenvalue sits close enough to the circle that geometric
+    convergence is too slow.
 
     Returns ``(P, n_used, last_diff)``.
     """
-    if n_quad < 2:
-        raise SpecificationError(f"n_quad must be >= 2, got {n_quad}")
     check_hyperbolic(op)
     m = op.matrix
-    n = n_quad
+    n = DEFAULT_N_QUAD
     nodes = np.exp(2j * np.pi * np.arange(n) / n)
     acc = _node_resolvent_sum(m, nodes)
     prev = acc / n
@@ -125,7 +127,8 @@ class SpectralSplit:
     ``combine = [basis_inner | basis_outer]`` conjugates the operator to
     ``diag(block_inner, block_outer)``.  The inner block has spectral
     radius < 1 and the outer block has all eigenvalues outside the
-    closed unit disc.
+    closed unit disc; :func:`hyperbolic_split` returns both blocks upper
+    triangular.
     """
 
     projector: np.ndarray
@@ -136,7 +139,6 @@ class SpectralSplit:
     block_outer: np.ndarray
     combine: np.ndarray
     combine_inv: np.ndarray
-    n_quad: int
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -150,80 +152,60 @@ def _norm2(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _safe_radius(block: np.ndarray) -> float:
-    if block.shape[0] == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvals(block)).max())
-
-
-def _safe_inv_radius(block: np.ndarray) -> float:
-    if block.shape[0] == 0:
-        return 0.0
-    return float(np.abs(1.0 / np.linalg.eigvals(block)).max())
-
-
-def hyperbolic_split(op: Operator, n_quad: int = DEFAULT_N_QUAD) -> SpectralSplit:
+def hyperbolic_split(op: Operator) -> SpectralSplit:
     """Split ``op`` into inner and outer spectral blocks across the circle.
 
-    The rank of the projector is read off its singular values with a
-    hard band: values above 1e-6 count, values below 1e-8 are noise,
-    anything in between raises :class:`RankAmbiguityError` rather than
-    guessing.  Orthonormal bases come from the left singular vectors of
-    P and I - P, so ``combine`` is well conditioned whenever the
-    projector itself is.
+    The ordered Schur form A = Z T Z^H puts the eigenvalues inside the
+    disc first: the rank is the sort count, and the hyperbolicity margin
+    (raising :class:`HyperbolicityError` below :data:`HYPERBOLICITY_MARGIN`)
+    and both radii are read off diag(T).  With X from T11 X - X T22 = -T12
+    and Z1 X + Z2 = Q R, the bases are Z1 and Q, the triangular blocks T11
+    and R T22 R^{-1}, and ``combine = [Z1 | Q]`` has the closed-form
+    inverse [[Z1^H - X Z2^H], [R Z2^H]].  ``diagnostics["sylvester_norm"]``
+    = ||X||_2 measures how oblique the split is (0 for a normal operator).
 
     All structural invariants (idempotency, commutation with the
     operator, exactness of the block conjugation, strict radius bounds)
     are checked here, the first three at :data:`CHECK_TOL`, and their
     residuals stored in ``diagnostics``.
     """
-    proj, n_used, quad_diff = riesz_projector(op, n_quad)
-    d = op.dim
-    m = op.matrix
-    u, sv, _ = np.linalg.svd(proj)
-    lo, hi = RANK_BAND
-    ambiguous = sv[(sv > lo) & (sv < hi)]
-    if ambiguous.size:
-        raise RankAmbiguityError(
-            f"projector singular values {ambiguous} fall in the ambiguity "
-            f"band ({lo:.0e}, {hi:.0e}); rank cannot be determined"
-        )
-    rank = int((sv >= hi).sum())
+    from scipy.linalg import qr, schur, solve_sylvester, solve_triangular
 
-    u_in = u[:, :rank]
-    comp = np.eye(d) - proj
-    u_out = (
-        np.linalg.svd(comp)[0][:, : d - rank]
-        if rank < d
-        else np.zeros((d, 0), dtype=complex)
-    )
-    combine = np.hstack([u_in, u_out])
+    m = op.matrix
+    d = op.dim
+    t, z, rank = schur(m, output="complex", sort="iuc")
+    rank = int(rank)
+    eigs = np.diag(t)
+    margin = _require_margin(eigs)
+    t11, t12, t22 = t[:rank, :rank], t[:rank, rank:], t[rank:, rank:]
+    z1, z2 = z[:, :rank], z[:, rank:]
+    x = solve_sylvester(t11, -t22, -t12)
+    q, r = qr(z1 @ x + z2, mode="economic")
+    left_inner = z1.conj().T - x @ z2.conj().T
     split = SpectralSplit(
-        projector=proj,
+        projector=z1 @ left_inner,
         rank=rank,
-        basis_inner=u_in,
-        basis_outer=u_out,
-        block_inner=u_in.conj().T @ m @ u_in,
-        block_outer=u_out.conj().T @ m @ u_out,
-        combine=combine,
-        combine_inv=np.linalg.inv(combine),
-        n_quad=n_used,
+        basis_inner=z1,
+        basis_outer=q,
+        block_inner=t11,
+        # R T22 R^{-1}, from R^T (R T22 R^{-1})^T = (R T22)^T
+        block_outer=solve_triangular(r, (r @ t22).T, trans="T").T,
+        combine=np.hstack([z1, q]),
+        combine_inv=np.vstack([left_inner, r @ z2.conj().T]),
     )
 
     residuals = _invariant_residuals(split, m)
-    r_in = _safe_radius(split.block_inner)
-    r_out_inv = _safe_inv_radius(split.block_outer)
+    r_in = float(np.abs(eigs[:rank]).max()) if rank else 0.0
+    r_out_inv = float((1.0 / np.abs(eigs[rank:])).max()) if rank < d else 0.0
 
     split.diagnostics.update({
-        "hyperbolicity_margin": hyperbolicity_margin(op),
-        "n_quad": n_used,
-        "quad_diff": quad_diff,
+        "hyperbolicity_margin": margin,
         **{f"{name}_residual": value for name, (value, _) in residuals.items()},
         "radius_inner": r_in,
         "radius_outer_inv": r_out_inv,
-        "singular_values": sv,
-        "projector_convention": "resolvent (zI - A)^{-1}, counterclockwise "
-        "unit circle; P projects onto eigenvalues inside the disc",
+        "sylvester_norm": _norm2(x),
+        "projector_convention": "P = Z1 (Z1^H - X Z2^H) from the ordered Schur "
+        "form; P projects onto eigenvalues inside the disc",
     })
 
     problems = [
@@ -277,16 +259,20 @@ def check_split(split: SpectralSplit, op: Operator) -> dict:
 
     Returns a dict of named booleans, at tolerance :data:`CHECK_TOL`; used
     by the command-line ``verify`` path so the checks can be reported
-    individually.
+    individually.  ``matches_riesz`` compares the projector with the
+    independent :func:`riesz_projector` quadrature,
+    ||P - P_Riesz||_2 <= CHECK_TOL (1 + ||P||_2); the quadrature raises
+    :class:`QuadratureError` when :data:`MAX_N_QUAD` nodes do not settle.
     """
     residuals = _invariant_residuals(split, op.matrix)
     results = {
         "idempotent": residuals["idempotency"][1],
         "commutes": residuals["commutation"][1],
         "similarity": residuals["similarity"][1],
-        "inner_contracts": split.rank == 0 or _safe_radius(split.block_inner) < 1.0,
+        "inner_contracts": split.rank == 0
+        or np.abs(np.linalg.eigvals(split.block_inner)).max() < 1.0,
         "outer_expands": split.rank == split.dim
-        or _safe_inv_radius(split.block_outer) < 1.0,
+        or np.abs(np.linalg.eigvals(split.block_outer)).min() > 1.0,
         "bases_orthonormal": (
             _norm2(
                 split.basis_inner.conj().T @ split.basis_inner - np.eye(split.rank)
@@ -298,5 +284,7 @@ def check_split(split: SpectralSplit, op: Operator) -> dict:
             )
             <= CHECK_TOL
         ),
+        "matches_riesz": _norm2(split.projector - riesz_projector(op)[0])
+        <= CHECK_TOL * (1.0 + _norm2(split.projector)),
     }
     return results

@@ -546,6 +546,40 @@ class TestSubcommands:
         checks = {c["description"]: c["observed"] for c in json.loads(out)["checks"]}
         assert checks["simulated path satisfies the defining recursion"] <= 1e-10
 
+    def test_ill_conditioned_block_splits_but_riesz_refuses(self, tmp_path, capsys):
+        # diagonal 0.8, superdiagonal 5: already upper triangular, so the
+        # ordered Schur form is exact, while resolvent norms near 2e13 on
+        # the circle keep the Riesz quadrature of verify from settling
+        entries = (0.8 * np.eye(10) + 5.0 * np.eye(10, k=1)).tolist()
+        model = tmp_path / "block.json"
+        model.write_text(
+            json.dumps(
+                {
+                    "ar": [{"kind": "dense", "dim": 10, "params": {"entries": entries}}],
+                    "ma": [{"kind": "identity", "dim": 10}],
+                }
+            )
+        )
+        noise = tmp_path / "gauss.json"
+        noise.write_text(
+            json.dumps({"kind": "gaussian", "dim": 10, "params": {"sigma": 1.0}, "seed": 3})
+        )
+        code, out = run_cli("split", "--model", str(model), capsys=capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["rank"] == 10
+        assert np.array_equal(decode_matrix(doc["projector"], "projector"), np.eye(10))
+
+        code, out = run_cli(
+            "simulate", "--model", str(model), "--noise", str(noise), "--t1", "49",
+            capsys=capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["max_residual"] <= 1e-12
+
+        assert run_cli("verify", "--model", str(model)) == (1, None)
+        assert "8192 nodes" in capsys.readouterr().err
+
     def test_verify_unit_root_fails(self, tmp_path):
         path = tmp_path / "unitroot.json"
         path.write_text(
@@ -586,6 +620,13 @@ class TestUsageErrors:
                 {"N": _POINT, "T": {"kind": "dense", "dim": 2, "params": [1]}},
             ),
             ("moments --noise N --transform T", {"N": _POINT, "T": dict(_MULT, extra=1)}),
+            ("scenario hyperbolic_pipeline --set window=1", {}),
+            ("scenario rescaled_half_shift --set replicates=0", {}),
+            ("scenario quasinilpotent_shift --set replicates=0", {}),
+            ("scenario hyperbolic_pipeline --set ks_replicates=0", {}),
+            ("scenario isometry --set replicates=0", {}),
+            ("scenario multiplication_strongly_stable --set replicates=0", {}),
+            ("scenario expanding_shift --set replicates=0", {}),
         ],
         ids=[
             "split-n-quad-0",
@@ -598,6 +639,13 @@ class TestUsageErrors:
             "scenario-int-override-not-a-number",
             "transform-params-not-an-object",
             "transform-unknown-key",
+            "certify-window-below-p-plus-2",
+            "rescaled-half-shift-zero-replicates",
+            "quasinilpotent-zero-replicates",
+            "pipeline-zero-ks-replicates",
+            "isometry-zero-replicates",
+            "multiplication-zero-replicates",
+            "expanding-shift-zero-replicates",
         ],
     )
     def test_bad_sizes_and_inputs_exit_2(self, argv, files, tmp_path):
@@ -646,7 +694,10 @@ class TestModuleEntryPoint:
         assert json.loads(proc.stdout)["rank"] == 1
 
     def test_import_leaves_scipy_optimize_unloaded(self):
-        code = "import sys, oparma.cli; print('scipy.optimize' in sys.modules)"
+        code = (
+            "import sys, oparma.cli; "
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"

@@ -1,4 +1,4 @@
-"""Unit-circle splitting: projector quadrature, rank calls, invariants."""
+"""Unit-circle splitting: ordered Schur split, Riesz quadrature, invariants."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from oparma import (
     HyperbolicityError,
     OperatorSpec,
     QuadratureError,
-    RankAmbiguityError,
     build_operator,
     dense_operator,
 )
@@ -98,22 +97,10 @@ def test_quadrature_cap_raises_for_glacial_convergence():
 
 def test_quadrature_doubles_until_stagnant():
     a = op("multiplication", 2, multipliers=[0.95, 1.5])
+    assert riesz_projector(a)[1] > 512
     sp = hyperbolic_split(a)
-    assert sp.n_quad > 512
     assert sp.rank == 1
     np.testing.assert_allclose(sp.projector, np.diag([1.0, 0.0]), atol=1e-9)
-
-
-def test_rank_ambiguity_band(monkeypatch):
-    # true projectors have nonzero singular values >= 1, so the band can
-    # only be hit by a degraded quadrature result; inject one
-    fake = np.diag([1.0, 1e-7, 0.0]).astype(complex)
-    monkeypatch.setattr(
-        spectral, "riesz_projector", lambda *a, **k: (fake, 512, 1e-12)
-    )
-    a = op("multiplication", 3, multipliers=[0.5, 0.6, 2.0])
-    with pytest.raises(RankAmbiguityError):
-        hyperbolic_split(a)
 
 
 def test_check_split_detects_tampering():
@@ -126,6 +113,12 @@ def test_check_split_detects_tampering():
     bad = dataclasses.replace(sp, block_inner=sp.block_inner + 0.1)
     bad_results = check_split(bad, a)
     assert not bad_results["similarity"]
+
+    # I - P is a projector commuting with A, so only the Riesz route sees it
+    swapped = dataclasses.replace(sp, projector=np.eye(2) - sp.projector)
+    swapped_results = check_split(swapped, a)
+    assert swapped_results["idempotent"] and swapped_results["commutes"]
+    assert not swapped_results["matches_riesz"]
 
 
 def test_split_raises_when_invariants_miss_tolerance(monkeypatch):
