@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--k-min", type=int, help="lowest coefficient index (with --k-max)")
     sp.add_argument("--k-max", type=int, help="highest coefficient index (with --k-min)")
-    sp.add_argument("--n-quad", type=int, help="initial circle grid size")
     sp.add_argument("--out")
 
     sp = sub.add_parser("check-circle", help="denominator invertibility on the unit circle")
@@ -159,8 +158,6 @@ def _cmd_laurent(args) -> int:
     kwargs = {}
     if args.k_min is not None:
         kwargs["k_range"] = (args.k_min, args.k_max)
-    if args.n_quad is not None:
-        kwargs["n_quad"] = args.n_quad
     lc = laurent_coeffs(model, **kwargs)
     _emit(dumps(laurent_payload(lc)), args.out)
     return 0

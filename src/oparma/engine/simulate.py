@@ -44,6 +44,9 @@ from .noise import NoisePath, NoiseSpec, sample_path
 #: dropped tails summed over AR and MA terms stay clear of it
 DEFAULT_TAIL_TOL = 1e-12
 
+#: Laurent reconstruction residual above which coefficients are not used
+RECONSTRUCTION_MAX = 1e-6
+
 #: partial-sum probes report this quantile of the norms over replicates
 PROBE_QUANTILE = 0.9
 #: ``plim_probe`` declares convergence when its last dispersion is at most this
@@ -105,7 +108,6 @@ def _lag_states(step: np.ndarray, inputs: list):
 def build_split_kernel(
     model: ArmaModel,
     split: SpectralSplit | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
     k_trunc: int | None = None,
 ) -> tuple[LagKernel, SpectralSplit]:
     """Finite lag kernel of the split-series solution.
@@ -121,21 +123,16 @@ def build_split_kernel(
 
     Each side contracts in its own direction of travel.  The reach K is
     the first lag past the MA window (K > q) at which the newest state
-    on both sides, phi_K and a_{-K}, has norm <= ``tail_tol``; measured
-    on the lifted state rather than on its first block, so an order-p
-    model whose kernel lag vanishes only transiently is not cut there.
+    on both sides, phi_K and a_{-K}, has norm <= :data:`DEFAULT_TAIL_TOL`;
+    measured on the lifted state rather than on its first block, so an
+    order-p model whose kernel lag vanishes only transiently is not cut
+    there.
     ``k_trunc`` forces K instead.  Order-p models go through the block
     companion lift; the kernel maps original noise to the original
     state (first block of the lifted solution).
     """
     if k_trunc is not None and k_trunc < 0:
         raise SpecificationError(f"truncation depth must be >= 0, got {k_trunc}")
-    if k_trunc is None and not tail_tol >= np.finfo(float).tiny:
-        # below the smallest normal double a contracting state can stall
-        # on a subnormal value instead of reaching the tolerance
-        raise SpecificationError(
-            f"tail_tol must be a positive normal double, got {tail_tol}"
-        )
     lift = companion_lift(model)
     if split is None:
         split = hyperbolic_split(lift.operator)
@@ -162,7 +159,7 @@ def build_split_kernel(
     while True:
         # Frobenius norms of the newest states; vdot is the cheapest route at small d
         tail = max(abs(np.vdot(x, x)) for x in (phis[-1], alphas[-1])) ** 0.5
-        if k == k_trunc or (k_trunc is None and k > q and tail <= tail_tol):
+        if k == k_trunc or (k_trunc is None and k > q and tail <= DEFAULT_TAIL_TOL):
             break
         phis.append(next(causal))
         alphas.append(next(anticausal))
@@ -177,7 +174,6 @@ def build_split_kernel(
         "truncation_K": k,
         "radius_inner": split.diagnostics["radius_inner"],
         "radius_outer_inv": split.diagnostics["radius_outer_inv"],
-        "tail_tol": tail_tol,
     }
     return LagKernel(l_min=-k, psis=psis, diagnostics=diagnostics), split
 
@@ -192,26 +188,12 @@ def laurent_kernel(coeffs: LaurentCoeffs) -> LagKernel:
 
 
 def _materialize_noise(noise, dim, t0, t1, kernel: LagKernel) -> NoisePath:
+    if not isinstance(noise, NoiseSpec):
+        raise SpecificationError(f"noise must be a NoiseSpec, got {type(noise).__name__}")
+    if noise.dim != dim:
+        raise DimensionMismatchError(f"noise dim {noise.dim} does not match model dim {dim}")
     need_lo = t0 - kernel.l_max
-    need_hi = t1 - kernel.l_min
-    if isinstance(noise, NoiseSpec):
-        if noise.dim != dim:
-            raise DimensionMismatchError(
-                f"noise dim {noise.dim} does not match model dim {dim}"
-            )
-        return sample_path(noise, need_hi - need_lo + 1, t_start=need_lo)
-    if not isinstance(noise, NoisePath):
-        raise SpecificationError("noise must be a NoiseSpec or a NoisePath")
-    if noise.values.shape[1] != dim:
-        raise DimensionMismatchError(
-            f"noise path dim {noise.values.shape[1]} does not match model dim {dim}"
-        )
-    if noise.t_start > need_lo or noise.t_stop <= need_hi:
-        raise WindowError(
-            f"noise window [{noise.t_start}, {noise.t_stop}) does not cover "
-            f"required [{need_lo}, {need_hi}]"
-        )
-    return noise
+    return sample_path(noise, t1 - kernel.l_min - need_lo + 1, t_start=need_lo)
 
 
 def _convolve(kernel: LagKernel, values: np.ndarray, first: int, n_t: int) -> np.ndarray:
@@ -290,15 +272,14 @@ def simulate_theorem1(
     noise,
     t_range: tuple = (0, 199),
     split: SpectralSplit | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
     k_trunc: int | None = None,
 ) -> SimulationResult:
     """Simulate via the split-series solution.
 
-    ``noise`` is a NoiseSpec (a window of exactly the required reach is
-    sampled from stream 0) or a NoisePath that must already cover it.
+    ``noise`` is a NoiseSpec; a window of exactly the required reach is
+    sampled from its stream 0.
     """
-    kernel, _ = build_split_kernel(model, split, tail_tol, k_trunc)
+    kernel, _ = build_split_kernel(model, split, k_trunc)
     return _simulate(model, kernel, noise, t_range, "theorem1_split", -kernel.l_min)
 
 
@@ -308,11 +289,14 @@ def simulate_ma(
     noise,
     t_range: tuple = (0, 199),
 ) -> SimulationResult:
-    """Simulate via the two-sided MA representation with given coefficients."""
-    if coeffs.reconstruction_residual > 1e-6:
+    """Simulate via the two-sided MA representation with given coefficients.
+
+    ``noise`` is a NoiseSpec, sampled as in :func:`simulate_theorem1`.
+    """
+    if coeffs.reconstruction_residual > RECONSTRUCTION_MAX:
         raise SpecificationError(
             f"coefficients failed their reconstruction check "
-            f"(residual {coeffs.reconstruction_residual:.3e} > 1e-6)"
+            f"(residual {coeffs.reconstruction_residual:.3e} > {RECONSTRUCTION_MAX:g})"
         )
     reach = max(abs(coeffs.k_min), abs(coeffs.k_max))
     kernel = laurent_kernel(coeffs)

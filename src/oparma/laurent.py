@@ -194,20 +194,18 @@ def _extract(psi_wrapped: np.ndarray, n: int, k_min: int, k_max: int) -> np.ndar
     return psi_wrapped[idx]
 
 
-def laurent_coeffs(
-    model: ArmaModel, k_range: tuple | None = None, n_quad: int = DEFAULT_N_QUAD
-) -> LaurentCoeffs:
+def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoeffs:
     """Laurent coefficients of H with automatic range and grid selection.
 
     When ``k_range`` is omitted the range is chosen to cover every
     coefficient above :data:`REL_FLOOR` times the largest one.  The node
-    count doubles, up to :data:`MAX_N_QUAD`, until two successive grids
-    agree on the extracted block to the same relative floor.  A failed
+    count starts at :data:`DEFAULT_N_QUAD` (doubled to at least four
+    times the reach of a given ``k_range``) and doubles, up to
+    :data:`MAX_N_QUAD`, until two successive grids agree on the
+    extracted block to the same relative floor.  A failed
     circle check aborts before any quadrature happens, since the
     expansion does not exist.
     """
-    if n_quad < 1:
-        raise SpecificationError(f"n_quad must be >= 1, got {n_quad}")
     circle = unit_circle_check(model)
     if not circle.passed:
         raise SingularOperatorError(
@@ -216,17 +214,13 @@ def laurent_coeffs(
             f"z={circle.worst_z:.6f}, needs > {circle.tol:.1e})",
             condition=1.0 / max(circle.min_singular_value, 1e-300),
         )
+    n = DEFAULT_N_QUAD
     if k_range is not None:
         k_min, k_max = int(k_range[0]), int(k_range[1])
         if k_min > k_max:
             raise SpecificationError(f"empty coefficient range {k_range}")
-        span = max(abs(k_min), abs(k_max), 8)
-        n_min = 1
-        while n_min < 4 * span:
-            n_min *= 2
-        n_quad = max(n_quad, n_min)
-
-    n = n_quad
+        while n < 4 * max(abs(k_min), abs(k_max), 8):
+            n *= 2
     nodes = np.exp(2j * np.pi * np.arange(n) / n)
     hvals = _batched_transfer(model, nodes)
     prev_block = None

@@ -11,10 +11,12 @@ expected value comes from:
 - [direct] properties checked by running the machinery end to end
   (residuals, cross-method agreement, statistical invariance).
 
-Divergence demonstrations follow a fixed recipe: count how many series
-terms exceed 1 in log space, compare the replicate mean against the
-analytic expectation, and read summability (or its failure) off the
-exceedance probabilities.  Thresholds and replicate counts are stated
+Divergence demonstrations follow one recipe, :func:`_pareto_exceedances`:
+count how many series terms exceed 1 in log space, compare the replicate
+mean against the analytic expectation over a near depth and again past
+it, and read summability (or its failure) off the exceedance
+probabilities.  Power-norm sweeps report their worst error through
+:func:`_worst_error_check`.  Thresholds and replicate counts are stated
 inline; nothing is tuned per run.
 """
 
@@ -30,6 +32,7 @@ from scipy.special import exp1, gammaln
 from .engine.moments import moment_estimate
 from .engine.noise import NoiseSpec, log_magnitude_samples, make_rng
 from .engine.simulate import (
+    RECONSTRUCTION_MAX,
     build_split_kernel,
     partial_sum_quantiles,
     plim_probe,
@@ -81,8 +84,37 @@ def _count_check(description, probs, counts, sigmas=3.0):
     )
 
 
-#: gates of the certification chain; the recursion-residual bound is the caller's
-RECONSTRUCTION_MAX = 1e-6
+def _pareto_exceedances(seed, stream, reps, thr, near, near_desc, far_desc):
+    """Near and far exceedance-count checks for Pareto(1) draws against ``thr``.
+
+    Draws 1/(1 - U) >= 1 on ``stream`` for ``reps`` replicates of
+    ``len(thr)`` terms; term n exceeds its threshold thr_n >= 1 with
+    probability 1/thr_n.  The near check counts the first ``near`` terms,
+    the far check the rest, whose growth shows the series diverging.
+    """
+    if not 1 <= near < len(thr):
+        raise SpecificationError(
+            f"the near depth must be >= 1 and below the far depth {len(thr)}, got {near}"
+        )
+    draws = 1.0 / (1.0 - make_rng(seed, stream=stream).random((reps, len(thr))))
+    probs = 1.0 / thr
+    counts_near = (draws[:, :near] > thr[:near]).sum(axis=1)
+    counts_far = (draws > thr).sum(axis=1)
+    return [
+        _count_check(near_desc, probs[:near], counts_near),
+        _count_check(far_desc, probs[near:], counts_far - counts_near),
+    ]
+
+
+def _worst_error_check(description, errors, tol, expected):
+    """Report the largest of ``errors``; pass when every one is <= ``tol``."""
+    errors = list(errors)
+    if not errors:
+        raise SpecificationError(f"nothing to sweep for check {description!r}")
+    return _check(description, expected, max(errors), all(e <= tol for e in errors))
+
+
+#: certification gate on the split-vs-MA gap; the residual bound is the caller's
 GAP_MAX = 1e-6
 
 
@@ -231,43 +263,23 @@ def _scenario_quasinilpotent(params, seed):
     a = build_operator(
         OperatorSpec(kind="weighted_shift", dim=d, params={"weights": weights})
     )
-    checks = []
-
-    log_ok = True
-    worst = 0.0
-    for n in range(1, 8):
-        got = structured_log_norm(a, n)
-        want = 1.0 - math.e**n
-        rel = abs(got - want) / abs(want)
-        worst = max(worst, rel)
-        log_ok = log_ok and rel <= 1e-10
-    checks.append(
-        _check(
+    wants = {n: 1.0 - math.e**n for n in range(1, 8)}
+    checks = [
+        _worst_error_check(
             "[oracle] log operator-power norms follow 1 - e^n for n <= 7 "
             "(relative 1e-10, evaluated in log space)",
+            (abs(structured_log_norm(a, n) - w) / abs(w) for n, w in wants.items()),
+            1e-10,
             0.0,
-            worst,
-            log_ok,
-        )
-    )
-
-    dense_ok = True
-    worst_dense = 0.0
-    for n in range(1, 5):
-        got = power_log_norm(a, n)
-        want = 1.0 - math.e**n
-        rel = abs(got - want) / abs(want)
-        worst_dense = max(worst_dense, rel)
-        dense_ok = dense_ok and rel <= 1e-8
-    checks.append(
-        _check(
+        ),
+        _worst_error_check(
             "[oracle] dense matrix powers agree with the structured formula while "
             "they are representable (n <= 4, relative 1e-8)",
+            (abs(power_log_norm(a, n) - w) / abs(w) for n, w in wants.items() if n <= 4),
+            1e-8,
             0.0,
-            worst_dense,
-            dense_ok,
-        )
-    )
+        ),
+    ]
 
     # convergence under noise whose log magnitude is Pareto(1): the n-th
     # series term exceeds 1 iff P_n > e^n - 1, and those probabilities sum;
@@ -290,28 +302,14 @@ def _scenario_quasinilpotent(params, seed):
     # sharpness: noise concentrated in component 0 whose log-log magnitude
     # is Pareto(1).  Exceedance needs P_n > log(e^n - 1) ~ n, a harmonic
     # (non-summable) family, so big terms recur forever
-    rng = make_rng(seed, stream=2)
-    far_draws = 1.0 / (1.0 - rng.random((sharp_reps, sharp_far)))
     ns_far = np.arange(1.0, sharp_far + 1.0)
-    thr_far = np.maximum(1.0, ns_far + np.log1p(-np.exp(-ns_far)))
-    probs_far = np.minimum(1.0, 1.0 / thr_far)
-    counts_near = (far_draws[:, :sharp_near] > thr_far[:sharp_near]).sum(axis=1)
-    counts_far = (far_draws > thr_far).sum(axis=1)
-    checks.append(
-        _count_check(
-            f"[oracle] heavier tail is sharp: exceedance count over {sharp_near} "
-            "terms matches the harmonic-sum expectation",
-            probs_far[:sharp_near],
-            counts_near,
-        )
-    )
-    checks.append(
-        _count_check(
-            f"[oracle] harmonic counts keep growing ({sharp_near} -> {sharp_far} "
-            "terms), the signature of a divergent series",
-            probs_far[sharp_near:],
-            counts_far - counts_near,
-        )
+    thr = np.maximum(1.0, ns_far + np.log1p(-np.exp(-ns_far)))
+    checks += _pareto_exceedances(
+        seed, 2, sharp_reps, thr, sharp_near,
+        f"[oracle] heavier tail is sharp: exceedance count over {sharp_near} "
+        "terms matches the harmonic-sum expectation",
+        f"[oracle] harmonic counts keep growing ({sharp_near} -> {sharp_far} "
+        "terms), the signature of a divergent series",
     )
     return checks
 
@@ -335,16 +333,13 @@ def _scenario_rescaled_half_shift(params, seed):
         )
     )
 
-    worst = max(
-        abs(structured_log_norm(a, n) - n * math.log(0.5)) for n in range(1, d)
-    )
     checks.append(
-        _check(
+        _worst_error_check(
             "[exact] power norms halve per step: log ||A^n|| = n log(1/2) "
             "for n < d",
+            (abs(structured_log_norm(a, n) - n * math.log(0.5)) for n in range(1, d)),
+            1e-12,
             0.0,
-            worst,
-            worst <= 1e-12,
         )
     )
 
@@ -352,27 +347,12 @@ def _scenario_rescaled_half_shift(params, seed):
     # candidate series has terms 2^{-j} e^{P_j}, which exceed 1 whenever
     # P_j > j log 2; the full necessity argument needs the untruncated
     # left shift and stays documentation
-    ln2 = math.log(2.0)
-    rng = make_rng(seed, stream=1)
-    draws = 1.0 / (1.0 - rng.random((reps, far)))
-    thr = np.maximum(1.0, np.arange(1, far + 1) * ln2)
-    probs = np.minimum(1.0, 1.0 / thr)
-    counts_d = (draws[:, :d] > thr[:d]).sum(axis=1)
-    counts_far = (draws > thr).sum(axis=1)
-    checks.append(
-        _count_check(
-            f"[oracle] exceedance count at depth {d} matches 1 + (H_{d} - 1)/log 2",
-            probs[:d],
-            counts_d,
-        )
-    )
-    checks.append(
-        _count_check(
-            f"[oracle] count grows with depth ({d} -> {far}): harmonic over log 2, "
-            "unbounded in the untruncated limit",
-            probs[d:],
-            counts_far - counts_d,
-        )
+    thr = np.maximum(1.0, np.arange(1, far + 1) * math.log(2.0))
+    checks += _pareto_exceedances(
+        seed, 1, reps, thr, d,
+        f"[oracle] exceedance count at depth {d} matches 1 + (H_{d} - 1)/log 2",
+        f"[oracle] count grows with depth ({d} -> {far}): harmonic over log 2, "
+        "unbounded in the untruncated limit",
     )
     return checks
 
@@ -388,21 +368,15 @@ def _scenario_volterra(params, seed):
     moment_n = int(params["moment_samples"])
 
     a = build_operator(OperatorSpec(kind="volterra", dim=m, params={}))
-    checks = []
-
-    worst = 0.0
-    for n in range(1, 7):
-        rel = abs(structured_norm(a, n) * math.factorial(n) - 1.0)
-        worst = max(worst, rel)
-    checks.append(
-        _check(
+    checks = [
+        _worst_error_check(
             "[oracle] iterated-integration norms track 1/n! within 2% for n <= 6 "
             f"on the {m}-point grid",
+            (abs(structured_norm(a, n) * math.factorial(n) - 1.0) for n in range(1, 7)),
             0.02,
-            worst,
-            worst <= 0.02,
+            0.02,
         )
-    )
+    ]
 
     # convergent noise: magnitudes e^Y with slowly decaying Y-tail; the
     # n-th term exceeds 1 iff Y_n > log n!, and those probabilities are
@@ -441,27 +415,13 @@ def _scenario_volterra(params, seed):
     # sharp side: log-Pareto magnitudes have a finite iterated-log moment
     # but no gamma-inverse moment; exceedance probabilities 1/log n! sum
     # like log log N and never stop growing
-    rng = make_rng(seed, stream=3)
-    draws = 1.0 / (1.0 - rng.random((sharp_reps, sharp_far)))
-    thr_s = gammaln(np.arange(2, sharp_far + 2).astype(float))
-    probs_s = np.minimum(1.0, 1.0 / np.maximum(thr_s, 1.0))
-    counts_near = (draws[:, :sharp_near] > thr_s[:sharp_near]).sum(axis=1)
-    counts_far = (draws > thr_s).sum(axis=1)
-    checks.append(
-        _count_check(
-            "[oracle] noise with log magnitude Pareto(1): exceedance count over "
-            f"{sharp_near} lags matches the divergent-series partial sum",
-            probs_s[:sharp_near],
-            counts_near,
-        )
-    )
-    checks.append(
-        _count_check(
-            f"[oracle] those counts still grow from {sharp_near} to {sharp_far} "
-            "lags (iterated-log growth, non-summable family)",
-            probs_s[sharp_near:],
-            counts_far - counts_near,
-        )
+    thr = np.maximum(1.0, gammaln(np.arange(2, sharp_far + 2).astype(float)))
+    checks += _pareto_exceedances(
+        seed, 3, sharp_reps, thr, sharp_near,
+        "[oracle] noise with log magnitude Pareto(1): exceedance count over "
+        f"{sharp_near} lags matches the divergent-series partial sum",
+        f"[oracle] those counts still grow from {sharp_near} to {sharp_far} "
+        "lags (iterated-log growth, non-summable family)",
     )
 
     model = _identity_model(a, m)
@@ -619,20 +579,15 @@ def _scenario_expanding_shift(params, seed):
     a = build_operator(
         OperatorSpec(kind="scaled_unilateral_shift", dim=d, params={"scale": 2.0})
     )
-    checks = []
-
-    worst = max(
-        abs(structured_log_norm(a, n) - n * math.log(2.0)) for n in range(1, d)
-    )
-    checks.append(
-        _check(
+    checks = [
+        _worst_error_check(
             "[exact] power norms double per step on the truncation: "
             "log ||A^n|| = n log 2 for n < d",
+            (abs(structured_log_norm(a, n) - n * math.log(2.0)) for n in range(1, d)),
+            1e-12,
             0.0,
-            worst,
-            worst <= 1e-12,
         )
-    )
+    ]
 
     # the would-be anticausal solution forces component 0 to equal both
     # Z_t^(0) and -sum_j 2^{-j} Z^(j)_{t+j}; evaluate both members on one

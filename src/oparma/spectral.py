@@ -89,10 +89,11 @@ def riesz_projector(op: Operator):
     Starts at :data:`DEFAULT_N_QUAD` nodes and doubles (reusing
     already-computed nodes: the 2n-grid is the n-grid plus the odd
     nodes) until two successive grids agree to :data:`QUAD_TOL` relative
-    to ``1 + ||P||``.  Raises :class:`QuadratureError` if
-    :data:`MAX_N_QUAD` nodes do not suffice, which happens when an
-    eigenvalue sits close enough to the circle that geometric
-    convergence is too slow.
+    to ``1 + ||P||``.  Raises :class:`QuadratureError`, naming the last
+    difference and its tolerance, if :data:`MAX_N_QUAD` nodes do not
+    suffice: an eigenvalue close to the circle slows the geometric
+    convergence, and large resolvent norms leave rounding above the
+    tolerance even when the spectrum keeps its distance.
 
     Returns ``(P, n_used, last_diff)``.
     """
@@ -108,12 +109,14 @@ def riesz_projector(op: Operator):
         n *= 2
         cur = acc / n
         diff = np.linalg.norm(cur - prev, 2)
-        if diff <= QUAD_TOL * (1.0 + np.linalg.norm(cur, 2)):
+        tol = QUAD_TOL * (1.0 + np.linalg.norm(cur, 2))
+        if diff <= tol:
             return cur, n, float(diff)
         prev = cur
     raise QuadratureError(
-        f"projector quadrature did not stagnate below {QUAD_TOL:.1e} "
-        f"within {MAX_N_QUAD} nodes; spectrum is too close to the circle"
+        f"projector quadrature did not stagnate within {MAX_N_QUAD} nodes: the last "
+        f"two grids differ by {diff:.3e}, above the tolerance {tol:.3e} "
+        f"({QUAD_TOL:.1e} x (1 + ||P||))"
     )
 
 

@@ -578,7 +578,10 @@ class TestSubcommands:
         assert json.loads(out)["max_residual"] <= 1e-12
 
         assert run_cli("verify", "--model", str(model)) == (1, None)
-        assert "8192 nodes" in capsys.readouterr().err
+        # the error names the quadrature's last difference, not the margin of 0.2
+        err = capsys.readouterr().err
+        assert "8192 nodes" in err and "above the tolerance" in err
+        assert "too close to the circle" not in err
 
     def test_verify_unit_root_fails(self, tmp_path):
         path = tmp_path / "unitroot.json"
@@ -627,6 +630,9 @@ class TestUsageErrors:
             ("scenario isometry --set replicates=0", {}),
             ("scenario multiplication_strongly_stable --set replicates=0", {}),
             ("scenario expanding_shift --set replicates=0", {}),
+            ("scenario expanding_shift --set dim=1", {}),
+            ("scenario rescaled_half_shift --set dim=1", {}),
+            ("scenario rescaled_half_shift --set far_dim=4", {}),
         ],
         ids=[
             "split-n-quad-0",
@@ -646,6 +652,9 @@ class TestUsageErrors:
             "isometry-zero-replicates",
             "multiplication-zero-replicates",
             "expanding-shift-zero-replicates",
+            "expanding-shift-empty-norm-sweep",
+            "rescaled-half-shift-empty-norm-sweep",
+            "rescaled-half-shift-far-below-near",
         ],
     )
     def test_bad_sizes_and_inputs_exit_2(self, argv, files, tmp_path):

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oparma.engine.noise import NoisePath, NoiseSpec, sample_path
+from oparma.engine import simulate
+from oparma.engine.noise import NoiseSpec, sample_path
 from oparma.engine.simulate import (
     ProbeResult,
     build_split_kernel,
@@ -106,10 +107,11 @@ class TestPureMovingAverage:
 
 
 class TestTruncationControl:
-    def test_tail_tol_sets_depth_and_residual(self):
+    def test_tail_tol_sets_depth_and_residual(self, monkeypatch):
         model = scalar_model(0.5)
         spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=5)
-        res = simulate_theorem1(model, spec, t_range=(0, 199), tail_tol=1e-18)
+        monkeypatch.setattr(simulate, "DEFAULT_TAIL_TOL", 1e-18)
+        res = simulate_theorem1(model, spec, t_range=(0, 199))
         assert res.truncation_K == 60
         assert res.max_residual <= 1e-12
 
@@ -130,9 +132,8 @@ class TestTruncationControl:
         a = dense_operator(0.5 * np.eye(6) + np.eye(6, k=1))
         model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=6))])
         kernel, _ = build_split_kernel(model)
-        tol = kernel.diagnostics["tail_tol"]
-        assert np.linalg.norm(kernel.psis[0], 2) <= tol
-        assert np.linalg.norm(kernel.psis[-1], 2) <= tol
+        assert np.linalg.norm(kernel.psis[0], 2) <= simulate.DEFAULT_TAIL_TOL
+        assert np.linalg.norm(kernel.psis[-1], 2) <= simulate.DEFAULT_TAIL_TOL
 
     def test_transiently_vanishing_lag_does_not_stop_the_depth(self):
         # Y_t = 0.25 Y_{t-2} + Z_t: every odd lag is exactly 0, so the first
@@ -153,15 +154,14 @@ class TestTruncationControl:
         np.testing.assert_allclose(kernel.psis[0], [[1.0]])
         with pytest.raises(SpecificationError):
             build_split_kernel(model, k_trunc=-1)
-        # a zero tolerance would never be met once the lags go subnormal
-        with pytest.raises(SpecificationError):
-            build_split_kernel(model, tail_tol=0.0)
 
-    def test_deeper_truncation_shrinks_residual(self):
+    def test_deeper_truncation_shrinks_residual(self, monkeypatch):
         model = scalar_model(0.9)
         spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=7)
-        loose = simulate_theorem1(model, spec, t_range=(0, 99), tail_tol=1e-6)
-        tight = simulate_theorem1(model, spec, t_range=(0, 99), tail_tol=1e-14)
+        monkeypatch.setattr(simulate, "DEFAULT_TAIL_TOL", 1e-6)
+        loose = simulate_theorem1(model, spec, t_range=(0, 99))
+        monkeypatch.setattr(simulate, "DEFAULT_TAIL_TOL", 1e-14)
+        tight = simulate_theorem1(model, spec, t_range=(0, 99))
         assert tight.max_residual < loose.max_residual
         assert tight.truncation_K > loose.truncation_K
 
@@ -246,13 +246,9 @@ class TestCrossMethodAgreement:
         q = int(rng.integers(0, 3))
         model = random_hyperbolic_model(rng, dim, q)
         coeffs = laurent_coeffs(model)
-        kernel, _ = build_split_kernel(model)
-        reach = max(-kernel.l_min, abs(coeffs.k_min), abs(coeffs.k_max))
         spec = NoiseSpec(kind="gaussian", dim=dim, params={"sigma": 1.0}, seed=seed)
-        t0, t1 = 0, 50
-        path = sample_path(spec, (t1 + reach) - (t0 - reach) + 1, t_start=t0 - reach)
-        res_split = simulate_theorem1(model, path, t_range=(t0, t1))
-        res_ma = simulate_ma(model, coeffs, path, t_range=(t0, t1))
+        res_split = simulate_theorem1(model, spec, t_range=(0, 50))
+        res_ma = simulate_ma(model, coeffs, spec, t_range=(0, 50))
         gap = np.linalg.norm(res_split.values - res_ma.values, axis=1).max()
         assert gap <= 1e-6
         assert res_split.max_residual <= 1e-8
@@ -265,12 +261,9 @@ class TestCrossMethodAgreement:
         b1 = dense_operator(np.array([[0.4]]))
         model = arma_model([a1, a2], [b0, b1])
         coeffs = laurent_coeffs(model)
-        kernel, _ = build_split_kernel(model)
-        reach = max(-kernel.l_min, abs(coeffs.k_min), abs(coeffs.k_max))
         spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=9)
-        path = sample_path(spec, 60 + 2 * reach, t_start=-reach)
-        res_split = simulate_theorem1(model, path, t_range=(0, 59))
-        res_ma = simulate_ma(model, coeffs, path, t_range=(0, 59))
+        res_split = simulate_theorem1(model, spec, t_range=(0, 59))
+        res_ma = simulate_ma(model, coeffs, spec, t_range=(0, 59))
         gap = np.abs(res_split.values - res_ma.values).max()
         assert gap <= 1e-8
         assert res_split.max_residual <= 1e-9
@@ -295,16 +288,9 @@ class TestDeterminismAndLinearity:
     def test_scaling_noise_scales_path(self):
         model = scalar_model(0.6, bs=(1.0, -0.5))
         spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=13)
-        kernel, _ = build_split_kernel(model)
-        reach = -kernel.l_min
-        path = sample_path(spec, 40 + 2 * reach, t_start=-reach)
         alpha = 2.5
-        scaled = NoisePath(
-            t_start=path.t_start,
-            values=alpha * path.values,
-            log_mags=None,
-        )
-        base = simulate_theorem1(model, path, t_range=(0, 39))
+        scaled = dataclasses.replace(spec, params={"sigma": alpha})
+        base = simulate_theorem1(model, spec, t_range=(0, 39))
         big = simulate_theorem1(model, scaled, t_range=(0, 39))
         scale = 1.0 + np.abs(base.values).max()
         assert np.abs(big.values - alpha * base.values).max() <= 1e-12 * scale
@@ -320,12 +306,12 @@ class TestDeterminismAndLinearity:
 
 
 class TestWindowHandling:
-    def test_insufficient_path_raises(self):
+    def test_presampled_path_rejected(self):
+        # noise is time-addressed, so the spec alone fixes every sample
         model = scalar_model(0.5)
         spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=0)
-        path = sample_path(spec, 10)
-        with pytest.raises(WindowError):
-            simulate_theorem1(model, path, t_range=(0, 5))
+        with pytest.raises(SpecificationError, match="NoiseSpec"):
+            simulate_theorem1(model, sample_path(spec, 200, t_start=-100), t_range=(0, 5))
 
     def test_empty_range_rejected(self):
         model = scalar_model(0.5)
