@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success (and all checks green), 1 when a mathematical
 check fails (circle check negative, scenario or verify checks red,
-non-hyperbolic spectrum), 2 on usage or input errors (bad flags,
-missing or invalid files).  Results go to standard output or ``--out``;
-diagnostics go to standard error.
+non-hyperbolic spectrum, a path that leaves the float range), 2 on
+usage or input errors (bad flags, missing or invalid files).  Results go
+to standard output or ``--out``; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -40,11 +40,13 @@ from .jsonio import (
 #: errors meaning the input was bad (exit 2)
 _USAGE_ERRORS = (SpecificationError, WindowError, UnknownScenarioError)
 
-#: errors meaning the mathematics said no (exit 1)
+#: errors meaning the mathematics said no (exit 1); OverflowError is a
+#: path or partial sum that left the float range
 _CHECK_ERRORS = (
     SingularOperatorError,
     HyperbolicityError,
     QuadratureError,
+    OverflowError,
 )
 
 

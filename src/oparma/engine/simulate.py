@@ -1,19 +1,22 @@
 """Simulation of the strictly stationary ARMA solution.
 
-Two independent routes to the same process:
+Two independent routes to the same process, on the same time-addressed
+innovations Z_t (see :mod:`.noise`):
 
 - the split-series route: spectral splitting of the (lifted) AR
-  operator into a contracting block and an expanding block, then the
-  causal series on the contracting side plus the anticausal series on
-  the expanding side;
+  operator into a contracting block L1 and an expanding block L2, then
+  the causal series u1_t = L1 u1_{t-1} + f1_t run forward and the
+  anticausal series u2_{t-1} = L2^{-1} (u2_t - f2_t) run backward, each
+  as a doubling scan over a window of K + 1 (forward) and K (backward)
+  terms;
 - the MA(infinity) route: direct two-sided convolution with the
   transfer function's Laurent coefficients.
 
-Both reduce to a finite lag kernel applied to the same time-addressed
-innovations Z_t (see :mod:`.noise`), so agreement between them (and a
-small residual in the defining recursion) certifies the solution rather
-than assuming it.  The anticausal index bookkeeping is validated by the
-recursion residual on every simulation, not trusted from the derivation.
+The two routes are different algorithms (recursion against convolution),
+so agreement between them (and a small residual in the defining
+recursion) certifies the solution rather than assuming it.  The
+anticausal index bookkeeping is validated by the recursion residual on
+every simulation, not trusted from the derivation.
 """
 
 from __future__ import annotations
@@ -187,13 +190,59 @@ def laurent_kernel(coeffs: LaurentCoeffs) -> LagKernel:
     )
 
 
-def _materialize_noise(noise, dim, t0, t1, kernel: LagKernel) -> NoisePath:
+def _sample_window(noise, dim, lo, hi) -> NoisePath:
+    """Noise on [lo, hi] from a NoiseSpec of dimension ``dim``."""
     if not isinstance(noise, NoiseSpec):
         raise SpecificationError(f"noise must be a NoiseSpec, got {type(noise).__name__}")
     if noise.dim != dim:
         raise DimensionMismatchError(f"noise dim {noise.dim} does not match model dim {dim}")
-    need_lo = t0 - kernel.l_max
-    return sample_path(noise, t1 - kernel.l_min - need_lo + 1, t_start=need_lo)
+    return sample_path(noise, hi - lo + 1, t_start=lo)
+
+
+def _window_sums(x: np.ndarray, step: np.ndarray, width: int) -> np.ndarray:
+    """Rows y_t = sum_{j < width} step^j x_{t-j} for the last len(x) - width + 1 rows of ``x``.
+
+    A log-depth doubling scan with no loop over t: window sums of s rows
+    double by x_t + step^s x_{t-s}, and the result gathers the windows of
+    the set bits of ``width``, lowest first, by y_t = x_t + step^s y_{t-s}.
+    Every output row goes through the same passes over full windows, so
+    its bits do not depend on where it sits in ``x``.
+    """
+    out = np.zeros((x.shape[0] + 1, x.shape[1]), dtype=complex) if width == 0 else None
+    s, power = 1, step  # x holds s-row window sums (end-aligned), power = step^s
+    while s <= width:
+        if width & s:
+            out = x if out is None else x[x.shape[0] - out.shape[0] + s :] + out[:-s] @ power.T
+        if 2 * s > width:
+            break
+        x = x[s:] + x[:-s] @ power.T
+        power = power @ power
+        s *= 2
+    return out
+
+
+def _split_series(model, split, z, first, n_t, k) -> np.ndarray:
+    """Y on ``n_t`` times by the two-pass recursion in split coordinates.
+
+    ``first`` is the row of ``z`` holding the noise at the first output
+    time; ``z`` must reach k + q rows before it and k rows past the last.
+    With f = sum_k C_k Z_{t-k} (C_k: dual rows of the basis change applied
+    to the embedded B_k), u1_t = sum_{j <= K} L1^j f1_{t-j} and
+    u2_t = sum_{j < K} L2^{-j} h_{t+j} with h_t = -L2^{-1} f2_{t+1};
+    then Y_t is the first block of V1 u1_t + V2 u2_t.
+    """
+    d, r = model.dim, split.rank
+    n2 = np.linalg.inv(split.block_outer)
+    # the lift embeds noise in the first block, so only the first d dual columns act
+    c = [split.combine_inv[:, :d] @ b.matrix for b in model.ma_ops]
+    # f1_t for t = t0 - k .. t1
+    f1 = sum(z[first - k - j : first + n_t - j] @ cj[:r].T for j, cj in enumerate(c))
+    # h_t for t = t0 .. t1 + k - 1, reversed so the backward scan runs forward
+    h = sum(z[first + 1 - j : first + n_t + k - j] @ (-n2 @ cj[r:]).T for j, cj in enumerate(c))
+    u1 = _window_sums(f1, np.ascontiguousarray(split.block_inner), k + 1)
+    u2 = _window_sums(np.ascontiguousarray(h[::-1]), n2, k)[::-1]
+    v1, v2 = (np.ascontiguousarray(v[:d]) for v in (split.basis_inner, split.basis_outer))
+    return u1 @ v1.T + u2 @ v2.T
 
 
 def _convolve(kernel: LagKernel, values: np.ndarray, first: int, n_t: int) -> np.ndarray:
@@ -247,22 +296,34 @@ def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
     return float(num / den)
 
 
-def _simulate(model, kernel, noise, t_range, method, truncation_k):
-    """Apply ``kernel`` to the noise on ``t_range`` and measure the recursion residual."""
+def _window(t_range) -> tuple:
     t0, t1 = int(t_range[0]), int(t_range[1])
     if t1 < t0:
         raise SpecificationError(f"empty time range {t_range}")
-    path = _materialize_noise(noise, model.dim, t0, t1, kernel)
+    return t0, t1
+
+
+def _result(model, t0, values, method, truncation_k, path, diagnostics) -> SimulationResult:
+    """Wrap a simulated window and measure its recursion residual.
+
+    Raises ``OverflowError`` naming the first time whose value is not
+    finite, as heavy-tailed noise through an expanding block can make it.
+    """
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise OverflowError(
+            f"simulated path leaves the float range at t = {t0 + int(bad[0])}"
+        )
     res = SimulationResult(
         t_start=t0,
-        values=_convolve(kernel, path.values, t0 - path.t_start, t1 - t0 + 1),
+        values=values,
         method=method,
         truncation_K=truncation_k,
         max_residual=float("nan"),
         noise=path,
-        diagnostics=dict(kernel.diagnostics),
+        diagnostics=dict(diagnostics),
     )
-    if t1 - t0 < model.p:
+    if len(res) <= model.p:
         return res
     return replace(res, max_residual=recursion_residual(model, res, path))
 
@@ -276,11 +337,20 @@ def simulate_theorem1(
 ) -> SimulationResult:
     """Simulate via the split-series solution.
 
-    ``noise`` is a NoiseSpec; a window of exactly the required reach is
-    sampled from its stream 0.
+    ``noise`` is a NoiseSpec; a window of exactly the required reach,
+    K + q before the range and K after it, is sampled from its stream 0.
+    K is the reach of :func:`build_split_kernel`; the forward scan sums
+    K + 1 terms of f1 and the backward scan K terms of h.  For q = 0 that
+    is the kernel's lag cut; for q >= 1 the scans keep whole terms of f,
+    so a forced small K truncates differently from the kernel.
     """
-    kernel, _ = build_split_kernel(model, split, k_trunc)
-    return _simulate(model, kernel, noise, t_range, "theorem1_split", -kernel.l_min)
+    kernel, split = build_split_kernel(model, split, k_trunc)
+    k = -kernel.l_min
+    t0, t1 = _window(t_range)
+    path = _sample_window(noise, model.dim, t0 - k - model.q, t1 + k)
+    with np.errstate(over="ignore", invalid="ignore"):  # _result names the first bad t
+        values = _split_series(model, split, path.values, k + model.q, t1 - t0 + 1, k)
+    return _result(model, t0, values, "theorem1_split", k, path, kernel.diagnostics)
 
 
 def simulate_ma(
@@ -291,7 +361,7 @@ def simulate_ma(
 ) -> SimulationResult:
     """Simulate via the two-sided MA representation with given coefficients.
 
-    ``noise`` is a NoiseSpec, sampled as in :func:`simulate_theorem1`.
+    ``noise`` is a NoiseSpec, sampled over the coefficients' reach.
     """
     if coeffs.reconstruction_residual > RECONSTRUCTION_MAX:
         raise SpecificationError(
@@ -300,7 +370,11 @@ def simulate_ma(
         )
     reach = max(abs(coeffs.k_min), abs(coeffs.k_max))
     kernel = laurent_kernel(coeffs)
-    return _simulate(model, kernel, noise, t_range, "ma_infinity", reach)
+    t0, t1 = _window(t_range)
+    path = _sample_window(noise, model.dim, t0 - kernel.l_max, t1 - kernel.l_min)
+    with np.errstate(over="ignore", invalid="ignore"):  # _result names the first bad t
+        values = _convolve(kernel, path.values, kernel.l_max, t1 - t0 + 1)
+    return _result(model, t0, values, "ma_infinity", reach, path, kernel.diagnostics)
 
 
 @dataclass(frozen=True)

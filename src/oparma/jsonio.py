@@ -17,9 +17,7 @@ treatment.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 from pathlib import Path
 
@@ -357,33 +355,73 @@ def circle_payload(cc) -> dict:
     }
 
 
+@dataclasses.dataclass(frozen=True)
+class JsonRows:
+    """A matrix already encoded as JSON, one compact row per string.
+
+    :func:`dumps` writes each row on its own line; ``json`` itself
+    rejects the type, so the rows are never encoded twice.
+    """
+
+    rows: list
+
+
+def _reprs(values) -> tuple:
+    """repr of the real and of the imaginary part of each entry, row-major.
+
+    ``repr`` is the text ``json`` writes for a float.  Raises ``ValueError``
+    on a value that is not finite, for which strict JSON has no literal.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("a simulated value is not finite")
+    flat = values.ravel()
+    return list(map(repr, flat.real.tolist())), list(map(repr, flat.imag.tolist()))
+
+
 def simulation_payload(res) -> dict:
+    """Simulated window as JSON; ``values`` as :class:`JsonRows` of canonical elements."""
+    re, im = _reprs(res.values)
+    cells = list(map("[{}, {}]".format, re, im))
+    for i in np.flatnonzero(res.values.imag.ravel() == 0.0).tolist():
+        cells[i] = re[i]
+    d = res.values.shape[1]
+    row = "[" + ", ".join(["{}"] * d) + "]"
     return {
         "t_start": int(res.t_start),
         "t_stop": int(res.t_stop_inclusive),
         "method": res.method,
         "truncation_K": int(res.truncation_K),
         "max_residual": sanitize(res.max_residual),
-        "values": [[encode_complex(z) for z in row] for row in res.values],
+        "values": JsonRows(list(map(row.format, *(cells[j::d] for j in range(d))))),
     }
 
 
 def simulation_csv(res) -> str:
     """Path as CSV: t, component_0_re, component_0_im, ..."""
-    d = res.values.shape[1]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["t"]
-    for i in range(d):
-        header += [f"component_{i}_re", f"component_{i}_im"]
-    writer.writerow(header)
-    for offset, row in enumerate(res.values):
-        out = [res.t_start + offset]
-        for z in row:
-            out += [repr(float(z.real)), repr(float(z.imag))]
-        writer.writerow(out)
-    return buf.getvalue()
+    n, d = res.values.shape
+    re, im = _reprs(res.values)
+    header = ",".join(["t"] + [f"component_{i}_re,component_{i}_im" for i in range(d)])
+    cells = list(map("{},{}".format, re, im))
+    times = range(res.t_start, res.t_start + n)
+    rows = map(("{}" + ",{}" * d).format, times, *(cells[j::d] for j in range(d)))
+    return header + "\n" + "\n".join(rows) + "\n"
+
+
+def _indented(value) -> str:
+    """``value`` as the JSON text of a top-level dict entry."""
+    if isinstance(value, JsonRows):
+        return "[\n    " + ",\n    ".join(value.rows) + "\n  ]"
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Strict JSON with a two-space indent and a final newline.
+
+    A :class:`JsonRows` entry of a top-level dict goes one row per line.
+    That differs from indenting nested lists only in whitespace, and it
+    skips the pure-Python indenting encoder for the bulk of a long path.
+    """
+    if not (isinstance(payload, dict) and any(isinstance(v, JsonRows) for v in payload.values())):
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    items = (f"  {json.dumps(k)}: {_indented(v)}" for k, v in payload.items())
+    return "{\n" + ",\n".join(items) + "\n}\n"

@@ -255,6 +255,9 @@ def _scenario_quasinilpotent(params, seed):
     sharp_far = int(params["sharp_terms_far"])
     reps = int(params["replicates"])
     sharp_reps = int(params["sharp_replicates"])
+    if d < 8:
+        # A^n vanishes for n >= dim, and the power-norm oracles sweep n = 1..7
+        raise SpecificationError(f"quasinilpotent_shift needs dim >= 8, got {d}")
 
     # weights chosen so the leading window product is e^(1 - e^n); the
     # double-exponential collapse underflows doubles past n = 7, which the
@@ -445,6 +448,8 @@ def _scenario_multiplication(params, seed):
     reps = int(params["replicates"])
     steps = int(params["steps"])
     dims_curve = [int(x) for x in params["dims_curve"]]
+    if not all(0 <= c < d for c in comps):
+        raise SpecificationError(f"components {comps} must lie in [0, dim = {d})")
 
     lam = np.array([1.0 - 1.0 / (i + 2.0) for i in range(d)])
     sig = np.array([(i + 1.0) ** -2.0 for i in range(d)])
@@ -518,6 +523,8 @@ def _scenario_isometry(params, seed):
     d = int(params["dim"])
     reps = int(params["replicates"])
     powers = [int(p) for p in params["powers"]]
+    if len(set(powers)) < 2:
+        raise SpecificationError(f"the sqrt(n) slope needs two distinct powers, got {powers}")
     a = build_operator(OperatorSpec(kind="circular_shift", dim=d))
     model = _identity_model(a, d)
     noise = NoiseSpec(kind="gaussian", dim=d, params={"sigma": 1.0}, seed=seed)

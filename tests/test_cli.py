@@ -1,5 +1,7 @@
 """CLI dispatch, JSON codecs, exit codes, and output determinism."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from oparma.cli import parse_and_dispatch
+from oparma.engine.simulate import simulate_theorem1
 from oparma.errors import SpecificationError
 from oparma.jsonio import (
     decode_complex,
@@ -403,6 +406,67 @@ class TestSubcommands:
             paths[t0] = json.loads(out)["values"]
         assert paths[0][3:] == paths[3][:7]
 
+    @pytest.fixture
+    def mixed_path(self, tmp_path):
+        """Model, noise and library result of a path with real and complex columns."""
+        model, noise = tmp_path / "m.json", tmp_path / "n.json"
+        mults = [0.5, 2.0, [0.3, 0.4]]
+        model.write_text(json.dumps({
+            "ar": [{"kind": "multiplication", "dim": 3, "params": {"multipliers": mults}}],
+            "ma": [{"kind": "identity", "dim": 3}, {"kind": "identity", "dim": 3}],
+        }))
+        noise.write_text(json.dumps({"kind": "gaussian", "dim": 3, "params": {"sigma": 1.0}}))
+        res = simulate_theorem1(load_model(model), load_noise(noise), (-3, 40))
+        return str(model), str(noise), res
+
+    def test_simulate_json_rows_one_per_line(self, mixed_path, capsys):
+        model, noise, res = mixed_path
+        code, out = run_cli("simulate", "--model", model, "--noise", noise,
+                            "--t0", "-3", "--t1", "40", capsys=capsys)
+        assert code == 0
+        # the document the nested-list encoder writes, parsed
+        expected = {
+            "t_start": -3, "t_stop": 40, "method": "theorem1_split",
+            "truncation_K": res.truncation_K, "max_residual": res.max_residual,
+            "values": [[encode_complex(z) for z in row] for row in res.values],
+        }
+        doc = json.loads(out)
+        assert doc == json.loads(json.dumps(expected, indent=2))
+        kinds = {type(c) for row in doc["values"] for c in row}
+        assert kinds == {float, list}  # zero imaginary parts are plain numbers
+        lines = out.splitlines()
+        first = lines.index('  "values": [') + 1
+        rows = [json.loads(line.strip().rstrip(",")) for line in lines[first : first + len(res)]]
+        assert rows == doc["values"]
+        assert lines[first + len(res) :] == ["  ]", "}"]
+
+    def test_simulate_csv_bytes_match_csv_writer(self, mixed_path, capsys):
+        model, noise, res = mixed_path
+        code, out = run_cli("simulate", "--model", model, "--noise", noise,
+                            "--t0", "-3", "--t1", "40", "--format", "csv", capsys=capsys)
+        assert code == 0
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["t"] + [f"component_{i}_{p}" for i in range(3) for p in ("re", "im")])
+        for t, row in enumerate(res.values, start=-3):
+            writer.writerow([t] + [repr(float(x)) for z in row for x in (z.real, z.imag)])
+        assert out == buf.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_simulate_non_finite_path_exit_1(self, fmt, tmp_path, capsys):
+        model, noise = tmp_path / "m.json", tmp_path / "n.json"
+        model.write_text(json.dumps({
+            "ar": [{"kind": "multiplication", "dim": 2, "params": {"multipliers": [0.5, 2.0]}}],
+            "ma": [{"kind": "multiplication", "dim": 2, "params": {"multipliers": [1e10, 1e10]}}],
+        }))
+        noise.write_text(json.dumps({"kind": "pareto_exp", "dim": 2, "seed": 1}))
+        code = parse_and_dispatch(["simulate", "--model", str(model), "--noise", str(noise),
+                                   "--t1", "400", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "float range at t = " in captured.err
+
     def test_moments_point_mass(self, tmp_path, capsys):
         path = tmp_path / "n.json"
         path.write_text(
@@ -633,6 +697,9 @@ class TestUsageErrors:
             ("scenario expanding_shift --set dim=1", {}),
             ("scenario rescaled_half_shift --set dim=1", {}),
             ("scenario rescaled_half_shift --set far_dim=4", {}),
+            ("scenario multiplication_strongly_stable --set dim=4", {}),
+            ("scenario quasinilpotent_shift --set dim=4", {}),
+            ("scenario isometry --set powers=[3]", {}),
         ],
         ids=[
             "split-n-quad-0",
@@ -655,6 +722,9 @@ class TestUsageErrors:
             "expanding-shift-empty-norm-sweep",
             "rescaled-half-shift-empty-norm-sweep",
             "rescaled-half-shift-far-below-near",
+            "multiplication-component-beyond-dim",
+            "quasinilpotent-dim-below-8",
+            "isometry-one-power",
         ],
     )
     def test_bad_sizes_and_inputs_exit_2(self, argv, files, tmp_path):

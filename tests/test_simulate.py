@@ -456,3 +456,96 @@ class TestPartialSumQuantiles:
             plim_probe(model, spec, n_grid=(16, 32, 64), replicates=200)
         with pytest.raises(OverflowError, match="S_16"):
             partial_sum_quantiles(model, spec, n_grid=(16, 32, 64), replicates=200)
+
+
+def _scan_models():
+    """Models the two-pass scan is checked on against the kernel convolution."""
+    rng = np.random.default_rng(8)
+    ident = lambda d: build_operator(OperatorSpec(kind="identity", dim=d))  # noqa: E731
+    jordan = dense_operator(0.5 * np.eye(6) + np.eye(6, k=1))
+    block = dense_operator(0.7 * np.eye(8) + 3.0 * np.eye(8, k=1))
+    d = 16
+    a1 = np.diag(rng.choice([0.4, 2.2], size=d)) + rng.normal(size=(d, d)) / (4 * np.sqrt(d))
+    a2 = rng.normal(size=(d, d)) / (8 * np.sqrt(d))
+    ar2 = arma_model(
+        [dense_operator(a1), dense_operator(a2)],
+        [ident(d), dense_operator(rng.normal(size=(d, d)) / np.sqrt(d))],
+    )
+    d = 64
+    moduli = np.concatenate([rng.uniform(0.2, 0.85, d // 2), rng.uniform(1.15, 2.5, d // 2)])
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    a = basis @ np.diag(moduli * np.exp(2j * np.pi * rng.random(d))) @ basis.conj().T
+    ar1 = arma_model(
+        [dense_operator(a)],
+        [ident(d)] + [dense_operator(rng.normal(size=(d, d)) / d) for _ in range(2)],
+    )
+    return {
+        "jordan_d6": arma_model([jordan], [ident(6)]),
+        "block_d8": arma_model([block], [ident(8)]),
+        "ar2_d16": ar2,
+        "ar1_d64": ar1,
+    }
+
+
+class TestTwoPassScan:
+    @pytest.mark.parametrize("name", ["jordan_d6", "block_d8", "ar2_d16", "ar1_d64"])
+    def test_matches_the_kernel_convolution(self, name):
+        model = _scan_models()[name]
+        spec = NoiseSpec(kind="gaussian", dim=model.dim, params={"sigma": 1.0}, seed=3)
+        res = simulate_theorem1(model, spec, t_range=(-50, 149))
+        kernel, _ = build_split_kernel(model)
+        k = res.truncation_K
+        assert -kernel.l_min == k
+        # the noise reaches K + q rows before the window, the kernel only K
+        ref = simulate._convolve(kernel, res.noise.values, k + model.q, len(res))
+        assert np.abs(res.values - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert res.max_residual <= 1e-10
+
+    def test_overlapping_long_windows_agree_bitwise(self):
+        # inner and outer spectrum with q = 1, so both scans carry MA terms;
+        # the offset exceeds the largest scan shift, so the rows sit at
+        # different places in every pass
+        a = dense_operator(np.diag([0.5, 2.0, 0.9, 1.3]) + np.eye(4, k=1))
+        model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=4))] * 2)
+        spec = NoiseSpec(kind="gaussian", dim=4, params={"sigma": 1.0}, seed=5)
+        early = simulate_theorem1(model, spec, t_range=(0, 4999))
+        late = simulate_theorem1(model, spec, t_range=(2500, 7499))
+        assert 2500 > 2 ** int(np.ceil(np.log2(early.truncation_K + 1)))
+        np.testing.assert_array_equal(early.values[2500:], late.values[:2500])
+
+    def test_forced_depth_is_the_kernel_cut_without_ma_terms(self):
+        # for q = 0 the forward scan sums lags 0..K and the backward one
+        # lags -1..-K, exactly the kernel's reach
+        a = dense_operator(np.diag([0.6, 1.0 / 0.6]) + np.eye(2, k=1))
+        model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=2))])
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=5)
+        res = simulate_theorem1(model, spec, t_range=(0, 99), k_trunc=7)
+        kernel, _ = build_split_kernel(model, k_trunc=7)
+        ref = simulate._convolve(kernel, res.noise.values, 7, len(res))
+        assert np.abs(res.values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_forced_depth_sweep_with_ma_terms(self):
+        # with q >= 1 the scans cut whole terms of f, not kernel lags; the
+        # forced depth still converges at the spectral rate
+        a = dense_operator(np.diag([0.6, 1.0 / 0.6]))
+        ma = [build_operator(OperatorSpec(kind="identity", dim=2)), dense_operator(0.5 * np.eye(2))]
+        model = arma_model([a], ma)
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=5)
+        ref = simulate_theorem1(model, spec, t_range=(0, 9), k_trunc=120).values
+        gaps = []
+        for k in (10, 20, 30, 40):
+            res = simulate_theorem1(model, spec, t_range=(0, 9), k_trunc=k)
+            assert res.truncation_K == k
+            gaps.append(np.abs(res.values - ref).max())
+        assert all(g1 <= 0.1 * g0 for g0, g1 in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= 1e-8
+
+    def test_non_finite_path_raises_naming_t(self):
+        ar = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [0.5, 2.0]})
+        big = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [1e10, 1e10]})
+        model = arma_model([build_operator(ar)], [build_operator(big)])
+        spec = NoiseSpec(kind="pareto_exp", dim=2, params={}, seed=1)
+        with pytest.raises(OverflowError, match=r"at t = -?\d+"):
+            simulate_theorem1(model, spec, t_range=(0, 400))
+        with pytest.raises(OverflowError, match=r"at t = -?\d+"):
+            simulate_ma(model, laurent_coeffs(model), spec, t_range=(0, 400))
