@@ -431,7 +431,8 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, n_snap, replicates: i
 
 def _norm_quantile(vectors: np.ndarray, label: str) -> float:
     """PROBE_QUANTILE of the column norms of ``vectors``; raises if one is not finite."""
-    norms = np.linalg.norm(vectors, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=0)
     if not np.isfinite(norms).all():
         raise OverflowError(f"||{label}|| overflows float range")
     return float(np.quantile(norms, PROBE_QUANTILE))

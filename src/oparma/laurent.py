@@ -17,6 +17,13 @@ to k mod n of psi_m, which dies geometrically in n; a grid-doubling
 loop (reusing the even nodes) detects stagnation the same way the
 projector quadrature does.
 
+The range and the stagnation test run on Frobenius norms, which bound
+the spectral norm from above (||psi||_2 <= ||psi||_F <= sqrt(d) ||psi||_2),
+so the searched range can only be wider than needed.  Spectral norms
+(one SVD each) are taken only where a value is reported: the few
+coefficients that can hold the largest one, which sets the floor, and
+the final block, which is then trimmed to the exact 2-norm floor.
+
 On the two-sided representation: nonzero coefficients at negative k are
 exactly the anticausal part of the stationary solution contributed by
 spectrum outside the disc, and they exist as a convergent series only
@@ -174,19 +181,23 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
+def _span(ks: np.ndarray, active: np.ndarray):
+    """Smallest k-range holding 0 and every active k."""
+    act_ks = ks[active]
+    if act_ks.size == 0:
+        return 0, 0
+    return min(int(act_ks.min()), 0), max(int(act_ks.max()), 0)
+
+
 def _active_range(norms_wrapped: np.ndarray, n: int, floor: float):
     """Centered k-range of above-floor coefficients, or None if the range
     still touches the wrap boundary (meaning n is too small)."""
     ks = np.where(np.arange(n) < n // 2, np.arange(n), np.arange(n) - n)
-    active = norms_wrapped > floor
-    if not active.any():
-        return 0, 0
-    act_ks = ks[active]
-    k_min, k_max = int(act_ks.min()), int(act_ks.max())
+    k_min, k_max = _span(ks, norms_wrapped > floor)
     guard = max(2, n // 16)
     if k_max >= n // 2 - guard or k_min <= -n // 2 + guard:
         return None
-    return min(k_min, 0), max(k_max, 0)
+    return k_min, k_max
 
 
 def _extract(psi_wrapped: np.ndarray, n: int, k_min: int, k_max: int) -> np.ndarray:
@@ -202,7 +213,10 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
     count starts at :data:`DEFAULT_N_QUAD` (doubled to at least four
     times the reach of a given ``k_range``) and doubles, up to
     :data:`MAX_N_QUAD`, until two successive grids agree on the
-    extracted block to the same relative floor.  A failed
+    extracted block to the same relative floor.  Range and stagnation
+    are judged by Frobenius norm, and the final block is trimmed to the
+    exact 2-norm floor, so the stored range, ``norms`` and
+    ``diagnostics["max_norm"]`` are those of spectral norms.  A failed
     circle check aborts before any quadrature happens, since the
     expansion does not exist.
     """
@@ -227,11 +241,13 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
     prev_range = None
     while True:
         psi_wrapped = np.fft.fft(hvals, axis=0) / n
-        norms_wrapped = _spectral_norms(psi_wrapped)
-        top = norms_wrapped.max()
+        flat = psi_wrapped.view(float).reshape(n, -1)
+        fro = np.sqrt(np.einsum("ki,ki->k", flat, flat))
+        # ||psi||_2 >= ||psi||_F / sqrt(d): only these can hold the largest 2-norm
+        top = _spectral_norms(psi_wrapped[fro >= fro.max() / np.sqrt(model.dim)]).max()
         floor = REL_FLOOR * max(top, 1e-300)
         if k_range is None:
-            rng = _active_range(norms_wrapped, n, floor)
+            rng = _active_range(fro, n, floor)
         else:
             rng = (k_min, k_max)
         if rng is not None:
@@ -239,7 +255,7 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
             if prev_block is not None and prev_range == rng:
                 diff = np.abs(block - prev_block).max()
                 if diff <= floor:
-                    return _finalize(model, block, rng, n, top, circle)
+                    return _finalize(model, block, rng, n, top, circle, k_range is None)
             prev_block, prev_range = block, rng
         if 2 * n > MAX_N_QUAD:
             raise QuadratureError(
@@ -254,11 +270,17 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
         n *= 2
 
 
-def _finalize(model, block, rng, n, top, circle) -> LaurentCoeffs:
-    k_min, k_max = rng
-    ks = np.arange(k_min, k_max + 1)
+def _finalize(model, block, rng, n, top, circle, trim) -> LaurentCoeffs:
+    floor = REL_FLOOR * max(top, 1e-300)
     norms = _spectral_norms(block)
-    a, b = _fit_decay(ks, norms, REL_FLOOR * max(top, 1e-300))
+    k_min, k_max = rng
+    if trim:
+        # the Frobenius range holds the 2-norm one; cut it back to that
+        k_min, k_max = _span(np.arange(rng[0], rng[1] + 1), norms > floor)
+        keep = slice(k_min - rng[0], k_max - rng[0] + 1)
+        block, norms = block[keep], norms[keep]
+    ks = np.arange(k_min, k_max + 1)
+    a, b = _fit_decay(ks, norms, floor)
     recon = _reconstruction_residual(model, block, ks, n)
     return LaurentCoeffs(
         k_min=k_min,

@@ -12,6 +12,7 @@ from oparma import (
     arma_model,
     dense_operator,
 )
+from oparma import laurent
 from oparma.laurent import (
     evaluate_series,
     laurent_coeffs,
@@ -186,6 +187,47 @@ def test_slow_decay_grows_the_grid():
     assert lc.n_quad >= 2048
     assert lc.k_max >= 850
     assert lc.coefficient(500)[0, 0] == pytest.approx(0.97**500, rel=1e-8)
+
+
+def test_range_is_trimmed_to_the_spectral_norm_floor():
+    # ||psi_k||_F = sqrt(8) ||psi_k||_2 here, so the Frobenius search range
+    # reaches a few lags further than the 2-norm floor on both sides
+    model = arma_model(
+        [dense_operator(np.diag([0.6] * 8 + [2.0] * 8))],
+        [dense_operator(np.eye(16))],
+    )
+    lc = laurent_coeffs(model)
+    assert lc.k_max == max(k for k in range(200) if 0.6**k > 1e-12)
+    assert lc.k_min == -max(k for k in range(200) if 2.0**-k > 1e-12)
+    causal, anticausal = np.diag([1.0] * 8 + [0.0] * 8), np.diag([0.0] * 8 + [1.0] * 8)
+    for k in lc.ks:
+        expect = 0.6**k * causal if k >= 0 else -(2.0**k) * anticausal
+        np.testing.assert_allclose(lc.coefficient(k), expect, rtol=0, atol=1e-12)
+    assert lc.diagnostics["max_norm"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_range_search_takes_fewer_svds_than_nodes(monkeypatch):
+    # the grid doublings size the range by Frobenius norm; singular values
+    # are taken only for the few coefficients that can hold the largest
+    # 2-norm, the stored block and the reconstruction test points
+    rng = np.random.default_rng(3)
+    d = 16
+    moduli = np.concatenate([rng.uniform(0.4, 0.85, d // 2), rng.uniform(1.25, 2.2, d // 2)])
+    basis = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    eigs = moduli * np.exp(2j * np.pi * rng.uniform(size=d))
+    a = basis @ np.diag(eigs) @ np.linalg.inv(basis)
+    model = arma_model([dense_operator(a)], [dense_operator(np.eye(d))])
+    seen = []
+    spectral_norms = laurent._spectral_norms
+
+    def counting(stack):
+        seen.append(stack.shape[0])
+        return spectral_norms(stack)
+
+    monkeypatch.setattr(laurent, "_spectral_norms", counting)
+    lc = laurent_coeffs(model)
+    assert lc.reconstruction_residual <= 1e-6
+    assert sum(seen) < lc.n_quad
 
 
 def test_reconstruction_residual_certifies_expansion():
