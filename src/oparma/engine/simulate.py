@@ -34,7 +34,6 @@ from ..errors import (
 from ..laurent import LaurentCoeffs
 from ..operators import (
     ArmaModel,
-    apply_batch,
     companion_lift,
     ma_moment_operator,
     spectral_radius,
@@ -399,33 +398,53 @@ def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count: int, repli
         )
     chunk = max(1, min(replicates, int(4e6 / max(count * noise_spec.dim, 1))))
     for lo in range(0, replicates, chunk):
-        ids = range(lo, min(lo + chunk, replicates))
-        yield lo, np.stack([sample_path(noise_spec, count, stream=rid).values for rid in ids])
+        block = np.empty((min(chunk, replicates - lo), count, noise_spec.dim), dtype=complex)
+        for i in range(block.shape[0]):
+            block[i] = sample_path(noise_spec, count, stream=lo + i).values
+        yield lo, block
 
 
 def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, n_snap, replicates: int) -> dict:
     """S_n = sum_{j=q}^{n-1} A^{j-q} M Z_j for each n in ``n_snap``, M = sum_k A^{q-k} B_k.
 
     Returns {n: (d, replicates) array}; replicate i reads noise stream i.
+    The state is the (replicates, d) block, never a d x d power chain:
+    with the snapshots sorted, S_{n_k} = S_{n_{k-1}} + A^{n_{k-1}-q} T_k,
+    where the segment sum T_k = sum_{j=n_{k-1}}^{n_k-1} A^{j-n_{k-1}} M Z_j
+    is reduced as aligned pairs x_{2i} + A^{2^l} x_{2i+1} (an odd tail
+    keeps its last row) and A^{n_{k-1}-q} acts by the binary digits of
+    its exponent.  The powers A^{2^l} come from repeated squaring, once
+    per call.  A sum that overflows is left to :func:`_norm_quantile`.
     """
     if model.p != 1:
         raise SpecificationError("expects a first-order model; lift first")
     d, q = model.dim, model.q
     if any(n <= q for n in n_snap):
         raise SpecificationError(f"every n in the grid must exceed q={q}")
-    a_op = model.ar_ops[0]
-    m_op = ma_moment_operator(model)
-    n_max = max(n_snap)
+    bounds = [0] + sorted(n - q for n in n_snap)  # segment k is rows [bounds[k-1], bounds[k])
+    m_t = ma_moment_operator(model).T
     sums = {n: np.empty((d, replicates), dtype=complex) for n in n_snap}
-    for lo, block in _replicate_blocks(model, noise_spec, n_max - q, replicates):
-        c = block.shape[0]
-        s = np.zeros((d, c), dtype=complex)
-        u = m_op.copy()
-        for j in range(q, n_max):
-            s = s + u @ block[:, j - q, :].T
-            if (j + 1) in sums:
-                sums[j + 1][:, lo : lo + c] = s
-            u = apply_batch(a_op, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [model.ar_ops[0].matrix.T]  # powers[l] = (A^(2^l))^T, for rows
+        while len(powers) < (bounds[-1] - 1).bit_length():
+            powers.append(powers[-1] @ powers[-1])
+        am_t = m_t @ powers[0]  # (A M)^T: level 0 pairs M Z_{2i} + A M Z_{2i+1}
+        for lo, block in _replicate_blocks(model, noise_spec, bounds[-1], replicates):
+            s = np.zeros((block.shape[0], d), dtype=complex)
+            for b0, b1 in zip(bounds, bounds[1:]):
+                z = block[:, b0:b1]
+                x = z[:, ::2] @ m_t
+                x[:, : z.shape[1] // 2] += z[:, 1::2] @ am_t
+                level = 1
+                while x.shape[1] > 1:
+                    x[:, : x.shape[1] // 2 * 2 : 2] += x[:, 1::2] @ powers[level]
+                    x, level = x[:, ::2], level + 1
+                t = x[:, 0]
+                for level in range(b0.bit_length()):
+                    if b0 >> level & 1:
+                        t = t @ powers[level]
+                s = s + t
+                sums[b1 + q][:, lo : lo + block.shape[0]] = s.T
     return sums
 
 
@@ -463,9 +482,10 @@ def plim_probe(
         )
     n_grid = tuple(int(n) for n in n_grid)
     sums = _partial_sums(model, noise_spec, set(n_grid) | {2 * n for n in n_grid}, replicates)
-    dispersions = tuple(
-        _norm_quantile(sums[2 * n] - sums[n], f"S_{2 * n} - S_{n}") for n in n_grid
-    )
+    with np.errstate(invalid="ignore"):  # inf - inf: _norm_quantile names the sum
+        dispersions = tuple(
+            _norm_quantile(sums[2 * n] - sums[n], f"S_{2 * n} - S_{n}") for n in n_grid
+        )
     return ProbeResult(
         n_grid=n_grid,
         dispersions=dispersions,

@@ -197,8 +197,7 @@ def apply_batch(op: Operator, block: np.ndarray) -> np.ndarray:
     """Apply ``op`` to a (d, n) block of column vectors.
 
     Structured kinds dispatch to O(d n) paths; everything else falls back
-    to a dense matmul.  This is the inner kernel of the replicated
-    Monte Carlo accumulations.
+    to a dense matmul.
     """
     if block.shape[0] != op.dim:
         raise DimensionMismatchError(

@@ -18,7 +18,13 @@ from oparma.engine.simulate import (
 )
 from oparma.errors import DimensionMismatchError, SpecificationError, WindowError
 from oparma.laurent import laurent_coeffs
-from oparma.operators import OperatorSpec, arma_model, build_operator, dense_operator
+from oparma.operators import (
+    OperatorSpec,
+    arma_model,
+    build_operator,
+    dense_operator,
+    ma_moment_operator,
+)
 from oparma.spectral import hyperbolic_split
 
 
@@ -459,6 +465,82 @@ class TestPartialSumQuantiles:
                 plim_probe(model, spec, n_grid=(16, 32, 64), replicates=200)
             with pytest.raises(OverflowError, match="S_16"):
                 partial_sum_quantiles(model, spec, n_grid=(16, 32, 64), replicates=200)
+
+
+def _probe_models():
+    """(model, snapshots, replicates) the partial-sum scan is checked on."""
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    a *= 0.9 / np.abs(np.linalg.eigvals(a)).max()
+    dense_q2 = arma_model(
+        [dense_operator(a)], [dense_operator(rng.normal(size=(5, 5))) for _ in range(3)]
+    )
+    mult = OperatorSpec(
+        kind="multiplication", dim=8, params={"multipliers": list(np.linspace(0.3, 0.99, 8))}
+    )
+    ident = lambda d: build_operator(OperatorSpec(kind="identity", dim=d))  # noqa: E731
+    shift = build_operator(OperatorSpec(kind="circular_shift", dim=16))
+    volterra = build_operator(OperatorSpec(kind="volterra", dim=12, params={}))
+    return {
+        # q = 2: segments of 1, 2, 7 and 1 rows, carried by A^1, A^3 and A^10
+        "dense_q2": (dense_q2, (3, 5, 12, 13), 40),
+        "multiplication": (arma_model([build_operator(mult)], [ident(8)] * 2), (4, 8, 16, 33), 40),
+        # 8194 steps x 16 dims leave room for 30 streams per chunk
+        "circular_shift_two_chunks": (arma_model([shift], [ident(16)]), (64, 1000, 8194), 32),
+        "volterra": (arma_model([volterra], [ident(12)]), (7, 12, 20, 33), 40),
+    }
+
+
+class TestPartialSumScan:
+    @pytest.mark.parametrize(
+        "name", ["dense_q2", "multiplication", "circular_shift_two_chunks", "volterra"]
+    )
+    def test_matches_the_explicit_power_sum(self, name):
+        model, n_snap, reps = _probe_models()[name]
+        q, n_max = model.q, max(n_snap)
+        spec = NoiseSpec(kind="gaussian", dim=model.dim, params={"sigma": 1.0}, seed=4)
+        if name.endswith("two_chunks"):
+            assert len(list(simulate._replicate_blocks(model, spec, n_max - q, reps))) >= 2
+        got = simulate._partial_sums(model, spec, set(n_snap), reps)
+        # S_n = sum_{j=q}^{n-1} A^{j-q} M Z_j, replicate i on stream i from t = 0
+        z = np.stack([sample_path(spec, n_max - q, stream=i).values for i in range(reps)])
+        a, m = model.ar_ops[0].matrix, ma_moment_operator(model)
+        g = np.stack([np.linalg.matrix_power(a, j) @ m for j in range(n_max - q)])
+        ref = {n: np.tensordot(g[: n - q], z[:, : n - q], axes=([0, 2], [1, 2])) for n in n_snap}
+        scale = max(np.linalg.norm(s, axis=0).max() for s in ref.values())
+        for n in n_snap:
+            assert got[n].shape == (model.dim, reps)
+            assert np.abs(got[n] - ref[n]).max() <= 1e-12 * scale, n
+
+    def test_nilpotent_sums_freeze_exactly_on_an_odd_grid(self):
+        # A^6 = 0 for the 6x6 shift: every sum from S_6 on is the same array,
+        # however the snapshot gaps split into pairs and binary digits
+        shift = OperatorSpec(kind="weighted_shift", dim=6, params={"weights": [1.0] * 5})
+        a = build_operator(shift)
+        model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=6))])
+        spec = NoiseSpec(kind="pareto_exp", dim=6, params={}, seed=0)
+        probe = plim_probe(model, spec, n_grid=(7, 12, 20), replicates=100)
+        assert probe.dispersions == (0.0, 0.0, 0.0)
+        assert probe.converges
+        sums = simulate._partial_sums(model, spec, {7, 12, 14, 20, 24, 40}, 100)
+        for n in (12, 14, 20, 24, 40):
+            np.testing.assert_array_equal(sums[n], sums[7])
+
+    def test_overflow_inside_the_scan_raises_instead_of_warning(self):
+        # A^(2^l) leaves the float range (2^1024 = inf), and so does M Z_j
+        # for an e^700 draw through M = 1e5; the sums then hold inf and nan,
+        # and an increment of two infinite sums is inf - inf
+        ident = build_operator(OperatorSpec(kind="identity", dim=2))
+        doubling = arma_model([dense_operator(2.0 * np.eye(2))], [ident])
+        gauss = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
+        loud = scalar_model(0.5, bs=(1e5,))
+        heavy = NoiseSpec(kind="pareto_exp", dim=1, params={}, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="S_2048"):
+                partial_sum_quantiles(doubling, gauss, n_grid=(8, 2048), replicates=10)
+            with pytest.raises(OverflowError, match="S_16 - S_8"):
+                plim_probe(loud, heavy, n_grid=(8, 16, 32), replicates=400)
 
 
 def _scan_models():
