@@ -40,9 +40,7 @@ from .spectral import SpectralSplit, check_split, hyperbolic_split, riesz_projec
 from .laurent import (
     CircleCheck,
     LaurentCoeffs,
-    evaluate_series,
     laurent_coeffs,
-    transfer_function,
     unit_circle_check,
 )
 from .engine.noise import (
@@ -114,7 +112,6 @@ __all__ = [
     "companion_lift",
     "dense_operator",
     "dump_model",
-    "evaluate_series",
     "gamma_inverse",
     "heavy_direction",
     "hyperbolic_split",
@@ -141,7 +138,6 @@ __all__ = [
     "stationarity_ks",
     "structured_log_norm",
     "structured_norm",
-    "transfer_function",
     "transform_log_norms",
     "unit_circle_check",
     "volterra_matrix",

@@ -107,31 +107,36 @@ def _lag_states(step: np.ndarray, inputs: list):
         yield x
 
 
-def build_split_kernel(
-    model: ArmaModel,
-    split: SpectralSplit | None = None,
-    k_trunc: int | None = None,
-) -> tuple[LagKernel, SpectralSplit]:
-    """Finite lag kernel of the split-series solution.
+def _split_lag_states(model: ArmaModel, split: SpectralSplit):
+    """The split kernel's two mirrored lag recursions, as state generators.
 
-    Two mirrored first-order recursions over the lag m, with the MA
-    operators folded into the state (C1_k, C2_k: dual rows of the basis
-    change applied to the embedded B_k, zero past q):
+    With the MA operators folded into the state (C1_k, C2_k: dual rows of
+    the basis change applied to the embedded B_k, zero past q), the causal
+    side yields phi_m = L1 phi_{m-1} + C1_m for m = 0, 1, ... and the
+    anticausal side a_q = 0, then a_m = L2^{-1} (a_{m+1} + C2_{m+1}) for
+    m = q - 1, q - 2, ...  Each side contracts in its own direction of travel.
+    """
+    r = split.rank
+    n2 = np.linalg.inv(split.block_outer)
+    # the projections are oblique in general, so noise enters through the
+    # dual rows of the basis change (first d columns: the lift's first block)
+    c = [split.combine_inv[:, : model.dim] @ b.matrix for b in model.ma_ops]
+    a_q = np.zeros((split.dim - r, model.dim), dtype=complex)
+    return (
+        _lag_states(split.block_inner, [cj[:r] for cj in c]),
+        _lag_states(n2, [a_q] + [n2 @ cj[r:] for cj in c[::-1]]),
+    )
 
-    - causal side: phi_m = L1 phi_{m-1} + C1_m, and psi_m += V1 phi_m
-      for m >= 0;
-    - anticausal side: a_q = 0, a_m = L2^{-1} (a_{m+1} + C2_{m+1}), and
-      psi_m -= V2 a_m for m <= q - 1.
 
-    Each side contracts in its own direction of travel.  The reach K is
-    the first lag past the MA window (K > q) at which the newest state
-    on both sides, phi_K and a_{-K}, has norm <= :data:`DEFAULT_TAIL_TOL`;
-    measured on the lifted state rather than on its first block, so an
-    order-p model whose kernel lag vanishes only transiently is not cut
-    there.
-    ``k_trunc`` forces K instead.  Order-p models go through the block
-    companion lift; the kernel maps original noise to the original
-    state (first block of the lifted solution).
+def _split_depth(model: ArmaModel, split=None, k_trunc=None) -> tuple[int, SpectralSplit]:
+    """Reach K of the split kernel, and the split of the lifted AR operator.
+
+    Runs :func:`_split_lag_states` keeping only the newest state per side,
+    so memory is O(d^2).  K is the first lag past the MA window (K > q) at
+    which both newest states, phi_K and a_{-K}, have norm <=
+    :data:`DEFAULT_TAIL_TOL`; measured on the lifted state rather than on
+    its first block, so an order-p model whose kernel lag vanishes only
+    transiently is not cut there.  ``k_trunc`` forces K instead.
     """
     if k_trunc is not None and k_trunc < 0:
         raise SpecificationError(f"truncation depth must be >= 0, got {k_trunc}")
@@ -142,42 +147,46 @@ def build_split_kernel(
         raise DimensionMismatchError(
             f"split has dim {split.dim}, lifted operator has {lift.operator.dim}"
         )
-    d, q, r = model.dim, model.q, split.rank
-    noise_ops = [lift.noise_embedding @ b.matrix for b in model.ma_ops]
-    n2 = np.linalg.inv(split.block_outer)
-    # the projections are oblique in general, so noise enters through the
-    # dual rows of the basis change, not through the adjoints of the bases
-    causal = _lag_states(
-        split.block_inner, [split.combine_inv[:r] @ c for c in noise_ops]
-    )
-    # a_{q-1-j} = L2^{-1} a_{q-j} + L2^{-1} C2_{q-j}: the same recursion run backwards
-    anticausal = _lag_states(
-        n2, [n2 @ (split.combine_inv[r:] @ c) for c in noise_ops[::-1]]
-    )
-    phis = [next(causal)]  # phi_0, phi_1, ...
-    alphas = [np.zeros((split.dim - r, d), dtype=complex)]  # a_q = 0, a_{q-1}, ...
-    alphas += [next(anticausal) for _ in range(q)]
-    k = 0
-    while True:
+    causal, anticausal = _split_lag_states(model, split)
+    for _ in range(model.q):
+        next(anticausal)  # a_q .. a_1
+    for k, newest in enumerate(zip(causal, anticausal)):  # (phi_k, a_{-k})
         # Frobenius norms of the newest states; vdot is the cheapest route at small d
-        tail = max(abs(np.vdot(x, x)) for x in (phis[-1], alphas[-1])) ** 0.5
-        if k == k_trunc or (k_trunc is None and k > q and tail <= DEFAULT_TAIL_TOL):
-            break
-        phis.append(next(causal))
-        alphas.append(next(anticausal))
-        k += 1
+        tail = max(abs(np.vdot(x, x)) for x in newest) ** 0.5
+        if k == k_trunc or (k_trunc is None and k > model.q and tail <= DEFAULT_TAIL_TOL):
+            return k, split
+
+
+def _depth_diagnostics(k: int, split: SpectralSplit) -> dict:
+    radii = ("radius_inner", "radius_outer_inv")
+    return {"truncation_K": k, **{key: split.diagnostics[key] for key in radii}}
+
+
+def build_split_kernel(
+    model: ArmaModel,
+    split: SpectralSplit | None = None,
+    k_trunc: int | None = None,
+) -> tuple[LagKernel, SpectralSplit]:
+    """Finite lag kernel of the split-series solution.
+
+    psi_m = V1 phi_m for m >= 0 minus V2 a_m for m <= q - 1 (the states of
+    :func:`_split_lag_states`), over the lags -K .. K with K from
+    :func:`_split_depth`.  Order-p models go through the block companion
+    lift; the kernel maps original noise to the original state (first
+    block of the lifted solution).
+    """
+    k, split = _split_depth(model, split, k_trunc)
+    d = model.dim
+    causal, anticausal = _split_lag_states(model, split)
+    phis = [next(causal) for _ in range(k + 1)]  # phi_0 .. phi_K
+    alphas = [next(anticausal) for _ in range(model.q + k + 1)]  # a_q .. a_{-K}
     psis = np.zeros((2 * k + 1, d, d), dtype=complex)
     # contiguous copies of the bases keep the batched products on BLAS
     v1, v2 = (np.ascontiguousarray(v[:d]) for v in (split.basis_inner, split.basis_outer))
     psis[k:] = v1 @ np.stack(phis)
     anti = (v2 @ np.stack(alphas[::-1]))[: 2 * k + 1]
     psis[: anti.shape[0]] -= anti  # lags -k .. min(q, k)
-    diagnostics = {
-        "truncation_K": k,
-        "radius_inner": split.diagnostics["radius_inner"],
-        "radius_outer_inv": split.diagnostics["radius_outer_inv"],
-    }
-    return LagKernel(l_min=-k, psis=psis, diagnostics=diagnostics), split
+    return LagKernel(l_min=-k, psis=psis, diagnostics=_depth_diagnostics(k, split)), split
 
 
 def laurent_kernel(coeffs: LaurentCoeffs) -> LagKernel:
@@ -199,22 +208,24 @@ def _sample_window(noise, dim, lo, hi) -> NoisePath:
 
 
 def _window_sums(x: np.ndarray, step: np.ndarray, width: int) -> np.ndarray:
-    """Rows y_t = sum_{j < width} step^j x_{t-j} for the last len(x) - width + 1 rows of ``x``.
+    """Rows y_t = sum_{j < width} step^j x_{t-j} for the last n - width + 1 of the n rows.
 
+    ``x`` has shape (..., n, m); leading axes are replicates.
     A log-depth doubling scan with no loop over t: window sums of s rows
     double by x_t + step^s x_{t-s}, and the result gathers the windows of
     the set bits of ``width``, lowest first, by y_t = x_t + step^s y_{t-s}.
     Every output row goes through the same passes over full windows, so
     its bits do not depend on where it sits in ``x``.
     """
-    out = np.zeros((x.shape[0] + 1, x.shape[1]), dtype=complex) if width == 0 else None
+    out = None if width else np.zeros((*x.shape[:-2], x.shape[-2] + 1, x.shape[-1]), dtype=complex)
     s, power = 1, step  # x holds s-row window sums (end-aligned), power = step^s
     while s <= width:
         if width & s:
-            out = x if out is None else x[x.shape[0] - out.shape[0] + s :] + out[:-s] @ power.T
+            # the last len(out) - s rows of x line up with out shifted by s
+            out = x if out is None else x[..., s - out.shape[-2] :, :] + out[..., :-s, :] @ power.T
         if 2 * s > width:
             break
-        x = x[s:] + x[:-s] @ power.T
+        x = x[..., s:, :] + x[..., :-s, :] @ power.T
         power = power @ power
         s *= 2
     return out
@@ -223,8 +234,9 @@ def _window_sums(x: np.ndarray, step: np.ndarray, width: int) -> np.ndarray:
 def _split_series(model, split, z, first, n_t, k) -> np.ndarray:
     """Y on ``n_t`` times by the two-pass recursion in split coordinates.
 
-    ``first`` is the row of ``z`` holding the noise at the first output
-    time; ``z`` must reach k + q rows before it and k rows past the last.
+    ``z`` has shape (..., n, d); leading axes are replicates.  ``first`` is
+    the row holding the noise at the first output time; ``z`` must reach
+    k + q rows before it and k rows past the last.
     With f = sum_k C_k Z_{t-k} (C_k: dual rows of the basis change applied
     to the embedded B_k), u1_t = sum_{j <= K} L1^j f1_{t-j} and
     u2_t = sum_{j < K} L2^{-j} h_{t+j} with h_t = -L2^{-1} f2_{t+1};
@@ -235,26 +247,24 @@ def _split_series(model, split, z, first, n_t, k) -> np.ndarray:
     # the lift embeds noise in the first block, so only the first d dual columns act
     c = [split.combine_inv[:, :d] @ b.matrix for b in model.ma_ops]
     # f1_t for t = t0 - k .. t1
-    f1 = sum(z[first - k - j : first + n_t - j] @ cj[:r].T for j, cj in enumerate(c))
+    f1 = sum(z[..., first - k - j : first + n_t - j, :] @ cj[:r].T for j, cj in enumerate(c))
     # h_t for t = t0 .. t1 + k - 1, reversed so the backward scan runs forward
-    h = sum(z[first + 1 - j : first + n_t + k - j] @ (-n2 @ cj[r:]).T for j, cj in enumerate(c))
+    h = sum(
+        z[..., first + 1 - j : first + n_t + k - j, :] @ (-n2 @ cj[r:]).T
+        for j, cj in enumerate(c)
+    )
     u1 = _window_sums(f1, np.ascontiguousarray(split.block_inner), k + 1)
-    u2 = _window_sums(np.ascontiguousarray(h[::-1]), n2, k)[::-1]
+    u2 = _window_sums(np.ascontiguousarray(h[..., ::-1, :]), n2, k)[..., ::-1, :]
     v1, v2 = (np.ascontiguousarray(v[:d]) for v in (split.basis_inner, split.basis_outer))
     return u1 @ v1.T + u2 @ v2.T
 
 
 def _convolve(kernel: LagKernel, values: np.ndarray, first: int, n_t: int) -> np.ndarray:
-    """Apply ``kernel`` to noise ``values`` of shape (..., n, d) for n_t times.
-
-    ``first`` is the row of ``values`` holding the noise at the first
-    output time; the leading axes are replicates.
-    """
-    d_out = kernel.psis.shape[1]
-    out = np.zeros(values.shape[:-2] + (n_t, d_out), dtype=complex)
+    """Apply ``kernel`` to noise ``values`` (n, d) for n_t times, the first at row ``first``."""
+    out = np.zeros((n_t, kernel.psis.shape[1]), dtype=complex)
     for i in range(kernel.psis.shape[0]):
         a = first - kernel.l_min - i
-        out += values[..., a : a + n_t, :] @ kernel.psis[i].T
+        out += values[a : a + n_t] @ kernel.psis[i].T
     return out
 
 
@@ -338,18 +348,17 @@ def simulate_theorem1(
 
     ``noise`` is a NoiseSpec; a window of exactly the required reach,
     K + q before the range and K after it, is sampled from its stream 0.
-    K is the reach of :func:`build_split_kernel`; the forward scan sums
+    K is the kernel's reach from :func:`_split_depth`; the forward scan sums
     K + 1 terms of f1 and the backward scan K terms of h.  For q = 0 that
     is the kernel's lag cut; for q >= 1 the scans keep whole terms of f,
     so a forced small K truncates differently from the kernel.
     """
-    kernel, split = build_split_kernel(model, split, k_trunc)
-    k = -kernel.l_min
+    k, split = _split_depth(model, split, k_trunc)
     t0, t1 = _window(t_range)
     path = _sample_window(noise, model.dim, t0 - k - model.q, t1 + k)
     with np.errstate(over="ignore", invalid="ignore"):  # _result names the first bad t
         values = _split_series(model, split, path.values, k + model.q, t1 - t0 + 1, k)
-    return _result(model, t0, values, "theorem1_split", k, path, kernel.diagnostics)
+    return _result(model, t0, values, "theorem1_split", k, path, _depth_diagnostics(k, split))
 
 
 def simulate_ma(
@@ -386,8 +395,8 @@ class ProbeResult:
     replicates: int
 
 
-def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count: int, replicates: int):
-    """Noise windows [0, count) of streams 0 .. replicates - 1, stacked in chunks.
+def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count, replicates, t_start=0):
+    """Noise windows [t_start, t_start + count) of streams 0 .. replicates - 1, in chunks.
 
     Yields ``(lo, block)`` with ``block`` of shape (c, count, d) holding
     streams lo .. lo + c - 1; chunks hold about 4e6 values.
@@ -400,7 +409,7 @@ def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count: int, repli
     for lo in range(0, replicates, chunk):
         block = np.empty((min(chunk, replicates - lo), count, noise_spec.dim), dtype=complex)
         for i in range(block.shape[0]):
-            block[i] = sample_path(noise_spec, count, stream=lo + i).values
+            block[i] = sample_path(noise_spec, count, t_start, stream=lo + i).values
         yield lo, block
 
 
@@ -519,20 +528,20 @@ def stationarity_ks(
     """Two-sample KS check of distributional shift invariance.
 
     Compares the empirical laws of (||Y_t||, ||Y_{t+1}||) at t = t_a and
-    t = t_a + :data:`KS_SHIFT` across independent replicates.  Returns the
-    two marginal KS statistics and the 1% critical value
-    1.628 * sqrt(2/replicates).
+    t = t_a + :data:`KS_SHIFT` across independent replicates, each run by
+    the two-pass scan of :func:`simulate_theorem1`.  Returns the two
+    marginal KS statistics and the 1% critical value 1.628 * sqrt(2/replicates).
     """
     from scipy.stats import ks_2samp
 
-    kernel, _ = build_split_kernel(model)
-    # each replicate's noise window starts at t = 0, so t_a = l_max; the law
+    k, split = _split_depth(model)
+    q = model.q
+    # each replicate's noise window starts at t = -q, so t_a = K; the law
     # is shift invariant, so any t_a would do
     n_t = KS_SHIFT + 2
-    need = n_t + kernel.l_max - kernel.l_min
     norms = np.empty((replicates, n_t))
-    for lo, block in _replicate_blocks(model, noise_spec, need, replicates):
-        y = _convolve(kernel, block, kernel.l_max, n_t)
+    for lo, block in _replicate_blocks(model, noise_spec, n_t + 2 * k + q, replicates, -q):
+        y = _split_series(model, split, block, k + q, n_t, k)
         norms[lo : lo + block.shape[0]] = np.linalg.norm(y, axis=2)
     crit = 1.628 * math.sqrt(2.0 / replicates)
     stat0 = float(ks_2samp(norms[:, 0], norms[:, KS_SHIFT]).statistic)

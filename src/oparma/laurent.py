@@ -70,18 +70,6 @@ def _batched_transfer(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
     return np.linalg.solve(_denominators(model, nodes), num)
 
 
-def transfer_function(model: ArmaModel, z: complex) -> np.ndarray:
-    """H(z) at a single point; raises if the denominator is singular there."""
-    node = np.array([z], dtype=complex)
-    sv = np.linalg.svd(_denominators(model, node)[0], compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT:
-        cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-        raise SingularOperatorError(
-            f"transfer function denominator singular at z={z}", condition=cond
-        )
-    return _batched_transfer(model, node)[0]
-
-
 @dataclass(frozen=True)
 class CircleCheck:
     """Invertibility diagnostics of the denominator on the unit circle."""
@@ -167,12 +155,6 @@ class LaurentCoeffs:
         if not self.k_min <= k <= self.k_max:
             raise SpecificationError(f"k={k} outside stored range [{self.k_min}, {self.k_max}]")
         return self.coeffs[k - self.k_min]
-
-
-def evaluate_series(lc: LaurentCoeffs, z: complex) -> np.ndarray:
-    """sum_k psi_k z^k over the stored range."""
-    powers = z ** lc.ks.astype(float)
-    return np.tensordot(powers, lc.coeffs, axes=(0, 0))
 
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:

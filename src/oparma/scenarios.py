@@ -459,10 +459,14 @@ def _scenario_multiplication(params, seed):
     sig_c = sig[comps]
     rng = make_rng(seed, stream=1)
     y = np.zeros((reps, len(comps)))
+    buf = np.empty_like(y)
     # stop once the slowest component has forgotten its zero start to 1e-12
     # (the variance bias is then below 1e-24); ``steps`` caps the loop
     for _ in range(min(steps, math.ceil(math.log(1e-12) / math.log(lam_c.max())))):
-        y = y * lam_c + sig_c * rng.standard_normal((reps, len(comps)))
+        rng.standard_normal(out=buf)
+        buf *= sig_c
+        y *= lam_c
+        y += buf
     target = sig_c**2 / (1.0 - lam_c**2)
     observed = np.var(y, axis=0)
     rel = np.abs(observed / target - 1.0)

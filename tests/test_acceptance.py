@@ -281,10 +281,14 @@ def test_criterion_06_multiplication_variance():
     reps = 100_000
     rng = make_rng(606, stream=0)
     y = np.zeros((reps, len(comps)))
+    buf = np.empty_like(y)
     # stop once the slowest component has forgotten its zero start to 1e-12,
     # as the multiplication scenario does: 926 of the 2048 steps at lambda = 33/34
     for _ in range(min(2048, math.ceil(math.log(1e-12) / math.log(lam.max())))):
-        y = y * lam + sig * rng.standard_normal((reps, len(comps)))
+        rng.standard_normal(out=buf)
+        buf *= sig
+        y *= lam
+        y += buf
     target = sig**2 / (1.0 - lam**2)
     rel = np.abs(np.var(y, axis=0) / target - 1.0)
     elapsed = time.monotonic() - t0

@@ -14,9 +14,7 @@ from oparma import (
 )
 from oparma import laurent
 from oparma.laurent import (
-    evaluate_series,
     laurent_coeffs,
-    transfer_function,
     unit_circle_check,
 )
 
@@ -93,13 +91,6 @@ def test_matrix_causal_convolution_oracle():
         np.testing.assert_allclose(lc.coefficient(k), expect, atol=1e-9)
 
 
-def test_transfer_function_point_values():
-    model = scalar_model([0.5], [1.0])
-    assert transfer_function(model, 0.5)[0, 0] == pytest.approx(1 / 0.75)
-    with pytest.raises(SingularOperatorError):
-        transfer_function(model, 2.0)
-
-
 def test_circle_check_pass_and_fail():
     good = unit_circle_check(scalar_model([0.5], [1.0]))
     assert good.passed
@@ -172,10 +163,8 @@ def test_explicit_range_and_evaluate():
     assert (lc.k_min, lc.k_max) == (-5, 12)
     for k in range(-5, 0):
         assert abs(lc.coefficient(k)[0, 0]) < 1e-12
-    z = 0.9 * np.exp(0.7j)
-    np.testing.assert_allclose(
-        evaluate_series(lc, z), transfer_function(model, z), atol=1e-3
-    )
+    for k in range(13):
+        assert abs(lc.coefficient(k)[0, 0] - 0.5**k) <= 1e-12
     with pytest.raises(SpecificationError):
         lc.coefficient(13)
     with pytest.raises(SpecificationError):

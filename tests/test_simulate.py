@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -634,3 +635,55 @@ class TestTwoPassScan:
             simulate_theorem1(model, spec, t_range=(0, 400))
         with pytest.raises(OverflowError, match=r"at t = -?\d+"):
             simulate_ma(model, laurent_coeffs(model), spec, t_range=(0, 400))
+
+
+class TestSplitDepth:
+    def test_library_path_builds_no_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the split route must not assemble a lag kernel")
+
+        monkeypatch.setattr(simulate, "build_split_kernel", refuse)
+        monkeypatch.setattr(simulate, "_convolve", refuse)
+        a = dense_operator(np.diag([0.5, 1.8]))
+        model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=2))] * 2)
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=30)
+        assert simulate_theorem1(model, spec, t_range=(0, 49)).max_residual <= 1e-12
+        report = stationarity_ks(model, spec, replicates=200)
+        assert 0.0 < report["ks_statistic_t"] < 1.0
+
+    @pytest.mark.parametrize("name", ["ar1_q2", "ar2_q1"])
+    def test_replicate_block_matches_single_paths_bitwise(self, name):
+        ident = build_operator(OperatorSpec(kind="identity", dim=4))
+        a = dense_operator(np.diag([0.5, 2.0, 0.9, 1.3]) + np.eye(4, k=1))
+        model = {
+            "ar1_q2": arma_model([a], [ident, dense_operator(0.5 * np.eye(4)), ident]),
+            "ar2_q1": _scan_models()["ar2_d16"],
+        }[name]
+        assert (model.p, model.q) == {"ar1_q2": (1, 2), "ar2_q1": (2, 1)}[name]
+        spec = NoiseSpec(kind="gaussian", dim=model.dim, params={"sigma": 1.0}, seed=9)
+        k, split = simulate._split_depth(model)
+        q, n_t = model.q, simulate.KS_SHIFT + 2
+        # the KS check's read: windows from t = -q, so row k + q holds t = K
+        ((lo, block),) = simulate._replicate_blocks(model, spec, n_t + 2 * k + q, 5, t_start=-q)
+        stacked = simulate._split_series(model, split, block, k + q, n_t, k)
+        assert stacked.shape == (5, n_t, model.dim)
+        for i in range(5):
+            single = simulate._split_series(model, split, block[i], k + q, n_t, k)
+            np.testing.assert_array_equal(stacked[i], single)
+        res = simulate_theorem1(model, spec, t_range=(k, k + simulate.KS_SHIFT + 1))
+        assert res.truncation_K == k
+        np.testing.assert_array_equal(stacked[0], res.values)
+
+    def test_depth_search_keeps_memory_flat(self):
+        # d = 64, K = 155: the (2K+1) x d x d kernel alone would hold 20 MB
+        model = _scan_models()["ar1_d64"]
+        spec = NoiseSpec(kind="gaussian", dim=64, params={"sigma": 1.0}, seed=3)
+        split = hyperbolic_split(model.ar_ops[0])
+        tracemalloc.start()
+        try:
+            res = simulate_theorem1(model, spec, t_range=(0, 199), split=split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.truncation_K > 150
+        assert peak < 16e6, peak
