@@ -87,20 +87,28 @@ class NoiseSpec:
         _validate_params(self.kind, self.dim, self.params)
 
 
-def _unit_direction(params, d, key="direction"):
-    if key in params:
-        x = np.asarray(params[key], dtype=complex)
-        if x.shape != (d,):
-            raise SpecificationError(f"direction must have length {d}, got {x.shape}")
-        nrm = np.linalg.norm(x)
-        if abs(nrm - 1.0) > UNIT_TOL:
-            raise SpecificationError(
-                f"direction must be unit norm (got ||x|| = {nrm!r}); normalize it first"
-            )
+def real_if_exact(x: np.ndarray) -> np.ndarray:
+    """``x`` as a contiguous real array when no entry has an imaginary part."""
+    if np.iscomplexobj(x) and x.imag.any():
         return x
-    x = np.zeros(d, dtype=complex)
-    x[0] = 1.0
-    return x
+    return np.ascontiguousarray(x.real)
+
+
+def _unit_direction(params, d, key="direction"):
+    """The unit direction vector: real unless some entry is truly complex."""
+    if key not in params:
+        x = np.zeros(d)
+        x[0] = 1.0
+        return x
+    x = np.asarray(params[key], dtype=complex)
+    if x.shape != (d,):
+        raise SpecificationError(f"direction must have length {d}, got {x.shape}")
+    nrm = np.linalg.norm(x)
+    if abs(nrm - 1.0) > UNIT_TOL:
+        raise SpecificationError(
+            f"direction must be unit norm (got ||x|| = {nrm!r}); normalize it first"
+        )
+    return real_if_exact(x)
 
 
 def _sigma_vector(params, d, key, allow_scalar):
@@ -149,6 +157,9 @@ class NoisePath:
     ``values[i]`` is Z_{t_start + i} with magnitudes clamped at e^700;
     ``log_mags[i]`` is the exact log ||Z_t|| for the scalar-amplitude
     kinds (None for Gaussian kinds, where linear norms are safe).
+    ``values`` is float64 when the law is real (the Gaussian kinds always,
+    the heavy kinds and ``point_mass`` when their direction or value has
+    no imaginary part) and complex128 otherwise.
     ``n_clamped`` counts draws whose linear representation saturated.
     """
 
@@ -198,8 +209,12 @@ def _gamma_tail_grid(x1: float):
     return t_grid, neg_log_tail
 
 
-def _gamma_inv_tail_logmag(uniforms, x1):
-    t_grid, neg_log_tail = _gamma_tail_grid(x1)
+def _log_magnitudes(spec: NoiseSpec, uniforms: np.ndarray) -> np.ndarray:
+    """Exact log ||Z|| of a heavy kind from its raw uniforms (unit direction)."""
+    if spec.kind == "pareto_exp":
+        # inverse CDF of index-1 Pareto: log ||Z|| = P
+        return 1.0 / (1.0 - uniforms)
+    t_grid, neg_log_tail = _gamma_tail_grid(float(spec.params.get("x1", _E_TO_E)))
     target = -np.log(1.0 - uniforms)  # 1 - U in (0, 1], avoids -log(0)
     t = np.interp(target, neg_log_tail, t_grid)
     return np.exp(t)  # Y = log X = e^t
@@ -239,7 +254,7 @@ def sample_path(
     d = spec.dim
     p = spec.params
     if spec.kind == "point_mass":
-        v = np.asarray(p["value"], dtype=complex)
+        v = real_if_exact(np.asarray(p["value"], dtype=complex))
         vals = np.tile(v, (count, 1))
         logm = np.full(count, _safe_log(np.linalg.norm(v)))
         return NoisePath(t_start=t_start, values=vals, log_mags=logm)
@@ -255,13 +270,9 @@ def sample_path(
     if spec.kind in ("gaussian", "componentwise_gaussian"):
         key = "sigma" if spec.kind == "gaussian" else "sigmas"
         sig = _sigma_vector(p, d, key, allow_scalar=spec.kind == "gaussian")
-        return NoisePath(t_start=t_start, values=(raw * sig).astype(complex))
+        return NoisePath(t_start=t_start, values=raw * sig)
     x = _unit_direction(p, d)
-    if spec.kind == "pareto_exp":
-        # inverse CDF of index-1 Pareto; log ||Z|| = P exactly (unit direction)
-        logm = 1.0 / (1.0 - raw)
-    else:
-        logm = _gamma_inv_tail_logmag(raw, float(p.get("x1", _E_TO_E)))
+    logm = _log_magnitudes(spec, raw)
     clamped = int((logm > CLAMP_LOG).sum())
     vals = np.exp(np.minimum(logm, CLAMP_LOG))[:, None] * x[None, :]
     return NoisePath(t_start=t_start, values=vals, log_mags=logm, n_clamped=clamped)
@@ -281,5 +292,12 @@ def heavy_direction(spec: NoiseSpec) -> np.ndarray:
 
 
 def log_magnitude_samples(spec: NoiseSpec, count: int, stream: int = 0) -> np.ndarray:
-    """Exact log ||Z|| draws, free of linear-scale overflow."""
-    return sample_path(spec, count, stream=stream).lognorms()
+    """Exact log ||Z_t|| for 0 <= t < count, free of linear-scale overflow.
+
+    The heavy kinds read them off the raw uniforms without forming Z_t.
+    """
+    if spec.kind not in HEAVY_KINDS:
+        return sample_path(spec, count, stream=stream).lognorms()
+    if count < 1:
+        raise SpecificationError("count must be >= 1")
+    return _log_magnitudes(spec, _rows(spec, (int(stream),), 0, count))

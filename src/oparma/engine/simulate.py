@@ -39,7 +39,7 @@ from ..operators import (
     spectral_radius,
 )
 from ..spectral import SpectralSplit, hyperbolic_split
-from .noise import NoisePath, NoiseSpec, sample_path
+from .noise import NoisePath, NoiseSpec, real_if_exact, sample_path
 
 #: dropped-tail bound for the automatic truncation choice; tightened an
 #: extra two decades below the 1e-10 residual target so that the few
@@ -217,17 +217,34 @@ def _window_sums(x: np.ndarray, step: np.ndarray, width: int) -> np.ndarray:
     Every output row goes through the same passes over full windows, so
     its bits do not depend on where it sits in ``x``.
     """
-    out = None if width else np.zeros((*x.shape[:-2], x.shape[-2] + 1, x.shape[-1]), dtype=complex)
+    out = None if width else np.zeros((*x.shape[:-2], x.shape[-2] + 1, x.shape[-1]), x.dtype)
     s, power = 1, step  # x holds s-row window sums (end-aligned), power = step^s
     while s <= width:
+        # each sum is formed in its product's buffer, so a pass holds two
+        # arrays of the size of x, not three
         if width & s:
-            # the last len(out) - s rows of x line up with out shifted by s
-            out = x if out is None else x[..., s - out.shape[-2] :, :] + out[..., :-s, :] @ power.T
+            if out is None:
+                out = x
+            else:
+                # the last len(out) - s rows of x line up with out shifted by s
+                shifted = out[..., :-s, :] @ power.T
+                shifted += x[..., s - out.shape[-2] :, :]
+                out = shifted
         if 2 * s > width:
             break
-        x = x[..., s:, :] + x[..., :-s, :] @ power.T
+        shifted = x[..., :-s, :] @ power.T
+        shifted += x[..., s:, :]
+        x = shifted
         power = power @ power
         s *= 2
+    return out
+
+
+def _lag_sum(z: np.ndarray, ops, lo: int, hi: int) -> np.ndarray:
+    """Rows sum_j ops[j] z_{i-j} for rows i = lo .. hi - 1 of ``z`` (..., n, d)."""
+    out = np.zeros((*z.shape[:-2], hi - lo, ops[0].shape[0]), z.dtype)
+    for j, op in enumerate(ops):
+        out += z[..., lo - j : hi - j, :] @ op.T
     return out
 
 
@@ -236,36 +253,44 @@ def _split_series(model, split, z, first, n_t, k) -> np.ndarray:
 
     ``z`` has shape (..., n, d); leading axes are replicates.  ``first`` is
     the row holding the noise at the first output time; ``z`` must reach
-    k + q rows before it and k rows past the last.
+    k + q rows before it and k rows past the last.  Real noise is cast to
+    the split's complex type once, not in every product.
     With f = sum_k C_k Z_{t-k} (C_k: dual rows of the basis change applied
     to the embedded B_k), u1_t = sum_{j <= K} L1^j f1_{t-j} and
     u2_t = sum_{j < K} L2^{-j} h_{t+j} with h_t = -L2^{-1} f2_{t+1};
     then Y_t is the first block of V1 u1_t + V2 u2_t.
     """
     d, r = model.dim, split.rank
+    z = z.astype(np.result_type(z, split.combine_inv), copy=False)
     n2 = np.linalg.inv(split.block_outer)
     # the lift embeds noise in the first block, so only the first d dual columns act
     c = [split.combine_inv[:, :d] @ b.matrix for b in model.ma_ops]
-    # f1_t for t = t0 - k .. t1
-    f1 = sum(z[..., first - k - j : first + n_t - j, :] @ cj[:r].T for j, cj in enumerate(c))
     # h_t for t = t0 .. t1 + k - 1, reversed so the backward scan runs forward
-    h = sum(
-        z[..., first + 1 - j : first + n_t + k - j, :] @ (-n2 @ cj[r:]).T
-        for j, cj in enumerate(c)
-    )
-    u1 = _window_sums(f1, np.ascontiguousarray(split.block_inner), k + 1)
-    u2 = _window_sums(np.ascontiguousarray(h[..., ::-1, :]), n2, k)[..., ::-1, :]
+    h = _lag_sum(z, [-n2 @ cj[r:] for cj in c], first + 1, first + n_t + k)
+    h = np.ascontiguousarray(h[..., ::-1, :])
+    f1 = _lag_sum(z, [cj[:r] for cj in c], first - k, first + n_t)  # t = t0 - k .. t1
+    del z
     v1, v2 = (np.ascontiguousarray(v[:d]) for v in (split.basis_inner, split.basis_outer))
-    return u1 @ v1.T + u2 @ v2.T
+    # drop each block once read, and form Y only after both scans, so that
+    # no scan runs beside the output
+    u1 = _window_sums(f1, np.ascontiguousarray(split.block_inner), k + 1)
+    del f1
+    u2 = _window_sums(h, n2, k)[..., ::-1, :]
+    del h
+    y = u1 @ v1.T
+    del u1
+    y += u2 @ v2.T
+    return y
 
 
 def _convolve(kernel: LagKernel, values: np.ndarray, first: int, n_t: int) -> np.ndarray:
-    """Apply ``kernel`` to noise ``values`` (n, d) for n_t times, the first at row ``first``."""
-    out = np.zeros((n_t, kernel.psis.shape[1]), dtype=complex)
-    for i in range(kernel.psis.shape[0]):
-        a = first - kernel.l_min - i
-        out += values[a : a + n_t] @ kernel.psis[i].T
-    return out
+    """Apply ``kernel`` to noise ``values`` (n, d) for n_t times, the first at row ``first``.
+
+    Real noise is cast to the kernel's type once, not at every lag.
+    """
+    values = values.astype(np.result_type(values, kernel.psis), copy=False)
+    lo = first - kernel.l_min
+    return _lag_sum(values, kernel.psis, lo, lo + n_t)
 
 
 def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
@@ -399,7 +424,8 @@ def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count, replicates
     """Noise windows [t_start, t_start + count) of streams 0 .. replicates - 1, in chunks.
 
     Yields ``(lo, block)`` with ``block`` of shape (c, count, d) holding
-    streams lo .. lo + c - 1; chunks hold about 4e6 values.
+    streams lo .. lo + c - 1, of the paths' own dtype; chunks hold about
+    4e6 values.
     """
     if noise_spec.dim != model.dim:
         raise DimensionMismatchError(
@@ -407,41 +433,49 @@ def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count, replicates
         )
     chunk = max(1, min(replicates, int(4e6 / max(count * noise_spec.dim, 1))))
     for lo in range(0, replicates, chunk):
-        block = np.empty((min(chunk, replicates - lo), count, noise_spec.dim), dtype=complex)
-        for i in range(block.shape[0]):
+        first = sample_path(noise_spec, count, t_start, stream=lo).values
+        block = np.empty((min(chunk, replicates - lo), *first.shape), first.dtype)
+        block[0] = first
+        for i in range(1, block.shape[0]):
             block[i] = sample_path(noise_spec, count, t_start, stream=lo + i).values
         yield lo, block
 
 
-def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, n_snap, replicates: int) -> dict:
-    """S_n = sum_{j=q}^{n-1} A^{j-q} M Z_j for each n in ``n_snap``, M = sum_k A^{q-k} B_k.
+def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: int) -> dict:
+    """S_{a,b} = sum_{j=a}^{b-1} A^{j-q} M Z_j for each (a, b) in ``spans``, q <= a < b.
 
-    Returns {n: (d, replicates) array}; replicate i reads noise stream i.
+    M = sum_k A^{q-k} B_k.  The partial sum S_n is the span (q, n), and the
+    increment S_{2n} - S_n the span (n, 2n), summed from its own terms
+    rather than as the difference of two larger sums.  Returns
+    {(a, b): (d, replicates) array}; replicate i reads noise stream i.
     The state is the (replicates, d) block, never a d x d power chain:
-    with the snapshots sorted, S_{n_k} = S_{n_{k-1}} + A^{n_{k-1}-q} T_k,
-    where the segment sum T_k = sum_{j=n_{k-1}}^{n_k-1} A^{j-n_{k-1}} M Z_j
-    is reduced as aligned pairs x_{2i} + A^{2^l} x_{2i+1} (an odd tail
-    keeps its last row) and A^{n_{k-1}-q} acts by the binary digits of
-    its exponent.  The powers A^{2^l} come from repeated squaring, once
-    per call.  A sum that overflows is left to :func:`_norm_quantile`.
+    the span ends cut the rows into segments, and each span sums the
+    carried terms A^{c-q} T of its segments [c, e), lowest first.  The
+    segment sum T = sum_{j=c}^{e-1} A^{j-c} M Z_j is reduced as aligned
+    pairs x_{2i} + A^{2^l} x_{2i+1} (an odd tail keeps its last row) and
+    A^{c-q} acts by the binary digits of its exponent.  The powers
+    A^{2^l} come from repeated squaring, once per call.  The arithmetic
+    is real when A, M and the noise are.  A sum that overflows is left
+    to :func:`_norm_quantile`.
     """
     if model.p != 1:
         raise SpecificationError("expects a first-order model; lift first")
-    d, q = model.dim, model.q
-    if any(n <= q for n in n_snap):
-        raise SpecificationError(f"every n in the grid must exceed q={q}")
-    bounds = [0] + sorted(n - q for n in n_snap)  # segment k is rows [bounds[k-1], bounds[k])
-    m_t = ma_moment_operator(model).T
-    sums = {n: np.empty((d, replicates), dtype=complex) for n in n_snap}
+    q = model.q
+    # segment [c, e) of the rows j - q; span (a, b) covers those with a - q <= c < b - q
+    bounds = sorted({0} | {end - q for span in spans for end in span})
+    a_t = real_if_exact(model.ar_ops[0].matrix).T
+    m_t = real_if_exact(ma_moment_operator(model)).T
+    parts = {span: [] for span in spans}
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = [model.ar_ops[0].matrix.T]  # powers[l] = (A^(2^l))^T, for rows
+        powers = [a_t]  # powers[l] = (A^(2^l))^T, for rows
         while len(powers) < (bounds[-1] - 1).bit_length():
             powers.append(powers[-1] @ powers[-1])
-        am_t = m_t @ powers[0]  # (A M)^T: level 0 pairs M Z_{2i} + A M Z_{2i+1}
-        for lo, block in _replicate_blocks(model, noise_spec, bounds[-1], replicates):
-            s = np.zeros((block.shape[0], d), dtype=complex)
-            for b0, b1 in zip(bounds, bounds[1:]):
-                z = block[:, b0:b1]
+        am_t = m_t @ a_t  # (A M)^T: level 0 pairs M Z_{2i} + A M Z_{2i+1}
+        for _, block in _replicate_blocks(model, noise_spec, bounds[-1], replicates):
+            block = block.astype(np.result_type(block, a_t, m_t), copy=False)
+            carried = {}
+            for c, e in zip(bounds, bounds[1:]):
+                z = block[:, c:e]
                 x = z[:, ::2] @ m_t
                 x[:, : z.shape[1] // 2] += z[:, 1::2] @ am_t
                 level = 1
@@ -449,12 +483,21 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, n_snap, replicates: i
                     x[:, : x.shape[1] // 2 * 2 : 2] += x[:, 1::2] @ powers[level]
                     x, level = x[:, ::2], level + 1
                 t = x[:, 0]
-                for level in range(b0.bit_length()):
-                    if b0 >> level & 1:
+                for level in range(c.bit_length()):
+                    if c >> level & 1:
                         t = t @ powers[level]
-                s = s + t
-                sums[b1 + q][:, lo : lo + block.shape[0]] = s.T
-    return sums
+                carried[c] = t
+            for a, b in spans:
+                parts[a, b].append(sum(t for c, t in carried.items() if a - q <= c < b - q).T)
+    return {span: np.hstack(p) for span, p in parts.items()}
+
+
+def _probe_grid(model: ArmaModel, n_grid) -> tuple:
+    """``n_grid`` as a tuple of ints, each past the MA window (n > q)."""
+    n_grid = tuple(int(n) for n in n_grid)
+    if any(n <= model.q for n in n_grid):
+        raise SpecificationError(f"every n in the grid must exceed q={model.q}")
+    return n_grid
 
 
 def _norm_quantile(vectors: np.ndarray, label: str) -> float:
@@ -489,12 +532,11 @@ def plim_probe(
         raise SpecificationError(
             f"probe requires spectral radius <= 1, got {rad:.6f}"
         )
-    n_grid = tuple(int(n) for n in n_grid)
-    sums = _partial_sums(model, noise_spec, set(n_grid) | {2 * n for n in n_grid}, replicates)
-    with np.errstate(invalid="ignore"):  # inf - inf: _norm_quantile names the sum
-        dispersions = tuple(
-            _norm_quantile(sums[2 * n] - sums[n], f"S_{2 * n} - S_{n}") for n in n_grid
-        )
+    n_grid = _probe_grid(model, n_grid)
+    incs = _partial_sums(model, noise_spec, {(n, 2 * n) for n in n_grid}, replicates)
+    dispersions = tuple(
+        _norm_quantile(incs[n, 2 * n], f"S_{2 * n} - S_{n}") for n in n_grid
+    )
     return ProbeResult(
         n_grid=n_grid,
         dispersions=dispersions,
@@ -515,9 +557,9 @@ def partial_sum_quantiles(
     and increments never shrink.  Raises ``OverflowError`` like
     :func:`plim_probe`.
     """
-    n_grid = tuple(int(n) for n in n_grid)
-    sums = _partial_sums(model, noise_spec, set(n_grid), replicates)
-    return np.array([_norm_quantile(sums[n], f"S_{n}") for n in n_grid])
+    n_grid = _probe_grid(model, n_grid)
+    sums = _partial_sums(model, noise_spec, {(model.q, n) for n in n_grid}, replicates)
+    return np.array([_norm_quantile(sums[model.q, n], f"S_{n}") for n in n_grid])
 
 
 def stationarity_ks(

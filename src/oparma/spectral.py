@@ -20,6 +20,7 @@ is the largest modulus inside and r_out the smallest outside;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,8 +170,9 @@ def hyperbolic_split(op: Operator) -> SpectralSplit:
 
     All structural invariants (idempotency, commutation with the
     operator, exactness of the block conjugation, strict radius bounds)
-    are checked here, the first three at :data:`CHECK_TOL`, and their
-    residuals stored in ``diagnostics``.
+    are checked here, the first three at :data:`CHECK_TOL` in Frobenius
+    norms (see :func:`_invariant_residuals`), and their residuals stored
+    in ``diagnostics``.
     """
     from scipy.linalg import qr, schur, solve_sylvester, solve_triangular
 
@@ -228,12 +230,15 @@ def hyperbolic_split(op: Operator) -> SpectralSplit:
 def _invariant_residuals(split: SpectralSplit, m: np.ndarray) -> dict:
     """Idempotency, commutation and similarity residuals of ``split`` of ``m``.
 
-    Maps each name to ``(residual, within tolerance)``; idempotency is
-    measured against ``CHECK_TOL * (1 + ||P||)``, the other two against
-    ``CHECK_TOL * ||A||``.
+    Maps each name to ``(Frobenius residual, within tolerance)``; for n x n
+    matrices idempotency is measured against ``CHECK_TOL * (1 + ||P||_F / sqrt(n))``,
+    the other two against ``CHECK_TOL * ||A||_F / sqrt(n)``.  As
+    ||X||_2 <= ||X||_F and ||X||_F / sqrt(n) <= ||X||_2, a residual that
+    passes also passes the same gate in 2-norms, with no SVD taken.
     """
     proj = split.projector
-    norm_a = np.linalg.norm(m, 2)
+    root_n = math.sqrt(m.shape[0])
+    norm_a = np.linalg.norm(m) / root_n
     recon = (
         split.combine
         @ _block_diag(split.block_inner, split.block_outer)
@@ -241,11 +246,11 @@ def _invariant_residuals(split: SpectralSplit, m: np.ndarray) -> dict:
     )
     out = {}
     for name, diff, bound in (
-        ("idempotency", proj @ proj - proj, CHECK_TOL * (1.0 + np.linalg.norm(proj, 2))),
+        ("idempotency", proj @ proj - proj, CHECK_TOL * (1.0 + np.linalg.norm(proj) / root_n)),
         ("commutation", m @ proj - proj @ m, CHECK_TOL * norm_a),
         ("similarity", recon - m, CHECK_TOL * norm_a),
     ):
-        value = float(np.linalg.norm(diff, 2))
+        value = float(np.linalg.norm(diff))
         out[name] = (value, value <= bound)
     return out
 

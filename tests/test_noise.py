@@ -10,6 +10,7 @@ from scipy.stats import kstest
 from oparma import SpecificationError
 from oparma.engine.noise import (
     CLAMP_LOG,
+    HEAVY_KINDS,
     NOISE_KINDS,
     NoisePath,
     NoiseSpec,
@@ -24,6 +25,36 @@ def test_point_mass_repeats_vector():
     spec = NoiseSpec(kind="point_mass", dim=3, params={"value": v}, seed=1)
     out = sample_path(spec, 3).values
     np.testing.assert_array_equal(out, np.tile(np.asarray(v, dtype=complex), (3, 1)))
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("gaussian", {"sigma": 1.0}), ("componentwise_gaussian", {"sigmas": [1.0, 0.5]})],
+)
+def test_gaussian_values_are_real(kind, params):
+    path = sample_path(NoiseSpec(kind=kind, dim=2, params=params, seed=1), 10, t_start=-4)
+    assert path.values.dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", HEAVY_KINDS)
+def test_heavy_values_follow_the_direction(kind):
+    real = NoiseSpec(kind=kind, dim=2, params={"direction": [0.6, 0.8]}, seed=1)
+    cplx = NoiseSpec(kind=kind, dim=2, params={"direction": [0.6, 0.8j]}, seed=1)
+    default = NoiseSpec(kind=kind, dim=2, seed=1)
+    assert sample_path(default, 10).values.dtype == np.float64
+    x = sample_path(real, 10).values
+    z = sample_path(cplx, 10).values
+    assert (x.dtype, z.dtype) == (np.float64, np.complex128)
+    # the direction's phase leaves the magnitudes alone
+    np.testing.assert_array_equal(np.abs(z), x)
+
+
+@pytest.mark.parametrize("kind", HEAVY_KINDS)
+def test_log_channel_is_the_path_log_channel(kind):
+    spec = NoiseSpec(kind=kind, dim=3, seed=5)
+    np.testing.assert_array_equal(
+        log_magnitude_samples(spec, 5000, stream=2), sample_path(spec, 5000, stream=2).log_mags
+    )
 
 
 def test_gaussian_degenerate_component_is_exactly_zero():

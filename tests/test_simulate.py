@@ -502,16 +502,18 @@ class TestPartialSumScan:
         spec = NoiseSpec(kind="gaussian", dim=model.dim, params={"sigma": 1.0}, seed=4)
         if name.endswith("two_chunks"):
             assert len(list(simulate._replicate_blocks(model, spec, n_max - q, reps))) >= 2
-        got = simulate._partial_sums(model, spec, set(n_snap), reps)
-        # S_n = sum_{j=q}^{n-1} A^{j-q} M Z_j, replicate i on stream i from t = 0
+        # the partial sums S_n and the increments between neighbouring snapshots
+        spans = {(q, n) for n in n_snap} | set(zip(n_snap, n_snap[1:]))
+        got = simulate._partial_sums(model, spec, spans, reps)
+        # S_{a,b} = sum_{j=a}^{b-1} A^{j-q} M Z_j, replicate i on stream i from t = 0
         z = np.stack([sample_path(spec, n_max - q, stream=i).values for i in range(reps)])
         a, m = model.ar_ops[0].matrix, ma_moment_operator(model)
         g = np.stack([np.linalg.matrix_power(a, j) @ m for j in range(n_max - q)])
-        ref = {n: np.tensordot(g[: n - q], z[:, : n - q], axes=([0, 2], [1, 2])) for n in n_snap}
-        scale = max(np.linalg.norm(s, axis=0).max() for s in ref.values())
-        for n in n_snap:
-            assert got[n].shape == (model.dim, reps)
-            assert np.abs(got[n] - ref[n]).max() <= 1e-12 * scale, n
+        for lo, hi in spans:
+            ref = np.tensordot(g[lo - q : hi - q], z[:, lo - q : hi - q], axes=([0, 2], [1, 2]))
+            scale = np.linalg.norm(ref, axis=0).max()
+            assert got[lo, hi].shape == (model.dim, reps)
+            assert np.abs(got[lo, hi] - ref).max() <= 1e-12 * scale, (lo, hi)
 
     def test_nilpotent_sums_freeze_exactly_on_an_odd_grid(self):
         # A^6 = 0 for the 6x6 shift: every sum from S_6 on is the same array,
@@ -523,9 +525,9 @@ class TestPartialSumScan:
         probe = plim_probe(model, spec, n_grid=(7, 12, 20), replicates=100)
         assert probe.dispersions == (0.0, 0.0, 0.0)
         assert probe.converges
-        sums = simulate._partial_sums(model, spec, {7, 12, 14, 20, 24, 40}, 100)
+        sums = simulate._partial_sums(model, spec, {(0, n) for n in (7, 12, 14, 20, 24, 40)}, 100)
         for n in (12, 14, 20, 24, 40):
-            np.testing.assert_array_equal(sums[n], sums[7])
+            np.testing.assert_array_equal(sums[0, n], sums[0, 7])
 
     def test_overflow_inside_the_scan_raises_instead_of_warning(self):
         # A^(2^l) leaves the float range (2^1024 = inf), and so does M Z_j
@@ -542,6 +544,83 @@ class TestPartialSumScan:
                 partial_sum_quantiles(doubling, gauss, n_grid=(8, 2048), replicates=10)
             with pytest.raises(OverflowError, match="S_16 - S_8"):
                 plim_probe(loud, heavy, n_grid=(8, 16, 32), replicates=400)
+
+
+class TestRealArithmetic:
+    @staticmethod
+    def _complex_twin(model):
+        """``model`` with 1e-30j added to one entry of A, so the probes run complex."""
+        a = model.ar_ops[0].matrix.copy()
+        a[0, -1] += 1e-30j
+        return arma_model([dense_operator(a)], list(model.ma_ops))
+
+    @pytest.mark.parametrize("name", ["volterra", "multiplication", "circular_shift"])
+    def test_real_probes_match_the_complex_twin(self, name):
+        # d = 32 keeps the Volterra powers on the grid away from exact zeros,
+        # which the twin's imaginary part would lift to 1e-40
+        d = 32
+        ident = build_operator(OperatorSpec(kind="identity", dim=d))
+        a = build_operator(
+            {
+                "volterra": OperatorSpec(kind="volterra", dim=d, params={}),
+                "multiplication": OperatorSpec(
+                    kind="multiplication",
+                    dim=d,
+                    params={"multipliers": list(np.linspace(0.3, 0.9, d))},
+                ),
+                "circular_shift": OperatorSpec(kind="circular_shift", dim=d),
+            }[name]
+        )
+        model = arma_model([a], [ident, dense_operator(0.5 * np.eye(d))])
+        twin = self._complex_twin(model)
+        spec = NoiseSpec(kind="gaussian", dim=d, params={"sigma": 1.0}, seed=6)
+        real_sums = simulate._partial_sums(model, spec, {(1, 9)}, 7)[1, 9]
+        twin_sums = simulate._partial_sums(twin, spec, {(1, 9)}, 7)[1, 9]
+        assert (real_sums.dtype, twin_sums.dtype) == (np.float64, np.complex128)
+        probe = plim_probe(model, spec, n_grid=(4, 8, 16), replicates=30)
+        twin_probe = plim_probe(twin, spec, n_grid=(4, 8, 16), replicates=30)
+        np.testing.assert_allclose(probe.dispersions, twin_probe.dispersions, rtol=1e-12)
+        quants = partial_sum_quantiles(model, spec, (2, 5, 17), replicates=30)
+        twin_quants = partial_sum_quantiles(twin, spec, (2, 5, 17), replicates=30)
+        np.testing.assert_allclose(quants, twin_quants, rtol=1e-12)
+
+    def test_volterra_increment_is_its_own_direct_sum(self):
+        # the volterra scenario's probe (grid 512): S_32 - S_16 is about 4e-14
+        # against ||S_16|| near 24, so a difference of the two sums keeps
+        # only three digits of it
+        m = 512
+        a = build_operator(OperatorSpec(kind="volterra", dim=m, params={}))
+        model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=m))])
+        spec = NoiseSpec(kind="gaussian", dim=m, params={"sigma": 1.0}, seed=0)
+        probe = plim_probe(model, spec, n_grid=(8, 16, 32, 64), replicates=50)
+        z = np.stack([sample_path(spec, 32, stream=i).values for i in range(50)])
+        power = np.linalg.matrix_power(a.matrix.real, 16)
+        direct = 0.0
+        for j in range(16, 32):
+            direct = direct + z[:, j] @ power.T
+            power = a.matrix.real @ power
+        got = simulate._partial_sums(model, spec, {(16, 32)}, 50)[16, 32]
+        assert np.abs(got.T - direct).max() <= 1e-12 * np.abs(direct).max()
+        want = np.quantile(np.linalg.norm(direct, axis=1), simulate.PROBE_QUANTILE)
+        assert probe.dispersions[1] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_complex_model_with_real_noise_matches_a_complex_cast_block(self):
+        model = random_hyperbolic_model(np.random.default_rng(12), 4, 2)
+        spec = NoiseSpec(kind="gaussian", dim=4, params={"sigma": 1.0}, seed=2)
+        res = simulate_theorem1(model, spec, t_range=(0, 49))
+        assert res.noise.values.dtype == np.float64
+        k, split = simulate._split_depth(model)
+        cast = res.noise.values.astype(complex)
+        np.testing.assert_array_equal(
+            res.values, simulate._split_series(model, split, cast, k + model.q, 50, k)
+        )
+        coeffs = laurent_coeffs(model)
+        res = simulate_ma(model, coeffs, spec, t_range=(0, 49))
+        kernel = simulate.laurent_kernel(coeffs)
+        cast = res.noise.values.astype(complex)
+        np.testing.assert_array_equal(
+            res.values, simulate._convolve(kernel, cast, kernel.l_max, 50)
+        )
 
 
 def _scan_models():

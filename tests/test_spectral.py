@@ -129,6 +129,14 @@ def test_split_raises_when_invariants_miss_tolerance(monkeypatch):
         hyperbolic_split(a)
 
 
+def test_invariant_residuals_are_frobenius_norms():
+    a = dense_operator(np.diag([0.5, 2.0, 0.9, 1.3]) + np.eye(4, k=1))
+    sp = hyperbolic_split(a)
+    m, p = a.matrix, sp.projector
+    assert sp.diagnostics["idempotency_residual"] == float(np.linalg.norm(p @ p - p))
+    assert sp.diagnostics["commutation_residual"] == float(np.linalg.norm(m @ p - p @ m))
+
+
 def test_split_bases_are_orthonormal_and_conjugation_exact():
     rng = np.random.default_rng(17)
     s = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
