@@ -88,29 +88,75 @@ def gamma_inverse(y: float) -> float:
     return float(x)
 
 
+#: log gamma at its argmin, the bottom of the inverse table
+_LOG_GAMMA_MIN = float(gammaln(GAMMA_ARGMIN))
+#: top of the inverse table in log(y); larger arguments are clipped to it
+_LOG_Y_TOP = 1e18
+#: nodes of the inverse table
+_INVERSE_NODES = 16384
+#: Newton slopes are floored here, where the branch flattens into its minimum
+_SLOPE_FLOOR = 1e-6
+
+
+def _newton_log_gamma(w, t, steps):
+    """Polish w in place towards log gamma(w) = t on the increasing branch.
+
+    The first step is a Newton step; later ones reuse its slope.  From a
+    start good to about 1e-6 relative, two steps reach rounding.
+    """
+    slope = np.maximum(digamma(w), _SLOPE_FLOOR)
+    for _ in range(steps):
+        step = gammaln(w)
+        step -= t
+        step /= slope
+        w -= step
+        np.maximum(w, GAMMA_ARGMIN, out=w)
+    return w
+
+
 @lru_cache(maxsize=1)
-def _inverse_grid():
-    w = GAMMA_ARGMIN + np.geomspace(1e-9, 1e16, 16384)
-    return w, gammaln(w)
+def _inverse_table():
+    """Nodes w_i of the gamma inverse, uniform in u = log1p(sqrt(log y - log gamma_min)).
+
+    u is linear in w at the flat minimum and about (log log y) / 2 far out,
+    so one uniform step serves both ends.  Returns (1 / step, w, diff(w)).
+    """
+    u_top = math.log1p(math.sqrt(_LOG_Y_TOP - _LOG_GAMMA_MIN))
+    h = u_top / (_INVERSE_NODES - 1)
+    t = _LOG_GAMMA_MIN + np.expm1(np.arange(_INVERSE_NODES) * h) ** 2
+    # start from a dense table in w, then Newton to full precision
+    w_dense = GAMMA_ARGMIN + np.geomspace(1e-9, 3e16, 4 * _INVERSE_NODES)
+    u_dense = np.log1p(np.sqrt(np.maximum(gammaln(w_dense) - _LOG_GAMMA_MIN, 0.0)))
+    w = np.interp(np.log1p(np.sqrt(t - _LOG_GAMMA_MIN)), u_dense, w_dense)
+    for _ in range(3):
+        w = _newton_log_gamma(w, t, 1)
+    w[0] = GAMMA_ARGMIN
+    return 1.0 / h, w, np.diff(w)
 
 
 def gamma_inverse_log(log_y) -> np.ndarray:
     """Vectorized gamma inverse taking log(y) directly.
 
-    Interpolates a cached log-gamma table and polishes with Newton
-    steps; good to ~1e-10 relative away from the flat minimum.  Accepts
-    arbitrarily large log(y) without forming y.
+    Linear interpolation in a cached table of the inverse, uniform in
+    u = log1p(sqrt(log y - log gamma_min)) so the node index is computed,
+    not searched; then two Newton steps, the second reusing the first's
+    slope.  Matches :func:`gamma_inverse` to ~3e-15 relative on
+    log y in [log GAMMA_ARGMIN, 700] and to ~1e-9 just above the flat
+    minimum, where the inverse itself is ill-conditioned.  Accepts log(y)
+    up to 1e18 without forming y; larger arguments are clipped to 1e18.
     """
-    w_grid, gl_grid = _inverse_grid()
-    t = np.asarray(log_y, dtype=float)
-    t_clipped = np.clip(t, gl_grid[0], gl_grid[-1])
-    w = np.interp(t_clipped, gl_grid, w_grid)
-    for _ in range(3):
-        slope = digamma(w)
-        safe = slope > 1e-3
-        step = np.where(safe, (gammaln(w) - t_clipped) / np.where(safe, slope, 1.0), 0.0)
-        w = np.maximum(w - step, GAMMA_ARGMIN)
-    return w
+    inv_h, w_nodes, w_steps = _inverse_table()
+    log_y = np.asarray(log_y, dtype=float)
+    t = np.clip(np.atleast_1d(log_y), _LOG_GAMMA_MIN, _LOG_Y_TOP)
+    s = np.sqrt(t - _LOG_GAMMA_MIN)
+    np.log1p(s, out=s)
+    s *= inv_h  # position in units of the table step
+    i = s.astype(np.intp)
+    np.clip(i, 0, w_steps.size - 1, out=i)
+    s -= i
+    s *= w_steps[i]
+    s += w_nodes[i]
+    return _newton_log_gamma(s, t, 2).reshape(log_y.shape)
 
 
 def transform_log_norms(log_norms, moment_kind: str) -> np.ndarray:

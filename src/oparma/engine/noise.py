@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import exp1
@@ -35,6 +36,9 @@ NOISE_KINDS = (
     "gamma_inv_tail",
     "point_mass",
 )
+
+#: kinds sampled as independent normals scaled per component
+GAUSSIAN_KINDS = ("gaussian", "componentwise_gaussian")
 
 #: kinds sampled as direction * magnitude with an exact log channel
 HEAVY_KINDS = ("pareto_exp", "gamma_inv_tail")
@@ -195,18 +199,63 @@ def _philox(seed: int, spawn_key: tuple) -> np.random.Generator:
 
 
 @lru_cache(maxsize=8)
-def _gamma_tail_grid(x1: float):
+def _gamma_tail_table(x1: float):
     """Inverse-CDF interpolation table for the gamma_inv_tail law.
 
     With Y = log X, the tail is P(Y > y) = exp1(log y) / exp1(log y_1)
     exactly (differentiate exp1(log y) to see the density 1/(y^2 log y)
     appear).  Sampling therefore reduces to inverting exp1 on a grid of
-    t = log y; the grid spans tail probabilities down to ~1e-17.
+    t = log y; the grid spans tail probabilities down to ~1e-17.  The
+    table maps -log P(Y > y) to t through :func:`_interp`.
     """
     t1 = math.log(math.log(x1))
     t_grid = np.linspace(t1, 40.0, 8192)
     neg_log_tail = -np.log(exp1(t_grid) / exp1(t1))
-    return t_grid, neg_log_tail
+    return _interp_table(neg_log_tail, t_grid)
+
+
+class _InterpTable(NamedTuple):
+    """np.interp's nodes ``xp`` (increasing, from 0) and values ``fp``, indexed by arithmetic.
+
+    The buckets [k b, (k + 1) b) have a power-of-two width b no wider than
+    the smallest node gap, so each holds at most one node, and interval
+    ``first[k]`` (the one holding k b) or the next one holds every x in
+    bucket k.  A last interval [xp[-1], inf) with slope 0 carries the
+    value at and beyond the last node; ``upper`` is each interval's end.
+    """
+
+    inv_width: float
+    first: np.ndarray
+    upper: np.ndarray
+    xp: np.ndarray
+    fp: np.ndarray
+    slope: np.ndarray
+
+
+def _interp_table(xp: np.ndarray, fp: np.ndarray) -> _InterpTable:
+    width = 2.0 ** math.floor(math.log2(np.diff(xp).min()))
+    buckets = int(xp[-1] / width) + 1
+    first = np.searchsorted(xp, np.arange(buckets) * width, side="right") - 1
+    upper = np.append(xp[1:], np.inf)
+    slope = np.append(np.diff(fp) / np.diff(xp), 0.0)
+    return _InterpTable(1.0 / width, first, upper, xp, fp, slope)
+
+
+def _interp(x: np.ndarray, table: _InterpTable) -> np.ndarray:
+    """``np.interp(x, table.xp, table.fp)`` for x >= 0, bit for bit, found in O(1).
+
+    The bucket index x / b is exact (b is a power of two); one comparison
+    against the next node fixes the interval, and the value is
+    np.interp's slope * (x - xp[j]) + fp[j].
+    """
+    k = x * table.inv_width
+    np.minimum(k, table.first.size - 1, out=k)
+    j = table.first[k.astype(np.intp)]
+    j += x >= table.upper[j]
+    out = x - table.xp[j]
+    out *= table.slope[j]
+    out += table.fp[j]
+    return out
 
 
 def _log_magnitudes(spec: NoiseSpec, uniforms: np.ndarray) -> np.ndarray:
@@ -214,30 +263,85 @@ def _log_magnitudes(spec: NoiseSpec, uniforms: np.ndarray) -> np.ndarray:
     if spec.kind == "pareto_exp":
         # inverse CDF of index-1 Pareto: log ||Z|| = P
         return 1.0 / (1.0 - uniforms)
-    t_grid, neg_log_tail = _gamma_tail_grid(float(spec.params.get("x1", _E_TO_E)))
+    table = _gamma_tail_table(float(spec.params.get("x1", _E_TO_E)))
     target = -np.log(1.0 - uniforms)  # 1 - U in (0, 1], avoids -log(0)
-    t = np.interp(target, neg_log_tail, t_grid)
-    return np.exp(t)  # Y = log X = e^t
+    return np.exp(_interp(target, table))  # Y = log X = e^t
 
 
-def _draw(spec: NoiseSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The next ``n`` rows of raw draws: d normals or one uniform per row."""
-    if spec.kind in ("gaussian", "componentwise_gaussian"):
-        return rng.standard_normal((n, spec.dim))
-    return rng.random(n)
+def _draw(spec: NoiseSpec, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with the next rows of raw draws: d normals or one uniform per row."""
+    if spec.kind in GAUSSIAN_KINDS:
+        rng.standard_normal(out=out)
+    else:
+        rng.random(out=out)
 
 
-def _rows(spec: NoiseSpec, spawn_key: tuple, first: int, n: int) -> np.ndarray:
-    """Rows ``first`` .. ``first + n - 1`` of the raw draws keyed by ``spawn_key``.
+def _rows(spec: NoiseSpec, spawn_key: tuple, first: int, out: np.ndarray) -> None:
+    """Write rows ``first`` .. ``first + len(out) - 1`` of the raw draws keyed by ``spawn_key``.
 
     Earlier rows are drawn in fixed-size chunks and thrown away; chunked
     draws match one big draw bit for bit, and memory stays O(n d).
     """
     rng = _philox(spec.seed, spawn_key)
     step = max(1, _SKIP_DRAWS // spec.dim)
+    skip = np.empty((min(step, first), *out.shape[1:]))
     for lo in range(0, first, step):
-        _draw(spec, rng, min(step, first - lo))
-    return _draw(spec, rng, n)
+        _draw(spec, rng, skip[: min(step, first - lo)])
+    _draw(spec, rng, out)
+
+
+def _raw_window(spec: NoiseSpec, stream: int, t_start: int, out: np.ndarray) -> None:
+    """Write the raw draws for t_start <= t < t_start + len(out) of ``stream`` into ``out``.
+
+    Row t of the (seed, stream) generator for t >= 0; row -t-1 of the
+    mirror generator for t < 0, read backwards into time order.
+    """
+    t_stop = t_start + out.shape[0]
+    if t_start < 0:
+        hi = min(t_stop, 0)
+        mirror = out[: hi - t_start]
+        _rows(spec, (stream, _MIRROR_KEY), -hi, mirror)
+        mirror[:] = mirror[::-1]
+    if t_stop > 0:
+        lo = max(t_start, 0)
+        _rows(spec, (stream,), lo, out[lo - t_start :])
+
+
+def _law_factor(spec: NoiseSpec) -> np.ndarray:
+    """The validated factor every Z_t of ``spec`` carries.
+
+    The sigma vector of the Gaussian kinds, the unit direction of the
+    heavy kinds, the value of ``point_mass``; its dtype is the paths'.
+    """
+    p = spec.params
+    if spec.kind == "gaussian":
+        return _sigma_vector(p, spec.dim, "sigma", allow_scalar=True)
+    if spec.kind == "componentwise_gaussian":
+        return _sigma_vector(p, spec.dim, "sigmas", allow_scalar=False)
+    if spec.kind == "point_mass":
+        return real_if_exact(np.asarray(p["value"], dtype=complex))
+    return _unit_direction(p, spec.dim)
+
+
+def _window_into(spec: NoiseSpec, factor, stream: int, t_start: int, out: np.ndarray):
+    """Write Z_t for t_start <= t < t_start + len(out) of ``stream`` into the rows of ``out``.
+
+    ``factor`` is :func:`_law_factor` of ``spec``, so a caller filling many
+    windows validates the spec once.  Returns the exact log-magnitudes,
+    or None for the Gaussian kinds.
+    """
+    if spec.kind == "point_mass":
+        out[:] = factor
+        return np.full(out.shape[0], _safe_log(np.linalg.norm(factor)))
+    if spec.kind in GAUSSIAN_KINDS:
+        _raw_window(spec, stream, t_start, out)
+        out *= factor
+        return None
+    uniforms = np.empty(out.shape[0])
+    _raw_window(spec, stream, t_start, uniforms)
+    logm = _log_magnitudes(spec, uniforms)
+    np.multiply(np.exp(np.minimum(logm, CLAMP_LOG))[:, None], factor, out=out)
+    return logm
 
 
 def sample_path(
@@ -251,31 +355,11 @@ def sample_path(
     """
     if count < 1:
         raise SpecificationError("count must be >= 1")
-    d = spec.dim
-    p = spec.params
-    if spec.kind == "point_mass":
-        v = real_if_exact(np.asarray(p["value"], dtype=complex))
-        vals = np.tile(v, (count, 1))
-        logm = np.full(count, _safe_log(np.linalg.norm(v)))
-        return NoisePath(t_start=t_start, values=vals, log_mags=logm)
-    t_stop = t_start + count
-    parts = []
-    if t_start < 0:  # the mirror rows -t-1, read backwards into time order
-        hi = min(t_stop, 0)
-        parts.append(_rows(spec, (int(stream), _MIRROR_KEY), -hi, hi - t_start)[::-1])
-    if t_stop > 0:
-        lo = max(t_start, 0)
-        parts.append(_rows(spec, (int(stream),), lo, t_stop - lo))
-    raw = np.concatenate(parts)
-    if spec.kind in ("gaussian", "componentwise_gaussian"):
-        key = "sigma" if spec.kind == "gaussian" else "sigmas"
-        sig = _sigma_vector(p, d, key, allow_scalar=spec.kind == "gaussian")
-        return NoisePath(t_start=t_start, values=raw * sig)
-    x = _unit_direction(p, d)
-    logm = _log_magnitudes(spec, raw)
-    clamped = int((logm > CLAMP_LOG).sum())
-    vals = np.exp(np.minimum(logm, CLAMP_LOG))[:, None] * x[None, :]
-    return NoisePath(t_start=t_start, values=vals, log_mags=logm, n_clamped=clamped)
+    factor = _law_factor(spec)
+    values = np.empty((count, spec.dim), factor.dtype)
+    logm = _window_into(spec, factor, int(stream), t_start, values)
+    clamped = int((logm > CLAMP_LOG).sum()) if spec.kind in HEAVY_KINDS else 0
+    return NoisePath(t_start=t_start, values=values, log_mags=logm, n_clamped=clamped)
 
 
 def _safe_log(v: float) -> float:
@@ -300,4 +384,6 @@ def log_magnitude_samples(spec: NoiseSpec, count: int, stream: int = 0) -> np.nd
         return sample_path(spec, count, stream=stream).lognorms()
     if count < 1:
         raise SpecificationError("count must be >= 1")
-    return _log_magnitudes(spec, _rows(spec, (int(stream),), 0, count))
+    uniforms = np.empty(count)
+    _rows(spec, (int(stream),), 0, uniforms)
+    return _log_magnitudes(spec, uniforms)

@@ -39,7 +39,14 @@ from ..operators import (
     spectral_radius,
 )
 from ..spectral import SpectralSplit, hyperbolic_split
-from .noise import NoisePath, NoiseSpec, real_if_exact, sample_path
+from .noise import (
+    NoisePath,
+    NoiseSpec,
+    _law_factor,
+    _window_into,
+    real_if_exact,
+    sample_path,
+)
 
 #: dropped-tail bound for the automatic truncation choice; tightened an
 #: extra two decades below the 1e-10 residual target so that the few
@@ -316,17 +323,24 @@ def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
     # them; the scaling is exact, so a ratio that was finite unscaled is unchanged
     peak = max(np.abs(y_vals).max(), np.abs(z_vals).max())
     scale = 2.0 ** -max(math.frexp(peak)[1], 0)
-    y_vals = y_vals * scale
-    z_vals = z_vals * scale
-    lhs = y_vals[t_lo - y0 : t_hi - y0 + 1].astype(complex)
-    for i, a in enumerate(model.ar_ops, start=1):
-        seg = y_vals[t_lo - i - y0 : t_hi - i - y0 + 1]
-        lhs -= seg @ a.matrix.T
-    rhs = np.zeros_like(lhs)
+    # rhs = sum B_k Z_{t-k}, then lhs = Y_t - sum A_i Y_{t-i}, each product
+    # written into one reused buffer; the operators are complex
+    zs = np.empty(z_vals.shape, complex)
+    np.multiply(z_vals, scale, out=zs)
+    rhs = np.zeros((n_t, model.dim), complex)
+    prod = np.empty_like(rhs)
     for k, b in enumerate(model.ma_ops):
-        rhs += z_vals[q - k : q - k + n_t] @ b.matrix.T
-    num = np.linalg.norm(lhs - rhs, axis=1).max()
-    den = scale + np.linalg.norm(y_vals, axis=1).max()
+        rhs += np.matmul(zs[q - k : q - k + n_t], b.matrix.T, out=prod)
+    del zs
+    ys = np.empty(y_vals.shape, complex)
+    np.multiply(y_vals, scale, out=ys)
+    lhs = ys[t_lo - y0 : t_hi - y0 + 1].copy()
+    for i, a in enumerate(model.ar_ops, start=1):
+        lhs -= np.matmul(ys[t_lo - i - y0 : t_hi - i - y0 + 1], a.matrix.T, out=prod)
+    lhs -= rhs
+    del rhs, prod
+    num = np.linalg.norm(lhs, axis=1).max()
+    den = scale + np.linalg.norm(ys, axis=1).max()
     return float(num / den)
 
 
@@ -431,13 +445,12 @@ def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count, replicates
         raise DimensionMismatchError(
             f"noise dim {noise_spec.dim} does not match model dim {model.dim}"
         )
+    factor = _law_factor(noise_spec)
     chunk = max(1, min(replicates, int(4e6 / max(count * noise_spec.dim, 1))))
     for lo in range(0, replicates, chunk):
-        first = sample_path(noise_spec, count, t_start, stream=lo).values
-        block = np.empty((min(chunk, replicates - lo), *first.shape), first.dtype)
-        block[0] = first
-        for i in range(1, block.shape[0]):
-            block[i] = sample_path(noise_spec, count, t_start, stream=lo + i).values
+        block = np.empty((min(chunk, replicates - lo), count, noise_spec.dim), factor.dtype)
+        for i, row in enumerate(block):
+            _window_into(noise_spec, factor, lo + i, t_start, row)
         yield lo, block
 
 

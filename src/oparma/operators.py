@@ -225,12 +225,12 @@ def _scaled_matrix_power(matrix: np.ndarray, n: int):
 
     Binary powering with per-step rescaling so that intermediate powers
     of strongly contracting or expanding operators neither underflow nor
-    overflow.
+    overflow.  The arithmetic is real for a real ``matrix``.
     """
     d = matrix.shape[0]
-    result = np.eye(d, dtype=complex)
+    result = np.eye(d, dtype=matrix.dtype)
     log_scale = 0.0
-    base = matrix.astype(complex)
+    base = matrix
     base_log = 0.0
     k = n
     while k:
@@ -309,7 +309,7 @@ def structured_log_norm(op: Operator, n: int) -> float:
         top = np.abs(np.diagonal(op.matrix)).max()
         return -math.inf if top == 0.0 else n * math.log(top)
     if kind == "volterra":
-        p, log_scale = _scaled_matrix_power(op.matrix, n)
+        p, log_scale = _scaled_matrix_power(np.ascontiguousarray(op.matrix.real), n)
         rowsum = np.abs(p).sum(axis=1).max()
         if rowsum == 0.0 or log_scale == -math.inf:
             return -math.inf

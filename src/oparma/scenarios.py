@@ -84,6 +84,32 @@ def _count_check(description, probs, counts, sigmas=3.0):
     )
 
 
+#: values per chunk of Pareto draws in :func:`_exceedance_counts`
+_EXCEEDANCE_CHUNK = 1 << 18
+
+
+def _exceedance_counts(rng, reps, thr, near):
+    """Per-replicate counts of Pareto(1) draws 1/(1 - U) above ``thr``.
+
+    Row i holds replicate i's ``len(thr)`` terms; returns the counts over
+    the first ``near`` terms and over all of them.  Rows are drawn a chunk
+    at a time into one buffer, in stream order, so the counts do not
+    depend on the chunk size.
+    """
+    counts_near = np.empty(reps, dtype=np.intp)
+    counts_all = np.empty(reps, dtype=np.intp)
+    buf = np.empty((max(1, min(reps, _EXCEEDANCE_CHUNK // len(thr))), len(thr)))
+    for lo in range(0, reps, buf.shape[0]):
+        draws = buf[: min(buf.shape[0], reps - lo)]
+        rng.random(out=draws)
+        np.subtract(1.0, draws, out=draws)
+        np.divide(1.0, draws, out=draws)
+        exceeds = draws > thr
+        counts_near[lo : lo + draws.shape[0]] = exceeds[:, :near].sum(axis=1)
+        counts_all[lo : lo + draws.shape[0]] = exceeds.sum(axis=1)
+    return counts_near, counts_all
+
+
 def _pareto_exceedances(seed, stream, reps, thr, near, near_desc, far_desc):
     """Near and far exceedance-count checks for Pareto(1) draws against ``thr``.
 
@@ -96,13 +122,11 @@ def _pareto_exceedances(seed, stream, reps, thr, near, near_desc, far_desc):
         raise SpecificationError(
             f"the near depth must be >= 1 and below the far depth {len(thr)}, got {near}"
         )
-    draws = 1.0 / (1.0 - make_rng(seed, stream=stream).random((reps, len(thr))))
+    counts_near, counts_all = _exceedance_counts(make_rng(seed, stream=stream), reps, thr, near)
     probs = 1.0 / thr
-    counts_near = (draws[:, :near] > thr[:near]).sum(axis=1)
-    counts_far = (draws > thr).sum(axis=1)
     return [
         _count_check(near_desc, probs[:near], counts_near),
-        _count_check(far_desc, probs[near:], counts_far - counts_near),
+        _count_check(far_desc, probs[near:], counts_all - counts_near),
     ]
 
 

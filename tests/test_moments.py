@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import digamma
+from scipy.special import digamma, gammaln
 
 from oparma.engine.moments import (
     GAMMA_ARGMIN,
@@ -56,6 +56,33 @@ class TestGammaInverse:
         from scipy.special import gammaln
 
         assert gammaln(out[0]) == pytest.approx(1e6, rel=1e-8)
+
+
+    def test_table_inverse_matches_root_finding(self):
+        # two Newton steps reach ~3e-15; one step alone would leave ~1e-13
+        log_y = np.linspace(math.log(GAMMA_ARGMIN), 700.0, 1500)
+        ref = np.array([gamma_inverse(math.exp(t)) for t in log_y])
+        np.testing.assert_allclose(gamma_inverse_log(log_y), ref, rtol=1e-14, atol=0.0)
+
+    def test_table_inverse_just_above_the_flat_minimum(self):
+        # the inverse is ill-conditioned here: dw/dt = 1/digamma(w) -> inf
+        log_y = float(gammaln(GAMMA_ARGMIN)) + np.geomspace(1e-14, 1e-2, 200)
+        ref = np.array([gamma_inverse(math.exp(t)) for t in log_y])
+        np.testing.assert_allclose(gamma_inverse_log(log_y), ref, rtol=1e-8, atol=0.0)
+        assert gamma_inverse_log(np.array([float(gammaln(GAMMA_ARGMIN))]))[0] == GAMMA_ARGMIN
+
+    def test_table_inverse_clips_at_its_top(self):
+        top = gamma_inverse_log(np.array([1e18, 1e19, 1e300]))
+        assert top[0] == top[1] == top[2]
+        assert float(gammaln(top[0])) == pytest.approx(1e18, rel=1e-14)
+        assert gamma_inverse_log(np.array([0.9e18]))[0] < top[0]
+
+    def test_table_inverse_keeps_the_argument_shape(self):
+        grid = np.array([[0.5, 3.0], [40.0, 1e6]])
+        out = gamma_inverse_log(grid)
+        assert out.shape == (2, 2)
+        assert gamma_inverse_log(3.0).shape == ()
+        assert float(gamma_inverse_log(3.0)) == out[0, 1]
 
 
 class TestTransforms:

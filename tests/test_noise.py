@@ -8,6 +8,7 @@ from scipy.special import exp1
 from scipy.stats import kstest
 
 from oparma import SpecificationError
+from oparma.engine import noise
 from oparma.engine.noise import (
     CLAMP_LOG,
     HEAVY_KINDS,
@@ -234,3 +235,30 @@ def test_negative_times_come_from_a_separate_stream():
     assert np.abs(past - future).min() > 0.0
     other = sample_path(spec, 50, t_start=-50, stream=1).values[::-1]
     assert np.abs(past - other).max() > 1e-3
+
+
+def test_negative_times_are_reversed_rows_of_the_mirror_generator():
+    d, seed, stream = 2, 17, 3
+    mirror = np.random.SeedSequence(seed, spawn_key=(stream, 1))
+    rows = np.random.Generator(np.random.Philox(mirror)).standard_normal((12, d))
+    spec = NoiseSpec(kind="gaussian", dim=d, params={"sigma": 1.0}, seed=seed)
+    path = sample_path(spec, 15, t_start=-12, stream=stream)  # Z_{-12} .. Z_2
+    np.testing.assert_array_equal(path.values[:12], rows[::-1])
+    heavy = NoiseSpec(kind="pareto_exp", dim=1, seed=seed)
+    u = np.random.Generator(np.random.Philox(mirror)).random(12)
+    path = sample_path(heavy, 9, t_start=-12, stream=stream)  # Z_{-12} .. Z_{-4}
+    np.testing.assert_array_equal(path.log_mags, (1.0 / (1.0 - u))[::-1][:9])
+
+
+@pytest.mark.parametrize("x1", [math.exp(math.e), 1e6])
+def test_tail_table_lookup_is_np_interp_bit_for_bit(x1):
+    table = noise._gamma_tail_table(x1)
+    xp, fp = table.xp, table.fp
+    last = xp[-1]
+    edges = [0.0, -0.0, last, np.nextafter(last, 0.0), np.nextafter(last, np.inf), last + 1.0, 1e300]
+    u = make_rng(11, 0).random(1_000_000)
+    x = np.concatenate(
+        [xp, np.nextafter(xp, np.inf), np.nextafter(xp[1:], 0.0), edges, -np.log(1.0 - u)]
+    )
+    got = noise._interp(x, table)
+    assert got.view(np.int64).tobytes() == np.interp(x, xp, fp).view(np.int64).tobytes()

@@ -25,6 +25,7 @@ from oparma import (
     structured_norm,
     volterra_matrix,
 )
+from oparma.operators import _scaled_matrix_power
 
 
 def op(kind, dim, **params):
@@ -86,6 +87,18 @@ def test_volterra_powers_track_factorial_decay():
     # the left rule undershoots 1/6! by more than 3.5% at m = 512
     vl = op("volterra", 512, rule="left")
     assert structured_norm(vl, 6) * math.factorial(6) < 1.0 - 0.035
+
+
+@pytest.mark.parametrize("m", [24, 384])
+def test_volterra_powers_in_real_arithmetic_match_complex(m):
+    # the structured norm powers the real matrix; complex powering is the reference
+    v = op("volterra", m)
+    for n in range(1, 7):
+        p, log_scale = _scaled_matrix_power(v.matrix, n)
+        complex_norm = np.abs(p).sum(axis=1).max() * math.exp(log_scale)
+        assert structured_norm(v, n) == pytest.approx(complex_norm, rel=1e-14)
+    p, _ = _scaled_matrix_power(np.ascontiguousarray(v.matrix.real), 3)
+    assert p.dtype == np.float64
 
 
 def test_weighted_shift_layout():

@@ -2,8 +2,11 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from oparma import scenarios
+from oparma.engine.noise import make_rng
 from oparma.errors import SpecificationError, UnknownScenarioError
 from oparma.scenarios import list_scenarios, run_scenario
 
@@ -100,3 +103,16 @@ def test_pipeline_carries_the_certification_chain():
     assert radii["pass"] and max(radii["observed"]) < 1.0
     residual = by_text["[direct] simulated path satisfies the defining recursion"]
     assert residual["expected"] == "relative residual <= 1e-09"
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, 1 << 18])
+def test_chunked_exceedance_counts_match_one_draw(monkeypatch, chunk):
+    # 1 and 1000 values per chunk give one and three rows per chunk
+    monkeypatch.setattr(scenarios, "_EXCEEDANCE_CHUNK", chunk)
+    thr = np.maximum(1.0, np.log(np.arange(1.0, 301.0)) * 3.0)
+    reps, near = 37, 40
+    got_near, got_all = scenarios._exceedance_counts(make_rng(5, stream=2), reps, thr, near)
+    draws = 1.0 / (1.0 - make_rng(5, stream=2).random((reps, len(thr))))
+    np.testing.assert_array_equal(got_near, (draws[:, :near] > thr[:near]).sum(axis=1))
+    np.testing.assert_array_equal(got_all, (draws > thr).sum(axis=1))
+    assert got_all.sum() > got_near.sum() > 0

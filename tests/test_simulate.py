@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oparma.engine import simulate
-from oparma.engine.noise import NoiseSpec, sample_path
+from oparma.engine.noise import NOISE_KINDS, NoiseSpec, sample_path
 from oparma.engine.simulate import (
     ProbeResult,
     build_split_kernel,
@@ -766,3 +766,71 @@ class TestSplitDepth:
             tracemalloc.stop()
         assert res.truncation_K > 150
         assert peak < 16e6, peak
+
+
+NOISE_PARAMS = {
+    "gaussian": {"sigma": [1.0, 0.0]},
+    "componentwise_gaussian": {"sigmas": [0.5, 3.0]},
+    "pareto_exp": {"direction": [0.6, 0.8j]},
+    "gamma_inv_tail": {"x1": 40.0},
+    "point_mass": {"value": [1.0, -2.0]},
+}
+
+
+class TestReplicateBlocks:
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("t_start,count", [(0, 9), (3, 9), (-2, 9), (-20, 9), (-4000, 5000)])
+    def test_blocks_are_stacked_sample_paths(self, kind, t_start, count):
+        spec = NoiseSpec(kind=kind, dim=2, params=NOISE_PARAMS[kind], seed=6)
+        model = arma_model([dense_operator(0.5 * np.eye(2))], [dense_operator(np.eye(2))])
+        reps = 5
+        blocks = list(simulate._replicate_blocks(model, spec, count, reps, t_start))
+        got = np.concatenate([block for _, block in blocks])
+        assert [lo for lo, _ in blocks] == list(range(0, reps, blocks[0][1].shape[0]))
+        want = np.stack(
+            [sample_path(spec, count, t_start, stream=i).values for i in range(reps)]
+        )
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def _recursion_residual_reference(model, y, z):
+    """The residual as one expression per term, each product freshly allocated."""
+    y_vals = np.asarray(y.values)
+    y0, n_y, p, q = int(y.t_start), y_vals.shape[0], model.p, model.q
+    t_lo = max(y0 + p, z.t_start + q)
+    t_hi = min(y0 + n_y - 1, z.t_stop - 1)
+    n_t = t_hi - t_lo + 1
+    z_vals = z.values[t_lo - q - z.t_start : t_hi - z.t_start + 1]
+    peak = max(np.abs(y_vals).max(), np.abs(z_vals).max())
+    scale = 2.0 ** -max(np.frexp(peak)[1], 0)
+    y_vals = y_vals * scale
+    z_vals = z_vals * scale
+    lhs = y_vals[t_lo - y0 : t_hi - y0 + 1].astype(complex)
+    for i, a in enumerate(model.ar_ops, start=1):
+        lhs -= y_vals[t_lo - i - y0 : t_hi - i - y0 + 1] @ a.matrix.T
+    rhs = np.zeros_like(lhs)
+    for k, b in enumerate(model.ma_ops):
+        rhs += z_vals[q - k : q - k + n_t] @ b.matrix.T
+    num = np.linalg.norm(lhs - rhs, axis=1).max()
+    return float(num / (scale + np.linalg.norm(y_vals, axis=1).max()))
+
+
+class TestRecursionResidualBuffers:
+    @pytest.mark.parametrize("name", ["ar2_d16", "jordan_d6"])
+    @pytest.mark.parametrize("kind", ["gaussian", "pareto_exp"])
+    def test_matches_the_one_expression_residual_bit_for_bit(self, name, kind):
+        model = _scan_models()[name]
+        params = {"sigma": 1.0} if kind == "gaussian" else {}
+        spec = NoiseSpec(kind=kind, dim=model.dim, params=params, seed=2)
+        res = simulate_theorem1(model, spec, t_range=(-5, 120))
+        assert res.max_residual == _recursion_residual_reference(model, res, res.noise)
+        big = 2.0 ** (900 - np.frexp(np.abs(res.values).max())[1])  # peak near 2^900
+        for values, t_start in [
+            (res.values * big, res.t_start),  # squares would overflow unscaled
+            (np.ascontiguousarray(res.values.real), res.t_start),
+            (res.values[7:-4], res.t_start + 7),
+        ]:
+            y = dataclasses.replace(res, values=values, t_start=t_start)
+            want = _recursion_residual_reference(model, y, res.noise)
+            assert recursion_residual(model, y, res.noise) == want
