@@ -32,6 +32,7 @@ from ..operators import Operator
 from .noise import (
     HEAVY_KINDS,
     NoiseSpec,
+    _table_lookup,
     heavy_direction,
     log_magnitude_samples,
     sample_path,
@@ -119,7 +120,8 @@ def _inverse_table():
     """Nodes w_i of the gamma inverse, uniform in u = log1p(sqrt(log y - log gamma_min)).
 
     u is linear in w at the flat minimum and about (log log y) / 2 far out,
-    so one uniform step serves both ends.  Returns (1 / step, w, diff(w)).
+    so one uniform step serves both ends.  Returns the
+    :func:`~oparma.engine.noise._table_lookup` triple (1 / step, w, steps).
     """
     u_top = math.log1p(math.sqrt(_LOG_Y_TOP - _LOG_GAMMA_MIN))
     h = u_top / (_INVERSE_NODES - 1)
@@ -131,7 +133,7 @@ def _inverse_table():
     for _ in range(3):
         w = _newton_log_gamma(w, t, 1)
     w[0] = GAMMA_ARGMIN
-    return 1.0 / h, w, np.diff(w)
+    return 1.0 / h, w, np.append(np.diff(w), 0.0)
 
 
 def gamma_inverse_log(log_y) -> np.ndarray:
@@ -145,18 +147,12 @@ def gamma_inverse_log(log_y) -> np.ndarray:
     minimum, where the inverse itself is ill-conditioned.  Accepts log(y)
     up to 1e18 without forming y; larger arguments are clipped to 1e18.
     """
-    inv_h, w_nodes, w_steps = _inverse_table()
     log_y = np.asarray(log_y, dtype=float)
     t = np.clip(np.atleast_1d(log_y), _LOG_GAMMA_MIN, _LOG_Y_TOP)
     s = np.sqrt(t - _LOG_GAMMA_MIN)
     np.log1p(s, out=s)
-    s *= inv_h  # position in units of the table step
-    i = s.astype(np.intp)
-    np.clip(i, 0, w_steps.size - 1, out=i)
-    s -= i
-    s *= w_steps[i]
-    s += w_nodes[i]
-    return _newton_log_gamma(s, t, 2).reshape(log_y.shape)
+    w = _table_lookup(s, _inverse_table())
+    return _newton_log_gamma(w, t, 2).reshape(log_y.shape)
 
 
 def transform_log_norms(log_norms, moment_kind: str) -> np.ndarray:

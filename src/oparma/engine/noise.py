@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import exp1
@@ -88,7 +87,7 @@ class NoiseSpec:
             raise SpecificationError(f"unknown noise kind {self.kind!r}")
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise SpecificationError(f"dim must be a positive integer, got {self.dim!r}")
-        _validate_params(self.kind, self.dim, self.params)
+        _law_factor(self)
 
 
 def real_if_exact(x: np.ndarray) -> np.ndarray:
@@ -129,29 +128,6 @@ def _sigma_vector(params, d, key, allow_scalar):
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise SpecificationError(f"{key!r} entries must be finite and >= 0")
     return arr
-
-
-def _validate_params(kind, d, params):
-    if kind == "gaussian":
-        _sigma_vector(params, d, "sigma", allow_scalar=True)
-    elif kind == "componentwise_gaussian":
-        _sigma_vector(params, d, "sigmas", allow_scalar=False)
-    elif kind == "pareto_exp":
-        if float(params.get("alpha", 1.0)) != 1.0:
-            raise SpecificationError("pareto_exp supports only index alpha = 1")
-        _unit_direction(params, d)
-    elif kind == "gamma_inv_tail":
-        x1 = float(params.get("x1", _E_TO_E))
-        if x1 < _E_TO_E * (1 - 1e-12):
-            raise SpecificationError(
-                f"gamma_inv_tail needs x1 >= e^e ~ {_E_TO_E:.4f} so that "
-                f"log log x stays positive; got {x1}"
-            )
-        _unit_direction(params, d)
-    elif kind == "point_mass":
-        v = np.asarray(params.get("value", None), dtype=complex)
-        if v.shape != (d,):
-            raise SpecificationError(f"point_mass needs a length-{d} 'value' vector")
 
 
 @dataclass
@@ -198,64 +174,54 @@ def _philox(seed: int, spawn_key: tuple) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+#: nodes of the gamma_inv_tail inverse-CDF table
+_TAIL_NODES = 8192
+#: top of that table in t = log log X; draws past it are clipped to it
+_TAIL_T_TOP = 40.0
+
+
+def _table_lookup(x: np.ndarray, table) -> np.ndarray:
+    """Linear interpolation at ``x`` >= 0 in a table uniform in its argument, in place.
+
+    ``table`` is (1 / h, nodes, steps): nodes[i] is the value at i h and
+    steps[i] = nodes[i + 1] - nodes[i], with a last step of 0, so the node
+    index is computed, not searched, and arguments at or above the top
+    return the top node.
+    """
+    inv_h, nodes, steps = table
+    x *= inv_h  # position in units of the table step
+    np.clip(x, 0, steps.size - 1, out=x)
+    i = x.astype(np.intp)
+    x -= i
+    x *= steps[i]
+    x += nodes[i]
+    return x
+
+
 @lru_cache(maxsize=8)
 def _gamma_tail_table(x1: float):
-    """Inverse-CDF interpolation table for the gamma_inv_tail law.
+    """Inverse-CDF table of the gamma_inv_tail law, uniform in s = -log P(Y > y).
 
     With Y = log X, the tail is P(Y > y) = exp1(log y) / exp1(log y_1)
     exactly (differentiate exp1(log y) to see the density 1/(y^2 log y)
-    appear).  Sampling therefore reduces to inverting exp1 on a grid of
-    t = log y; the grid spans tail probabilities down to ~1e-17.  The
-    table maps -log P(Y > y) to t through :func:`_interp`.
+    appear).  Sampling therefore inverts s(t) = -log(exp1(t) / exp1(t_1))
+    in t = log y, from t_1 up to t = 40, which spans tail probabilities
+    down to ~1e-17.  The nodes t_i solve s(t_i) = i h: a dense table of
+    s(t) gives the start, and two Newton steps with
+    ds/dt = e^-t / (t exp1(t)) reach rounding.  Returns the
+    :func:`_table_lookup` triple (1 / h, t_i, steps).
     """
     t1 = math.log(math.log(x1))
-    t_grid = np.linspace(t1, 40.0, 8192)
-    neg_log_tail = -np.log(exp1(t_grid) / exp1(t1))
-    return _interp_table(neg_log_tail, t_grid)
-
-
-class _InterpTable(NamedTuple):
-    """np.interp's nodes ``xp`` (increasing, from 0) and values ``fp``, indexed by arithmetic.
-
-    The buckets [k b, (k + 1) b) have a power-of-two width b no wider than
-    the smallest node gap, so each holds at most one node, and interval
-    ``first[k]`` (the one holding k b) or the next one holds every x in
-    bucket k.  A last interval [xp[-1], inf) with slope 0 carries the
-    value at and beyond the last node; ``upper`` is each interval's end.
-    """
-
-    inv_width: float
-    first: np.ndarray
-    upper: np.ndarray
-    xp: np.ndarray
-    fp: np.ndarray
-    slope: np.ndarray
-
-
-def _interp_table(xp: np.ndarray, fp: np.ndarray) -> _InterpTable:
-    width = 2.0 ** math.floor(math.log2(np.diff(xp).min()))
-    buckets = int(xp[-1] / width) + 1
-    first = np.searchsorted(xp, np.arange(buckets) * width, side="right") - 1
-    upper = np.append(xp[1:], np.inf)
-    slope = np.append(np.diff(fp) / np.diff(xp), 0.0)
-    return _InterpTable(1.0 / width, first, upper, xp, fp, slope)
-
-
-def _interp(x: np.ndarray, table: _InterpTable) -> np.ndarray:
-    """``np.interp(x, table.xp, table.fp)`` for x >= 0, bit for bit, found in O(1).
-
-    The bucket index x / b is exact (b is a power of two); one comparison
-    against the next node fixes the interval, and the value is
-    np.interp's slope * (x - xp[j]) + fp[j].
-    """
-    k = x * table.inv_width
-    np.minimum(k, table.first.size - 1, out=k)
-    j = table.first[k.astype(np.intp)]
-    j += x >= table.upper[j]
-    out = x - table.xp[j]
-    out *= table.slope[j]
-    out += table.fp[j]
-    return out
+    e1 = exp1(t1)
+    h = -math.log(exp1(_TAIL_T_TOP) / e1) / (_TAIL_NODES - 1)
+    s = np.arange(_TAIL_NODES) * h
+    t_dense = np.linspace(t1, _TAIL_T_TOP, _TAIL_NODES)
+    t = np.interp(s, -np.log(exp1(t_dense) / e1), t_dense)
+    for _ in range(2):
+        e = exp1(t)
+        t -= (-np.log(e / e1) - s) * t * e * np.exp(t)  # (s(t) - s) / s'(t)
+    t[0], t[-1] = t1, _TAIL_T_TOP
+    return 1.0 / h, t, np.append(np.diff(t), 0.0)
 
 
 def _log_magnitudes(spec: NoiseSpec, uniforms: np.ndarray) -> np.ndarray:
@@ -265,7 +231,7 @@ def _log_magnitudes(spec: NoiseSpec, uniforms: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 - uniforms)
     table = _gamma_tail_table(float(spec.params.get("x1", _E_TO_E)))
     target = -np.log(1.0 - uniforms)  # 1 - U in (0, 1], avoids -log(0)
-    return np.exp(_interp(target, table))  # Y = log X = e^t
+    return np.exp(_table_lookup(target, table))  # Y = log X = e^t
 
 
 def _draw(spec: NoiseSpec, rng: np.random.Generator, out: np.ndarray) -> None:
@@ -312,15 +278,29 @@ def _law_factor(spec: NoiseSpec) -> np.ndarray:
 
     The sigma vector of the Gaussian kinds, the unit direction of the
     heavy kinds, the value of ``point_mass``; its dtype is the paths'.
+    Raises :class:`SpecificationError` on parameters the kind rejects.
     """
-    p = spec.params
+    p, d = spec.params, spec.dim
     if spec.kind == "gaussian":
-        return _sigma_vector(p, spec.dim, "sigma", allow_scalar=True)
+        return _sigma_vector(p, d, "sigma", allow_scalar=True)
     if spec.kind == "componentwise_gaussian":
-        return _sigma_vector(p, spec.dim, "sigmas", allow_scalar=False)
+        return _sigma_vector(p, d, "sigmas", allow_scalar=False)
     if spec.kind == "point_mass":
-        return real_if_exact(np.asarray(p["value"], dtype=complex))
-    return _unit_direction(p, spec.dim)
+        v = np.asarray(p.get("value", None), dtype=complex)
+        if v.shape != (d,):
+            raise SpecificationError(f"point_mass needs a length-{d} 'value' vector")
+        return real_if_exact(v)
+    if spec.kind == "pareto_exp":
+        if float(p.get("alpha", 1.0)) != 1.0:
+            raise SpecificationError("pareto_exp supports only index alpha = 1")
+    elif spec.kind == "gamma_inv_tail":
+        x1 = float(p.get("x1", _E_TO_E))
+        if x1 < _E_TO_E * (1 - 1e-12):
+            raise SpecificationError(
+                f"gamma_inv_tail needs x1 >= e^e ~ {_E_TO_E:.4f} so that "
+                f"log log x stays positive; got {x1}"
+            )
+    return _unit_direction(p, d)
 
 
 def _window_into(spec: NoiseSpec, factor, stream: int, t_start: int, out: np.ndarray):
@@ -372,7 +352,7 @@ def heavy_direction(spec: NoiseSpec) -> np.ndarray:
         raise SpecificationError(
             f"kind {spec.kind!r} has no fixed direction (one of {HEAVY_KINDS} does)"
         )
-    return _unit_direction(spec.params, spec.dim)
+    return _law_factor(spec)
 
 
 def log_magnitude_samples(spec: NoiseSpec, count: int, stream: int = 0) -> np.ndarray:

@@ -114,6 +114,22 @@ def _lag_states(step: np.ndarray, inputs: list):
         yield x
 
 
+def _split_inputs(model: ArmaModel, split: SpectralSplit) -> tuple:
+    """(L2^{-1}, [C_k], V1, V2): what the split coordinates read of ``split``.
+
+    C_k is the dual rows of the basis change applied to the embedded B_k;
+    V1 and V2 are contiguous copies of the bases' first blocks.
+    """
+    d = model.dim
+    n2 = np.linalg.inv(split.block_outer)
+    # the projections are oblique in general, so noise enters through the
+    # dual rows of the basis change (first d columns: the lift's first block)
+    c = [split.combine_inv[:, :d] @ b.matrix for b in model.ma_ops]
+    # contiguous copies of the bases keep the batched products on BLAS
+    v1, v2 = (np.ascontiguousarray(v[:d]) for v in (split.basis_inner, split.basis_outer))
+    return n2, c, v1, v2
+
+
 def _split_lag_states(model: ArmaModel, split: SpectralSplit):
     """The split kernel's two mirrored lag recursions, as state generators.
 
@@ -124,10 +140,7 @@ def _split_lag_states(model: ArmaModel, split: SpectralSplit):
     m = q - 1, q - 2, ...  Each side contracts in its own direction of travel.
     """
     r = split.rank
-    n2 = np.linalg.inv(split.block_outer)
-    # the projections are oblique in general, so noise enters through the
-    # dual rows of the basis change (first d columns: the lift's first block)
-    c = [split.combine_inv[:, : model.dim] @ b.matrix for b in model.ma_ops]
+    n2, c, _, _ = _split_inputs(model, split)
     a_q = np.zeros((split.dim - r, model.dim), dtype=complex)
     return (
         _lag_states(split.block_inner, [cj[:r] for cj in c]),
@@ -188,8 +201,7 @@ def build_split_kernel(
     phis = [next(causal) for _ in range(k + 1)]  # phi_0 .. phi_K
     alphas = [next(anticausal) for _ in range(model.q + k + 1)]  # a_q .. a_{-K}
     psis = np.zeros((2 * k + 1, d, d), dtype=complex)
-    # contiguous copies of the bases keep the batched products on BLAS
-    v1, v2 = (np.ascontiguousarray(v[:d]) for v in (split.basis_inner, split.basis_outer))
+    _, _, v1, v2 = _split_inputs(model, split)
     psis[k:] = v1 @ np.stack(phis)
     anti = (v2 @ np.stack(alphas[::-1]))[: 2 * k + 1]
     psis[: anti.shape[0]] -= anti  # lags -k .. min(q, k)
@@ -267,17 +279,14 @@ def _split_series(model, split, z, first, n_t, k) -> np.ndarray:
     u2_t = sum_{j < K} L2^{-j} h_{t+j} with h_t = -L2^{-1} f2_{t+1};
     then Y_t is the first block of V1 u1_t + V2 u2_t.
     """
-    d, r = model.dim, split.rank
+    r = split.rank
     z = z.astype(np.result_type(z, split.combine_inv), copy=False)
-    n2 = np.linalg.inv(split.block_outer)
-    # the lift embeds noise in the first block, so only the first d dual columns act
-    c = [split.combine_inv[:, :d] @ b.matrix for b in model.ma_ops]
+    n2, c, v1, v2 = _split_inputs(model, split)
     # h_t for t = t0 .. t1 + k - 1, reversed so the backward scan runs forward
     h = _lag_sum(z, [-n2 @ cj[r:] for cj in c], first + 1, first + n_t + k)
     h = np.ascontiguousarray(h[..., ::-1, :])
     f1 = _lag_sum(z, [cj[:r] for cj in c], first - k, first + n_t)  # t = t0 - k .. t1
     del z
-    v1, v2 = (np.ascontiguousarray(v[:d]) for v in (split.basis_inner, split.basis_outer))
     # drop each block once read, and form Y only after both scans, so that
     # no scan runs beside the output
     u1 = _window_sums(f1, np.ascontiguousarray(split.block_inner), k + 1)
@@ -441,6 +450,8 @@ def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count, replicates
     streams lo .. lo + c - 1, of the paths' own dtype; chunks hold about
     4e6 values.
     """
+    if replicates < 1:
+        raise SpecificationError(f"need at least one replicate, got {replicates}")
     if noise_spec.dim != model.dim:
         raise DimensionMismatchError(
             f"noise dim {noise_spec.dim} does not match model dim {model.dim}"

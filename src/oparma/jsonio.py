@@ -26,11 +26,6 @@ import numpy as np
 from .errors import SpecificationError
 from .operators import ArmaModel, Operator, OperatorSpec, arma_model, build_operator
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - hard dependency in practice
-    jsonschema = None
-
 _SCHEMA_DIR = Path(__file__).parent / "schemas"
 
 #: model params whose values hold complex entries (everything else is real)
@@ -130,8 +125,9 @@ def _load_json(path) -> object:
 
 def _validate(data, schema_name: str, path, definition: str | None = None) -> None:
     """Validate against a shipped schema, or against one of its ``$defs``."""
-    if jsonschema is None:
-        return
+    # imported here so that importing the CLI leaves jsonschema unloaded
+    import jsonschema
+
     schema = json.loads((_SCHEMA_DIR / f"{schema_name}.schema.json").read_text())
     if definition is not None:
         schema = {"$defs": schema["$defs"], "$ref": f"#/$defs/{definition}"}

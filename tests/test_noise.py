@@ -250,15 +250,30 @@ def test_negative_times_are_reversed_rows_of_the_mirror_generator():
     np.testing.assert_array_equal(path.log_mags, (1.0 / (1.0 - u))[::-1][:9])
 
 
-@pytest.mark.parametrize("x1", [math.exp(math.e), 1e6])
-def test_tail_table_lookup_is_np_interp_bit_for_bit(x1):
-    table = noise._gamma_tail_table(x1)
-    xp, fp = table.xp, table.fp
-    last = xp[-1]
-    edges = [0.0, -0.0, last, np.nextafter(last, 0.0), np.nextafter(last, np.inf), last + 1.0, 1e300]
-    u = make_rng(11, 0).random(1_000_000)
-    x = np.concatenate(
-        [xp, np.nextafter(xp, np.inf), np.nextafter(xp[1:], 0.0), edges, -np.log(1.0 - u)]
-    )
-    got = noise._interp(x, table)
-    assert got.view(np.int64).tobytes() == np.interp(x, xp, fp).view(np.int64).tobytes()
+def _exact_tail_inverse(s, t, x1):
+    """Newton-polish t towards -log(exp1(t) / exp1(t_1)) = s, the analytic gamma_inv_tail tail."""
+    e1 = exp1(math.log(math.log(x1)))
+    for _ in range(2):
+        e = exp1(t)
+        t = t - (-np.log(e / e1) - s) * t * e * np.exp(t)
+    return t
+
+
+@pytest.mark.parametrize("x1", [math.exp(math.e), 20.0, 40.0])
+def test_gamma_inv_tail_log_magnitudes_match_the_exact_inverse(x1):
+    spec = NoiseSpec(kind="gamma_inv_tail", dim=1, params={"x1": x1})
+    # uniforms whose -log(1 - U) sweep the drawn range evenly
+    u = -np.expm1(-np.linspace(0.0, 36.0, 200_001))
+    y = noise._log_magnitudes(spec, u)
+    exact = np.exp(_exact_tail_inverse(-np.log(1.0 - u), np.log(y), x1))
+    # linear interpolation on 8192 nodes uniform in -log P(Y > y)
+    assert np.max(np.abs(y / exact - 1.0)) < 5e-7
+
+
+def test_table_lookup_returns_the_top_node_at_and_beyond_the_top():
+    table = noise._gamma_tail_table(math.exp(math.e))
+    inv_h, nodes, _ = table
+    top = (nodes.size - 1) / inv_h
+    x = np.array([top, np.nextafter(top, np.inf), top + 1.0, 2.0 * top, 1e300, np.inf])
+    assert np.all(noise._table_lookup(x, table) == nodes[-1])
+    assert noise._table_lookup(np.array([0.0, -0.0]), table).tolist() == [nodes[0]] * 2

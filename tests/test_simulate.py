@@ -793,6 +793,20 @@ class TestReplicateBlocks:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda m, s: plim_probe(m, s, n_grid=(4, 8), replicates=0),
+            lambda m, s: partial_sum_quantiles(m, s, (4, 8), replicates=0),
+            lambda m, s: stationarity_ks(m, s, replicates=0),
+        ],
+        ids=["plim_probe", "partial_sum_quantiles", "stationarity_ks"],
+    )
+    def test_zero_replicates_rejected(self, check):
+        spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=0)
+        with pytest.raises(SpecificationError, match="at least one replicate"):
+            check(scalar_model(0.5), spec)
+
 
 def _recursion_residual_reference(model, y, z):
     """The residual as one expression per term, each product freshly allocated."""
