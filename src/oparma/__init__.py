@@ -20,7 +20,6 @@ from .errors import (
 )
 from .operators import (
     ArmaModel,
-    CompanionLift,
     Operator,
     OperatorSpec,
     apply_batch,
@@ -80,7 +79,6 @@ from .jsonio import dump_model, load_model, load_noise
 __all__ = [
     "ArmaModel",
     "CircleCheck",
-    "CompanionLift",
     "DEFAULT_TAIL_TOL",
     "DimensionMismatchError",
     "HEAVY_KINDS",

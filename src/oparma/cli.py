@@ -141,12 +141,20 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
+def _load_noise(args, dim=None):
+    """The ``--noise`` file, or unit gaussian noise of ``dim``, with ``--seed`` applied."""
+    from .engine.noise import NoiseSpec
+
+    spec = load_noise(args.noise) if args.noise else NoiseSpec("gaussian", dim, {"sigma": 1.0})
+    return spec if args.seed is None else dataclasses.replace(spec, seed=args.seed)
+
+
 def _cmd_split(args) -> int:
     from .operators import companion_lift
     from .spectral import hyperbolic_split
 
     model = load_model(args.model)
-    split = hyperbolic_split(companion_lift(model).operator)
+    split = hyperbolic_split(companion_lift(model))
     _emit(dumps(split_payload(split)), args.out)
     return 0
 
@@ -182,9 +190,7 @@ def _cmd_simulate(args) -> int:
     from .laurent import laurent_coeffs
 
     model = load_model(args.model)
-    spec = load_noise(args.noise)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    spec = _load_noise(args)
     if args.t1 < args.t0:
         raise SpecificationError(f"--t1 must be >= --t0, got ({args.t0}, {args.t1})")
     if args.k_trunc is not None and args.method != "split":
@@ -209,9 +215,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_moments(args) -> int:
     from .engine.moments import moment_estimate
 
-    spec = load_noise(args.noise)
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
+    spec = _load_noise(args)
     transform = load_operator(args.transform) if args.transform else None
     rep = moment_estimate(spec, transform, args.kind, args.n_samples)
     _emit(dumps(sanitize(dataclasses.asdict(rep))), args.out)
@@ -245,18 +249,10 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .engine.noise import NoiseSpec
     from .scenarios import certify
 
     model = load_model(args.model)
-    if args.noise:
-        spec = load_noise(args.noise)
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
-    else:
-        spec = NoiseSpec(
-            kind="gaussian", dim=model.dim, params={"sigma": 1.0}, seed=args.seed or 0
-        )
+    spec = _load_noise(args, model.dim)
     checks, _ = certify(model, spec, args.window - 1, residual_max=1e-8)
     passed = all(c["pass"] for c in checks)
     payload = {"model": str(args.model), "checks": checks, "passed": passed}

@@ -28,10 +28,11 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from ..errors import SpecificationError
-from ..operators import Operator
+from ..operators import Operator, _scaled_norm
 from .noise import (
     HEAVY_KINDS,
     NoiseSpec,
+    _log_norms,
     _table_lookup,
     heavy_direction,
     log_magnitude_samples,
@@ -210,11 +211,11 @@ def _sample_log_norms(spec: NoiseSpec, t_mat, n: int, stream: int) -> np.ndarray
         return logs
     values = sample_path(spec, n, stream=stream).values
     if t_mat is not None:
-        values = values @ t_mat.T
-    norms = np.linalg.norm(values, axis=1)
-    out = np.full(n, -np.inf)
-    np.log(norms, out=out, where=norms > 0)
-    return out
+        # T Z from both factors in power-of-two units, so the product cannot overflow
+        (_, kz), (_, kt) = _scaled_norm(values), _scaled_norm(t_mat)
+        product = (values * 2.0**-kz) @ (t_mat * 2.0**-kt).T
+        return _log_norms(product) + (kz + kt) * math.log(2.0)
+    return _log_norms(values)
 
 
 def _octave_table(g: np.ndarray) -> list:

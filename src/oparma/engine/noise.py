@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import exp1
 
 from ..errors import SpecificationError
+from ..operators import _frobenius, _scaled_norm
 
 NOISE_KINDS = (
     "gaussian",
@@ -49,6 +50,7 @@ CLAMP_LOG = 700.0
 UNIT_TOL = 1e-12
 
 _E_TO_E = math.exp(math.e)
+_LN2 = math.log(2.0)
 
 #: extra spawn-key entry of the mirror generator that carries t < 0
 _MIRROR_KEY = 1
@@ -106,8 +108,8 @@ def _unit_direction(params, d, key="direction"):
     x = np.asarray(params[key], dtype=complex)
     if x.shape != (d,):
         raise SpecificationError(f"direction must have length {d}, got {x.shape}")
-    nrm = np.linalg.norm(x)
-    if abs(nrm - 1.0) > UNIT_TOL:
+    nrm = _frobenius(x)
+    if not abs(nrm - 1.0) <= UNIT_TOL:
         raise SpecificationError(
             f"direction must be unit norm (got ||x|| = {nrm!r}); normalize it first"
         )
@@ -159,9 +161,14 @@ class NoisePath:
     def lognorms(self) -> np.ndarray:
         if self.log_mags is not None:
             return self.log_mags
-        nrm = np.linalg.norm(self.values, axis=1)
-        with np.errstate(divide="ignore"):
-            return np.log(nrm)
+        return _log_norms(self.values)
+
+
+def _log_norms(values: np.ndarray) -> np.ndarray:
+    """log of the row norms of ``values`` (-inf for a zero row), free of overflow."""
+    norms, k = _scaled_norm(values, axis=1)
+    with np.errstate(divide="ignore"):
+        return np.log(norms) + k * _LN2
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -287,17 +294,17 @@ def _law_factor(spec: NoiseSpec) -> np.ndarray:
         return _sigma_vector(p, d, "sigmas", allow_scalar=False)
     if spec.kind == "point_mass":
         v = np.asarray(p.get("value", None), dtype=complex)
-        if v.shape != (d,):
-            raise SpecificationError(f"point_mass needs a length-{d} 'value' vector")
+        if v.shape != (d,) or not np.isfinite(v).all():
+            raise SpecificationError(f"point_mass needs a finite length-{d} 'value' vector")
         return real_if_exact(v)
     if spec.kind == "pareto_exp":
         if float(p.get("alpha", 1.0)) != 1.0:
             raise SpecificationError("pareto_exp supports only index alpha = 1")
     elif spec.kind == "gamma_inv_tail":
         x1 = float(p.get("x1", _E_TO_E))
-        if x1 < _E_TO_E * (1 - 1e-12):
+        if not _E_TO_E * (1 - 1e-12) <= x1 < math.inf:
             raise SpecificationError(
-                f"gamma_inv_tail needs x1 >= e^e ~ {_E_TO_E:.4f} so that "
+                f"gamma_inv_tail needs a finite x1 >= e^e ~ {_E_TO_E:.4f} so that "
                 f"log log x stays positive; got {x1}"
             )
     return _unit_direction(p, d)
@@ -312,7 +319,8 @@ def _window_into(spec: NoiseSpec, factor, stream: int, t_start: int, out: np.nda
     """
     if spec.kind == "point_mass":
         out[:] = factor
-        return np.full(out.shape[0], _safe_log(np.linalg.norm(factor)))
+        norm, k = _scaled_norm(factor)
+        return np.full(out.shape[0], _safe_log(norm) + k * _LN2)
     if spec.kind in GAUSSIAN_KINDS:
         _raw_window(spec, stream, t_start, out)
         out *= factor

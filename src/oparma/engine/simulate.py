@@ -162,19 +162,22 @@ def _split_depth(model: ArmaModel, split=None, k_trunc=None) -> tuple[int, Spect
         raise SpecificationError(f"truncation depth must be >= 0, got {k_trunc}")
     lift = companion_lift(model)
     if split is None:
-        split = hyperbolic_split(lift.operator)
-    elif split.dim != lift.operator.dim:
+        split = hyperbolic_split(lift)
+    elif split.dim != lift.dim:
         raise DimensionMismatchError(
-            f"split has dim {split.dim}, lifted operator has {lift.operator.dim}"
+            f"split has dim {split.dim}, lifted operator has {lift.dim}"
         )
     causal, anticausal = _split_lag_states(model, split)
-    for _ in range(model.q):
-        next(anticausal)  # a_q .. a_1
-    for k, newest in enumerate(zip(causal, anticausal)):  # (phi_k, a_{-k})
-        # Frobenius norms of the newest states; vdot is the cheapest route at small d
-        tail = max(abs(np.vdot(x, x)) for x in newest) ** 0.5
-        if k == k_trunc or (k_trunc is None and k > model.q and tail <= DEFAULT_TAIL_TOL):
-            return k, split
+    with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
+        for _ in range(model.q):
+            next(anticausal)  # a_q .. a_1
+        for k, newest in enumerate(zip(causal, anticausal)):  # (phi_k, a_{-k})
+            # Frobenius norms of the newest states; vdot is the cheapest route at small d
+            tail = max(abs(np.vdot(x, x)) for x in newest) ** 0.5
+            if not math.isfinite(tail) and not all(np.isfinite(x).all() for x in newest):
+                raise OverflowError(f"split kernel lag states leave the float range at lag {k}")
+            if k == k_trunc or (k_trunc is None and k > model.q and tail <= DEFAULT_TAIL_TOL):
+                return k, split
 
 
 def _depth_diagnostics(k: int, split: SpectralSplit) -> dict:
@@ -217,12 +220,17 @@ def laurent_kernel(coeffs: LaurentCoeffs) -> LagKernel:
     )
 
 
-def _sample_window(noise, dim, lo, hi) -> NoisePath:
-    """Noise on [lo, hi] from a NoiseSpec of dimension ``dim``."""
+def _check_noise(model: ArmaModel, noise) -> None:
+    """Raise unless ``noise`` is a NoiseSpec of the model's dimension."""
     if not isinstance(noise, NoiseSpec):
         raise SpecificationError(f"noise must be a NoiseSpec, got {type(noise).__name__}")
-    if noise.dim != dim:
-        raise DimensionMismatchError(f"noise dim {noise.dim} does not match model dim {dim}")
+    if noise.dim != model.dim:
+        raise DimensionMismatchError(f"noise dim {noise.dim} does not match model dim {model.dim}")
+
+
+def _sample_window(model: ArmaModel, noise, lo, hi) -> NoisePath:
+    """Noise on [lo, hi] from a NoiseSpec of the model's dimension."""
+    _check_noise(model, noise)
     return sample_path(noise, hi - lo + 1, t_start=lo)
 
 
@@ -403,7 +411,7 @@ def simulate_theorem1(
     """
     k, split = _split_depth(model, split, k_trunc)
     t0, t1 = _window(t_range)
-    path = _sample_window(noise, model.dim, t0 - k - model.q, t1 + k)
+    path = _sample_window(model, noise, t0 - k - model.q, t1 + k)
     with np.errstate(over="ignore", invalid="ignore"):  # _result names the first bad t
         values = _split_series(model, split, path.values, k + model.q, t1 - t0 + 1, k)
     return _result(model, t0, values, "theorem1_split", k, path, _depth_diagnostics(k, split))
@@ -427,7 +435,7 @@ def simulate_ma(
     reach = max(abs(coeffs.k_min), abs(coeffs.k_max))
     kernel = laurent_kernel(coeffs)
     t0, t1 = _window(t_range)
-    path = _sample_window(noise, model.dim, t0 - kernel.l_max, t1 - kernel.l_min)
+    path = _sample_window(model, noise, t0 - kernel.l_max, t1 - kernel.l_min)
     with np.errstate(over="ignore", invalid="ignore"):  # _result names the first bad t
         values = _convolve(kernel, path.values, kernel.l_max, t1 - t0 + 1)
     return _result(model, t0, values, "ma_infinity", reach, path, kernel.diagnostics)
@@ -452,10 +460,7 @@ def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count, replicates
     """
     if replicates < 1:
         raise SpecificationError(f"need at least one replicate, got {replicates}")
-    if noise_spec.dim != model.dim:
-        raise DimensionMismatchError(
-            f"noise dim {noise_spec.dim} does not match model dim {model.dim}"
-        )
+    _check_noise(model, noise_spec)
     factor = _law_factor(noise_spec)
     chunk = max(1, min(replicates, int(4e6 / max(count * noise_spec.dim, 1))))
     for lo in range(0, replicates, chunk):

@@ -246,17 +246,10 @@ def load_noise(path):
     data = _load_json(path)
     _validate(data, "noise", path)
     kind = data["kind"]
+    # the schema types every param; only the [re, im] pairs need decoding
     params = dict(data.get("params", {}))
-    where = f"{path}: params"
     if kind == "point_mass" and "value" in params:
-        params["value"] = _decode_vector(params["value"], f"{where}.value")
-    elif kind == "gaussian" and "sigma" in params and isinstance(params["sigma"], list):
-        params["sigma"] = _real_list(params["sigma"], f"{where}.sigma")
-    elif kind == "componentwise_gaussian" and "sigmas" in params:
-        params["sigmas"] = _real_list(params["sigmas"], f"{where}.sigmas")
-    for key in ("direction",):
-        if key in params:
-            params[key] = _real_list(params[key], f"{where}.{key}")
+        params["value"] = _decode_vector(params["value"], f"{path}: params.value")
     try:
         return NoiseSpec(
             kind=kind, dim=data["dim"], params=params, seed=int(data.get("seed", 0))

@@ -98,7 +98,7 @@ def unit_circle_check(model: ArmaModel, n_grid: int = 512) -> CircleCheck:
     """
     if n_grid < 1:
         raise SpecificationError(f"n_grid must be >= 1, got {n_grid}")
-    eigs = np.linalg.eigvals(companion_lift(model).operator.matrix)
+    eigs = np.linalg.eigvals(companion_lift(model).matrix)
     eigs = eigs[eigs != 0]
     nodes = np.concatenate(
         [np.exp(2j * np.pi * np.arange(n_grid) / n_grid), eigs.conj() / np.abs(eigs)]

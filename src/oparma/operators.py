@@ -94,15 +94,6 @@ class Operator:
         return self.spec.kind
 
 
-def _as_complex_matrix(entries, d):
-    m = np.asarray(entries, dtype=complex)
-    if m.shape != (d, d):
-        raise SpecificationError(f"dense entries must be {d}x{d}, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise SpecificationError("dense entries contain non-finite values")
-    return m
-
-
 def volterra_matrix(m: int, rule: str = "corrected_trapezoid") -> np.ndarray:
     """Quadrature matrix for cumulative integration x -> int_0^s x(t) dt.
 
@@ -149,7 +140,9 @@ def build_operator(spec: OperatorSpec) -> Operator:
     if kind == "dense":
         if "entries" not in p:
             raise SpecificationError("dense operator needs 'entries'")
-        m = _as_complex_matrix(p["entries"], d)
+        m = np.asarray(p["entries"], dtype=complex)
+        if m.shape != (d, d):
+            raise SpecificationError(f"dense entries must be {d}x{d}, got shape {m.shape}")
     elif kind == "weighted_shift":
         w = np.asarray(p.get("weights", ()), dtype=float)
         if w.shape != (d - 1,):
@@ -181,6 +174,8 @@ def build_operator(spec: OperatorSpec) -> Operator:
         m = np.zeros((d, d), dtype=complex)
     else:  # identity
         m = np.eye(d, dtype=complex)
+    if not np.isfinite(m).all():
+        raise SpecificationError(f"{kind} operator has non-finite entries")
     return Operator(matrix=m, spec=spec)
 
 
@@ -218,6 +213,24 @@ def apply_batch(op: Operator, block: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return block.copy()
     return op.matrix @ block
+
+
+def _scaled_norm(x: np.ndarray, axis=None) -> tuple:
+    """``(np.linalg.norm(x * 2^-k, axis=axis), k)``: norms in units of 2^k.
+
+    k = max(e - 500, 0) for the binary exponent e of the largest |entry|,
+    so the squares cannot overflow.  The scaling is exact: below 2^500
+    (k = 0) the norms are numpy's own, bit for bit.
+    """
+    peak = float(np.abs(x).max()) if x.size else 0.0
+    k = max(math.frexp(peak)[1] - 500, 0)
+    return np.linalg.norm(x * 2.0**-k if k else x, axis=axis), k
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F (2-norm of a vector), inf only when the norm itself leaves the float range."""
+    norm, k = _scaled_norm(x)
+    return float(norm) * 2.0**k
 
 
 def _scaled_matrix_power(matrix: np.ndarray, n: int):
@@ -388,47 +401,19 @@ def arma_model(ar_ops: Sequence[Operator], ma_ops: Sequence[Operator]) -> ArmaMo
     return ArmaModel(ar_ops=tuple(ar_ops), ma_ops=tuple(ma_ops))
 
 
-@dataclass(frozen=True)
-class CompanionLift:
-    """Order-1 representation of an order-p model on the p-fold product space.
+def companion_lift(model: ArmaModel) -> Operator:
+    """Block-companion operator of an ARMA(p, q) model on the p-fold product space.
 
-    ``operator`` is the block companion matrix (first block row A_1..A_p,
-    identity blocks on the subdiagonal) and ``noise_embedding`` maps a
-    d-vector into the first block of a pd-vector.
+    The first block row is A_1..A_p and the subdiagonal blocks are
+    identities; noise enters through the first block.  For p = 1 the lift
+    is A_1 itself.
     """
-
-    operator: Operator
-    noise_embedding: np.ndarray
-    p: int
-
-
-def companion_lift(model: ArmaModel) -> CompanionLift:
-    """Block-companion representation of an ARMA(p, q) model.
-
-    For p = 1 the lift is degenerate and returns the original operators
-    with an identity noise embedding.
-    """
+    if model.p == 1:
+        return model.ar_ops[0]
     d = model.dim
-    p = model.p
-    if p == 1:
-        return CompanionLift(
-            operator=model.ar_ops[0],
-            noise_embedding=np.eye(d, dtype=complex),
-            p=1,
-        )
-    big = np.zeros((p * d, p * d), dtype=complex)
-    for i, a in enumerate(model.ar_ops):
-        big[:d, i * d : (i + 1) * d] = a.matrix
-    for i in range(1, p):
-        idx = np.arange(d)
-        big[i * d + idx, (i - 1) * d + idx] = 1.0
-    embed = np.zeros((p * d, d), dtype=complex)
-    embed[:d, :] = np.eye(d)
-    return CompanionLift(
-        operator=dense_operator(big),
-        noise_embedding=embed,
-        p=p,
-    )
+    big = np.eye(model.p * d, k=-d, dtype=complex)
+    big[:d] = np.hstack([a.matrix for a in model.ar_ops])
+    return dense_operator(big)
 
 
 def ma_moment_operator(model: ArmaModel) -> np.ndarray:

@@ -44,6 +44,7 @@ from .errors import SpecificationError, UnknownScenarioError
 from .laurent import laurent_coeffs
 from .operators import (
     OperatorSpec,
+    _scaled_norm,
     arma_model,
     build_operator,
     companion_lift,
@@ -159,13 +160,14 @@ def certify(model, noise, t1: int, residual_max: float):
         raise SpecificationError(
             f"window must be at least p + 2 = {model.p + 2}, got {t1 + 1}"
         )
-    op = companion_lift(model).operator
+    op = companion_lift(model)
     split = hyperbolic_split(op)
     flags = check_split(split, op)
     coeffs = laurent_coeffs(model)
     res_split = simulate_theorem1(model, noise, (0, t1), split=split)
     res_ma = simulate_ma(model, coeffs, noise, (0, t1))
-    gap = float(np.linalg.norm(res_split.values - res_ma.values, axis=1).max())
+    gaps, k = _scaled_norm(res_split.values - res_ma.values, axis=1)
+    gap = float(gaps.max()) * 2.0**k
     circle = coeffs.circle
     radii = [split.diagnostics["radius_inner"], split.diagnostics["radius_outer_inv"]]
     recon = coeffs.reconstruction_residual

@@ -231,7 +231,7 @@ def test_criterion_04_companion_eigenvalues():
             [dense_operator(m) for m in mats], [dense_operator(np.eye(d))]
         )
         lift = companion_lift(model)
-        eigs = np.linalg.eigvals(lift.operator.matrix)
+        eigs = np.linalg.eigvals(lift.matrix)
         roots = _det_q_roots([m.astype(complex) for m in mats])
         cost = np.abs(eigs[:, None] - roots[None, :])
         rows, cols = linear_sum_assignment(cost)

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -786,3 +787,109 @@ class TestModuleEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+_SEED_RUNS = {
+    "simulate": ["simulate", "--model", "{model}", "--t1", "9"],
+    "moments": ["moments", "--n-samples", "1000"],
+    "verify": ["verify", "--model", "{model}", "--window", "20"],
+}
+
+
+class TestSeedOverride:
+    @pytest.mark.parametrize("sub", _SEED_RUNS)
+    def test_seed_flag_replaces_the_file_seed(self, sub, hyper_model, tmp_path):
+        outs = {}
+        for file_seed, flag in ((5, None), (9, None), (9, "5")):
+            noise = tmp_path / f"seed{file_seed}.json"
+            noise.write_text(
+                json.dumps(
+                    {"kind": "gaussian", "dim": 2, "params": {"sigma": 1.0}, "seed": file_seed}
+                )
+            )
+            out = tmp_path / f"{sub}-{file_seed}-{flag}.json"
+            argv = [a.format(model=hyper_model) for a in _SEED_RUNS[sub]]
+            argv += ["--noise", str(noise), "--out", str(out)]
+            assert run_cli(*argv, *(["--seed", flag] if flag else []))[0] == 0
+            outs[file_seed, flag] = out.read_bytes()
+        assert outs[5, None] != outs[9, None]
+        assert outs[9, "5"] == outs[5, None]
+
+    def test_verify_default_noise_takes_the_seed(self, hyper_model, tmp_path):
+        noise = tmp_path / "unit.json"
+        noise.write_text(
+            json.dumps({"kind": "gaussian", "dim": 2, "params": {"sigma": 1.0}, "seed": 7})
+        )
+        outs = []
+        for extra in (["--seed", "7"], ["--noise", str(noise)]):
+            out = tmp_path / f"verify{len(outs)}.json"
+            argv = ["verify", "--model", str(hyper_model), "--out", str(out), *extra]
+            assert run_cli(*argv)[0] == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
+_HUGE_POINT = {"kind": "point_mass", "params": {"value": [1e300, 1e300]}}
+
+
+class TestFloatLimit:
+    """Entries near 1e300 either work or fail loudly; no norm overflows silently."""
+
+    @pytest.fixture
+    def big_model(self, tmp_path):
+        path = tmp_path / "big.json"
+        entries = [[1e300, 0.0], [0.0, 2.0]]
+        path.write_text(
+            json.dumps(
+                {
+                    "ar": [{"kind": "dense", "dim": 2, "params": {"entries": entries}}],
+                    "ma": [{"kind": "identity", "dim": 2}],
+                }
+            )
+        )
+        return path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["split"],
+            ["simulate", "--noise", "{noise}", "--t1", "20"],
+            ["verify", "--noise", "{noise}", "--window", "20"],
+        ],
+        ids=["split", "simulate", "verify"],
+    )
+    def test_huge_ar_entry_runs_clean(self, argv, big_model, gauss_noise, capsys):
+        argv = [a.format(noise=gauss_noise) for a in argv] + ["--model", str(big_model)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        if argv[0] == "split":
+            diagnostics = json.loads(out)["diagnostics"]
+            assert diagnostics["similarity_residual"] == 0.0
+
+    @pytest.mark.parametrize(
+        "noise, transform, moment",
+        [
+            # E log||Z|| for sigma N(0, I_2): log sigma + (log 2 - Euler gamma) / 2
+            ({"kind": "gaussian", "params": {"sigma": 1e300}}, None, 690.7755 + 0.0580),
+            (_HUGE_POINT, None, 690.7755 + 0.3466),
+            # T Z = (1e310, 1e300) leaves the float range though its log norm does not
+            (_HUGE_POINT, [1e10, 1.0], 713.8014),
+        ],
+        ids=["gaussian", "point_mass", "point_mass_transformed"],
+    )
+    def test_huge_noise_moment_is_finite(self, noise, transform, moment, tmp_path, capsys):
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps({"dim": 2, "seed": 1, **noise}))
+        argv = ["moments", "--noise", str(path)]
+        if transform:
+            t_op = tmp_path / "t.json"
+            op = {"kind": "multiplication", "dim": 2, "params": {"multipliers": transform}}
+            t_op.write_text(json.dumps(op))
+            argv += ["--transform", str(t_op)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["estimate"] == pytest.approx(moment, abs=0.02)

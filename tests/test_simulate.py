@@ -730,6 +730,15 @@ class TestSplitDepth:
         report = stationarity_ks(model, spec, replicates=200)
         assert 0.0 < report["ks_statistic_t"] < 1.0
 
+    def test_overflowing_lag_states_raise(self):
+        # a transient gain of 1e10 takes B_0 = 1e300 I past the float range at lag 1;
+        # the nan states that follow would never meet the tail tolerance
+        a = dense_operator([[0.5, 1e10], [0.0, 0.5]])
+        model = arma_model([a], [dense_operator(1e300 * np.eye(2))])
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
+        with pytest.raises(OverflowError, match="lag states leave the float range at lag 1"):
+            simulate_theorem1(model, spec, t_range=(0, 3))
+
     @pytest.mark.parametrize("name", ["ar1_q2", "ar2_q1"])
     def test_replicate_block_matches_single_paths_bitwise(self, name):
         ident = build_operator(OperatorSpec(kind="identity", dim=4))
@@ -806,6 +815,31 @@ class TestReplicateBlocks:
         spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=0)
         with pytest.raises(SpecificationError, match="at least one replicate"):
             check(scalar_model(0.5), spec)
+
+
+_NOISE_USERS = {
+    "simulate_theorem1": lambda m, s: simulate_theorem1(m, s, t_range=(0, 5)),
+    "simulate_ma": lambda m, s: simulate_ma(m, laurent_coeffs(m), s, t_range=(0, 5)),
+    "plim_probe": lambda m, s: plim_probe(m, s, n_grid=(4, 8), replicates=3),
+    "partial_sum_quantiles": lambda m, s: partial_sum_quantiles(m, s, (4, 8), replicates=3),
+    "stationarity_ks": lambda m, s: stationarity_ks(m, s, replicates=3),
+}
+
+
+class TestNoiseAgainstModel:
+    """Every entry point that samples noise checks its type and dimension the same way."""
+
+    @pytest.mark.parametrize("use", _NOISE_USERS.values(), ids=_NOISE_USERS.keys())
+    def test_wrong_dimension(self, use):
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
+        with pytest.raises(DimensionMismatchError, match="noise dim 2 does not match model dim 1"):
+            use(scalar_model(0.5), spec)
+
+    @pytest.mark.parametrize("use", _NOISE_USERS.values(), ids=_NOISE_USERS.keys())
+    def test_wrong_type(self, use):
+        spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=0)
+        with pytest.raises(SpecificationError, match="noise must be a NoiseSpec, got NoisePath"):
+            use(scalar_model(0.5), sample_path(spec, 50))
 
 
 def _recursion_residual_reference(model, y, z):

@@ -14,10 +14,8 @@ from oparma import (
 )
 from oparma import spectral
 from oparma.spectral import (
-    check_hyperbolic,
     check_split,
     hyperbolic_split,
-    hyperbolicity_margin,
     riesz_projector,
 )
 
@@ -81,10 +79,10 @@ def test_hyperbolicity_guard():
     with pytest.raises(HyperbolicityError):
         riesz_projector(on_circle)
     near = op("multiplication", 2, multipliers=[1.0 + 1e-8, 0.5])
-    with pytest.raises(HyperbolicityError):
+    with pytest.raises(HyperbolicityError, match=r"within 1\.000e-08"):
         hyperbolic_split(near)
-    assert hyperbolicity_margin(near) == pytest.approx(1e-8, rel=1e-3)
-    assert check_hyperbolic(op("multiplication", 1, multipliers=[0.5])) == pytest.approx(0.5)
+    split = hyperbolic_split(op("multiplication", 1, multipliers=[0.5]))
+    assert split.diagnostics["hyperbolicity_margin"] == pytest.approx(0.5)
 
 
 def test_quadrature_cap_raises_for_glacial_convergence():
@@ -119,6 +117,19 @@ def test_check_split_detects_tampering():
     swapped_results = check_split(swapped, a)
     assert swapped_results["idempotent"] and swapped_results["commutes"]
     assert not swapped_results["matches_riesz"]
+
+
+def test_invariant_gates_hold_at_the_float_limit():
+    # ||A||_F of diag(1e300, 2) overflows unscaled, which made every bound inf
+    import dataclasses
+
+    a = dense_operator(np.diag([1e300, 2.0]))
+    sp = hyperbolic_split(a)
+    assert all(check_split(sp, a).values())
+    bad = dataclasses.replace(sp, block_outer=1.5 * sp.block_outer)
+    assert not check_split(bad, a)["similarity"]
+    residuals = spectral._invariant_residuals(bad, a.matrix)
+    assert residuals["similarity"][0] == pytest.approx(0.5e300)
 
 
 def test_split_raises_when_invariants_miss_tolerance(monkeypatch):
