@@ -58,7 +58,6 @@ from .engine.simulate import (
     ProbeResult,
     SimulationResult,
     build_split_kernel,
-    laurent_kernel,
     partial_sum_quantiles,
     plim_probe,
     recursion_residual,
@@ -114,7 +113,6 @@ __all__ = [
     "heavy_direction",
     "hyperbolic_split",
     "laurent_coeffs",
-    "laurent_kernel",
     "list_scenarios",
     "load_model",
     "load_noise",

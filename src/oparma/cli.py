@@ -16,6 +16,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .engine.moments import MOMENT_KINDS, moment_estimate
+from .engine.noise import NoiseSpec
+from .engine.simulate import simulate_ma, simulate_theorem1
 from .errors import (
     HyperbolicityError,
     QuadratureError,
@@ -36,6 +39,10 @@ from .jsonio import (
     simulation_payload,
     split_payload,
 )
+from .laurent import laurent_coeffs, unit_circle_check
+from .operators import companion_lift
+from .scenarios import certify, list_scenarios, run_scenario
+from .spectral import hyperbolic_split
 
 #: errors meaning the input was bad (exit 2)
 _USAGE_ERRORS = (SpecificationError, WindowError, UnknownScenarioError)
@@ -100,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise", required=True)
     sp.add_argument(
         "--kind",
-        choices=("log_plus", "log_plus_log_plus", "gamma_inverse"),
+        choices=MOMENT_KINDS,
         default="log_plus",
     )
     sp.add_argument("--n-samples", type=int, default=100_000)
@@ -143,16 +150,11 @@ def _emit(text: str, out) -> None:
 
 def _load_noise(args, dim=None):
     """The ``--noise`` file, or unit gaussian noise of ``dim``, with ``--seed`` applied."""
-    from .engine.noise import NoiseSpec
-
     spec = load_noise(args.noise) if args.noise else NoiseSpec("gaussian", dim, {"sigma": 1.0})
     return spec if args.seed is None else dataclasses.replace(spec, seed=args.seed)
 
 
 def _cmd_split(args) -> int:
-    from .operators import companion_lift
-    from .spectral import hyperbolic_split
-
     model = load_model(args.model)
     split = hyperbolic_split(companion_lift(model))
     _emit(dumps(split_payload(split)), args.out)
@@ -160,8 +162,6 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_laurent(args) -> int:
-    from .laurent import laurent_coeffs
-
     if (args.k_min is None) != (args.k_max is None):
         raise SpecificationError("--k-min and --k-max must be given together")
     model = load_model(args.model)
@@ -174,8 +174,6 @@ def _cmd_laurent(args) -> int:
 
 
 def _cmd_check_circle(args) -> int:
-    from .laurent import unit_circle_check
-
     model = load_model(args.model)
     kwargs = {}
     if args.n_grid is not None:
@@ -186,9 +184,6 @@ def _cmd_check_circle(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .engine.simulate import simulate_ma, simulate_theorem1
-    from .laurent import laurent_coeffs
-
     model = load_model(args.model)
     spec = _load_noise(args)
     if args.t1 < args.t0:
@@ -203,7 +198,7 @@ def _cmd_simulate(args) -> int:
     if args.format == "csv":
         print(
             f"method={res.method} K={res.truncation_K} "
-            f"max_residual={res.max_residual:.3e}",
+            f"max_residual={res.max_residual:.3e} n_clamped={res.noise.n_clamped}",
             file=sys.stderr,
         )
         _emit(simulation_csv(res), args.out)
@@ -213,8 +208,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    from .engine.moments import moment_estimate
-
     spec = _load_noise(args)
     transform = load_operator(args.transform) if args.transform else None
     rep = moment_estimate(spec, transform, args.kind, args.n_samples)
@@ -235,8 +228,6 @@ def _parse_override(raw: str):
 
 
 def _cmd_scenario(args) -> int:
-    from .scenarios import list_scenarios, run_scenario
-
     if args.list:
         _emit(dumps(sanitize(list(list_scenarios()))), args.out)
         return 0
@@ -249,8 +240,6 @@ def _cmd_scenario(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .scenarios import certify
-
     model = load_model(args.model)
     spec = _load_noise(args, model.dim)
     checks, _ = certify(model, spec, args.window - 1, residual_max=1e-8)

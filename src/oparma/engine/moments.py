@@ -224,7 +224,8 @@ def _octave_table(g: np.ndarray) -> list:
     rows = []
     k = 32
     while k <= n // 8:
-        t_stat = k * float(order[k - 1]) / n
+        # an order statistic tied with the maximum has no tail above it
+        t_stat = k * float(order[k - 1]) / n if order[k - 1] < order[0] else 0.0
         rel = 2.0 / math.sqrt(k)
         rows.append(
             {

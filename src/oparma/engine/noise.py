@@ -27,15 +27,18 @@ import numpy as np
 from scipy.special import exp1
 
 from ..errors import SpecificationError
-from ..operators import _frobenius, _scaled_norm
+from ..operators import _check_spec, _frobenius, _scaled_norm
 
-NOISE_KINDS = (
-    "gaussian",
-    "componentwise_gaussian",
-    "pareto_exp",
-    "gamma_inv_tail",
-    "point_mass",
-)
+#: each noise kind's param names; :func:`_law_factor` checks their values
+NOISE_PARAMS = {
+    "gaussian": ("sigma",),
+    "componentwise_gaussian": ("sigmas",),
+    "pareto_exp": ("alpha", "direction"),
+    "gamma_inv_tail": ("x1", "direction"),
+    "point_mass": ("value",),
+}
+
+NOISE_KINDS = tuple(NOISE_PARAMS)
 
 #: kinds sampled as independent normals scaled per component
 GAUSSIAN_KINDS = ("gaussian", "componentwise_gaussian")
@@ -63,7 +66,7 @@ _SKIP_DRAWS = 1 << 16
 class NoiseSpec:
     """Innovation distribution: kind, dimension, parameters, base seed.
 
-    Kinds:
+    Kinds, taking only the params :data:`NOISE_PARAMS` declares for them:
 
     - ``gaussian``: independent N(0, sigma_i^2) components; ``sigma`` may
       be a scalar (broadcast) or a length-d list.
@@ -85,10 +88,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise SpecificationError(f"unknown noise kind {self.kind!r}")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise SpecificationError(f"dim must be a positive integer, got {self.dim!r}")
+        _check_spec("noise", NOISE_PARAMS, self)
         _law_factor(self)
 
 

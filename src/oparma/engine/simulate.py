@@ -96,7 +96,6 @@ class LagKernel:
 
     l_min: int
     psis: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def l_max(self) -> int:
@@ -208,16 +207,7 @@ def build_split_kernel(
     psis[k:] = v1 @ np.stack(phis)
     anti = (v2 @ np.stack(alphas[::-1]))[: 2 * k + 1]
     psis[: anti.shape[0]] -= anti  # lags -k .. min(q, k)
-    return LagKernel(l_min=-k, psis=psis, diagnostics=_depth_diagnostics(k, split)), split
-
-
-def laurent_kernel(coeffs: LaurentCoeffs) -> LagKernel:
-    """Laurent coefficients as a lag kernel: psi_k acts on Z_{t-k}."""
-    return LagKernel(
-        l_min=coeffs.k_min,
-        psis=coeffs.coeffs,
-        diagnostics={"n_quad": coeffs.n_quad},
-    )
+    return LagKernel(l_min=-k, psis=psis), split
 
 
 def _check_noise(model: ArmaModel, noise) -> None:
@@ -305,16 +295,6 @@ def _split_series(model, split, z, first, n_t, k) -> np.ndarray:
     del u1
     y += u2 @ v2.T
     return y
-
-
-def _convolve(kernel: LagKernel, values: np.ndarray, first: int, n_t: int) -> np.ndarray:
-    """Apply ``kernel`` to noise ``values`` (n, d) for n_t times, the first at row ``first``.
-
-    Real noise is cast to the kernel's type once, not at every lag.
-    """
-    values = values.astype(np.result_type(values, kernel.psis), copy=False)
-    lo = first - kernel.l_min
-    return _lag_sum(values, kernel.psis, lo, lo + n_t)
 
 
 def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
@@ -425,7 +405,8 @@ def simulate_ma(
 ) -> SimulationResult:
     """Simulate via the two-sided MA representation with given coefficients.
 
-    ``noise`` is a NoiseSpec, sampled over the coefficients' reach.
+    ``noise`` is a NoiseSpec, sampled over the coefficients' reach;
+    psi_k acts on Z_{t-k}.
     """
     if coeffs.reconstruction_residual > RECONSTRUCTION_MAX:
         raise SpecificationError(
@@ -433,12 +414,14 @@ def simulate_ma(
             f"(residual {coeffs.reconstruction_residual:.3e} > {RECONSTRUCTION_MAX:g})"
         )
     reach = max(abs(coeffs.k_min), abs(coeffs.k_max))
-    kernel = laurent_kernel(coeffs)
     t0, t1 = _window(t_range)
-    path = _sample_window(model, noise, t0 - kernel.l_max, t1 - kernel.l_min)
+    path = _sample_window(model, noise, t0 - coeffs.k_max, t1 - coeffs.k_min)
+    # real noise is cast to the coefficients' type once, not at every lag
+    z = path.values.astype(np.result_type(path.values, coeffs.coeffs), copy=False)
+    lo = coeffs.k_max - coeffs.k_min  # the row of Z_{t0 - k_min}
     with np.errstate(over="ignore", invalid="ignore"):  # _result names the first bad t
-        values = _convolve(kernel, path.values, kernel.l_max, t1 - t0 + 1)
-    return _result(model, t0, values, "ma_infinity", reach, path, kernel.diagnostics)
+        values = _lag_sum(z, coeffs.coeffs, lo, lo + t1 - t0 + 1)
+    return _result(model, t0, values, "ma_infinity", reach, path, {"n_quad": coeffs.n_quad})
 
 
 @dataclass(frozen=True)

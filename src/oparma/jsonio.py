@@ -1,18 +1,18 @@
 """JSON codecs for models, noise, and result payloads.
 
 Complex numbers are encoded per element: a plain JSON number is a real
-value, a two-element array [re, im] is a complex one.  Serialization is
-canonical (zero imaginary parts collapse back to plain numbers), so
+value, a two-element array [re, im] is a complex one.  Models serialize
+canonically (zero imaginary parts collapse back to plain numbers), so
 loading a file and re-serializing it yields the canonical form of the
-same content.  Matrices nest as row-major lists.
+same content.  Matrices nest as row-major lists, in pairs for splits.
 
 Decoding is schema-directed.  Structural validation (required fields,
 kind enums, integer dims) runs against the shipped JSON Schema
-documents; parameter payloads are then decoded per kind, because the
-element codec is ambiguous on bare shapes: [1.0, 2.0] is one complex
-number where a complex entry is expected but two real weights where a
-real list is expected.  Real-only fields therefore never get the pair
-treatment.
+documents; operator params are then decoded, and dumped, by the value
+form ``operators.PARAMS`` declares for them, because the element codec
+is ambiguous on bare shapes: [1.0, 2.0] is one complex number where a
+complex entry is expected but two real weights where a real list is
+expected.  Real-only fields therefore never get the pair treatment.
 """
 
 from __future__ import annotations
@@ -23,16 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .engine.noise import NoiseSpec
 from .errors import SpecificationError
-from .operators import ArmaModel, Operator, OperatorSpec, arma_model, build_operator
+from .operators import PARAMS, ArmaModel, Operator, OperatorSpec, arma_model, build_operator
 
 _SCHEMA_DIR = Path(__file__).parent / "schemas"
-
-#: model params whose values hold complex entries (everything else is real)
-_COMPLEX_VALUED = {
-    ("dense", "entries"): "matrix",
-    ("multiplication", "multipliers"): "vector",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +98,18 @@ def _real_list(value, where: str) -> list:
     return [_real_scalar(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+#: value form of ``operators.PARAMS`` -> (decode from JSON, encode to JSON);
+#: a bad "int" or "str" value is left to ``build_operator`` to reject
+_CODEC = {
+    "matrix": (decode_matrix, encode_matrix),
+    "vector": (_decode_vector, lambda v: [encode_complex(z) for z in v]),
+    "complex": (decode_complex, encode_complex),
+    "reals": (_real_list, lambda v: [float(x) for x in v]),
+    "int": (lambda v, where: v, int),
+    "str": (lambda v, where: v, str),
+}
+
+
 # ---------------------------------------------------------------------------
 # schema-validated loading
 
@@ -137,32 +144,15 @@ def _validate(data, schema_name: str, path, definition: str | None = None) -> No
         raise SpecificationError(f"{path}: {error.json_path}: {error.message}")
 
 
-def _decode_operator_params(kind: str, params: dict, where: str) -> dict:
-    out = {}
-    for key, value in params.items():
-        role = _COMPLEX_VALUED.get((kind, key))
-        loc = f"{where}.params.{key}"
-        if role == "matrix":
-            out[key] = decode_matrix(value, loc)
-        elif role == "vector":
-            out[key] = _decode_vector(value, loc)
-        elif key in ("weights",):
-            out[key] = _real_list(value, loc)
-        elif key in ("scale",):
-            out[key] = _real_scalar(value, loc)
-        elif key in ("rule",):
-            if not isinstance(value, str):
-                raise SpecificationError(f"{loc}: expected a string")
-            out[key] = value
-        else:
-            out[key] = value
-    return out
-
-
 def _build_entry(entry: dict, where: str) -> Operator:
     """Decode and materialize one schema-validated operator entry."""
     kind = entry["kind"]
-    params = _decode_operator_params(kind, entry.get("params", {}), where)
+    forms = PARAMS[kind]
+    # an undeclared param goes on as is, for the spec to reject
+    params = {
+        key: _CODEC[forms[key]][0](value, f"{where}.params.{key}") if key in forms else value
+        for key, value in entry.get("params", {}).items()
+    }
     try:
         return build_operator(OperatorSpec(kind=kind, dim=entry["dim"], params=params))
     except SpecificationError as exc:
@@ -213,24 +203,12 @@ def dump_model(model: ArmaModel) -> dict:
     """Canonical JSON form of a model (inverse of :func:`load_model`)."""
 
     def op_entry(op):
-        params = {}
-        for key, value in op.spec.params.items():
-            role = _COMPLEX_VALUED.get((op.kind, key))
-            if role == "matrix":
-                params[key] = encode_matrix(value)
-            elif role == "vector":
-                params[key] = [encode_complex(v) for v in value]
-            elif isinstance(value, (list, tuple, np.ndarray)):
-                params[key] = [float(v) for v in value]
-            elif isinstance(value, str):
-                params[key] = value
-            elif isinstance(value, (int, np.integer)):
-                params[key] = int(value)
-            else:
-                params[key] = float(value)
+        forms = PARAMS[op.kind]
         entry = {"kind": op.kind, "dim": op.dim}
-        if params:
-            entry["params"] = params
+        if op.spec.params:
+            entry["params"] = {
+                key: _CODEC[forms[key]][1](value) for key, value in op.spec.params.items()
+            }
         return entry
 
     return {
@@ -241,8 +219,6 @@ def dump_model(model: ArmaModel) -> dict:
 
 def load_noise(path):
     """Read and validate an innovation-distribution file."""
-    from .engine.noise import NoiseSpec
-
     data = _load_json(path)
     _validate(data, "noise", path)
     kind = data["kind"]
@@ -381,6 +357,7 @@ def simulation_payload(res) -> dict:
         "method": res.method,
         "truncation_K": int(res.truncation_K),
         "max_residual": sanitize(res.max_residual),
+        "n_clamped": int(res.noise.n_clamped),
         "values": JsonRows(list(map(row.format, *(cells[j::d] for j in range(d))))),
     }
 

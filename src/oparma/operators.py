@@ -27,16 +27,20 @@ from .errors import (
     SpecificationError,
 )
 
-KINDS = (
-    "dense",
-    "weighted_shift",
-    "multiplication",
-    "volterra",
-    "circular_shift",
-    "scaled_unilateral_shift",
-    "zero",
-    "identity",
-)
+#: each operator kind's params and the form of each value: a complex
+#: "matrix", "vector" or "complex" scalar, a "reals" list, an "int" or a "str"
+PARAMS = {
+    "dense": {"entries": "matrix"},
+    "weighted_shift": {"weights": "reals"},
+    "multiplication": {"multipliers": "vector"},
+    "volterra": {"grid": "int", "rule": "str"},
+    "circular_shift": {},
+    "scaled_unilateral_shift": {"scale": "complex"},
+    "zero": {},
+    "identity": {},
+}
+
+KINDS = tuple(PARAMS)
 
 VOLTERRA_RULES = ("corrected_trapezoid", "left")
 
@@ -50,7 +54,7 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 class OperatorSpec:
     """Declarative description of an operator: kind, dimension, parameters.
 
-    ``params`` is kind specific:
+    ``params`` holds only names that :data:`PARAMS` declares for the kind:
 
     - ``dense``: ``entries`` is a d x d nested list / array of complex values.
     - ``weighted_shift``: ``weights`` are the d-1 nonnegative subdiagonal
@@ -58,9 +62,9 @@ class OperatorSpec:
     - ``multiplication``: ``multipliers`` are the d diagonal values.
     - ``volterra``: cumulative-integration quadrature on a uniform grid of
       ``dim`` points over [0, 1]; ``rule`` selects the weights (see
-      :func:`volterra_matrix`).
+      :func:`volterra_matrix`); ``grid``, if given, must equal ``dim``.
     - ``circular_shift``: no parameters; x_i -> x_{(i-1) mod d}.
-    - ``scaled_unilateral_shift``: ``scale`` c; x -> c * (0, x_0, x_1, ...).
+    - ``scaled_unilateral_shift``: ``scale`` c (default 1); x -> c * (0, x_0, x_1, ...).
     - ``zero`` / ``identity``: no parameters.
     """
 
@@ -69,10 +73,21 @@ class OperatorSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SpecificationError(f"unknown operator kind {self.kind!r}")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise SpecificationError(f"dim must be a positive integer, got {self.dim!r}")
+        _check_spec("operator", PARAMS, self)
+
+
+def _check_spec(what: str, table: dict, spec) -> None:
+    """Raise unless ``spec`` has a kind of ``table``, a positive dim and only its kind's params."""
+    if spec.kind not in table:
+        raise SpecificationError(f"unknown {what} kind {spec.kind!r}")
+    if not isinstance(spec.dim, (int, np.integer)) or spec.dim < 1:
+        raise SpecificationError(f"dim must be a positive integer, got {spec.dim!r}")
+    bad = [key for key in spec.params if key not in table[spec.kind]]
+    if bad:
+        raise SpecificationError(
+            f"{spec.kind} {what} does not take param(s) {bad}; "
+            f"it takes {list(table[spec.kind]) or 'none'}"
+        )
 
 
 @dataclass(frozen=True)
@@ -332,7 +347,7 @@ def structured_log_norm(op: Operator, n: int) -> float:
     if kind == "scaled_unilateral_shift":
         if n > d - 1:
             return -math.inf
-        c = abs(complex(op.spec.params.get("scale", 1.0)))
+        c = abs(complex(op.matrix[1, 0]))
         return -math.inf if c == 0.0 else n * math.log(c)
     if kind == "identity":
         return 0.0

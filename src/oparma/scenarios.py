@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import exp1, gammaln
 
 from .engine.moments import moment_estimate
-from .engine.noise import NoiseSpec, log_magnitude_samples, make_rng
+from .engine.noise import CLAMP_LOG, NoiseSpec, log_magnitude_samples, make_rng
 from .engine.simulate import (
     RECONSTRUCTION_MAX,
     build_split_kernel,
@@ -151,8 +151,10 @@ def certify(model, noise, t1: int, residual_max: float):
     simulations on ``noise``, in that order, so a bad model raises the
     split's error first.  Returns ``(checks, split)``; the checks are, in
     order: circle invertibility, split invariants, both block radii,
-    Laurent reconstruction, recursion residual <= ``residual_max``, and
-    the split-vs-MA gap sup_t ||Y_t^split - Y_t^MA||_2.  A window of
+    Laurent reconstruction, recursion residual <= ``residual_max``, the
+    split-vs-MA gap sup_t ||Y_t^split - Y_t^MA||_2, and no noise draw
+    clamped at e^CLAMP_LOG in either route's window (the residual and the
+    gap would otherwise certify noise that is not the law's).  A window of
     fewer than p + 2 points, too short for the recursion residual,
     raises :class:`SpecificationError`.
     """
@@ -171,6 +173,7 @@ def certify(model, noise, t1: int, residual_max: float):
     circle = coeffs.circle
     radii = [split.diagnostics["radius_inner"], split.diagnostics["radius_outer_inv"]]
     recon = coeffs.reconstruction_residual
+    clamped = [res_split.noise.n_clamped, res_ma.noise.n_clamped]
     checks = [
         _check(
             "denominator invertible on the unit circle",
@@ -207,6 +210,12 @@ def certify(model, noise, t1: int, residual_max: float):
             f"sup gap <= {GAP_MAX:g}",
             gap,
             gap <= GAP_MAX,
+        ),
+        _check(
+            f"no noise draw saturated at e^{CLAMP_LOG:g}",
+            "0 clamped draws in the split and the MA window",
+            clamped,
+            clamped == [0, 0],
         ),
     ]
     return checks, split

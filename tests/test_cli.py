@@ -6,11 +6,14 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oparma.cli import parse_and_dispatch
+import oparma
+from oparma.cli import main, parse_and_dispatch
+from oparma.engine.noise import NOISE_KINDS, NOISE_PARAMS
 from oparma.engine.simulate import simulate_theorem1
 from oparma.errors import SpecificationError
 from oparma.jsonio import (
@@ -21,6 +24,7 @@ from oparma.jsonio import (
     load_model,
     load_noise,
 )
+from oparma.operators import KINDS, PARAMS, OperatorSpec, arma_model, build_operator
 
 
 @pytest.fixture
@@ -83,6 +87,21 @@ class TestElementCodec:
             decode_matrix([], "m")
 
 
+#: one entry of every operator kind and value form, in canonical form
+_EVERY_KIND = [
+    {"kind": "dense", "dim": 2, "params": {"entries": [[0.3, [0.1, -0.2]], [0.0, 0.4]]}},
+    {"kind": "weighted_shift", "dim": 2, "params": {"weights": [0.7]}},
+    {"kind": "multiplication", "dim": 2, "params": {"multipliers": [0.5, [0.0, 2.0]]}},
+    {"kind": "volterra", "dim": 2, "params": {"grid": 2, "rule": "left"}},
+    {"kind": "volterra", "dim": 2},
+    {"kind": "circular_shift", "dim": 2},
+    {"kind": "scaled_unilateral_shift", "dim": 2, "params": {"scale": [0.5, -0.5]}},
+    {"kind": "scaled_unilateral_shift", "dim": 2, "params": {"scale": 2.0}},
+    {"kind": "zero", "dim": 2},
+    {"kind": "identity", "dim": 2},
+]
+
+
 class TestModelFiles:
     def test_load_and_dims(self, hyper_model):
         model = load_model(hyper_model)
@@ -90,23 +109,10 @@ class TestModelFiles:
         assert model.p == 1 and model.q == 0
 
     def test_roundtrip_canonical(self, tmp_path):
-        doc = {
-            "ar": [
-                {
-                    "kind": "dense",
-                    "dim": 2,
-                    "params": {"entries": [[0.3, [0.1, -0.2]], [0.0, 0.4]]},
-                }
-            ],
-            "ma": [
-                {
-                    "kind": "weighted_shift",
-                    "dim": 2,
-                    "params": {"weights": [0.7]},
-                },
-                {"kind": "zero", "dim": 2},
-            ],
-        }
+        assert {e["kind"] for e in _EVERY_KIND} == set(KINDS)
+        forms = {PARAMS[e["kind"]][k] for e in _EVERY_KIND for k in e.get("params", {})}
+        assert forms == {f for params in PARAMS.values() for f in params.values()}
+        doc = {"ar": _EVERY_KIND, "ma": _EVERY_KIND[::-1]}
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         model = load_model(path)
@@ -212,6 +218,67 @@ class TestNoiseFiles:
         )
         with pytest.raises(SpecificationError, match="n.json"):
             load_noise(path)
+
+
+class TestDeclaredParams:
+    """Each kind's params are declared once; build, load and dump read that table."""
+
+    def test_dump_takes_every_model_the_library_builds(self, tmp_path):
+        specs = [
+            ("scaled_unilateral_shift", {"scale": 0.5 + 0.25j}),
+            ("weighted_shift", {"weights": np.array([0.5, 2])}),
+            ("volterra", {"grid": np.int64(3), "rule": "corrected_trapezoid"}),
+            ("multiplication", {"multipliers": (1, 2j, 3.0)}),
+            ("dense", {"entries": np.eye(3)}),
+        ]
+        ar = [build_operator(OperatorSpec(kind, 3, params)) for kind, params in specs]
+        model = arma_model(ar, [build_operator(OperatorSpec("identity", 3))])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dump_model(model)))
+        for a, b in zip(load_model(path).ar_ops, model.ar_ops):
+            np.testing.assert_array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize(
+        "entry, bad",
+        [
+            ({"kind": "volterra", "dim": 1, "params": {"rul": "left"}}, "['rul']"),
+            ({"kind": "scaled_unilateral_shift", "dim": 1, "params": {"scal": 0.5}}, "['scal']"),
+            ({"kind": "identity", "dim": 1, "params": {"sigma": 1.0}}, "['sigma']"),
+            ({"kind": "gaussian", "dim": 1, "params": {"sigm": 1e6}}, "['sigm']"),
+            (
+                {"kind": "gamma_inv_tail", "dim": 1, "params": {"x_1": 20.0, "directon": [1.0]}},
+                "['x_1', 'directon']",
+            ),
+        ],
+        ids=["volterra", "scaled_unilateral_shift", "identity", "gaussian", "gamma_inv_tail"],
+    )
+    def test_misspelled_param_exits_2_naming_it(self, entry, bad, tmp_path, capsys):
+        argv = ["verify", "--model", str(tmp_path / "m.json"), "--window", "5"]
+        model = {"ar": [{"kind": "multiplication", "dim": 1, "params": {"multipliers": [0.5]}}],
+                 "ma": [{"kind": "identity", "dim": 1}]}
+        if entry["kind"] in KINDS:
+            model["ar"] = [entry]
+            takes = list(PARAMS[entry["kind"]]) or "none"
+        else:
+            (tmp_path / "n.json").write_text(json.dumps(entry))
+            takes = list(NOISE_PARAMS[entry["kind"]])
+            argv += ["--noise", str(tmp_path / "n.json")]
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}; it takes {takes}" in err
+        assert ("ar[0]: " in err) == (entry["kind"] in KINDS)
+
+    def test_kind_lists_match_the_schemas_and_readme(self):
+        schemas = Path(oparma.__file__).parent / "schemas"
+        model = json.loads((schemas / "model.schema.json").read_text())
+        noise = json.loads((schemas / "noise.schema.json").read_text())
+        assert tuple(model["$defs"]["operator"]["properties"]["kind"]["enum"]) == KINDS
+        assert tuple(noise["properties"]["kind"]["enum"]) == NOISE_KINDS
+        declared = {name for names in NOISE_PARAMS.values() for name in names}
+        assert set(noise["properties"]["params"]["properties"]) == declared
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert [k for k in KINDS + NOISE_KINDS if f"`{k}`" not in readme] == []
 
 
 class TestSubcommands:
@@ -429,7 +496,7 @@ class TestSubcommands:
         expected = {
             "t_start": -3, "t_stop": 40, "method": "theorem1_split",
             "truncation_K": res.truncation_K, "max_residual": res.max_residual,
-            "values": [[encode_complex(z) for z in row] for row in res.values],
+            "n_clamped": 0, "values": [[encode_complex(z) for z in row] for row in res.values],
         }
         doc = json.loads(out)
         assert doc == json.loads(json.dumps(expected, indent=2))
@@ -537,7 +604,7 @@ class TestSubcommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
-        assert len(doc["checks"]) == 6
+        assert len(doc["checks"]) == 7
 
     def test_verify_scans_the_circle_once(self, hyper_model, monkeypatch):
         import oparma.laurent
@@ -868,6 +935,16 @@ class TestFloatLimit:
             diagnostics = json.loads(out)["diagnostics"]
             assert diagnostics["similarity_residual"] == 0.0
 
+    def test_huge_point_mass_has_every_moment_finite(self, tmp_path, capsys):
+        # every order statistic ties with the maximum, so no octave has a tail
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps({"dim": 2, **_HUGE_POINT}))
+        code, out = run_cli("moments", "--noise", str(path), capsys=capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["finite_verdict"] == "finite"
+        assert {row["tail_coeff"] for row in doc["diagnostics"]["octaves"]} == {0.0}
+
     @pytest.mark.parametrize(
         "noise, transform, moment",
         [
@@ -893,3 +970,46 @@ class TestFloatLimit:
             code, out = run_cli(*argv, capsys=capsys)
         assert code == 0
         assert json.loads(out)["estimate"] == pytest.approx(moment, abs=0.02)
+
+
+class TestClampedDraws:
+    """Heavy-tailed draws clamped at e^700 are counted in simulate and fail verify."""
+
+    @pytest.fixture
+    def clamped(self, tmp_path):
+        # pareto_exp clamps with probability 1/700; this window holds 9 such draws
+        model, noise = tmp_path / "m.json", tmp_path / "n.json"
+        mult = {"kind": "multiplication", "dim": 3, "params": {"multipliers": [0.2, 0.1, 0.05]}}
+        model.write_text(json.dumps({"ar": [mult], "ma": [{"kind": "identity", "dim": 3}]}))
+        noise.write_text(json.dumps({"kind": "pareto_exp", "dim": 3, "seed": 2}))
+        return str(model), str(noise)
+
+    @pytest.mark.parametrize("heavy, count", [(True, 9), (False, 0)], ids=["pareto", "gaussian"])
+    def test_simulate_prints_the_count(self, heavy, count, clamped, hyper_model, gauss_noise,
+                                       capsys):
+        model, noise = clamped if heavy else (str(hyper_model), str(gauss_noise))
+        argv = ["simulate", "--model", model, "--noise", noise, "--t1", "4999"]
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        keys = list(json.loads(out))
+        assert keys[keys.index("max_residual") + 1] == "n_clamped"
+        assert json.loads(out)["n_clamped"] == count
+        assert run_cli(*argv, "--format", "csv") == (0, None)
+        assert capsys.readouterr().err.split()[-1] == f"n_clamped={count}"
+
+    def test_verify_fails_on_a_clamped_window(self, clamped, capsys):
+        model, noise = clamped
+        code, out = run_cli("verify", "--model", model, "--noise", noise, "--window", "5000",
+                            capsys=capsys)
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        # the absolute split-vs-MA gap fails too at values near e^700
+        assert [c["pass"] for c in checks] == [True] * 5 + [False, False]
+        assert checks[-1]["description"] == "no noise draw saturated at e^700"
+        assert checks[-1]["observed"] == [9, 9]
+
+    def test_verify_passes_an_unclamped_gaussian_window(self, hyper_model, gauss_noise, capsys):
+        argv = ["verify", "--model", str(hyper_model), "--noise", str(gauss_noise)]
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["checks"][-1]["observed"] == [0, 0]

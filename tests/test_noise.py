@@ -1,6 +1,7 @@
 """Innovation sampling: laws, determinism, log-space magnitude channel."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,20 @@ def test_spec_validation():
         NoiseSpec(kind="point_mass", dim=2, params={"value": [1.0]})
     with pytest.raises(SpecificationError):
         sample_path(NoiseSpec(kind="gaussian", dim=1), 0)
+
+
+@pytest.mark.parametrize(
+    "kind, params, bad",
+    [
+        ("gaussian", {"sigm": 1e6}, "['sigm']"),
+        ("gamma_inv_tail", {"x_1": 20.0, "directon": [1.0]}, "['x_1', 'directon']"),
+        ("point_mass", {"value": [1.0], "sigma": 1.0}, "['sigma']"),
+    ],
+)
+def test_spec_rejects_params_its_kind_does_not_declare(kind, params, bad):
+    takes = list(noise.NOISE_PARAMS[kind])
+    with pytest.raises(SpecificationError, match=re.escape(f"{bad}; it takes {takes}")):
+        NoiseSpec(kind=kind, dim=1, params=params)
 
 
 

@@ -1,6 +1,7 @@
 """Operator construction, exact norm formulas, powers, lifts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,20 @@ def test_spec_validation_errors():
         build_operator(OperatorSpec(kind="volterra", dim=8, params={"rule": "simpson"}))
     with pytest.raises(SpecificationError):
         build_operator(OperatorSpec(kind="volterra", dim=8, params={"grid": 9}))
+
+
+@pytest.mark.parametrize(
+    "kind, params, takes",
+    [
+        ("volterra", {"rul": "left"}, "['grid', 'rule']"),
+        ("scaled_unilateral_shift", {"scal": 0.5}, "['scale']"),
+        ("identity", {"scale": 2.0}, "none"),
+    ],
+)
+def test_spec_rejects_params_its_kind_does_not_declare(kind, params, takes):
+    (bad,) = params
+    with pytest.raises(SpecificationError, match=rf"\['{bad}'\]; it takes {re.escape(takes)}"):
+        OperatorSpec(kind=kind, dim=3, params=params)
 
 
 def test_matrix_is_read_only():
