@@ -20,6 +20,7 @@ generator; Z_t for t < 0 is row -t-1 of a mirror generator keyed by
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,15 +28,16 @@ import numpy as np
 from scipy.special import exp1
 
 from ..errors import SpecificationError
-from ..operators import _check_spec, _frobenius, _scaled_norm
+from ..operators import _check_spec, _frobenius, _is_int, _scaled_norm
 
-#: each noise kind's param names; :func:`_law_factor` checks their values
+#: each noise kind's params and the form of each value ("real", "reals", "real
+#: or reals" or a complex "vector"); :func:`_law_factor` checks the values
 NOISE_PARAMS = {
-    "gaussian": ("sigma",),
-    "componentwise_gaussian": ("sigmas",),
-    "pareto_exp": ("alpha", "direction"),
-    "gamma_inv_tail": ("x1", "direction"),
-    "point_mass": ("value",),
+    "gaussian": {"sigma": "real or reals"},
+    "componentwise_gaussian": {"sigmas": "reals"},
+    "pareto_exp": {"alpha": "real", "direction": "reals"},
+    "gamma_inv_tail": {"x1": "real", "direction": "reals"},
+    "point_mass": {"value": "vector"},
 }
 
 NOISE_KINDS = tuple(NOISE_PARAMS)
@@ -89,6 +91,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_spec("noise", NOISE_PARAMS, self)
+        if not _is_int(self.seed):
+            raise SpecificationError(f"seed must be an integer, got {self.seed!r}")
         _law_factor(self)
 
 
@@ -99,13 +103,33 @@ def real_if_exact(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.real)
 
 
+def _numbers(params, key, default, kind=numbers.Real) -> np.ndarray:
+    """``params[key]``, or ``default``, as a float array (complex if ``kind`` is).
+
+    Raises :class:`SpecificationError` unless every entry is a number of
+    ``kind`` and not a bool.
+    """
+    raw = params.get(key, default)
+    entries = np.asarray(raw, dtype=object).ravel()
+    if not all(isinstance(v, kind) and not isinstance(v, bool) for v in entries):
+        raise SpecificationError(f"{key!r} must hold {kind.__name__.lower()} numbers, got {raw!r}")
+    return np.asarray(raw, dtype=float if kind is numbers.Real else complex)
+
+
+def _real(params, key, default) -> float:
+    x = _numbers(params, key, default)
+    if x.ndim:
+        raise SpecificationError(f"{key!r} must be one real number, got {params[key]!r}")
+    return float(x)
+
+
 def _unit_direction(params, d, key="direction"):
     """The unit direction vector: real unless some entry is truly complex."""
     if key not in params:
         x = np.zeros(d)
         x[0] = 1.0
         return x
-    x = np.asarray(params[key], dtype=complex)
+    x = _numbers(params, key, None, numbers.Complex)
     if x.shape != (d,):
         raise SpecificationError(f"direction must have length {d}, got {x.shape}")
     nrm = _frobenius(x)
@@ -117,10 +141,9 @@ def _unit_direction(params, d, key="direction"):
 
 
 def _sigma_vector(params, d, key, allow_scalar):
-    raw = params.get(key, 1.0 if allow_scalar else None)
-    if raw is None:
+    if key not in params and not allow_scalar:
         raise SpecificationError(f"missing required param {key!r}")
-    arr = np.asarray(raw, dtype=float)
+    arr = _numbers(params, key, 1.0)
     if arr.ndim == 0:
         if not allow_scalar:
             raise SpecificationError(f"{key!r} must be a per-component list")
@@ -293,15 +316,15 @@ def _law_factor(spec: NoiseSpec) -> np.ndarray:
     if spec.kind == "componentwise_gaussian":
         return _sigma_vector(p, d, "sigmas", allow_scalar=False)
     if spec.kind == "point_mass":
-        v = np.asarray(p.get("value", None), dtype=complex)
+        v = _numbers(p, "value", (), numbers.Complex)
         if v.shape != (d,) or not np.isfinite(v).all():
             raise SpecificationError(f"point_mass needs a finite length-{d} 'value' vector")
         return real_if_exact(v)
     if spec.kind == "pareto_exp":
-        if float(p.get("alpha", 1.0)) != 1.0:
+        if _real(p, "alpha", 1.0) != 1.0:
             raise SpecificationError("pareto_exp supports only index alpha = 1")
     elif spec.kind == "gamma_inv_tail":
-        x1 = float(p.get("x1", _E_TO_E))
+        x1 = _real(p, "x1", _E_TO_E)
         if not _E_TO_E * (1 - 1e-12) <= x1 < math.inf:
             raise SpecificationError(
                 f"gamma_inv_tail needs a finite x1 >= e^e ~ {_E_TO_E:.4f} so that "

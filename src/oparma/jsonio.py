@@ -6,13 +6,13 @@ canonically (zero imaginary parts collapse back to plain numbers), so
 loading a file and re-serializing it yields the canonical form of the
 same content.  Matrices nest as row-major lists, in pairs for splits.
 
-Decoding is schema-directed.  Structural validation (required fields,
-kind enums, integer dims) runs against the shipped JSON Schema
-documents; operator params are then decoded, and dumped, by the value
-form ``operators.PARAMS`` declares for them, because the element codec
-is ambiguous on bare shapes: [1.0, 2.0] is one complex number where a
-complex entry is expected but two real weights where a real list is
-expected.  Real-only fields therefore never get the pair treatment.
+Decoding is table-directed: ``operators.PARAMS`` and
+``engine.noise.NOISE_PARAMS`` are the whole input contract.  One reader
+checks an operator entry or a noise document and decodes each param, as
+dump encodes it, by the value form its table declares, because the
+element codec is ambiguous on bare shapes: [1.0, 2.0] is one complex
+number where a complex entry is expected but two real weights where a
+real list is expected.  Errors name the ``$``-rooted JSON path at fault.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine.noise import NoiseSpec
+from .engine.noise import NOISE_PARAMS, NoiseSpec
 from .errors import SpecificationError
 from .operators import PARAMS, ArmaModel, Operator, OperatorSpec, arma_model, build_operator
-
-_SCHEMA_DIR = Path(__file__).parent / "schemas"
 
 
 # ---------------------------------------------------------------------------
@@ -98,20 +96,33 @@ def _real_list(value, where: str) -> list:
     return [_real_scalar(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-#: value form of ``operators.PARAMS`` -> (decode from JSON, encode to JSON);
-#: a bad "int" or "str" value is left to ``build_operator`` to reject
+def _real_or_reals(value, where: str):
+    return (_real_list if isinstance(value, list) else _real_scalar)(value, where)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecificationError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+#: value form of a kind table -> (decode from JSON, encode to JSON); noise
+#: files are only read, so the noise-only forms have no encoder, and a bad
+#: "str" value is left to ``build_operator`` to reject
 _CODEC = {
     "matrix": (decode_matrix, encode_matrix),
     "vector": (_decode_vector, lambda v: [encode_complex(z) for z in v]),
     "complex": (decode_complex, encode_complex),
+    "real": (_real_scalar, None),
     "reals": (_real_list, lambda v: [float(x) for x in v]),
-    "int": (lambda v, where: v, int),
+    "real or reals": (_real_or_reals, None),
+    "int": (_integer, int),
     "str": (lambda v, where: v, str),
 }
 
 
 # ---------------------------------------------------------------------------
-# schema-validated loading
+# table-validated loading
 
 
 def _load_json(path) -> object:
@@ -130,56 +141,56 @@ def _load_json(path) -> object:
         )
 
 
-def _validate(data, schema_name: str, path, definition: str | None = None) -> None:
-    """Validate against a shipped schema, or against one of its ``$defs``."""
-    # imported here so that importing the CLI leaves jsonschema unloaded
-    import jsonschema
+def _read(data, where: str, table: dict, build, extra: tuple = ()):
+    """``build(kind=, dim=, params=, **extra)`` of the object ``data`` at JSON path ``where``.
 
-    schema = json.loads((_SCHEMA_DIR / f"{schema_name}.schema.json").read_text())
-    if definition is not None:
-        schema = {"$defs": schema["$defs"], "$ref": f"#/$defs/{definition}"}
-    validator = jsonschema.Draft202012Validator(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(data))
-    if error is not None:
-        raise SpecificationError(f"{path}: {error.json_path}: {error.message}")
-
-
-def _build_entry(entry: dict, where: str) -> Operator:
-    """Decode and materialize one schema-validated operator entry."""
-    kind = entry["kind"]
-    forms = PARAMS[kind]
-    # an undeclared param goes on as is, for the spec to reject
+    Each param is decoded by the form ``table`` declares for it; an
+    undeclared one goes on as is, for the spec to reject.
+    """
+    keys = {"kind", "dim", "params", *extra}
+    if not isinstance(data, dict) or not {"kind", "dim"} <= set(data) <= keys:
+        raise SpecificationError(
+            f"{where}: expected an object with 'kind' and 'dim' and no keys but {sorted(keys)}"
+        )
+    kind = data["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise SpecificationError(f"{where}.kind: expected one of {list(table)}, got {kind!r}")
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise SpecificationError(f"{where}.params: expected an object, got {params!r}")
+    forms = table[kind]
     params = {
         key: _CODEC[forms[key]][0](value, f"{where}.params.{key}") if key in forms else value
-        for key, value in entry.get("params", {}).items()
+        for key, value in params.items()
     }
+    ints = {key: _integer(data[key], f"{where}.{key}") for key in ("dim", *extra) if key in data}
     try:
-        return build_operator(OperatorSpec(kind=kind, dim=entry["dim"], params=params))
+        return build(kind=kind, params=params, **ints)
     except SpecificationError as exc:
         raise SpecificationError(f"{where}: {exc}")
+
+
+def _operator(**fields) -> Operator:
+    return build_operator(OperatorSpec(**fields))
 
 
 def load_model(path) -> ArmaModel:
     """Read, validate, and materialize an ARMA model file."""
     data = _load_json(path)
-    _validate(data, "model", path)
-    dims = []
-    ops = {"ar": [], "ma": []}
-    for group in ("ar", "ma"):
-        for i, entry in enumerate(data[group]):
-            where = f"{group}[{i}]"
-            dims.append((where, entry["dim"]))
-            try:
-                ops[group].append(_build_entry(entry, where))
-            except SpecificationError as exc:
-                raise SpecificationError(f"{path}: {exc}")
-    first_where, first_dim = dims[0]
-    for where, dim in dims[1:]:
-        if dim != first_dim:
-            raise SpecificationError(
-                f"{path}: {where} has dim {dim} but {first_where} sets dim {first_dim}"
-            )
+    ops, named = {"ar": [], "ma": []}, []
     try:
+        if not isinstance(data, dict) or set(data) != set(ops):
+            raise SpecificationError("$: expected an object with exactly 'ar' and 'ma'")
+        for group in ops:
+            if not isinstance(data[group], list) or not data[group]:
+                raise SpecificationError(f"$.{group}: expected a non-empty list")
+            for i, entry in enumerate(data[group]):
+                named.append(f"$.{group}[{i}]")
+                ops[group].append(_read(entry, named[-1], PARAMS, _operator))
+        dims = [op.dim for op in ops["ar"] + ops["ma"]]
+        for where, dim in zip(named, dims):
+            if dim != dims[0]:
+                raise SpecificationError(f"{where} has dim {dim} but {named[0]} sets dim {dims[0]}")
         return arma_model(ops["ar"], ops["ma"])
     except SpecificationError as exc:
         raise SpecificationError(f"{path}: {exc}")
@@ -188,13 +199,11 @@ def load_model(path) -> ArmaModel:
 def load_operator(path) -> Operator:
     """Read, validate, and materialize a file holding one operator entry.
 
-    The entry has the form of one item of a model file's ``ar`` or ``ma``
-    list (``model.schema.json#/$defs/operator``).
+    The entry has the form of one item of a model file's ``ar`` or ``ma`` list.
     """
     data = _load_json(path)
-    _validate(data, "model", path, definition="operator")
     try:
-        return _build_entry(data, "operator")
+        return _read(data, "$", PARAMS, _operator)
     except SpecificationError as exc:
         raise SpecificationError(f"{path}: {exc}")
 
@@ -217,19 +226,11 @@ def dump_model(model: ArmaModel) -> dict:
     }
 
 
-def load_noise(path):
+def load_noise(path) -> NoiseSpec:
     """Read and validate an innovation-distribution file."""
     data = _load_json(path)
-    _validate(data, "noise", path)
-    kind = data["kind"]
-    # the schema types every param; only the [re, im] pairs need decoding
-    params = dict(data.get("params", {}))
-    if kind == "point_mass" and "value" in params:
-        params["value"] = _decode_vector(params["value"], f"{path}: params.value")
     try:
-        return NoiseSpec(
-            kind=kind, dim=data["dim"], params=params, seed=int(data.get("seed", 0))
-        )
+        return _read(data, "$", NOISE_PARAMS, NoiseSpec, extra=("seed",))
     except SpecificationError as exc:
         raise SpecificationError(f"{path}: {exc}")
 

@@ -76,11 +76,15 @@ class OperatorSpec:
         _check_spec("operator", PARAMS, self)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_spec(what: str, table: dict, spec) -> None:
     """Raise unless ``spec`` has a kind of ``table``, a positive dim and only its kind's params."""
-    if spec.kind not in table:
+    if not isinstance(spec.kind, str) or spec.kind not in table:
         raise SpecificationError(f"unknown {what} kind {spec.kind!r}")
-    if not isinstance(spec.dim, (int, np.integer)) or spec.dim < 1:
+    if not _is_int(spec.dim) or spec.dim < 1:
         raise SpecificationError(f"dim must be a positive integer, got {spec.dim!r}")
     bad = [key for key in spec.params if key not in table[spec.kind]]
     if bad:

@@ -17,6 +17,7 @@ from oparma.engine.noise import NOISE_KINDS, NOISE_PARAMS
 from oparma.engine.simulate import simulate_theorem1
 from oparma.errors import SpecificationError
 from oparma.jsonio import (
+    _CODEC,
     decode_complex,
     decode_matrix,
     dump_model,
@@ -269,16 +270,22 @@ class TestDeclaredParams:
         assert f"{bad}; it takes {takes}" in err
         assert ("ar[0]: " in err) == (entry["kind"] in KINDS)
 
-    def test_kind_lists_match_the_schemas_and_readme(self):
-        schemas = Path(oparma.__file__).parent / "schemas"
-        model = json.loads((schemas / "model.schema.json").read_text())
-        noise = json.loads((schemas / "noise.schema.json").read_text())
-        assert tuple(model["$defs"]["operator"]["properties"]["kind"]["enum"]) == KINDS
-        assert tuple(noise["properties"]["kind"]["enum"]) == NOISE_KINDS
-        declared = {name for names in NOISE_PARAMS.values() for name in names}
-        assert set(noise["properties"]["params"]["properties"]) == declared
+    def test_every_form_decodes_and_readme_names_every_kind_and_param(self):
+        tables = (PARAMS, NOISE_PARAMS)
+        forms = {form for table in tables for params in table.values() for form in params.values()}
+        assert forms - set(_CODEC) == set()
+        params = {name for table in tables for names in table.values() for name in names}
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert [k for k in KINDS + NOISE_KINDS if f"`{k}`" not in readme] == []
+        assert sorted(p for p in params if f"`{p}`" not in readme) == []
+
+    @pytest.mark.parametrize("dim, grid", [(1, True), (8, 8.0)])
+    def test_volterra_grid_is_a_json_integer(self, dim, grid, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        entry = {"kind": "volterra", "dim": dim, "params": {"grid": grid}}
+        path.write_text(json.dumps({"ar": [entry], "ma": [{"kind": "identity", "dim": dim}]}))
+        assert main(["laurent", "--model", str(path)]) == 2
+        assert "$.ar[0].params.grid: expected an integer" in capsys.readouterr().err
 
 
 class TestSubcommands:

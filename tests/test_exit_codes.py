@@ -66,6 +66,12 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _replace(doc, path, value):
     doc = copy.deepcopy(doc)
     if not path:
@@ -83,10 +89,7 @@ def mutated_files(draw):
     target = draw(st.sampled_from(["model", "noise"]))
     doc = model if target == "model" else noise
     path = draw(st.sampled_from(list(_paths(doc))))
-    node = doc
-    for key in path:
-        node = node[key]
-    new = _replace(doc, path, draw(st.sampled_from(_mutations(node))))
+    new = _replace(doc, path, draw(st.sampled_from(_mutations(_node(doc, path)))))
     return (new, noise) if target == "model" else (model, new)
 
 
@@ -96,6 +99,20 @@ def _loads(loader, path) -> bool:
     except SpecificationError:
         return False
     return True
+
+
+def test_every_single_mutation_loads_or_raises_a_specification_error(tmp_path):
+    """The loaders alone over every mutation the property above samples from."""
+    path = tmp_path / "doc.json"
+    cases = 0
+    for loader, docs in ((load_model, MODELS), (load_noise, NOISES)):
+        for doc in docs:
+            for key_path in _paths(doc):
+                for value in _mutations(_node(doc, key_path)):
+                    path.write_text(json.dumps(_replace(doc, key_path, value)))
+                    _loads(loader, path)  # any other exception fails the test
+                    cases += 1
+    assert cases == 1062
 
 
 @settings(
@@ -151,3 +168,11 @@ def test_non_numeric_noise_params_exit_2(kind, params, where, tmp_path, capsys):
     noise.write_text(json.dumps({"kind": kind, "dim": 2, "params": params}))
     assert main(["moments", "--noise", str(noise), "--n-samples", "1000"]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("seed", 5.0), ("dim", 2.0), ("seed", True)])
+def test_dim_and_seed_are_json_integers(key, value, tmp_path, capsys):
+    noise = tmp_path / "noise.json"
+    noise.write_text(json.dumps({"kind": "gaussian", "dim": 2, "seed": 1, key: value}))
+    assert main(["moments", "--noise", str(noise), "--n-samples", "1000"]) == 2
+    assert f"$.{key}: expected an integer" in capsys.readouterr().err

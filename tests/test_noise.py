@@ -20,6 +20,7 @@ from oparma.engine.noise import (
     make_rng,
     sample_path,
 )
+from oparma.operators import OperatorSpec
 
 
 def test_point_mass_repeats_vector():
@@ -181,6 +182,29 @@ def test_spec_rejects_params_its_kind_does_not_declare(kind, params, bad):
     takes = list(noise.NOISE_PARAMS[kind])
     with pytest.raises(SpecificationError, match=re.escape(f"{bad}; it takes {takes}")):
         NoiseSpec(kind=kind, dim=1, params=params)
+
+
+@pytest.mark.parametrize(
+    "spec, fields, match",
+    [
+        (OperatorSpec, {"kind": []}, "unknown operator kind"),
+        (OperatorSpec, {"dim": True}, "dim must be a positive integer"),
+        (NoiseSpec, {"dim": True}, "dim must be a positive integer"),
+        (NoiseSpec, {"seed": True}, "seed must be an integer"),
+        (NoiseSpec, {"seed": "abc"}, "seed must be an integer"),
+        (NoiseSpec, {"params": {"sigma": True}}, "'sigma' must hold real numbers"),
+        (NoiseSpec, {"params": {"sigma": "x"}}, "'sigma' must hold real numbers"),
+        (NoiseSpec, {"params": {"sigma": [1.0, True]}}, "'sigma' must hold real numbers"),
+        (NoiseSpec, {"kind": "pareto_exp", "params": {"alpha": True}}, "'alpha' must hold"),
+        (NoiseSpec, {"kind": "pareto_exp", "params": {"alpha": [1]}}, "'alpha' must be one"),
+        (NoiseSpec, {"kind": "gamma_inv_tail", "params": {"x1": "abc"}}, "'x1' must hold"),
+        (NoiseSpec, {"kind": "point_mass", "params": {"value": [1, "a"]}}, "'value' must hold"),
+    ],
+)
+def test_library_specs_reject_what_files_reject(spec, fields, match):
+    kind = "identity" if spec is OperatorSpec else "gaussian"
+    with pytest.raises(SpecificationError, match=match):
+        spec(**{"kind": kind, "dim": 2, **fields})
 
 
 
