@@ -9,8 +9,9 @@ innovations Z_t (see :mod:`.noise`):
   anticausal series u2_{t-1} = L2^{-1} (u2_t - f2_t) run backward, each
   as a doubling scan over a window of K + 1 (forward) and K (backward)
   terms;
-- the MA(infinity) route: direct two-sided convolution with the
-  transfer function's Laurent coefficients.
+- the MA(infinity) route: two-sided convolution with the transfer
+  function's Laurent coefficients, as an overlap-save FFT over blocks
+  anchored to absolute t (a direct lag sum for the heavy-tailed kinds).
 
 The two routes are different algorithms (recursion against convolution),
 so agreement between them (and a small residual in the defining
@@ -40,6 +41,7 @@ from ..operators import (
 )
 from ..spectral import SpectralSplit, hyperbolic_split
 from .noise import (
+    HEAVY_KINDS,
     NoisePath,
     NoiseSpec,
     _law_factor,
@@ -265,6 +267,51 @@ def _lag_sum(z: np.ndarray, ops, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _block_shape(n_lags: int) -> tuple[int, int]:
+    """(size, step) of the overlap-save blocks for a kernel of ``n_lags`` lags.
+
+    ``size`` is the smallest power of two >= 3 n_lags / 2; each block
+    yields ``step`` = size - n_lags + 1 outputs.
+    """
+    size = 1 << ((3 * n_lags + 1) // 2 - 1).bit_length()
+    return size, size - n_lags + 1
+
+
+def _block_sum(z: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """``_lag_sum(z, ops, L - 1, n)`` for complex ``z`` (n, d) and L = len(ops), by FFT.
+
+    Overlap-save (Oppenheim & Schafer, *Discrete-Time Signal Processing*,
+    ch. 8): block b reads rows [b step, b step + size) of ``z`` and yields
+    the ``step`` outputs after its first L - 1 rows, so n - L + 1 must be a
+    multiple of ``step`` (:func:`_block_shape`).  Each block is scaled by
+    the power of two that brings its peak into [1/2, 1) and unscaled
+    after, both exactly, so its error is a few units of rounding times
+    its largest value.  Every block goes through the same operations on
+    arrays of the same shape, so its bits do not depend on how many
+    blocks there are or where it sits among them.
+    """
+    n_lags, d = ops.shape[0], ops.shape[2]
+    size, step = _block_shape(n_lags)
+    n_blocks = (z.shape[0] - n_lags + 1) // step
+    gains = np.fft.fft(ops, size, axis=0)  # (size, d, d): the transfer at each frequency
+    # (n_blocks, size, d): block b is rows b step .. b step + size - 1, as a view
+    blocks = np.lib.stride_tricks.sliding_window_view(z, size, axis=0)[::step].transpose(0, 2, 1)
+    out = np.empty((n_blocks * step, d), complex)
+    chunk = max(1, (1 << 16) // (d * size))  # blocks per pass, about 1 MB per array
+    for lo in range(0, n_blocks, chunk):
+        x = blocks[lo : lo + chunk].copy()
+        exps = np.frexp(np.abs(x).max(axis=(1, 2)))[1][:, None, None]
+        np.ldexp(x.view(float), -exps, out=x.view(float))
+        # one matrix-times-vector product per block and frequency (not one
+        # product over all blocks), so a block's arithmetic does not depend
+        # on the rest of the batch
+        y = gains @ np.fft.fft(x, axis=1)[..., None]
+        y = np.fft.ifft(y[..., 0], axis=1)[:, n_lags - 1 :]
+        np.ldexp(y.view(float), exps, out=y.view(float))
+        out[lo * step : lo * step + y.shape[0] * step] = y.reshape(-1, d)
+    return out
+
+
 def _split_series(model, split, z, first, n_t, k) -> np.ndarray:
     """Y on ``n_t`` times by the two-pass recursion in split coordinates.
 
@@ -405,8 +452,14 @@ def simulate_ma(
 ) -> SimulationResult:
     """Simulate via the two-sided MA representation with given coefficients.
 
-    ``noise`` is a NoiseSpec, sampled over the coefficients' reach;
-    psi_k acts on Z_{t-k}.
+    ``noise`` is a NoiseSpec; psi_k acts on Z_{t-k}.  The sum runs as the
+    overlap-save FFT of :func:`_block_sum`, its blocks anchored to
+    absolute t: block b yields b step <= t < (b + 1) step, so the noise is
+    sampled out to the edges of the blocks the window touches and a value
+    depends on t alone, not on the window.  The FFT error scales with the
+    largest draw in a block, not with the terms an output reads, so the
+    heavy kinds (:data:`.noise.HEAVY_KINDS`) take the direct lag sum over
+    exactly the coefficients' reach instead.
     """
     if coeffs.reconstruction_residual > RECONSTRUCTION_MAX:
         raise SpecificationError(
@@ -415,12 +468,19 @@ def simulate_ma(
         )
     reach = max(abs(coeffs.k_min), abs(coeffs.k_max))
     t0, t1 = _window(t_range)
-    path = _sample_window(model, noise, t0 - coeffs.k_max, t1 - coeffs.k_min)
+    _check_noise(model, noise)
+    n_lags = coeffs.k_max - coeffs.k_min + 1
+    heavy = noise.kind in HEAVY_KINDS
+    step = 1 if heavy else _block_shape(n_lags)[1]
+    lo, hi = t0 // step * step, -(-(t1 + 1) // step) * step  # output times of the rows computed
+    path = sample_path(noise, hi - lo + n_lags - 1, t_start=lo - coeffs.k_max)
     # real noise is cast to the coefficients' type once, not at every lag
     z = path.values.astype(np.result_type(path.values, coeffs.coeffs), copy=False)
-    lo = coeffs.k_max - coeffs.k_min  # the row of Z_{t0 - k_min}
     with np.errstate(over="ignore", invalid="ignore"):  # _result names the first bad t
-        values = _lag_sum(z, coeffs.coeffs, lo, lo + t1 - t0 + 1)
+        if heavy:
+            values = _lag_sum(z, coeffs.coeffs, n_lags - 1, z.shape[0])
+        else:
+            values = _block_sum(z, coeffs.coeffs)[t0 - lo : t1 + 1 - lo]
     return _result(model, t0, values, "ma_infinity", reach, path, {"n_quad": coeffs.n_quad})
 
 

@@ -40,17 +40,25 @@ def encode_complex(z) -> float | list:
     return [float(z.real), float(z.imag)]
 
 
+def _float(value, where: str) -> float:
+    """A JSON number as a float; an integer past the float range raises."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecificationError(f"{where}: integer out of the float range") from None
+
+
 def decode_complex(value, where: str) -> complex:
     if isinstance(value, bool):
         raise SpecificationError(f"{where}: expected a number or [re, im], got {value!r}")
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_float(value, where))
     if (
         isinstance(value, list)
         and len(value) == 2
         and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
-        return complex(value[0], value[1])
+        return complex(_float(value[0], f"{where}[0]"), _float(value[1], f"{where}[1]"))
     raise SpecificationError(f"{where}: expected a number or [re, im], got {value!r}")
 
 
@@ -87,7 +95,7 @@ def _decode_vector(value, where: str) -> list:
 def _real_scalar(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecificationError(f"{where}: expected a real number, got {value!r}")
-    return float(value)
+    return _float(value, where)
 
 
 def _real_list(value, where: str) -> list:
@@ -139,6 +147,8 @@ def _load_json(path) -> object:
         raise SpecificationError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         )
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise SpecificationError(f"{path}: {exc}") from None
 
 
 def _read(data, where: str, table: dict, build, extra: tuple = ()):

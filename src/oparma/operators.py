@@ -16,6 +16,7 @@ suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -80,12 +81,18 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+#: largest dim whose d x d complex matrix has a byte count that fits an index
+_MAX_DIM = math.isqrt(sys.maxsize // 16)
+
+
 def _check_spec(what: str, table: dict, spec) -> None:
     """Raise unless ``spec`` has a kind of ``table``, a positive dim and only its kind's params."""
     if not isinstance(spec.kind, str) or spec.kind not in table:
         raise SpecificationError(f"unknown {what} kind {spec.kind!r}")
     if not _is_int(spec.dim) or spec.dim < 1:
         raise SpecificationError(f"dim must be a positive integer, got {spec.dim!r}")
+    if spec.dim > _MAX_DIM:
+        raise SpecificationError(f"dim {spec.dim} is past {_MAX_DIM}, the largest matrix side")
     bad = [key for key in spec.params if key not in table[spec.kind]]
     if bad:
         raise SpecificationError(

@@ -481,6 +481,21 @@ class TestSubcommands:
             paths[t0] = json.loads(out)["values"]
         assert paths[0][3:] == paths[3][:7]
 
+    def test_simulate_ma_overlapping_windows_agree(self, hyper_model, gauss_noise, capsys):
+        # the long windows span several convolution blocks and start at
+        # different places in them
+        paths = {}
+        for t0, t1 in ((0, 9), (3, 12), (-600, 600), (-5, 1300)):
+            code, out = run_cli(
+                "simulate", "--model", str(hyper_model), "--noise", str(gauss_noise),
+                "--t0", str(t0), "--t1", str(t1), "--seed", "5", "--method", "ma",
+                capsys=capsys,
+            )
+            assert code == 0
+            paths[t0] = json.loads(out)["values"]
+        assert paths[0][3:] == paths[3][:7]
+        assert paths[-600][595:] == paths[-5][:606]
+
     @pytest.fixture
     def mixed_path(self, tmp_path):
         """Model, noise and library result of a path with real and complex columns."""

@@ -49,7 +49,7 @@ NOISES = [
 
 def _mutations(old):
     """Replacements for one node holding ``old``."""
-    out = ["x", True, None, {}, [1.0], math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, []]
+    out = ["x", True, None, {}, [1.0], math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 10**400, []]
     if isinstance(old, list) and old:
         out += [old + old[-1:], old[:-1]]
     return out
@@ -112,7 +112,7 @@ def test_every_single_mutation_loads_or_raises_a_specification_error(tmp_path):
                     path.write_text(json.dumps(_replace(doc, key_path, value)))
                     _loads(loader, path)  # any other exception fails the test
                     cases += 1
-    assert cases == 1062
+    assert cases == 1148
 
 
 @settings(
@@ -176,3 +176,21 @@ def test_dim_and_seed_are_json_integers(key, value, tmp_path, capsys):
     noise.write_text(json.dumps({"kind": "gaussian", "dim": 2, "seed": 1, key: value}))
     assert main(["moments", "--noise", str(noise), "--n-samples", "1000"]) == 2
     assert f"$.{key}: expected an integer" in capsys.readouterr().err
+
+
+def test_integers_past_the_float_range_exit_2(tmp_path, capsys):
+    model, noise = tmp_path / "model.json", tmp_path / "noise.json"
+    mults = {"multipliers": [0.5, 10**400]}
+    model.write_text(json.dumps({
+        "ar": [{"kind": "multiplication", "dim": 2, "params": mults}],
+        "ma": [{"kind": "identity", "dim": 2}],
+    }))
+    noise.write_text(json.dumps({"kind": "gaussian", "dim": 2, "params": {"sigma": 10**400}}))
+    assert main(["split", "--model", str(model)]) == 2
+    assert "$.ar[0].params.multipliers[1]: integer out of the float range" in capsys.readouterr().err
+    assert main(["moments", "--noise", str(noise), "--n-samples", "1000"]) == 2
+    assert "$.params.sigma: integer out of the float range" in capsys.readouterr().err
+    # past the interpreter's integer digit limit the JSON parser itself refuses it
+    noise.write_text('{"kind": "gaussian", "dim": 2, "params": {"sigma": 1' + "0" * 5000 + "}}")
+    assert main(["moments", "--noise", str(noise), "--n-samples", "1000"]) == 2
+    assert capsys.readouterr().err.startswith("oparma moments: ")

@@ -199,6 +199,8 @@ def test_spec_rejects_params_its_kind_does_not_declare(kind, params, bad):
         (NoiseSpec, {"kind": "pareto_exp", "params": {"alpha": [1]}}, "'alpha' must be one"),
         (NoiseSpec, {"kind": "gamma_inv_tail", "params": {"x1": "abc"}}, "'x1' must hold"),
         (NoiseSpec, {"kind": "point_mass", "params": {"value": [1, "a"]}}, "'value' must hold"),
+        (OperatorSpec, {"dim": 10**400}, "the largest matrix side"),
+        (NoiseSpec, {"dim": 10**400}, "the largest matrix side"),
     ],
 )
 def test_library_specs_reject_what_files_reject(spec, fields, match):

@@ -617,10 +617,11 @@ class TestRealArithmetic:
         coeffs = laurent_coeffs(model)
         res = simulate_ma(model, coeffs, spec, t_range=(0, 49))
         cast = res.noise.values.astype(complex)
-        lo = coeffs.k_max - coeffs.k_min
+        first = -coeffs.k_max - res.noise.t_start  # output row of t = 0
         np.testing.assert_array_equal(
-            res.values, simulate._lag_sum(cast, coeffs.coeffs, lo, lo + 50)
+            res.values, simulate._block_sum(cast, coeffs.coeffs)[first : first + 50]
         )
+        assert _norm_gap(res.values, _direct_ma(res, coeffs)) <= 1e-13
 
 
 def _scan_models():
@@ -882,3 +883,92 @@ class TestRecursionResidualBuffers:
             y = dataclasses.replace(res, values=values, t_start=t_start)
             want = _recursion_residual_reference(model, y, res.noise)
             assert recursion_residual(model, y, res.noise) == want
+
+
+def _direct_ma(res, coeffs):
+    """The window of ``res`` as the direct lag sum over the noise it sampled."""
+    z = res.noise.values.astype(complex)
+    lo = res.t_start - coeffs.k_min - res.noise.t_start  # the row of Z_{t0 - k_min}
+    return simulate._lag_sum(z, coeffs.coeffs, lo, lo + len(res))
+
+
+def _norm_gap(values, ref):
+    """max_t ||values_t - ref_t|| over max_t ||ref_t||."""
+    return np.linalg.norm(values - ref, axis=1).max() / np.linalg.norm(ref, axis=1).max()
+
+
+class TestBlockConvolution:
+    def test_block_shape_is_a_function_of_the_lag_count(self):
+        assert simulate._block_shape(1) == (2, 2)
+        assert simulate._block_shape(292) == (512, 221)
+        for n_lags in range(1, 400):
+            size, step = simulate._block_shape(n_lags)
+            assert size >= 1.5 * n_lags > size / 2 and step == size - n_lags + 1
+
+    def test_windows_agree_bitwise_across_block_edges(self):
+        model = random_hyperbolic_model(np.random.default_rng(5), 3, 1)
+        spec = NoiseSpec(kind="gaussian", dim=3, params={"sigma": 1.0}, seed=9)
+        coeffs = laurent_coeffs(model)
+        _, step = simulate._block_shape(coeffs.k_max - coeffs.k_min + 1)
+        t0 = -3 * step - 7
+        ref = simulate_ma(model, coeffs, spec, t_range=(t0, 3 * step + 5))
+        # the noise reaches the edges of the blocks the window touches
+        assert (ref.noise.t_start + coeffs.k_max) % step == 0
+        for lo, hi in [
+            (step - 5, step + 5),  # straddles one block edge
+            (-2 * step + 3, -step + 2),  # negative t
+            (-step - 4, 2 * step + 4),  # four blocks
+            (step, step),  # one row
+        ]:
+            res = simulate_ma(model, coeffs, spec, t_range=(lo, hi))
+            np.testing.assert_array_equal(res.values, ref.values[lo - t0 : hi - t0 + 1])
+
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_matches_the_direct_lag_sum(self, d, q):
+        model = random_hyperbolic_model(np.random.default_rng(d + q), d, q)
+        spec = NoiseSpec(kind="gaussian", dim=d, params={"sigma": 1.0}, seed=3)
+        coeffs = laurent_coeffs(model)
+        res = simulate_ma(model, coeffs, spec, t_range=(-400, 700))
+        assert _norm_gap(res.values, _direct_ma(res, coeffs)) <= 1e-13
+
+    def test_order_two_model_matches_the_direct_lag_sum(self):
+        model = _scan_models()["ar2_d16"]
+        spec = NoiseSpec(kind="gaussian", dim=model.dim, params={"sigma": 1.0}, seed=3)
+        coeffs = laurent_coeffs(model)
+        res = simulate_ma(model, coeffs, spec, t_range=(-50, 600))
+        assert _norm_gap(res.values, _direct_ma(res, coeffs)) <= 1e-13
+        assert res.max_residual <= 1e-10
+
+    @pytest.mark.parametrize("sigma", [1e300, 1e-300, 1e306, 1e-306])
+    def test_extreme_scales_stay_finite_and_accurate(self, sigma):
+        model = random_hyperbolic_model(np.random.default_rng(7), 4, 1)
+        coeffs = laurent_coeffs(model)
+        unit = NoiseSpec(kind="gaussian", dim=4, params={"sigma": 1.0}, seed=2)
+        spec = dataclasses.replace(unit, params={"sigma": sigma})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = simulate_ma(model, coeffs, spec, t_range=(-20, 500))
+        ref = simulate_ma(model, coeffs, unit, t_range=(-20, 500)).values
+        assert np.isfinite(res.values).all()
+        assert _norm_gap(res.values / sigma, ref) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["pareto_exp", "gamma_inv_tail"])
+    def test_heavy_kinds_take_the_direct_sum_over_the_exact_reach(self, kind):
+        model = random_hyperbolic_model(np.random.default_rng(4), 3, 1)
+        spec = NoiseSpec(kind=kind, dim=3, params={}, seed=4)
+        coeffs = laurent_coeffs(model)
+        res = simulate_ma(model, coeffs, spec, t_range=(-30, 300))
+        assert res.noise.t_start == -30 - coeffs.k_max
+        assert res.noise.t_stop == 301 - coeffs.k_min
+        np.testing.assert_array_equal(res.values, _direct_ma(res, coeffs))
+
+    def test_values_past_the_float_range_raise_naming_t(self):
+        ar = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [0.5, 2.0]})
+        big = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [1e10, 1e10]})
+        model = arma_model([build_operator(ar)], [build_operator(big)])
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1e300}, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"at t = -?\d+"):
+                simulate_ma(model, laurent_coeffs(model), spec, t_range=(0, 40))
