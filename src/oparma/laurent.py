@@ -14,8 +14,9 @@ plain DFT of the node values:
 
 The only quadrature error is aliasing, psi_hat_k = sum over m congruent
 to k mod n of psi_m, which dies geometrically in n; a grid-doubling
-loop (reusing the even nodes) detects stagnation the same way the
-projector quadrature does.
+loop detects stagnation the same way the projector quadrature does.
+Each doubling evaluates H only at the n new odd nodes and merges their
+DFT into the old coefficients by one radix-2 step.
 
 The range and the stagnation test run on Frobenius norms, which bound
 the spectral norm from above (||psi||_2 <= ||psi||_F <= sqrt(d) ||psi||_2),
@@ -49,24 +50,24 @@ DEFAULT_N_QUAD = 256
 MAX_N_QUAD = 8192
 
 
+def _polynomial(nodes: np.ndarray, mats: list, first: int) -> np.ndarray:
+    """sum_i z^(first + i) mats[i] at each node, as an (n, d, d) stack: one
+    product of the node powers with the stacked coefficients."""
+    powers = np.vander(nodes, first + len(mats), increasing=True)[:, first:]
+    stacked = np.stack(mats).reshape(len(mats), -1)
+    return (powers @ stacked).reshape(nodes.size, *mats[0].shape)
+
+
 def _denominators(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
     """I - z A_1 - ... - z^p A_p at each node, as an (n, d, d) stack."""
-    d, n = model.dim, nodes.size
-    den = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)).copy()
-    zp = np.ones(n, dtype=complex)
-    for a in model.ar_ops:
-        zp = zp * nodes
-        den -= zp[:, None, None] * a.matrix[None]
+    den = _polynomial(nodes, [-a.matrix for a in model.ar_ops], 1)
+    den.reshape(nodes.size, -1)[:, :: model.dim + 1] += 1.0
     return den
 
 
 def _batched_transfer(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
     """H at many circle nodes as a stacked (n, d, d) array."""
-    num = np.zeros((nodes.size, model.dim, model.dim), dtype=complex)
-    zp = np.ones(nodes.size, dtype=complex)
-    for b in model.ma_ops:
-        num += zp[:, None, None] * b.matrix[None]
-        zp = zp * nodes
+    num = _polynomial(nodes, [b.matrix for b in model.ma_ops], 0)
     return np.linalg.solve(_denominators(model, nodes), num)
 
 
@@ -182,6 +183,28 @@ def _active_range(norms_wrapped: np.ndarray, n: int, floor: float):
     return k_min, k_max
 
 
+def _wrapped_coeffs(model: ArmaModel, n: int):
+    """Yield ``(n, psi_wrapped)`` on the n-grid, then on each doubled grid
+    up to :data:`MAX_N_QUAD`; ``psi_wrapped[k]`` is the trapezoid value of
+    psi_k (k mod n).
+
+    Doubling transforms only the n new odd nodes z_j e^{i pi / n}: with
+    F their DFT over n and w_k = e^{-i pi k / n}, the 2n-grid values are
+    [psi + w F, psi - w F] / 2 (one radix-2 Cooley-Tukey step).
+    """
+    nodes = np.exp(2j * np.pi * np.arange(n) / n)
+    psi = np.fft.fft(_batched_transfer(model, nodes), axis=0) / n
+    while True:
+        yield n, psi
+        if 2 * n > MAX_N_QUAD:
+            return
+        odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
+        f = np.fft.fft(_batched_transfer(model, odd), axis=0) / n
+        f *= np.exp(-1j * np.pi * np.arange(n) / n)[:, None, None]
+        psi = np.concatenate([psi + f, psi - f]) / 2
+        n *= 2
+
+
 def _extract(psi_wrapped: np.ndarray, n: int, k_min: int, k_max: int) -> np.ndarray:
     idx = np.arange(k_min, k_max + 1) % n
     return psi_wrapped[idx]
@@ -217,12 +240,9 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
             raise SpecificationError(f"empty coefficient range {k_range}")
         while n < 4 * max(abs(k_min), abs(k_max), 8):
             n *= 2
-    nodes = np.exp(2j * np.pi * np.arange(n) / n)
-    hvals = _batched_transfer(model, nodes)
     prev_block = None
     prev_range = None
-    while True:
-        psi_wrapped = np.fft.fft(hvals, axis=0) / n
+    for n, psi_wrapped in _wrapped_coeffs(model, n):
         flat = psi_wrapped.view(float).reshape(n, -1)
         fro = np.sqrt(np.einsum("ki,ki->k", flat, flat))
         # ||psi||_2 >= ||psi||_F / sqrt(d): only these can hold the largest 2-norm
@@ -239,17 +259,9 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
                 if diff <= floor:
                     return _finalize(model, block, rng, n, top, circle, k_range is None)
             prev_block, prev_range = block, rng
-        if 2 * n > MAX_N_QUAD:
-            raise QuadratureError(
-                f"coefficient quadrature did not stagnate within {MAX_N_QUAD} nodes"
-            )
-        odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
-        hodd = _batched_transfer(model, odd)
-        merged = np.empty((2 * n,) + hvals.shape[1:], dtype=complex)
-        merged[0::2] = hvals
-        merged[1::2] = hodd
-        hvals = merged
-        n *= 2
+    raise QuadratureError(
+        f"coefficient quadrature did not stagnate within {MAX_N_QUAD} nodes"
+    )
 
 
 def _finalize(model, block, rng, n, top, circle, trim) -> LaurentCoeffs:
@@ -263,7 +275,7 @@ def _finalize(model, block, rng, n, top, circle, trim) -> LaurentCoeffs:
         block, norms = block[keep], norms[keep]
     ks = np.arange(k_min, k_max + 1)
     a, b = _fit_decay(ks, norms, floor)
-    recon = _reconstruction_residual(model, block, ks, n)
+    recon = _reconstruction_residual(model, block, ks)
     return LaurentCoeffs(
         k_min=k_min,
         k_max=k_max,
@@ -300,10 +312,14 @@ def _fit_decay(ks: np.ndarray, norms: np.ndarray, floor: float):
     return float(np.exp(log_a)), b
 
 
-def _reconstruction_residual(model, block, ks, n) -> float:
-    """Relative residual of the truncated series on off-grid circle points."""
+def _reconstruction_residual(model, block, ks) -> float:
+    """Relative residual of the truncated series on 64 circle points off the grid.
+
+    The points e^{2 pi i (m + 1/3) / 64} sit on no power-of-two grid, where
+    the DFT inverts exactly and would hide aliasing.
+    """
     n_test = 64
-    zs = np.exp(1j * np.pi * (2 * np.arange(n_test) + 1) / n_test)
+    zs = np.exp(2j * np.pi * (np.arange(n_test) + 1.0 / 3.0) / n_test)
     powers = zs[:, None] ** ks[None, :].astype(float)
     series = np.tensordot(powers, block, axes=(1, 0))
     href = _batched_transfer(model, zs)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -25,6 +26,7 @@ from oparma.jsonio import (
     load_model,
     load_noise,
 )
+from oparma.laurent import CIRCLE_TOL
 from oparma.operators import KINDS, PARAMS, OperatorSpec, arma_model, build_operator
 
 
@@ -700,10 +702,12 @@ class TestSubcommands:
         checks = {c["description"]: c["observed"] for c in json.loads(out)["checks"]}
         assert checks["simulated path satisfies the defining recursion"] <= 1e-10
 
-    def test_ill_conditioned_block_splits_but_riesz_refuses(self, tmp_path, capsys):
+    def test_ill_conditioned_block_splits_but_verify_stops_at_the_circle(
+        self, tmp_path, capsys
+    ):
         # diagonal 0.8, superdiagonal 5: already upper triangular, so the
         # ordered Schur form is exact, while resolvent norms near 2e13 on
-        # the circle keep the Riesz quadrature of verify from settling
+        # the circle leave the denominator numerically singular there
         entries = (0.8 * np.eye(10) + 5.0 * np.eye(10, k=1)).tolist()
         model = tmp_path / "block.json"
         model.write_text(
@@ -732,9 +736,12 @@ class TestSubcommands:
         assert json.loads(out)["max_residual"] <= 1e-12
 
         assert run_cli("verify", "--model", str(model)) == (1, None)
-        # the error names the quadrature's last difference, not the margin of 0.2
+        # the error names the circle's smallest singular value and its
+        # tolerance, not the eigenvalue margin of 0.2
         err = capsys.readouterr().err
-        assert "8192 nodes" in err and "above the tolerance" in err
+        sigma = re.search(r"min singular value (\S+) at", err)
+        assert sigma and float(sigma.group(1)) < CIRCLE_TOL
+        assert f"needs > {CIRCLE_TOL:.1e}" in err
         assert "too close to the circle" not in err
 
     def test_verify_unit_root_fails(self, tmp_path):

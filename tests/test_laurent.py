@@ -246,3 +246,76 @@ def test_random_stable_models_reconstruct(seed):
     env = lc.decay_a * lc.decay_b ** np.abs(lc.ks)
     assert np.all(lc.norms <= env * (1 + 1e-9))
     np.testing.assert_allclose(lc.coefficient(0), b0, atol=1e-9)
+
+
+def _planted(rng, d):
+    """d x d matrix with half its eigenvalues in |z| < 0.85, half in |z| > 1.25."""
+    moduli = np.concatenate(
+        [rng.uniform(0.4, 0.85, size=d // 2), rng.uniform(1.25, 2.2, size=d - d // 2)]
+    )
+    lam = moduli * np.exp(2j * np.pi * rng.uniform(size=d))
+    basis = np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return basis @ np.diag(lam) @ np.linalg.inv(basis)
+
+
+def _planted_models():
+    rng = np.random.default_rng(20)
+    d = 6
+    ma = [dense_operator(np.eye(d)), dense_operator(0.3 * rng.normal(size=(d, d)))]
+    c1, c2 = _planted(rng, d), _planted(rng, d)
+    return {
+        "ar1": arma_model([dense_operator(_planted(rng, d))], ma),
+        # (I - z C1)(I - z C2): the companion spectrum is eig(C1) | eig(C2)
+        "ar2": arma_model([dense_operator(c1 + c2), dense_operator(-c1 @ c2)], ma),
+    }
+
+
+def _full_fft_coeffs(model, n):
+    """The reference for the radix-2 update: every grid transformed in full."""
+    while n <= laurent.MAX_N_QUAD:
+        nodes = np.exp(2j * np.pi * np.arange(n) / n)
+        yield n, np.fft.fft(laurent._batched_transfer(model, nodes), axis=0) / n
+        n *= 2
+
+
+@pytest.mark.parametrize("name", ["ar1", "ar2"])
+def test_radix2_update_equals_a_full_fft_of_the_merged_grid(name, monkeypatch):
+    model = _planted_models()[name]
+    lc = laurent_coeffs(model)
+    for (n, psi), (n_ref, ref) in zip(
+        laurent._wrapped_coeffs(model, 256), _full_fft_coeffs(model, 256)
+    ):
+        assert n == n_ref
+        assert np.abs(psi - ref).max() <= 1e-13 * np.abs(ref).max()
+        if n == lc.n_quad:
+            break
+    monkeypatch.setattr(laurent, "_wrapped_coeffs", _full_fft_coeffs)
+    ref = laurent_coeffs(model)
+    assert (lc.n_quad, lc.k_min, lc.k_max) == (ref.n_quad, ref.k_min, ref.k_max)
+    assert np.abs(lc.coeffs - ref.coeffs).max() <= 1e-13 * np.abs(ref.coeffs).max()
+
+
+def test_reconstruction_points_see_aliasing():
+    # every coefficient the 128-grid holds, wrapped: psi_k for k in [-64, 63]
+    # carries the aliases psi_{k + 128 m}, which 0.97^128 ~ 0.02 leaves large
+    from oparma.engine.simulate import RECONSTRUCTION_MAX
+
+    model = arma_model(
+        [dense_operator(np.diag([0.97, 1 / 0.97, 0.5 + 0.3j]))], [dense_operator(np.eye(3))]
+    )
+    n = 128
+    nodes = np.exp(2j * np.pi * np.arange(n) / n)
+    psi = np.fft.fft(laurent._batched_transfer(model, nodes), axis=0) / n
+    ks = np.arange(-n // 2, n // 2)
+    aliased = psi[ks % n]
+    exact = np.zeros_like(aliased)
+    exact[ks >= 0, 0, 0] = 0.97 ** ks[ks >= 0]
+    exact[ks < 0, 1, 1] = -(0.97 ** -ks[ks < 0])
+    exact[ks >= 0, 2, 2] = (0.5 + 0.3j) ** ks[ks >= 0]
+    assert np.abs(aliased - exact).max() > 0.1
+    # on a grid node the truncated DFT inverts exactly, so aliasing is invisible there
+    on_grid = np.exp(1j * np.pi * (2 * np.arange(64) + 1) / 64)
+    series = np.tensordot(on_grid[:, None] ** ks, aliased, axes=(1, 0))
+    assert np.abs(series - laurent._batched_transfer(model, on_grid)).max() < 1e-12
+    assert laurent._reconstruction_residual(model, aliased, ks) > RECONSTRUCTION_MAX
+    assert laurent_coeffs(model).reconstruction_residual <= RECONSTRUCTION_MAX

@@ -197,3 +197,63 @@ def test_split_recovers_planted_spectrum(seed, n_in):
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() < 1e-7
     assert all(check_split(sp, a).values())
+
+
+def _trapezoid_sum(a: np.ndarray, n: int) -> np.ndarray:
+    """(1/n) sum_j z_j (z_j I - A)^{-1} over the n-th roots of unity, term by term."""
+    d = a.shape[0]
+    total = np.zeros((d, d), dtype=complex)
+    for j in range(n):
+        z = np.exp(2j * np.pi * j / n)
+        total += z * np.linalg.inv(z * np.eye(d) - a)
+    return total / n
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("normal", [True, False])
+def test_squaring_approximants_equal_the_trapezoid_sums(seed, normal):
+    # moduli within 0.01 of the circle keep P_256 and P_512 away from P
+    # (0.995^256 ~ 0.28), so the sums below check the identity
+    # (1/n) sum_j z_j (z_j I - A)^{-1} = (I - A^n)^{-1}, not the limit
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    n_in = int(rng.integers(0, d + 1))
+    moduli = np.concatenate(
+        [rng.uniform(0.99, 0.995, size=n_in), rng.uniform(1.005, 1.01, size=d - n_in)]
+    )
+    lam = moduli * np.exp(2j * np.pi * rng.uniform(size=d))
+    if normal:
+        basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    else:
+        # a condition below 20 keeps the explicit sum's own rounding under the bound
+        while True:
+            basis = np.eye(d) + 0.5 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            if np.linalg.cond(basis) < 20:
+                break
+    a = basis @ np.diag(lam) @ np.linalg.inv(basis)
+    approximants = spectral._trapezoid_projectors(dense_operator(a).matrix)
+    for n in (256, 512):
+        got_n, got = next(approximants)
+        assert got_n == n
+        want = _trapezoid_sum(a, n)
+        assert np.linalg.norm(got - want, 2) <= 1e-12 * (1 + np.linalg.norm(want, 2))
+
+
+def test_squaring_route_at_extreme_scales():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for diag, expect in (([1e300, 2.0], [0.0, 0.0]), ([1e-300, 2.0], [1.0, 0.0])):
+            p, n_used, _ = riesz_projector(dense_operator(np.diag(diag)))
+            assert n_used == 512
+            np.testing.assert_allclose(p, np.diag(expect), atol=1e-15)
+        # margin 1e-5 passes the pre-check, but (1 - 1e-5)^8192 ~ 0.92 never settles
+        for multipliers in ([1.0 - 1e-5, 2.0], [1.0 + 1e-5, 0.5]):
+            with pytest.raises(QuadratureError, match="within 8192 nodes"):
+                riesz_projector(op("multiplication", 2, multipliers=multipliers))
+        inside = riesz_projector(op("multiplication", 3, multipliers=[0.2, 0.5, -0.4]))
+        outside = riesz_projector(op("multiplication", 2, multipliers=[2.0, -3.0]))
+    np.testing.assert_allclose(inside[0], np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(outside[0], np.zeros((2, 2)), atol=1e-15)
+    assert inside[1] == outside[1] == 512
