@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from ..errors import SpecificationError
 from ..operators import Operator, _scaled_norm
@@ -71,8 +70,9 @@ def gamma_inverse(y: float) -> float:
     on log gamma, to relative accuracy 1e-10.  Arguments below
     GAMMA_MIN have no preimage on the branch and raise.
     """
-    # imported here so that importing the package leaves scipy.optimize unloaded
+    # imported here so that importing the package leaves scipy unloaded
     from scipy.optimize import brentq
+    from scipy.special import gammaln
 
     y = float(y)
     if not math.isfinite(y) or y < GAMMA_MIN * (1.0 - 1e-12):
@@ -90,8 +90,10 @@ def gamma_inverse(y: float) -> float:
     return float(x)
 
 
-#: log gamma at its argmin, the bottom of the inverse table
-_LOG_GAMMA_MIN = float(gammaln(GAMMA_ARGMIN))
+#: log gamma at its argmin, the bottom of the inverse table: scipy's
+#: gammaln(GAMMA_ARGMIN), written out so that importing leaves scipy unloaded
+#: (math.lgamma is 24 ulp off, and every table node depends on these bits)
+_LOG_GAMMA_MIN = -0.1214862905358497
 #: top of the inverse table in log(y); larger arguments are clipped to it
 _LOG_Y_TOP = 1e18
 #: nodes of the inverse table
@@ -106,6 +108,8 @@ def _newton_log_gamma(w, t, steps):
     The first step is a Newton step; later ones reuse its slope.  From a
     start good to about 1e-6 relative, two steps reach rounding.
     """
+    from scipy.special import digamma, gammaln
+
     slope = np.maximum(digamma(w), _SLOPE_FLOOR)
     for _ in range(steps):
         step = gammaln(w)
@@ -124,6 +128,8 @@ def _inverse_table():
     so one uniform step serves both ends.  Returns the
     :func:`~oparma.engine.noise._table_lookup` triple (1 / step, w, steps).
     """
+    from scipy.special import gammaln
+
     u_top = math.log1p(math.sqrt(_LOG_Y_TOP - _LOG_GAMMA_MIN))
     h = u_top / (_INVERSE_NODES - 1)
     t = _LOG_GAMMA_MIN + np.expm1(np.arange(_INVERSE_NODES) * h) ** 2

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1
 
 from ..errors import SpecificationError
 from ..operators import _check_spec, _frobenius, _is_int, _scaled_norm
@@ -241,6 +240,9 @@ def _gamma_tail_table(x1: float):
     ds/dt = e^-t / (t exp1(t)) reach rounding.  Returns the
     :func:`_table_lookup` triple (1 / h, t_i, steps).
     """
+    # imported here so that importing the package leaves scipy.special unloaded
+    from scipy.special import exp1
+
     t1 = math.log(math.log(x1))
     e1 = exp1(t1)
     h = -math.log(exp1(_TAIL_T_TOP) / e1) / (_TAIL_NODES - 1)

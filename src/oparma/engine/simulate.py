@@ -344,11 +344,47 @@ def _split_series(model, split, z, first, n_t, k) -> np.ndarray:
     return y
 
 
-def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
-    """max_t ||Y_t - sum A_i Y_{t-i} - sum B_k Z_{t-k}|| / (1 + max_t ||Y_t||).
+def _peak_exponent(*arrays) -> int:
+    """Binary exponent e of the largest |entry| of ``arrays``: 2^-e brings it into [1/2, 1)."""
+    return math.frexp(max(float(np.abs(x).max()) for x in arrays))[1]
 
-    ``y`` is anything with ``t_start`` and ``values``; the maximum runs
-    over every t for which all required Y and Z indices are in range.
+
+def _scaled(x: np.ndarray, e: int) -> np.ndarray:
+    """x * 2^-e as a new complex array, exactly; ldexp takes any e without forming 2^-e."""
+    out = np.empty(x.shape, complex)
+    np.ldexp(x.real, -e, out=out.real)
+    np.ldexp(x.imag, -e, out=out.imag)
+    return out
+
+
+def _relative_max_norm(rows: np.ndarray, path: np.ndarray) -> float:
+    """max_t ||rows_t|| / max_t ||path_t||; a path that is exactly 0 reads 0
+    when ``rows`` is exactly 0 too and inf otherwise."""
+    num = np.linalg.norm(rows, axis=1).max()
+    den = np.linalg.norm(path, axis=1).max()
+    if den == 0.0:
+        return 0.0 if num == 0.0 else math.inf
+    return float(num / den)
+
+
+def _relative_gap(values: np.ndarray, ref: np.ndarray) -> float:
+    """max_t ||values_t - ref_t|| / max_t ||ref_t||, scaled as in :func:`recursion_residual`."""
+    diff = values - ref
+    e = _peak_exponent(diff, ref)
+    return _relative_max_norm(_scaled(diff, e), _scaled(ref, e))
+
+
+def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
+    """max_t ||Y_t - sum A_i Y_{t-i} - sum B_k Z_{t-k}|| / max_t ||Y_t||.
+
+    ``y`` is anything with ``t_start`` and ``values``; the numerator's
+    maximum runs over every t for which all required Y and Z indices are
+    in range, the denominator's over every row of ``y``.  Y and Z are first
+    scaled by the one power of two that brings their largest |entry| into
+    [1/2, 1), up or down, so the norms neither overflow nor underflow where
+    they square, and noise multiplied by 2^k gives the same figure bit for
+    bit.  A path that is exactly 0 reads 0 when its residual is exactly 0
+    too (zero noise) and inf otherwise.
     """
     y_vals = np.asarray(y.values)
     y0 = int(y.t_start)
@@ -363,29 +399,22 @@ def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
         )
     n_t = t_hi - t_lo + 1
     z_vals = z.values[t_lo - q - z.t_start : t_hi - z.t_start + 1]  # Z_{t_lo-q} .. Z_{t_hi}
-    # one power of two brings every value below 1 before the norms square
-    # them; the scaling is exact, so a ratio that was finite unscaled is unchanged
-    peak = max(np.abs(y_vals).max(), np.abs(z_vals).max())
-    scale = 2.0 ** -max(math.frexp(peak)[1], 0)
+    e = _peak_exponent(y_vals, z_vals)
     # rhs = sum B_k Z_{t-k}, then lhs = Y_t - sum A_i Y_{t-i}, each product
     # written into one reused buffer; the operators are complex
-    zs = np.empty(z_vals.shape, complex)
-    np.multiply(z_vals, scale, out=zs)
+    zs = _scaled(z_vals, e)
     rhs = np.zeros((n_t, model.dim), complex)
     prod = np.empty_like(rhs)
     for k, b in enumerate(model.ma_ops):
         rhs += np.matmul(zs[q - k : q - k + n_t], b.matrix.T, out=prod)
     del zs
-    ys = np.empty(y_vals.shape, complex)
-    np.multiply(y_vals, scale, out=ys)
+    ys = _scaled(y_vals, e)
     lhs = ys[t_lo - y0 : t_hi - y0 + 1].copy()
     for i, a in enumerate(model.ar_ops, start=1):
         lhs -= np.matmul(ys[t_lo - i - y0 : t_hi - i - y0 + 1], a.matrix.T, out=prod)
     lhs -= rhs
     del rhs, prod
-    num = np.linalg.norm(lhs, axis=1).max()
-    den = scale + np.linalg.norm(ys, axis=1).max()
-    return float(num / den)
+    return _relative_max_norm(lhs, ys)
 
 
 def _window(t_range) -> tuple:
@@ -634,6 +663,21 @@ def partial_sum_quantiles(
     return np.array([_norm_quantile(sums[model.q, n], f"S_{n}") for n in n_grid])
 
 
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample KS statistic sup_x |F_a(x) - F_b(x)| of two samples of one size n.
+
+    Both empirical CDFs jump only at sample points, so the sup is h / n for
+    h the largest absolute difference of the integer counts at or below
+    each of the 2n points.  For n <= 10 000 this is ``scipy.stats.ks_2samp``'s
+    statistic bit for bit (its exact mode rounds to h / n); above that
+    ks_2samp keeps the unrounded float difference, and this stays exact.
+    """
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    counts = np.searchsorted(a, both, "right") - np.searchsorted(b, both, "right")
+    return int(np.abs(counts).max()) / a.shape[0]
+
+
 def stationarity_ks(
     model: ArmaModel,
     noise_spec: NoiseSpec,
@@ -644,10 +688,10 @@ def stationarity_ks(
     Compares the empirical laws of (||Y_t||, ||Y_{t+1}||) at t = t_a and
     t = t_a + :data:`KS_SHIFT` across independent replicates, each run by
     the two-pass scan of :func:`simulate_theorem1`.  Returns the two
-    marginal KS statistics and the 1% critical value 1.628 * sqrt(2/replicates).
+    marginal KS statistics (:func:`_ks_statistic`: the exact h / replicates,
+    equal to ``scipy.stats.ks_2samp``'s up to 10 000 replicates) and the 1%
+    critical value 1.628 * sqrt(2/replicates).
     """
-    from scipy.stats import ks_2samp
-
     k, split = _split_depth(model)
     q = model.q
     # each replicate's noise window starts at t = -q, so t_a = K; the law
@@ -658,8 +702,8 @@ def stationarity_ks(
         y = _split_series(model, split, block, k + q, n_t, k)
         norms[lo : lo + block.shape[0]] = np.linalg.norm(y, axis=2)
     crit = 1.628 * math.sqrt(2.0 / replicates)
-    stat0 = float(ks_2samp(norms[:, 0], norms[:, KS_SHIFT]).statistic)
-    stat1 = float(ks_2samp(norms[:, 1], norms[:, KS_SHIFT + 1]).statistic)
+    stat0 = _ks_statistic(norms[:, 0], norms[:, KS_SHIFT])
+    stat1 = _ks_statistic(norms[:, 1], norms[:, KS_SHIFT + 1])
     return {
         "ks_statistic_t": stat0,
         "ks_statistic_t_plus_1": stat1,

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import digamma, gammaln
 
+from oparma.engine import moments
 from oparma.engine.moments import (
     GAMMA_ARGMIN,
     GAMMA_MIN,
@@ -24,6 +25,9 @@ class TestGammaInverse:
         root = brentq(digamma, 1.0, 2.0, xtol=1e-14)
         assert abs(root - GAMMA_ARGMIN) < 1e-12
         assert abs(math.gamma(GAMMA_ARGMIN) - GAMMA_MIN) < 1e-12
+
+    def test_log_gamma_min_literal_is_gammaln_at_the_argmin(self):
+        assert moments._LOG_GAMMA_MIN == float(gammaln(GAMMA_ARGMIN))
 
     def test_factorial_oracles(self):
         assert gamma_inverse(1.0) == pytest.approx(2.0, rel=1e-10)

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from oparma import scenarios
-from oparma.engine.noise import make_rng
+from oparma.engine import simulate
+from oparma.engine.noise import NoiseSpec, make_rng
+from oparma.engine.simulate import _relative_gap, simulate_ma, simulate_theorem1
 from oparma.errors import SpecificationError, UnknownScenarioError
+from oparma.laurent import laurent_coeffs
+from oparma.operators import OperatorSpec, arma_model, build_operator
 from oparma.scenarios import list_scenarios, run_scenario
 
 EXPECTED_ORDER = [
@@ -116,3 +120,47 @@ def test_chunked_exceedance_counts_match_one_draw(monkeypatch, chunk):
     np.testing.assert_array_equal(got_near, (draws[:, :near] > thr[:near]).sum(axis=1))
     np.testing.assert_array_equal(got_all, (draws > thr).sum(axis=1))
     assert got_all.sum() > got_near.sum() > 0
+
+
+def _multiplication_model():
+    ar = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [0.5, 2.0]})
+    return arma_model(
+        [build_operator(ar)], [build_operator(OperatorSpec(kind="identity", dim=2))]
+    )
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-20, 1.0, 1e300])
+def test_certify_gap_is_relative_to_the_path(sigma):
+    model = _multiplication_model()
+    noise = NoiseSpec(kind="gaussian", dim=2, params={"sigma": sigma}, seed=0)
+    checks, _ = scenarios.certify(model, noise, 199, residual_max=1e-8)
+    assert all(c["pass"] for c in checks), [c["description"] for c in checks if not c["pass"]]
+    split = simulate_theorem1(model, noise, (0, 199)).values
+    bad = simulate_ma(model, laurent_coeffs(model), noise, (0, 199)).values.copy()
+    bad[20] *= 2.0
+    assert _relative_gap(bad, split) > 1e-2 > scenarios.GAP_MAX
+
+
+def test_certify_figures_do_not_move_with_a_power_of_two():
+    model = _multiplication_model()
+    figures = set()
+    for k in (-600, 0, 600):
+        noise = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 2.0**k}, seed=0)
+        checks, _ = scenarios.certify(model, noise, 199, residual_max=1e-8)
+        figures.add((checks[4]["observed"], checks[5]["observed"]))
+    assert len(figures) == 1
+
+
+def test_pipeline_ks_statistics_equal_ks_2samp(monkeypatch):
+    from scipy.stats import ks_2samp
+
+    exact = simulate._ks_statistic
+    agree = []
+
+    def checked(a, b):
+        agree.append(exact(a, b) == ks_2samp(a, b).statistic)
+        return exact(a, b)
+
+    monkeypatch.setattr(simulate, "_ks_statistic", checked)
+    assert run_scenario("hyperbolic_pipeline", seed=0).passed
+    assert agree == [True, True]

@@ -183,7 +183,7 @@ class TestRecursionResidual:
         bad[50, 0] += 1.0
         holder = dataclasses.replace(res, values=bad)
         corrupted = recursion_residual(model, holder, res.noise)
-        floor = 0.5 / (1.0 + np.linalg.norm(bad, axis=1).max())
+        floor = 0.5 / np.linalg.norm(bad, axis=1).max()
         assert corrupted >= floor
 
     def test_finite_heavy_tailed_path_has_finite_residual(self):
@@ -212,7 +212,7 @@ class TestRecursionResidual:
         for k, b in enumerate(model.ma_ops):
             rhs += z[1 - k - t0 : 50 - k - t0] @ b.matrix.T
         num = np.linalg.norm(lhs - rhs, axis=1).max()
-        assert res.max_residual == num / (1.0 + np.linalg.norm(y, axis=1).max())
+        assert res.max_residual == num / np.linalg.norm(y, axis=1).max()
 
     def test_empty_overlap_raises(self):
         model = scalar_model(0.5)
@@ -222,6 +222,74 @@ class TestRecursionResidual:
         holder = type("Y", (), {"t_start": 100, "values": np.zeros((3, 1))})()
         with pytest.raises(WindowError):
             recursion_residual(model, holder, z)
+
+
+class TestKsStatistic:
+    @pytest.mark.parametrize("n", [1, 7, 2000, 10_000])
+    def test_equals_ks_2samp_bit_for_bit(self, n):
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(n)
+        for trial in range(6):
+            a = rng.normal(size=n)
+            b = rng.normal(loc=0.05 * trial, size=n)
+            if trial % 2:  # ties within and across the samples
+                a, b = np.round(a, 1), np.round(b, 1)
+            if trial == 4:
+                b = a[::-1].copy()
+            assert simulate._ks_statistic(a, b) == ks_2samp(a, b).statistic
+
+    def test_counts_the_largest_cdf_gap(self):
+        a = np.array([0.0, 1.0, 2.0, 3.0])
+        assert simulate._ks_statistic(a, a + 10.0) == 1.0
+        assert simulate._ks_statistic(a, a) == 0.0
+        assert simulate._ks_statistic(a, np.array([0.0, 1.0, 1.0, 3.0])) == 0.25
+
+
+def split_multiplication_model():
+    """Multiplication by [0.5, 2.0] with B_0 = I: one causal and one anticausal component."""
+    ar = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [0.5, 2.0]})
+    return arma_model(
+        [build_operator(ar)], [build_operator(OperatorSpec(kind="identity", dim=2))]
+    )
+
+
+def _route_result(model, sigma, route, t_range=(0, 50)):
+    spec = NoiseSpec(kind="gaussian", dim=model.dim, params={"sigma": sigma}, seed=0)
+    if route == "split":
+        return simulate_theorem1(model, spec, t_range=t_range)
+    return simulate_ma(model, laurent_coeffs(model), spec, t_range=t_range)
+
+
+class TestScaleInvariantResidual:
+    @pytest.mark.parametrize("route", ["split", "ma"])
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-20, 1.0, 1e300])
+    def test_clean_paths_pass_and_a_doubled_row_fails(self, sigma, route):
+        model = split_multiplication_model()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = _route_result(model, sigma, route)
+            assert res.max_residual <= 1e-8
+            bad = res.values.copy()
+            bad[20] *= 2.0
+            corrupted = recursion_residual(model, dataclasses.replace(res, values=bad), res.noise)
+        # the row's own norm over the path's largest, not 0 (underflow) or
+        # an absolute figure below the gate
+        assert corrupted > 1e-2
+
+    @pytest.mark.parametrize("route", ["split", "ma"])
+    def test_power_of_two_noise_leaves_the_residual_bitwise(self, route):
+        model = split_multiplication_model()
+        figures = {_route_result(model, 2.0**k, route).max_residual for k in (-600, -70, 0, 70, 600)}
+        assert len(figures) == 1 and 0.0 < figures.pop() <= 1e-8
+
+    def test_a_path_that_is_exactly_zero(self):
+        model = scalar_model(0.5)
+        z = sample_path(NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=0), 10)
+        zero = type("Y", (), {"t_start": 0, "values": np.zeros((10, 1))})()
+        assert recursion_residual(model, zero, z) == np.inf
+        quiet = dataclasses.replace(z, values=np.zeros_like(z.values))
+        assert recursion_residual(model, zero, quiet) == 0.0
 
 
 def random_hyperbolic_model(rng, dim, q, margin=0.15):
@@ -852,7 +920,7 @@ def _recursion_residual_reference(model, y, z):
     n_t = t_hi - t_lo + 1
     z_vals = z.values[t_lo - q - z.t_start : t_hi - z.t_start + 1]
     peak = max(np.abs(y_vals).max(), np.abs(z_vals).max())
-    scale = 2.0 ** -max(np.frexp(peak)[1], 0)
+    scale = 2.0 ** -np.frexp(peak)[1]
     y_vals = y_vals * scale
     z_vals = z_vals * scale
     lhs = y_vals[t_lo - y0 : t_hi - y0 + 1].astype(complex)
@@ -862,7 +930,7 @@ def _recursion_residual_reference(model, y, z):
     for k, b in enumerate(model.ma_ops):
         rhs += z_vals[q - k : q - k + n_t] @ b.matrix.T
     num = np.linalg.norm(lhs - rhs, axis=1).max()
-    return float(num / (scale + np.linalg.norm(y_vals, axis=1).max()))
+    return float(num / np.linalg.norm(y_vals, axis=1).max())
 
 
 class TestRecursionResidualBuffers:
