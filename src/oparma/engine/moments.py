@@ -31,11 +31,11 @@ from ..operators import Operator, _scaled_norm
 from .noise import (
     HEAVY_KINDS,
     NoiseSpec,
+    _log_magnitude_chunks,
     _log_norms,
     _table_lookup,
+    _value_chunks,
     heavy_direction,
-    log_magnitude_samples,
-    sample_path,
 )
 
 MOMENT_KINDS = ("log_plus", "log_plus_log_plus", "gamma_inverse")
@@ -205,23 +205,27 @@ def _transform_matrix(transform) -> np.ndarray | None:
     return m
 
 
-def _sample_log_norms(spec: NoiseSpec, t_mat, n: int, stream: int) -> np.ndarray:
+def _log_norm_chunks(spec: NoiseSpec, t_mat, n: int, stream: int):
+    """Yield ``(lo, log ||T Z_t||)`` for 0 <= t < n, a :data:`.noise.DRAW_CHUNK` at a time."""
     if spec.kind in HEAVY_KINDS:
-        logs = log_magnitude_samples(spec, n, stream=stream)
+        shift = None
         if t_mat is not None:
-            direction = heavy_direction(spec)
-            gain = float(np.linalg.norm(t_mat @ direction))
-            if gain == 0.0:
-                return np.full(n, -np.inf)
-            return logs + math.log(gain)
-        return logs
-    values = sample_path(spec, n, stream=stream).values
-    if t_mat is not None:
-        # T Z from both factors in power-of-two units, so the product cannot overflow
-        (_, kz), (_, kt) = _scaled_norm(values), _scaled_norm(t_mat)
-        product = (values * 2.0**-kz) @ (t_mat * 2.0**-kt).T
-        return _log_norms(product) + (kz + kt) * math.log(2.0)
-    return _log_norms(values)
+            gain = float(np.linalg.norm(t_mat @ heavy_direction(spec)))
+            shift = math.log(gain) if gain > 0.0 else -math.inf
+        for lo, logs in _log_magnitude_chunks(spec, n, stream):
+            yield lo, logs if shift is None else logs + shift
+        return
+    for lo, values in _value_chunks(spec, n, stream):
+        if t_mat is not None:
+            # T Z from both factors in power-of-two units, so the product cannot
+            # overflow; one (1, d) product per sample, because a 2-D product
+            # takes another BLAS route for a single row, which would tie a
+            # sample's bits to the size of its chunk
+            (_, kz), (_, kt) = _scaled_norm(values), _scaled_norm(t_mat)
+            product = (values[:, None] * 2.0**-kz) @ (t_mat * 2.0**-kt).T
+            yield lo, _log_norms(product[:, 0]) + (kz + kt) * math.log(2.0)
+        else:
+            yield lo, _log_norms(values)
 
 
 def _octave_table(g: np.ndarray) -> list:
@@ -263,6 +267,13 @@ def moment_estimate(
     verdict requires the deepest octave below THETA_FINITE.  Anything
     else is inconclusive.  All intermediate numbers land in
     diagnostics.
+
+    Samples are drawn, log-normed and transformed a
+    :data:`.noise.DRAW_CHUNK` at a time into the one n-float array of g
+    values; g and the sorted copy the octave table reads are the only
+    arrays of n entries.  The transforms act entry by entry, so the chunk
+    does not change g (see :func:`.noise.log_magnitude_samples` for the
+    Gaussian kinds at entries of 2^500 and above).
     """
     if moment_kind not in MOMENT_KINDS:
         raise SpecificationError(
@@ -272,8 +283,9 @@ def moment_estimate(
     if n_samples < 1000:
         raise SpecificationError(f"need at least 1000 samples, got {n_samples}")
     t_mat = _transform_matrix(transform)
-    log_norms = _sample_log_norms(spec, t_mat, n_samples, stream)
-    g = transform_log_norms(log_norms, moment_kind)
+    g = np.empty(n_samples)
+    for lo, logs in _log_norm_chunks(spec, t_mat, n_samples, stream):
+        g[lo : lo + logs.shape[0]] = transform_log_norms(logs, moment_kind)
 
     sizes = [n_samples // 8, n_samples // 4, n_samples // 2, n_samples]
     sizes = sorted({s for s in sizes if s >= 2})

@@ -59,8 +59,9 @@ _LN2 = math.log(2.0)
 #: extra spawn-key entry of the mirror generator that carries t < 0
 _MIRROR_KEY = 1
 
-#: draws per discarded chunk when a window starts past row 0
-_SKIP_DRAWS = 1 << 16
+#: values per chunk of every bulk draw (skipped rows, Monte Carlo samples,
+#: replicate blocks): working memory stays this size whatever the sample size
+DRAW_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -266,26 +267,38 @@ def _log_magnitudes(spec: NoiseSpec, uniforms: np.ndarray) -> np.ndarray:
     return np.exp(_table_lookup(target, table))  # Y = log X = e^t
 
 
-def _draw(spec: NoiseSpec, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` with the next rows of raw draws: d normals or one uniform per row."""
-    if spec.kind in GAUSSIAN_KINDS:
-        rng.standard_normal(out=out)
-    else:
-        rng.random(out=out)
+def draw_chunks(count: int, row_shape: tuple = (), fill=None, dtype=float):
+    """Yield ``(lo, block)``: rows lo .. lo + len(block) - 1 of ``count`` rows, in order.
+
+    Each ``block`` is a new (c, *row_shape) array of about
+    :data:`DRAW_CHUNK` values (at least one row), so a caller that
+    consumes one block at a time holds that much whatever ``count``.
+    ``fill``, a bound ``random`` or ``standard_normal`` of one generator,
+    fills every block before it is yielded: the generator runs on across
+    blocks, never restarted, and since chunked draws match one big draw
+    bit for bit, the blocks are that draw cut into pieces.  Without
+    ``fill`` the blocks are left for the caller to fill.
+    """
+    step = max(1, DRAW_CHUNK // math.prod(row_shape))
+    for lo in range(0, count, step):
+        block = np.empty((min(step, count - lo), *row_shape), dtype)
+        if fill is not None:
+            fill(out=block)
+        yield lo, block
 
 
 def _rows(spec: NoiseSpec, spawn_key: tuple, first: int, out: np.ndarray) -> None:
     """Write rows ``first`` .. ``first + len(out) - 1`` of the raw draws keyed by ``spawn_key``.
 
-    Earlier rows are drawn in fixed-size chunks and thrown away; chunked
-    draws match one big draw bit for bit, and memory stays O(n d).
+    Earlier rows are drawn in :func:`draw_chunks` blocks of ``out``'s row
+    width and thrown away, so memory stays O(len(out)) past the chunk.
     """
     rng = _philox(spec.seed, spawn_key)
-    step = max(1, _SKIP_DRAWS // spec.dim)
-    skip = np.empty((min(step, first), *out.shape[1:]))
-    for lo in range(0, first, step):
-        _draw(spec, rng, skip[: min(step, first - lo)])
-    _draw(spec, rng, out)
+    # the raw draws: d normals or one uniform per row
+    fill = rng.standard_normal if spec.kind in GAUSSIAN_KINDS else rng.random
+    for _ in draw_chunks(first, out.shape[1:], fill):
+        pass
+    fill(out=out)
 
 
 def _raw_window(spec: NoiseSpec, stream: int, t_start: int, out: np.ndarray) -> None:
@@ -344,8 +357,7 @@ def _window_into(spec: NoiseSpec, factor, stream: int, t_start: int, out: np.nda
     """
     if spec.kind == "point_mass":
         out[:] = factor
-        norm, k = _scaled_norm(factor)
-        return np.full(out.shape[0], _safe_log(norm) + k * _LN2)
+        return log_magnitude_samples(spec, out.shape[0])
     if spec.kind in GAUSSIAN_KINDS:
         _raw_window(spec, stream, t_start, out)
         out *= factor
@@ -388,15 +400,50 @@ def heavy_direction(spec: NoiseSpec) -> np.ndarray:
     return _law_factor(spec)
 
 
+def _value_chunks(spec: NoiseSpec, count: int, stream: int):
+    """Yield ``(lo, values)``: rows lo .. lo + len(values) - 1 of
+    ``sample_path(spec, count, stream=stream).values``, bit for bit, a
+    :func:`draw_chunks` block at a time.  For the kinds with linear values
+    (the Gaussian kinds and ``point_mass``); the heavy kinds go through
+    :func:`_log_magnitude_chunks`.
+    """
+    factor = _law_factor(spec)
+    if spec.kind == "point_mass":
+        for lo, values in draw_chunks(count, (spec.dim,), dtype=factor.dtype):
+            values[:] = factor
+            yield lo, values
+        return
+    for lo, values in draw_chunks(count, (spec.dim,), make_rng(spec.seed, stream).standard_normal):
+        values *= factor
+        yield lo, values
+
+
+def _log_magnitude_chunks(spec: NoiseSpec, count: int, stream: int):
+    """Yield ``(lo, logs)``: :func:`log_magnitude_samples` a :func:`draw_chunks`
+    block at a time, for every kind but ``point_mass``."""
+    if spec.kind in HEAVY_KINDS:
+        # the heavy kinds read them off the raw uniforms without forming Z_t
+        for lo, uniforms in draw_chunks(count, fill=make_rng(spec.seed, stream).random):
+            yield lo, _log_magnitudes(spec, uniforms)
+    else:
+        for lo, values in _value_chunks(spec, count, stream):
+            yield lo, _log_norms(values)
+
+
 def log_magnitude_samples(spec: NoiseSpec, count: int, stream: int = 0) -> np.ndarray:
     """Exact log ||Z_t|| for 0 <= t < count, free of linear-scale overflow.
 
-    The heavy kinds read them off the raw uniforms without forming Z_t.
+    Sampled a :data:`DRAW_CHUNK` at a time into the one count-float result.
+    The Gaussian kinds scale each chunk's norms by its own power of two
+    (``_scaled_norm``), which matches the whole sample's bit for bit
+    unless some entry reaches 2^500.
     """
-    if spec.kind not in HEAVY_KINDS:
-        return sample_path(spec, count, stream=stream).lognorms()
     if count < 1:
         raise SpecificationError("count must be >= 1")
-    uniforms = np.empty(count)
-    _rows(spec, (int(stream),), 0, uniforms)
-    return _log_magnitudes(spec, uniforms)
+    if spec.kind == "point_mass":  # draws nothing: one log-norm for every t
+        norm, k = _scaled_norm(_law_factor(spec))
+        return np.full(count, _safe_log(norm) + k * _LN2)
+    out = np.empty(count)
+    for lo, logs in _log_magnitude_chunks(spec, count, int(stream)):
+        out[lo : lo + logs.shape[0]] = logs
+    return out

@@ -46,6 +46,7 @@ from .noise import (
     NoiseSpec,
     _law_factor,
     _window_into,
+    draw_chunks,
     real_if_exact,
     sample_path,
 )
@@ -527,16 +528,17 @@ def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count, replicates
     """Noise windows [t_start, t_start + count) of streams 0 .. replicates - 1, in chunks.
 
     Yields ``(lo, block)`` with ``block`` of shape (c, count, d) holding
-    streams lo .. lo + c - 1, of the paths' own dtype; chunks hold about
-    4e6 values.
+    streams lo .. lo + c - 1, of the paths' own dtype: the
+    :func:`.noise.draw_chunks` blocks of :data:`.noise.DRAW_CHUNK` values,
+    or one replicate where a window alone holds more.  Every replicate
+    goes through the same products whatever c, so results do not depend
+    on the chunk.
     """
     if replicates < 1:
         raise SpecificationError(f"need at least one replicate, got {replicates}")
     _check_noise(model, noise_spec)
     factor = _law_factor(noise_spec)
-    chunk = max(1, min(replicates, int(4e6 / max(count * noise_spec.dim, 1))))
-    for lo in range(0, replicates, chunk):
-        block = np.empty((min(chunk, replicates - lo), count, noise_spec.dim), factor.dtype)
+    for lo, block in draw_chunks(replicates, (count, noise_spec.dim), dtype=factor.dtype):
         for i, row in enumerate(block):
             _window_into(noise_spec, factor, lo + i, t_start, row)
         yield lo, block
@@ -566,7 +568,7 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: in
     bounds = sorted({0} | {end - q for span in spans for end in span})
     a_t = real_if_exact(model.ar_ops[0].matrix).T
     m_t = real_if_exact(ma_moment_operator(model)).T
-    parts = {span: [] for span in spans}
+    segments = {c: [] for c in bounds[:-1]}  # T of each block, by segment start
     with np.errstate(over="ignore", invalid="ignore"):
         powers = [a_t]  # powers[l] = (A^(2^l))^T, for rows
         while len(powers) < (bounds[-1] - 1).bit_length():
@@ -574,7 +576,6 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: in
         am_t = m_t @ a_t  # (A M)^T: level 0 pairs M Z_{2i} + A M Z_{2i+1}
         for _, block in _replicate_blocks(model, noise_spec, bounds[-1], replicates):
             block = block.astype(np.result_type(block, a_t, m_t), copy=False)
-            carried = {}
             for c, e in zip(bounds, bounds[1:]):
                 z = block[:, c:e]
                 x = z[:, ::2] @ m_t
@@ -583,14 +584,23 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: in
                 while x.shape[1] > 1:
                     x[:, : x.shape[1] // 2 * 2 : 2] += x[:, 1::2] @ powers[level]
                     x, level = x[:, ::2], level + 1
-                t = x[:, 0]
-                for level in range(c.bit_length()):
-                    if c >> level & 1:
-                        t = t @ powers[level]
-                carried[c] = t
-            for a, b in spans:
-                parts[a, b].append(sum(t for c, t in carried.items() if a - q <= c < b - q).T)
-    return {span: np.hstack(p) for span, p in parts.items()}
+                segments[c].append(x[:, 0].copy())  # a view would keep all of x
+        # the carried powers act on all replicates at once: a (c, d) product
+        # takes another BLAS route when c = 1, so acting per block would tie
+        # a replicate's bits to the block it was drawn in
+        carried = {}
+        for c, ts in segments.items():
+            t = np.concatenate(ts)
+            for level in range(c.bit_length()):
+                if c >> level & 1:
+                    t = t @ powers[level]
+            carried[c] = t
+    # (d, replicates) in C order, as before: the order in which the norms
+    # sum over d follows the layout
+    return {
+        (a, b): np.ascontiguousarray(sum(t for c, t in carried.items() if a - q <= c < b - q).T)
+        for a, b in spans
+    }
 
 
 def _probe_grid(model: ArmaModel, n_grid) -> tuple:

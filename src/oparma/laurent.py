@@ -201,7 +201,13 @@ def _wrapped_coeffs(model: ArmaModel, n: int):
         odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
         f = np.fft.fft(_batched_transfer(model, odd), axis=0) / n
         f *= np.exp(-1j * np.pi * np.arange(n) / n)[:, None, None]
-        psi = np.concatenate([psi + f, psi - f]) / 2
+        # formed in place: halving is exact, so the bits are those of
+        # concatenating the sum and the difference and dividing by 2
+        doubled = np.empty((2 * n, *psi.shape[1:]), psi.dtype)
+        np.add(psi, f, out=doubled[:n])
+        np.subtract(psi, f, out=doubled[n:])
+        doubled *= 0.5
+        psi = doubled
         n *= 2
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine.moments import moment_estimate
-from .engine.noise import CLAMP_LOG, NoiseSpec, log_magnitude_samples, make_rng
+from .engine.noise import CLAMP_LOG, NoiseSpec, _log_magnitudes, draw_chunks, make_rng
 from .engine.simulate import (
     RECONSTRUCTION_MAX,
     _relative_gap,
@@ -84,27 +84,20 @@ def _count_check(description, probs, counts, sigmas=3.0):
     )
 
 
-#: values per chunk of Pareto draws in :func:`_exceedance_counts`
-_EXCEEDANCE_CHUNK = 1 << 18
+def _exceedance_counts(spec, stream, reps, thr, near):
+    """Per-replicate counts of log-magnitudes of the heavy ``spec`` above ``thr``.
 
-
-def _exceedance_counts(rng, reps, thr, near):
-    """Per-replicate counts of Pareto(1) draws 1/(1 - U) above ``thr``.
-
-    Row i holds replicate i's ``len(thr)`` terms; returns the counts over
-    the first ``near`` terms and over all of them.  Rows are drawn a chunk
-    at a time into one buffer, in stream order, so the counts do not
-    depend on the chunk size.
+    Row i holds replicate i's ``len(thr)`` terms: draws i len(thr) ..
+    (i + 1) len(thr) - 1 of ``log_magnitude_samples(spec, ..., stream)``.
+    Returns the counts over the first ``near`` terms and over all of them.
+    Rows are drawn a :func:`draw_chunks` block at a time from one
+    generator, so the counts do not depend on the chunk size.
     """
     counts_near = np.empty(reps, dtype=np.intp)
     counts_all = np.empty(reps, dtype=np.intp)
-    buf = np.empty((max(1, min(reps, _EXCEEDANCE_CHUNK // len(thr))), len(thr)))
-    for lo in range(0, reps, buf.shape[0]):
-        draws = buf[: min(buf.shape[0], reps - lo)]
-        rng.random(out=draws)
-        np.subtract(1.0, draws, out=draws)
-        np.divide(1.0, draws, out=draws)
-        exceeds = draws > thr
+    uniforms = make_rng(spec.seed, stream=stream).random
+    for lo, draws in draw_chunks(reps, (len(thr),), uniforms):
+        exceeds = _log_magnitudes(spec, draws) > thr
         counts_near[lo : lo + draws.shape[0]] = exceeds[:, :near].sum(axis=1)
         counts_all[lo : lo + draws.shape[0]] = exceeds.sum(axis=1)
     return counts_near, counts_all
@@ -113,16 +106,18 @@ def _exceedance_counts(rng, reps, thr, near):
 def _pareto_exceedances(seed, stream, reps, thr, near, near_desc, far_desc):
     """Near and far exceedance-count checks for Pareto(1) draws against ``thr``.
 
-    Draws 1/(1 - U) >= 1 on ``stream`` for ``reps`` replicates of
-    ``len(thr)`` terms; term n exceeds its threshold thr_n >= 1 with
-    probability 1/thr_n.  The near check counts the first ``near`` terms,
-    the far check the rest, whose growth shows the series diverging.
+    Draws 1/(1 - U) >= 1 (the log-magnitudes of ``pareto_exp`` noise) on
+    ``stream`` for ``reps`` replicates of ``len(thr)`` terms; term n
+    exceeds its threshold thr_n >= 1 with probability 1/thr_n.  The near
+    check counts the first ``near`` terms, the far check the rest, whose
+    growth shows the series diverging.
     """
     if not 1 <= near < len(thr):
         raise SpecificationError(
             f"the near depth must be >= 1 and below the far depth {len(thr)}, got {near}"
         )
-    counts_near, counts_all = _exceedance_counts(make_rng(seed, stream=stream), reps, thr, near)
+    spec = NoiseSpec(kind="pareto_exp", dim=1, seed=seed)
+    counts_near, counts_all = _exceedance_counts(spec, stream, reps, thr, near)
     probs = 1.0 / thr
     return [
         _count_check(near_desc, probs[:near], counts_near),
@@ -423,16 +418,13 @@ def _scenario_volterra(params, seed):
     # n-th term exceeds 1 iff Y_n > log n!, and those probabilities are
     # summable, which is exactly the Borel-Cantelli sufficiency route
     spec = NoiseSpec(kind="gamma_inv_tail", dim=1, params={"x1": x1}, seed=seed)
-    y = log_magnitude_samples(spec, conv_reps * conv_terms, stream=1).reshape(
-        conv_reps, conv_terms
-    )
     thr = gammaln(np.arange(2, conv_terms + 2).astype(float))
     y1 = math.log(x1)
     den = float(exp1(math.log(y1)))
     probs = np.where(
         thr <= y1, 1.0, exp1(np.log(np.maximum(thr, y1))) / den
     )
-    counts = (y > thr).sum(axis=1)
+    _, counts = _exceedance_counts(spec, 1, conv_reps, thr, conv_terms)
     checks.append(
         _count_check(
             "[oracle] gamma-inverse-moment noise: exceedances of 1/n!-weighted "

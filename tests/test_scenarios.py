@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oparma import scenarios
-from oparma.engine import simulate
+from oparma.engine import noise, simulate
 from oparma.engine.noise import NoiseSpec, make_rng
 from oparma.engine.simulate import _relative_gap, simulate_ma, simulate_theorem1
 from oparma.errors import SpecificationError, UnknownScenarioError
@@ -112,10 +112,11 @@ def test_pipeline_carries_the_certification_chain():
 @pytest.mark.parametrize("chunk", [1, 1000, 1 << 18])
 def test_chunked_exceedance_counts_match_one_draw(monkeypatch, chunk):
     # 1 and 1000 values per chunk give one and three rows per chunk
-    monkeypatch.setattr(scenarios, "_EXCEEDANCE_CHUNK", chunk)
+    monkeypatch.setattr(noise, "DRAW_CHUNK", chunk)
     thr = np.maximum(1.0, np.log(np.arange(1.0, 301.0)) * 3.0)
     reps, near = 37, 40
-    got_near, got_all = scenarios._exceedance_counts(make_rng(5, stream=2), reps, thr, near)
+    spec = NoiseSpec(kind="pareto_exp", dim=1, seed=5)
+    got_near, got_all = scenarios._exceedance_counts(spec, 2, reps, thr, near)
     draws = 1.0 / (1.0 - make_rng(5, stream=2).random((reps, len(thr))))
     np.testing.assert_array_equal(got_near, (draws[:, :near] > thr[:near]).sum(axis=1))
     np.testing.assert_array_equal(got_all, (draws > thr).sum(axis=1))

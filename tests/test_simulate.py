@@ -554,7 +554,7 @@ def _probe_models():
         # q = 2: segments of 1, 2, 7 and 1 rows, carried by A^1, A^3 and A^10
         "dense_q2": (dense_q2, (3, 5, 12, 13), 40),
         "multiplication": (arma_model([build_operator(mult)], [ident(8)] * 2), (4, 8, 16, 33), 40),
-        # 8194 steps x 16 dims leave room for 30 streams per chunk
+        # 8194 steps x 16 dims leave room for two streams per chunk
         "circular_shift_two_chunks": (arma_model([shift], [ident(16)]), (64, 1000, 8194), 32),
         "volterra": (arma_model([volterra], [ident(12)]), (7, 12, 20, 33), 40),
     }
