@@ -47,7 +47,6 @@ from .engine.noise import (
     NOISE_KINDS,
     NoisePath,
     NoiseSpec,
-    heavy_direction,
     log_magnitude_samples,
     make_rng,
     sample_path,
@@ -110,7 +109,6 @@ __all__ = [
     "dense_operator",
     "dump_model",
     "gamma_inverse",
-    "heavy_direction",
     "hyperbolic_split",
     "laurent_coeffs",
     "list_scenarios",

@@ -27,16 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import SpecificationError
-from ..operators import Operator, _scaled_norm
-from .noise import (
-    HEAVY_KINDS,
-    NoiseSpec,
-    _log_magnitude_chunks,
-    _log_norms,
-    _table_lookup,
-    _value_chunks,
-    heavy_direction,
-)
+from ..operators import Operator
+from .noise import NoiseSpec, _table_lookup, log_norm_blocks
 
 MOMENT_KINDS = ("log_plus", "log_plus_log_plus", "gamma_inverse")
 
@@ -205,29 +197,6 @@ def _transform_matrix(transform) -> np.ndarray | None:
     return m
 
 
-def _log_norm_chunks(spec: NoiseSpec, t_mat, n: int, stream: int):
-    """Yield ``(lo, log ||T Z_t||)`` for 0 <= t < n, a :data:`.noise.DRAW_CHUNK` at a time."""
-    if spec.kind in HEAVY_KINDS:
-        shift = None
-        if t_mat is not None:
-            gain = float(np.linalg.norm(t_mat @ heavy_direction(spec)))
-            shift = math.log(gain) if gain > 0.0 else -math.inf
-        for lo, logs in _log_magnitude_chunks(spec, n, stream):
-            yield lo, logs if shift is None else logs + shift
-        return
-    for lo, values in _value_chunks(spec, n, stream):
-        if t_mat is not None:
-            # T Z from both factors in power-of-two units, so the product cannot
-            # overflow; one (1, d) product per sample, because a 2-D product
-            # takes another BLAS route for a single row, which would tie a
-            # sample's bits to the size of its chunk
-            (_, kz), (_, kt) = _scaled_norm(values), _scaled_norm(t_mat)
-            product = (values[:, None] * 2.0**-kz) @ (t_mat * 2.0**-kt).T
-            yield lo, _log_norms(product[:, 0]) + (kz + kt) * math.log(2.0)
-        else:
-            yield lo, _log_norms(values)
-
-
 def _octave_table(g: np.ndarray) -> list:
     n = g.shape[0]
     order = np.sort(g)[::-1]
@@ -284,7 +253,7 @@ def moment_estimate(
         raise SpecificationError(f"need at least 1000 samples, got {n_samples}")
     t_mat = _transform_matrix(transform)
     g = np.empty(n_samples)
-    for lo, logs in _log_norm_chunks(spec, t_mat, n_samples, stream):
+    for lo, logs in log_norm_blocks(spec, n_samples, stream, t_mat):
         g[lo : lo + logs.shape[0]] = transform_log_norms(logs, moment_kind)
 
     sizes = [n_samples // 8, n_samples // 4, n_samples // 2, n_samples]

@@ -15,6 +15,12 @@ so every window, truncation depth and simulation method that reads Z_t
 sees the same value.  Z_t for t >= 0 is row t of the (seed, stream)
 generator; Z_t for t < 0 is row -t-1 of a mirror generator keyed by
 (seed, stream) plus a fixed extra spawn-key entry.
+
+One generator, :func:`_raw_blocks`, reads every stream: it keys it, skips
+to the first row wanted and yields the raw rows (d normals, or one
+uniform, per t) in :func:`draw_chunks` blocks.  :func:`_window_into` decodes
+them into paths, :func:`log_norm_blocks` into the log-norms that the
+moment estimates and the scenarios' exceedance counts read.
 """
 
 from __future__ import annotations
@@ -189,7 +195,7 @@ class NoisePath:
 
 def _log_norms(values: np.ndarray) -> np.ndarray:
     """log of the row norms of ``values`` (-inf for a zero row), free of overflow."""
-    norms, k = _scaled_norm(values, axis=1)
+    norms, k = _scaled_norm(values, axis=-1)
     with np.errstate(divide="ignore"):
         return np.log(norms) + k * _LN2
 
@@ -287,35 +293,23 @@ def draw_chunks(count: int, row_shape: tuple = (), fill=None, dtype=float):
         yield lo, block
 
 
-def _rows(spec: NoiseSpec, spawn_key: tuple, first: int, out: np.ndarray) -> None:
-    """Write rows ``first`` .. ``first + len(out) - 1`` of the raw draws keyed by ``spawn_key``.
+def _raw_blocks(spec: NoiseSpec, spawn_key: tuple, first: int, count: int, row: tuple = ()):
+    """Yield ``(lo, block)``: rows first + lo .. first + lo + len(block) - 1 of a raw stream.
 
-    Earlier rows are drawn in :func:`draw_chunks` blocks of ``out``'s row
-    width and thrown away, so memory stays O(len(out)) past the chunk.
+    The one reader of raw draws.  Each of the ``count`` rows holds a
+    ``row``-shaped group of raw rows: d normals for the Gaussian kinds, one
+    uniform for the heavy kinds, d unfilled values for ``point_mass``, which
+    draws nothing.  One generator keyed by ``spawn_key`` skips the rows
+    before ``first`` and fills the rest, :func:`draw_chunks` block by block.
     """
     rng = _philox(spec.seed, spawn_key)
-    # the raw draws: d normals or one uniform per row
-    fill = rng.standard_normal if spec.kind in GAUSSIAN_KINDS else rng.random
-    for _ in draw_chunks(first, out.shape[1:], fill):
+    if spec.kind in HEAVY_KINDS:
+        shape, fill = row, rng.random
+    else:
+        shape, fill = (*row, spec.dim), rng.standard_normal if spec.kind in GAUSSIAN_KINDS else None
+    for _ in draw_chunks(first, shape, fill):
         pass
-    fill(out=out)
-
-
-def _raw_window(spec: NoiseSpec, stream: int, t_start: int, out: np.ndarray) -> None:
-    """Write the raw draws for t_start <= t < t_start + len(out) of ``stream`` into ``out``.
-
-    Row t of the (seed, stream) generator for t >= 0; row -t-1 of the
-    mirror generator for t < 0, read backwards into time order.
-    """
-    t_stop = t_start + out.shape[0]
-    if t_start < 0:
-        hi = min(t_stop, 0)
-        mirror = out[: hi - t_start]
-        _rows(spec, (stream, _MIRROR_KEY), -hi, mirror)
-        mirror[:] = mirror[::-1]
-    if t_stop > 0:
-        lo = max(t_start, 0)
-        _rows(spec, (stream,), lo, out[lo - t_start :])
+    yield from draw_chunks(count, shape, fill)
 
 
 def _law_factor(spec: NoiseSpec) -> np.ndarray:
@@ -352,20 +346,33 @@ def _window_into(spec: NoiseSpec, factor, stream: int, t_start: int, out: np.nda
     """Write Z_t for t_start <= t < t_start + len(out) of ``stream`` into the rows of ``out``.
 
     ``factor`` is :func:`_law_factor` of ``spec``, so a caller filling many
-    windows validates the spec once.  Returns the exact log-magnitudes,
-    or None for the Gaussian kinds.
+    windows validates the spec once.  Z_t is raw row t of the (seed, stream)
+    generator for t >= 0 and raw row -t-1 of the mirror generator for
+    t < 0, read backwards into time order.  Returns the exact
+    log-magnitudes of the heavy kinds, or None.
     """
     if spec.kind == "point_mass":
         out[:] = factor
-        return log_magnitude_samples(spec, out.shape[0])
-    if spec.kind in GAUSSIAN_KINDS:
-        _raw_window(spec, stream, t_start, out)
-        out *= factor
         return None
-    uniforms = np.empty(out.shape[0])
-    _raw_window(spec, stream, t_start, uniforms)
-    logm = _log_magnitudes(spec, uniforms)
-    np.multiply(np.exp(np.minimum(logm, CLAMP_LOG))[:, None], factor, out=out)
+    t_stop = t_start + out.shape[0]
+    logm = np.empty(out.shape[0]) if spec.kind in HEAVY_KINDS else None
+    sides = []  # (spawn key, first raw row, the rows of out in raw-row order)
+    if t_start < 0:
+        hi = min(t_stop, 0)
+        sides.append(((stream, _MIRROR_KEY), -hi, slice(hi - t_start - 1, None, -1)))
+    if t_stop > 0:
+        lo = max(t_start, 0)
+        sides.append(((stream,), lo, slice(lo - t_start, None)))
+    for key, first, rows in sides:
+        dest = out[rows]
+        for lo, raw in _raw_blocks(spec, key, first, dest.shape[0]):
+            part = slice(lo, lo + raw.shape[0])
+            if logm is None:
+                np.multiply(raw, factor, out=dest[part])
+            else:  # exp and log on the contiguous block: a strided view may take another loop
+                logs = _log_magnitudes(spec, raw)
+                logm[rows][part] = logs
+                np.multiply(np.exp(np.minimum(logs, CLAMP_LOG))[:, None], factor, out=dest[part])
     return logm
 
 
@@ -383,6 +390,8 @@ def sample_path(
     factor = _law_factor(spec)
     values = np.empty((count, spec.dim), factor.dtype)
     logm = _window_into(spec, factor, int(stream), t_start, values)
+    if spec.kind == "point_mass":
+        logm = _log_norms(values)
     clamped = int((logm > CLAMP_LOG).sum()) if spec.kind in HEAVY_KINDS else 0
     return NoisePath(t_start=t_start, values=values, log_mags=logm, n_clamped=clamped)
 
@@ -391,43 +400,40 @@ def _safe_log(v: float) -> float:
     return math.log(v) if v > 0 else -math.inf
 
 
-def heavy_direction(spec: NoiseSpec) -> np.ndarray:
-    """The fixed unit direction of a direction * magnitude kind."""
-    if spec.kind not in HEAVY_KINDS:
-        raise SpecificationError(
-            f"kind {spec.kind!r} has no fixed direction (one of {HEAVY_KINDS} does)"
-        )
-    return _law_factor(spec)
+def log_norm_blocks(spec: NoiseSpec, count: int, stream: int, gain=None, row: tuple = ()):
+    """Yield ``(lo, logs)``: log ||T Z_t|| for lo <= t < lo + len(logs), over 0 <= t < count.
 
-
-def _value_chunks(spec: NoiseSpec, count: int, stream: int):
-    """Yield ``(lo, values)``: rows lo .. lo + len(values) - 1 of
-    ``sample_path(spec, count, stream=stream).values``, bit for bit, a
-    :func:`draw_chunks` block at a time.  For the kinds with linear values
-    (the Gaussian kinds and ``point_mass``); the heavy kinds go through
-    :func:`_log_magnitude_chunks`.
+    T is the d x d matrix ``gain``, or the identity when None.  The blocks
+    are :func:`_raw_blocks` blocks of ``stream``, ``row`` included.  The
+    heavy kinds read the exact log channel off their raw uniforms and add
+    log ||T x|| for their direction x, so no linear value is formed.  The
+    other kinds form T Z_t from both factors in power-of-two units, so the
+    product cannot overflow; one (1, d) product per sample, because a 2-D
+    product takes another BLAS route for a single row, which would tie a
+    sample's bits to the size of its block.
     """
     factor = _law_factor(spec)
-    if spec.kind == "point_mass":
-        for lo, values in draw_chunks(count, (spec.dim,), dtype=factor.dtype):
-            values[:] = factor
-            yield lo, values
-        return
-    for lo, values in draw_chunks(count, (spec.dim,), make_rng(spec.seed, stream).standard_normal):
-        values *= factor
-        yield lo, values
-
-
-def _log_magnitude_chunks(spec: NoiseSpec, count: int, stream: int):
-    """Yield ``(lo, logs)``: :func:`log_magnitude_samples` a :func:`draw_chunks`
-    block at a time, for every kind but ``point_mass``."""
+    blocks = _raw_blocks(spec, (int(stream),), 0, count, row)
     if spec.kind in HEAVY_KINDS:
-        # the heavy kinds read them off the raw uniforms without forming Z_t
-        for lo, uniforms in draw_chunks(count, fill=make_rng(spec.seed, stream).random):
-            yield lo, _log_magnitudes(spec, uniforms)
-    else:
-        for lo, values in _value_chunks(spec, count, stream):
+        shift = None if gain is None else _safe_log(float(np.linalg.norm(gain @ factor)))
+        for lo, uniforms in blocks:
+            logs = _log_magnitudes(spec, uniforms)
+            yield lo, logs if shift is None else logs + shift
+        return
+    if gain is not None:
+        _, kt = _scaled_norm(gain)
+        gain_t = (gain * 2.0**-kt).T
+    for lo, values in blocks:
+        if spec.kind == "point_mass":
+            values = np.broadcast_to(factor, values.shape).copy()
+        else:
+            values *= factor
+        if gain is None:
             yield lo, _log_norms(values)
+        else:
+            _, kz = _scaled_norm(values)
+            product = (values[..., None, :] * 2.0**-kz) @ gain_t
+            yield lo, _log_norms(product[..., 0, :]) + (kz + kt) * _LN2
 
 
 def log_magnitude_samples(spec: NoiseSpec, count: int, stream: int = 0) -> np.ndarray:
@@ -440,10 +446,7 @@ def log_magnitude_samples(spec: NoiseSpec, count: int, stream: int = 0) -> np.nd
     """
     if count < 1:
         raise SpecificationError("count must be >= 1")
-    if spec.kind == "point_mass":  # draws nothing: one log-norm for every t
-        norm, k = _scaled_norm(_law_factor(spec))
-        return np.full(count, _safe_log(norm) + k * _LN2)
     out = np.empty(count)
-    for lo, logs in _log_magnitude_chunks(spec, count, int(stream)):
+    for lo, logs in log_norm_blocks(spec, count, stream):
         out[lo : lo + logs.shape[0]] = logs
     return out

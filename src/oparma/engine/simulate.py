@@ -221,12 +221,6 @@ def _check_noise(model: ArmaModel, noise) -> None:
         raise DimensionMismatchError(f"noise dim {noise.dim} does not match model dim {model.dim}")
 
 
-def _sample_window(model: ArmaModel, noise, lo, hi) -> NoisePath:
-    """Noise on [lo, hi] from a NoiseSpec of the model's dimension."""
-    _check_noise(model, noise)
-    return sample_path(noise, hi - lo + 1, t_start=lo)
-
-
 def _window_sums(x: np.ndarray, step: np.ndarray, width: int) -> np.ndarray:
     """Rows y_t = sum_{j < width} step^j x_{t-j} for the last n - width + 1 of the n rows.
 
@@ -468,9 +462,14 @@ def simulate_theorem1(
     """
     k, split = _split_depth(model, split, k_trunc)
     t0, t1 = _window(t_range)
-    path = _sample_window(model, noise, t0 - k - model.q, t1 + k)
+    _check_noise(model, noise)
+    n_t = t1 - t0 + 1
+    path = sample_path(noise, n_t + 2 * k + model.q, t_start=t0 - k - model.q)
+    z = path.values
+    if n_t == 1:  # one row would take another BLAS route: add a zero row t0 does not read
+        z = np.concatenate([z, np.zeros_like(z[:1])])
     with np.errstate(over="ignore", invalid="ignore"):  # _result names the first bad t
-        values = _split_series(model, split, path.values, k + model.q, t1 - t0 + 1, k)
+        values = _split_series(model, split, z, k + model.q, max(n_t, 2), k)[:n_t]
     return _result(model, t0, values, "theorem1_split", k, path, _depth_diagnostics(k, split))
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine.moments import moment_estimate
-from .engine.noise import CLAMP_LOG, NoiseSpec, _log_magnitudes, draw_chunks, make_rng
+from .engine.noise import CLAMP_LOG, NoiseSpec, log_norm_blocks, make_rng
 from .engine.simulate import (
     RECONSTRUCTION_MAX,
     _relative_gap,
@@ -85,21 +85,20 @@ def _count_check(description, probs, counts, sigmas=3.0):
 
 
 def _exceedance_counts(spec, stream, reps, thr, near):
-    """Per-replicate counts of log-magnitudes of the heavy ``spec`` above ``thr``.
+    """Per-replicate counts of log-magnitudes of ``spec`` above ``thr``.
 
     Row i holds replicate i's ``len(thr)`` terms: draws i len(thr) ..
     (i + 1) len(thr) - 1 of ``log_magnitude_samples(spec, ..., stream)``.
     Returns the counts over the first ``near`` terms and over all of them.
-    Rows are drawn a :func:`draw_chunks` block at a time from one
-    generator, so the counts do not depend on the chunk size.
+    The rows come a block at a time from :func:`.engine.noise.log_norm_blocks`,
+    so the counts do not depend on the block size.
     """
     counts_near = np.empty(reps, dtype=np.intp)
     counts_all = np.empty(reps, dtype=np.intp)
-    uniforms = make_rng(spec.seed, stream=stream).random
-    for lo, draws in draw_chunks(reps, (len(thr),), uniforms):
-        exceeds = _log_magnitudes(spec, draws) > thr
-        counts_near[lo : lo + draws.shape[0]] = exceeds[:, :near].sum(axis=1)
-        counts_all[lo : lo + draws.shape[0]] = exceeds.sum(axis=1)
+    for lo, logs in log_norm_blocks(spec, reps, stream, row=(len(thr),)):
+        exceeds = logs > thr
+        counts_near[lo : lo + logs.shape[0]] = exceeds[:, :near].sum(axis=1)
+        counts_all[lo : lo + logs.shape[0]] = exceeds.sum(axis=1)
     return counts_near, counts_all
 
 
@@ -316,13 +315,13 @@ def _scenario_quasinilpotent(params, seed):
 
     # convergence under noise whose log magnitude is Pareto(1): the n-th
     # series term exceeds 1 iff P_n > e^n - 1, and those probabilities sum;
-    # compare in log space so deep tails never overflow
-    rng = make_rng(seed, stream=1)
+    # compare in log space so deep tails never overflow (the thresholds stop
+    # at e^CLAMP_LOG - 1, far above any draw)
     ns = np.arange(1.0, n_terms + 1.0)
     log_thr = ns + np.log1p(-np.exp(-ns))
     probs = np.exp(-log_thr)
-    log_draws = -np.log1p(-rng.random((reps, n_terms)))
-    counts = (log_draws > log_thr).sum(axis=1)
+    spec = NoiseSpec(kind="pareto_exp", dim=1, seed=seed)
+    _, counts = _exceedance_counts(spec, 1, reps, np.expm1(np.minimum(ns, CLAMP_LOG)), n_terms)
     checks.append(
         _count_check(
             "[oracle] summable exceedances: terms of the double-exponential series "

@@ -42,7 +42,14 @@ def _hyperbolic_model():
     return arma_model([build_operator(ar)], [dense_operator(np.eye(3)), b1])
 
 
+def _window(kind, count, t_start, stream):
+    path = sample_path(_noise(kind), count, t_start=t_start, stream=stream)
+    return path.values, path.log_mags, path.n_clamped
+
+
 def _same(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     return a == b
@@ -67,12 +74,17 @@ CASES = {
         )
         for kind in NOISE_KINDS
     },
-    # windows past row 0 skip their earlier rows in chunks
+    # windows past row 0 skip their earlier rows in chunks: on the mirror
+    # side (far), on both sides of t = 0 (straddle), and several chunks past
+    # row 0 of the forward stream, over several chunks (late)
     **{
-        f"far_window_{kind}": (
-            lambda kind=kind: sample_path(_noise(kind), 6, t_start=-40, stream=2).values
+        f"{name}_window_{kind}": (lambda kind=kind, args=args: _window(kind, *args))
+        for kind in NOISE_KINDS
+        for name, args in (
+            ("far", (6, -40, 2)),
+            ("straddle", (23, -11, 2)),
+            ("late", (9, 50, 1)),
         )
-        for kind in ("gaussian", "pareto_exp")
     },
     "moment_pareto_exp": lambda: moment_estimate(_noise("pareto_exp"), None, "log_plus", 2000),
     "moment_gamma_inv_tail": lambda: moment_estimate(

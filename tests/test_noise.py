@@ -52,12 +52,23 @@ def test_heavy_values_follow_the_direction(kind):
     np.testing.assert_array_equal(np.abs(z), x)
 
 
-@pytest.mark.parametrize("kind", HEAVY_KINDS)
+LAW_PARAMS = {
+    "gaussian": {"sigma": [1.0, 0.5, 2.0]},
+    "componentwise_gaussian": {"sigmas": [0.5, 3.0, 1.0]},
+    "pareto_exp": {},
+    "gamma_inv_tail": {},
+    "point_mass": {"value": [1.0, -2.0, 0.5j]},
+}
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
 def test_log_channel_is_the_path_log_channel(kind):
-    spec = NoiseSpec(kind=kind, dim=3, seed=5)
-    np.testing.assert_array_equal(
-        log_magnitude_samples(spec, 5000, stream=2), sample_path(spec, 5000, stream=2).log_mags
-    )
+    # the samples come in more than one draw chunk, the path in one window
+    spec = NoiseSpec(kind=kind, dim=3, params=LAW_PARAMS[kind], seed=5)
+    count = noise.DRAW_CHUNK + 5
+    logs = log_magnitude_samples(spec, count, stream=2)
+    want = sample_path(spec, count, stream=2).lognorms()
+    assert logs.tobytes() == want.tobytes()
 
 
 def test_gaussian_degenerate_component_is_exactly_zero():

@@ -123,6 +123,15 @@ def test_chunked_exceedance_counts_match_one_draw(monkeypatch, chunk):
     assert got_all.sum() > got_near.sum() > 0
 
 
+def test_quasinilpotent_counts_past_the_float_range_stay_quiet():
+    # e^n - 1 leaves the float range past n = 709 (warnings fail the suite);
+    # the thresholds stop at e^700 - 1, which no Pareto draw reaches
+    overrides = {"n_terms": 800, "replicates": 50, "sharp_replicates": 20, "sharp_terms_far": 60}
+    summable = run_scenario("quasinilpotent_shift", overrides).checks[2]
+    assert summable["description"].startswith("[oracle] summable exceedances")
+    assert summable["pass"]
+
+
 def _multiplication_model():
     ar = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [0.5, 2.0]})
     return arma_model(

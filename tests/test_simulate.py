@@ -417,6 +417,22 @@ class TestTimeAddressedNoise:
         np.testing.assert_array_equal(early_ma.values[3:], late_ma.values[:7])
         assert np.abs(early.values - early_ma.values).max() <= 1e-9
 
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_one_point_windows_are_rows_of_a_longer_window(self, dim):
+        # a scan over one row would take numpy's single-row BLAS route, and
+        # its last bits differed from the same t in any longer window
+        model = random_hyperbolic_model(np.random.default_rng(900 + dim), dim, 1)
+        spec = NoiseSpec(kind="gaussian", dim=dim, params={"sigma": 1.0}, seed=dim)
+        ref = simulate_theorem1(model, spec, t_range=(0, 10))
+        k = ref.truncation_K
+        for t in range(11):
+            res = simulate_theorem1(model, spec, t_range=(t, t))
+            assert res.values.tobytes() == ref.values[t : t + 1].tobytes(), t
+            # the noise is the window row t reads, and no more
+            assert (res.noise.t_start, res.noise.t_stop) == (t - k - 1, t + k + 1)
+            want = sample_path(spec, 2 * k + 2, t_start=t - k - 1)
+            assert res.noise.values.tobytes() == want.values.tobytes()
+
     def test_truncation_sweep_converges_geometrically(self):
         a = dense_operator(np.diag([0.6, 1.0 / 0.6]))
         model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=2))])
