@@ -43,6 +43,15 @@ from .operators import COND_LIMIT, ArmaModel, companion_lift
 #: smallest singular value of the denominator on the circle must exceed this
 CIRCLE_TOL = 1e-6
 
+#: nodes per formed batch of denominators in the circle scan
+CIRCLE_BATCH = 512
+
+#: grid strides of the circle scan's levels, coarse to fine
+SCAN_LEVELS = (64, 32, 16, 8, 4, 1)
+
+#: the circle scan's rounding slack, in units of (p + 1) d eps (1 + sum_k ||A_k||_2)
+SCAN_SLACK_ULPS = 64
+
 #: coefficients below this relative to the largest are treated as zero
 REL_FLOOR = 1e-12
 
@@ -59,7 +68,12 @@ def _polynomial(nodes: np.ndarray, mats: list, first: int) -> np.ndarray:
 
 
 def _denominators(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
-    """I - z A_1 - ... - z^p A_p at each node, as an (n, d, d) stack."""
+    """I - z A_1 - ... - z^p A_p at each node, as an (n, d, d) stack.
+
+    For p >= 2 the product's last bits depend on which nodes share the
+    call, so :func:`unit_circle_check` forms fixed 512-node batches and
+    reports the bits of one full-batch formation whatever nodes it keeps.
+    """
     den = _polynomial(nodes, [-a.matrix for a in model.ar_ops], 1)
     den.reshape(nodes.size, -1)[:, :: model.dim + 1] += 1.0
     return den
@@ -73,15 +87,35 @@ def _batched_transfer(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CircleCheck:
-    """Invertibility diagnostics of the denominator on the unit circle."""
+    """Invertibility diagnostics of the denominator on the unit circle.
+
+    ``n_evaluated`` counts the scan nodes that took an SVD, out of
+    ``n_grid`` plus one probe per nonzero eigenvalue of the companion lift.
+    """
 
     min_singular_value: float
     worst_z: complex
     n_grid: int
+    n_evaluated: int
     tol: float
     passed: bool
     leading_ar_condition: float
     leading_ar_invertible: bool
+
+
+def _lipschitz(norms: list) -> float:
+    """L with |sigma_min(D(e^{is})) - sigma_min(D(e^{it}))| <= L |s - t|,
+    from ``norms`` = [||A_1||_2, ..., ||A_p||_2].
+
+    For every m, e^{-im theta} D(e^{i theta}) has the singular values of D,
+    and its theta-derivative has 2-norm at most
+    L_m = m + sum_k |k - m| ||A_k||_2, which bounds the change of sigma_min
+    along the arc (Weyl).  L_m is convex and piecewise linear in m, so its
+    minimum over real m is at an integer in 0..p; for p = 1, L = min(1, ||A_1||).
+    """
+    return min(
+        m + sum(abs(k - m) * a for k, a in enumerate(norms, 1)) for m in range(len(norms) + 1)
+    )
 
 
 def unit_circle_check(model: ArmaModel, n_grid: int = 512) -> CircleCheck:
@@ -96,6 +130,24 @@ def unit_circle_check(model: ArmaModel, n_grid: int = 512) -> CircleCheck:
     whether the anticausal side of the expansion is a genuine two-sided
     series rather than a degenerate one (the reversed-time characteristic
     matrix at zero is -A_p).
+
+    The scan is a certified branch and bound.  sigma_min is L-Lipschitz in
+    the angle (:func:`_lipschitz`), so a node at angle r from one of
+    computed value s has sigma_min >= s - L r.  The first of
+    :data:`SCAN_LEVELS` takes an SVD at every 64th grid node.  Each later
+    level bounds the nodes between those of the level before from the two
+    nearest of them (their computed value, or the bound that ruled them
+    out), rules out a node whose bound exceeds the current minimum plus a
+    rounding slack, and takes an SVD at the others.  The eigenvalue probes
+    go last, bounded from the grid nodes on either side.  The slack,
+    :data:`SCAN_SLACK_ULPS` (p + 1) d eps (1 + sum_k ||A_k||_2), covers the
+    rounding of the node and of the formed denominator and the SVD's
+    backward error at both nodes, and the rounding of the bound.  So a
+    ruled-out node computes strictly above the final minimum, and
+    ``min_singular_value`` and ``worst_z`` (the first node attaining it) are
+    those of an SVD at every node.  The denominators are formed in the
+    :data:`CIRCLE_BATCH`-node batches of that full scan, whose bits the
+    kept SVDs reproduce (see :func:`_denominators`).
     """
     if n_grid < 1:
         raise SpecificationError(f"n_grid must be >= 1, got {n_grid}")
@@ -104,23 +156,77 @@ def unit_circle_check(model: ArmaModel, n_grid: int = 512) -> CircleCheck:
     nodes = np.concatenate(
         [np.exp(2j * np.pi * np.arange(n_grid) / n_grid), eigs.conj() / np.abs(eigs)]
     )
-    # 512 nodes per batch: the eigenvalue probes add no memory over the default grid
-    mins = np.concatenate(
-        [
-            np.linalg.svd(_denominators(model, nodes[i : i + 512]), compute_uv=False)[:, -1]
-            for i in range(0, nodes.size, 512)
-        ]
-    )
-    j = int(np.argmin(mins))
-    ap = model.ar_ops[-1].matrix
-    ap_sv = np.linalg.svd(ap, compute_uv=False)
+    ar_sv = [np.linalg.svd(a.matrix, compute_uv=False) for a in model.ar_ops]
+    norms = [float(sv[0]) for sv in ar_sv]
+    slope = _lipschitz(norms) * 2 * np.pi / n_grid
+    slack = SCAN_SLACK_ULPS * (model.p + 1) * model.dim * np.finfo(float).eps * (1 + sum(norms))
+    # per node, its computed value or the bound that ruled it out (which
+    # exceeds the final minimum); grid positions past n_grid stand for node 0
+    # at angle 2 pi, placed farther off than it is, so bounds from them hold
+    grid = np.empty(-(-n_grid // SCAN_LEVELS[0]) * SCAN_LEVELS[0] + 1)
+    probes = np.empty(eigs.size)
+    best, n_evaluated = np.inf, 0
+    batch_start, batch = -1, None
+
+    def evaluate(start: int, bound: np.ndarray, keep: np.ndarray, rows: np.ndarray, stride=0):
+        """SVDs at the kept ``rows`` of the batch at ``start``; their values
+        replace ``bound`` there.  A level whose candidates (``stride`` apart,
+        one row of ``bound`` per gap between its coarser nodes) are all kept
+        reads them as one strided view of the batch, in angular order."""
+        nonlocal best, n_evaluated, batch_start, batch
+        if not keep.any():
+            return
+        if batch_start != start:
+            batch_start, batch = start, _denominators(model, nodes[start : start + CIRCLE_BATCH])
+        if stride and keep.all():
+            k, r = bound.shape[0], bound.shape[1] + 1
+            den = batch[: k * r * stride : stride].reshape(k, r, *batch.shape[1:])[:, 1:]
+        else:
+            den = batch[rows[keep]]
+        values = np.linalg.svd(den, compute_uv=False)[..., -1].ravel()
+        bound[keep] = values
+        best = min(best, float(values.min()))
+        n_evaluated += values.size
+
+    for start in range(0, n_grid, CIRCLE_BATCH):
+        rows = np.arange(0, min(CIRCLE_BATCH, n_grid - start), SCAN_LEVELS[0])
+        bound = np.empty(rows.size)
+        evaluate(start, bound, np.ones(rows.size, bool), rows)
+        grid[start + rows] = bound
+    grid[n_grid:] = grid[0]
+    for start in range(0, nodes.size, CIRCLE_BATCH):
+        stop = min(CIRCLE_BATCH, nodes.size - start)
+        n_rows = min(stop, n_grid - start)
+        for coarse, s in zip(SCAN_LEVELS, SCAN_LEVELS[1:]) if n_rows > 0 else ():
+            k = -(-n_rows // coarse)
+            ends = grid[start : start + k * coarse + 1 : coarse]
+            offset = np.arange(s, coarse, s)
+            rows = coarse * np.arange(k)[:, None] + offset
+            bound = grid[start : start + k * coarse : s].reshape(k, -1)[:, 1:]
+            np.maximum(
+                ends[:-1, None] - slope * offset, ends[1:, None] - slope * (coarse - offset), out=bound
+            )
+            evaluate(start, bound, (bound <= best + slack) & (rows < n_rows), rows, s)
+        if stop > n_rows:
+            rows = np.arange(max(n_rows, 0), stop)
+            at = np.angle(nodes[start + rows]) % (2 * np.pi) * (n_grid / (2 * np.pi))
+            left = np.minimum(at.astype(int), n_grid - 1)
+            bound = np.maximum(
+                grid[left] - slope * np.abs(at - left), grid[left + 1] - slope * np.abs(left + 1 - at)
+            )
+            evaluate(start, bound, bound <= best + slack, rows)
+            probes[start + rows - n_grid] = bound
+    values = np.concatenate([grid[:n_grid], probes])
+    j = int(np.argmin(values))
+    ap_sv = ar_sv[-1]
     ap_cond = np.inf if ap_sv[-1] == 0.0 else float(ap_sv[0] / ap_sv[-1])
     return CircleCheck(
-        min_singular_value=float(mins[j]),
+        min_singular_value=float(values[j]),
         worst_z=complex(nodes[j]),
         n_grid=n_grid,
+        n_evaluated=n_evaluated,
         tol=CIRCLE_TOL,
-        passed=bool(mins[j] > CIRCLE_TOL),
+        passed=bool(values[j] > CIRCLE_TOL),
         leading_ar_condition=ap_cond,
         leading_ar_invertible=bool(np.isfinite(ap_cond) and ap_cond < COND_LIMIT),
     )

@@ -1,5 +1,7 @@
 """Transfer-function coefficients: oracles, circle checks, envelopes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,11 @@ from oparma import (
 )
 from oparma import laurent
 from oparma.laurent import (
+    CIRCLE_TOL,
     laurent_coeffs,
     unit_circle_check,
 )
+from oparma.operators import companion_lift
 
 
 def scalar_model(ar, ma):
@@ -133,6 +137,140 @@ def test_circle_check_reports_leading_ar_singularity():
     cc = unit_circle_check(model)
     assert not cc.leading_ar_invertible
     assert cc.leading_ar_condition == np.inf
+
+
+def _full_scan(model, n_grid):
+    """The reference scan: an SVD at every node, the denominators formed in
+    512-node batches; returns (min sigma, first z attaining it, node count)."""
+    eigs = np.linalg.eigvals(companion_lift(model).matrix)
+    eigs = eigs[eigs != 0]
+    nodes = np.concatenate(
+        [np.exp(2j * np.pi * np.arange(n_grid) / n_grid), eigs.conj() / np.abs(eigs)]
+    )
+    mins = np.concatenate(
+        [
+            np.linalg.svd(laurent._denominators(model, nodes[i : i + 512]), compute_uv=False)[:, -1]
+            for i in range(0, nodes.size, 512)
+        ]
+    )
+    j = int(np.argmin(mins))
+    return float(mins[j]), complex(nodes[j]), nodes.size
+
+
+def _factored_model(rng, d, p, real, scale, root_angle=None):
+    """AR part of (I - z C_1) ... (I - z C_p); with ``root_angle``, C_1 has the
+    eigenvalue e^{-i angle} (and its conjugate for a real model), so the
+    denominator is singular at e^{i angle}."""
+    def draw():
+        m = rng.normal(size=(d, d))
+        return m if real else m + 1j * rng.normal(size=(d, d))
+
+    factors = [scale / np.sqrt(d) * draw() for _ in range(p)]
+    if root_angle is not None:
+        if real and d == 1:
+            lam = np.ones((1, 1))
+        elif real:
+            c, s = np.cos(root_angle), np.sin(root_angle)
+            lam = np.diag(rng.uniform(0.2, 0.5, size=d))
+            lam[:2, :2] = [[c, s], [-s, c]]
+        else:
+            lam = np.diag(np.concatenate([[np.exp(-1j * root_angle)], rng.uniform(0.2, 0.5, d - 1)]))
+        basis = np.eye(d) + 0.3 * draw()
+        factors[0] = basis @ lam @ np.linalg.inv(basis)
+    # D(z) = sum_k poly[k] z^k, one factor at a time on the right
+    poly = [np.eye(d)]
+    for c in factors:
+        poly = [
+            (poly[k] if k < len(poly) else 0) - (poly[k - 1] @ c if k else 0)
+            for k in range(len(poly) + 1)
+        ]
+    return arma_model([dense_operator(-a) for a in poly[1:]], [dense_operator(np.eye(d))])
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.sampled_from([1, 2, 7, 512, 1300]),
+    st.booleans(),
+    st.sampled_from(["none", "root_on_node", "root_between_nodes", "zero", "tiny"]),
+    st.sampled_from([0.3, 1.0, 3.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_circle_scan_equals_the_full_scan(d, p, n_grid, real, kind, scale, seed):
+    # real models have mirror-symmetric sigma profiles, so z and conj(z) tie;
+    # a tiny AR part leaves sigma flat at 1 up to the SVD's rounding, where
+    # only the scan's slack keeps the first argmin
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(n_grid))
+    if kind == "zero":
+        model = arma_model([dense_operator(np.zeros((d, d)))] * p, [dense_operator(np.eye(d))])
+    elif kind == "tiny":
+        model = _factored_model(rng, d, p, real, 1e-18)
+    elif kind == "none":
+        model = _factored_model(rng, d, p, real, scale)
+    else:
+        offset = 0.0 if kind == "root_on_node" else 0.37
+        model = _factored_model(rng, d, p, real, scale, 2 * np.pi * (j + offset) / n_grid)
+    ref_min, ref_z, n_nodes = _full_scan(model, n_grid)
+    cc = unit_circle_check(model, n_grid)
+    assert cc.min_singular_value == ref_min
+    assert cc.worst_z == ref_z
+    assert cc.passed == (ref_min > CIRCLE_TOL)
+    assert 1 <= cc.n_evaluated <= n_nodes
+
+
+def test_circle_scan_keeps_the_batch_bits():
+    # with p >= 2 the denominators' product takes another BLAS route for
+    # another set of nodes, so the scan forms the full scan's 512-node
+    # batches and takes the SVDs of the rows it keeps; forming only the kept
+    # nodes moves this model's minimum by 1 ulp (with OpenBLAS)
+    rng = np.random.default_rng(211)
+    d = 4
+    model = arma_model(
+        [dense_operator(rng.standard_normal((d, d)) / (2 * np.sqrt(d))) for _ in range(3)],
+        [dense_operator(np.eye(d))],
+    )
+    ref_min, ref_z, _ = _full_scan(model, 1300)
+    cc = unit_circle_check(model, 1300)
+    assert (cc.min_singular_value, cc.worst_z) == (ref_min, ref_z)
+
+
+def test_circle_scan_forms_denominators_per_batch():
+    # all 200 000 denominators at once would take 205 MB
+    rng = np.random.default_rng(3)
+    d = 8
+    model = arma_model(
+        [dense_operator(rng.standard_normal((d, d)) / np.sqrt(d))], [dense_operator(np.eye(d))]
+    )
+    tracemalloc.start()
+    try:
+        unit_circle_check(model, n_grid=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_circle_scan_rules_out_most_nodes_of_a_planted_model():
+    # the benchmark's planted AR(1): half the spectrum at moduli in
+    # [0.4, 0.85], half in [1.25, 2.2], in an eigenbasis of condition 10
+    rng = np.random.default_rng(1)
+    d = 64
+    moduli = np.concatenate([rng.uniform(0.4, 0.85, d // 2), rng.uniform(1.25, 2.2, d // 2)])
+    moduli[0], moduli[d // 2] = 0.85, 1.25
+    eigs = moduli * np.exp(2j * np.pi * rng.uniform(size=d))
+    basis = (_unitary(rng, d) * np.geomspace(1.0, 10.0, d)) @ _unitary(rng, d).conj().T
+    a = basis @ np.diag(eigs) @ np.linalg.inv(basis)
+    model = arma_model([dense_operator(a)], [dense_operator(np.eye(d))])
+    cc = unit_circle_check(model)
+    assert cc.passed
+    assert cc.n_evaluated <= 0.35 * (512 + d)
 
 
 def test_decay_envelope_majorizes_and_tracks_rate():
