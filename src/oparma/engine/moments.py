@@ -242,7 +242,9 @@ def moment_estimate(
     values; g and the sorted copy the octave table reads are the only
     arrays of n entries.  The transforms act entry by entry, so the chunk
     does not change g (see :func:`.noise.log_magnitude_samples` for the
-    Gaussian kinds at entries of 2^500 and above).
+    Gaussian kinds at entries of 2^500 and above or below 2^-501).  The
+    ``transform`` T is taken in power-of-two units too, so a T near 1e-300 I
+    shifts the log-norms by log 1e-300 instead of sending them to -inf.
     """
     if moment_kind not in MOMENT_KINDS:
         raise SpecificationError(

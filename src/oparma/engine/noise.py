@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import SpecificationError
-from ..operators import _check_spec, _frobenius, _is_int, _scaled_norm
+from ..operators import _LN2, _check_spec, _frobenius, _is_int, _ldexp, _scaled_norm
 
 #: each noise kind's params and the form of each value ("real", "reals", "real
 #: or reals" or a complex "vector"); :func:`_law_factor` checks the values
@@ -60,7 +60,6 @@ CLAMP_LOG = 700.0
 UNIT_TOL = 1e-12
 
 _E_TO_E = math.exp(math.e)
-_LN2 = math.log(2.0)
 
 #: extra spawn-key entry of the mirror generator that carries t < 0
 _MIRROR_KEY = 1
@@ -166,8 +165,8 @@ class NoisePath:
     """A contiguous window of innovations Z_t for t_start <= t < t_start + n.
 
     ``values[i]`` is Z_{t_start + i} with magnitudes clamped at e^700;
-    ``log_mags[i]`` is the exact log ||Z_t|| for the scalar-amplitude
-    kinds (None for Gaussian kinds, where linear norms are safe).
+    ``log_mags[i]`` is the exact log ||Z_t|| for the heavy kinds (None
+    for the others, whose :meth:`lognorms` are taken from ``values``).
     ``values`` is float64 when the law is real (the Gaussian kinds always,
     the heavy kinds and ``point_mass`` when their direction or value has
     no imaginary part) and complex128 otherwise.
@@ -390,14 +389,8 @@ def sample_path(
     factor = _law_factor(spec)
     values = np.empty((count, spec.dim), factor.dtype)
     logm = _window_into(spec, factor, int(stream), t_start, values)
-    if spec.kind == "point_mass":
-        logm = _log_norms(values)
     clamped = int((logm > CLAMP_LOG).sum()) if spec.kind in HEAVY_KINDS else 0
     return NoisePath(t_start=t_start, values=values, log_mags=logm, n_clamped=clamped)
-
-
-def _safe_log(v: float) -> float:
-    return math.log(v) if v > 0 else -math.inf
 
 
 def log_norm_blocks(spec: NoiseSpec, count: int, stream: int, gain=None, row: tuple = ()):
@@ -405,24 +398,25 @@ def log_norm_blocks(spec: NoiseSpec, count: int, stream: int, gain=None, row: tu
 
     T is the d x d matrix ``gain``, or the identity when None.  The blocks
     are :func:`_raw_blocks` blocks of ``stream``, ``row`` included.  The
-    heavy kinds read the exact log channel off their raw uniforms and add
-    log ||T x|| for their direction x, so no linear value is formed.  The
-    other kinds form T Z_t from both factors in power-of-two units, so the
-    product cannot overflow; one (1, d) product per sample, because a 2-D
+    gain is taken in power-of-two units.  The heavy kinds read the exact
+    log channel off their raw uniforms and add log ||T x|| for their
+    direction x, so no linear value is formed.  The other kinds form T Z_t
+    from both factors in power-of-two units, so the product neither
+    overflows nor underflows; one (1, d) product per sample, because a 2-D
     product takes another BLAS route for a single row, which would tie a
     sample's bits to the size of its block.
     """
     factor = _law_factor(spec)
     blocks = _raw_blocks(spec, (int(stream),), 0, count, row)
+    if gain is not None:
+        _, kt = _scaled_norm(gain)
+        gain = _ldexp(gain, -kt)
     if spec.kind in HEAVY_KINDS:
-        shift = None if gain is None else _safe_log(float(np.linalg.norm(gain @ factor)))
+        shift = None if gain is None else _log_norms(gain @ factor) + kt * _LN2
         for lo, uniforms in blocks:
             logs = _log_magnitudes(spec, uniforms)
             yield lo, logs if shift is None else logs + shift
         return
-    if gain is not None:
-        _, kt = _scaled_norm(gain)
-        gain_t = (gain * 2.0**-kt).T
     for lo, values in blocks:
         if spec.kind == "point_mass":
             values = np.broadcast_to(factor, values.shape).copy()
@@ -432,7 +426,7 @@ def log_norm_blocks(spec: NoiseSpec, count: int, stream: int, gain=None, row: tu
             yield lo, _log_norms(values)
         else:
             _, kz = _scaled_norm(values)
-            product = (values[..., None, :] * 2.0**-kz) @ gain_t
+            product = _ldexp(values, -kz, out=values)[..., None, :] @ gain.T
             yield lo, _log_norms(product[..., 0, :]) + (kz + kt) * _LN2
 
 
@@ -441,8 +435,9 @@ def log_magnitude_samples(spec: NoiseSpec, count: int, stream: int = 0) -> np.nd
 
     Sampled a :data:`DRAW_CHUNK` at a time into the one count-float result.
     The Gaussian kinds scale each chunk's norms by its own power of two
-    (``_scaled_norm``), which matches the whole sample's bit for bit
-    unless some entry reaches 2^500.
+    (``_scaled_norm``), so sigma near 1e-300 or 1e300 gives finite logs;
+    that matches the whole sample's bit for bit unless some entry reaches
+    2^500 or the largest stays below 2^-501.
     """
     if count < 1:
         raise SpecificationError("count must be >= 1")

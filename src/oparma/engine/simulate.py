@@ -35,6 +35,8 @@ from ..errors import (
 from ..laurent import LaurentCoeffs
 from ..operators import (
     ArmaModel,
+    _exponent,
+    _ldexp,
     companion_lift,
     ma_moment_operator,
     spectral_radius,
@@ -295,14 +297,14 @@ def _block_sum(z: np.ndarray, ops: np.ndarray) -> np.ndarray:
     chunk = max(1, (1 << 16) // (d * size))  # blocks per pass, about 1 MB per array
     for lo in range(0, n_blocks, chunk):
         x = blocks[lo : lo + chunk].copy()
-        exps = np.frexp(np.abs(x).max(axis=(1, 2)))[1][:, None, None]
-        np.ldexp(x.view(float), -exps, out=x.view(float))
+        exps = _exponent(x, axis=(1, 2))
+        _ldexp(x, -exps, out=x)
         # one matrix-times-vector product per block and frequency (not one
         # product over all blocks), so a block's arithmetic does not depend
         # on the rest of the batch
         y = gains @ np.fft.fft(x, axis=1)[..., None]
         y = np.fft.ifft(y[..., 0], axis=1)[:, n_lags - 1 :]
-        np.ldexp(y.view(float), exps, out=y.view(float))
+        _ldexp(y, exps, out=y)
         out[lo * step : lo * step + y.shape[0] * step] = y.reshape(-1, d)
     return out
 
@@ -339,19 +341,6 @@ def _split_series(model, split, z, first, n_t, k) -> np.ndarray:
     return y
 
 
-def _peak_exponent(*arrays) -> int:
-    """Binary exponent e of the largest |entry| of ``arrays``: 2^-e brings it into [1/2, 1)."""
-    return math.frexp(max(float(np.abs(x).max()) for x in arrays))[1]
-
-
-def _scaled(x: np.ndarray, e: int) -> np.ndarray:
-    """x * 2^-e as a new complex array, exactly; ldexp takes any e without forming 2^-e."""
-    out = np.empty(x.shape, complex)
-    np.ldexp(x.real, -e, out=out.real)
-    np.ldexp(x.imag, -e, out=out.imag)
-    return out
-
-
 def _relative_max_norm(rows: np.ndarray, path: np.ndarray) -> float:
     """max_t ||rows_t|| / max_t ||path_t||; a path that is exactly 0 reads 0
     when ``rows`` is exactly 0 too and inf otherwise."""
@@ -365,8 +354,8 @@ def _relative_max_norm(rows: np.ndarray, path: np.ndarray) -> float:
 def _relative_gap(values: np.ndarray, ref: np.ndarray) -> float:
     """max_t ||values_t - ref_t|| / max_t ||ref_t||, scaled as in :func:`recursion_residual`."""
     diff = values - ref
-    e = _peak_exponent(diff, ref)
-    return _relative_max_norm(_scaled(diff, e), _scaled(ref, e))
+    e = max(_exponent(diff), _exponent(ref))
+    return _relative_max_norm(_ldexp(diff, -e, out=diff), _ldexp(ref, -e))
 
 
 def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
@@ -394,16 +383,16 @@ def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
         )
     n_t = t_hi - t_lo + 1
     z_vals = z.values[t_lo - q - z.t_start : t_hi - z.t_start + 1]  # Z_{t_lo-q} .. Z_{t_hi}
-    e = _peak_exponent(y_vals, z_vals)
+    e = max(_exponent(y_vals), _exponent(z_vals))
     # rhs = sum B_k Z_{t-k}, then lhs = Y_t - sum A_i Y_{t-i}, each product
     # written into one reused buffer; the operators are complex
-    zs = _scaled(z_vals, e)
+    zs = _ldexp(z_vals, -e, out=np.empty(z_vals.shape, complex))
     rhs = np.zeros((n_t, model.dim), complex)
     prod = np.empty_like(rhs)
     for k, b in enumerate(model.ma_ops):
         rhs += np.matmul(zs[q - k : q - k + n_t], b.matrix.T, out=prod)
     del zs
-    ys = _scaled(y_vals, e)
+    ys = _ldexp(y_vals, -e, out=np.empty(y_vals.shape, complex))
     lhs = ys[t_lo - y0 : t_hi - y0 + 1].copy()
     for i, a in enumerate(model.ar_ops, start=1):
         lhs -= np.matmul(ys[t_lo - i - y0 : t_hi - i - y0 + 1], a.matrix.T, out=prod)

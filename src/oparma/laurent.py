@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, SingularOperatorError, SpecificationError
-from .operators import COND_LIMIT, ArmaModel, companion_lift
+from .operators import COND_LIMIT, ArmaModel, _spectral_norms, companion_lift
 
 #: smallest singular value of the denominator on the circle must exceed this
 CIRCLE_TOL = 1e-6
@@ -168,22 +168,15 @@ def unit_circle_check(model: ArmaModel, n_grid: int = 512) -> CircleCheck:
     best, n_evaluated = np.inf, 0
     batch_start, batch = -1, None
 
-    def evaluate(start: int, bound: np.ndarray, keep: np.ndarray, rows: np.ndarray, stride=0):
+    def evaluate(start: int, bound: np.ndarray, keep: np.ndarray, rows: np.ndarray):
         """SVDs at the kept ``rows`` of the batch at ``start``; their values
-        replace ``bound`` there.  A level whose candidates (``stride`` apart,
-        one row of ``bound`` per gap between its coarser nodes) are all kept
-        reads them as one strided view of the batch, in angular order."""
+        replace ``bound`` there."""
         nonlocal best, n_evaluated, batch_start, batch
         if not keep.any():
             return
         if batch_start != start:
             batch_start, batch = start, _denominators(model, nodes[start : start + CIRCLE_BATCH])
-        if stride and keep.all():
-            k, r = bound.shape[0], bound.shape[1] + 1
-            den = batch[: k * r * stride : stride].reshape(k, r, *batch.shape[1:])[:, 1:]
-        else:
-            den = batch[rows[keep]]
-        values = np.linalg.svd(den, compute_uv=False)[..., -1].ravel()
+        values = np.linalg.svd(batch[rows[keep]], compute_uv=False)[..., -1]
         bound[keep] = values
         best = min(best, float(values.min()))
         n_evaluated += values.size
@@ -206,7 +199,7 @@ def unit_circle_check(model: ArmaModel, n_grid: int = 512) -> CircleCheck:
             np.maximum(
                 ends[:-1, None] - slope * offset, ends[1:, None] - slope * (coarse - offset), out=bound
             )
-            evaluate(start, bound, (bound <= best + slack) & (rows < n_rows), rows, s)
+            evaluate(start, bound, (bound <= best + slack) & (rows < n_rows), rows)
         if stop > n_rows:
             rows = np.arange(max(n_rows, 0), stop)
             at = np.angle(nodes[start + rows]) % (2 * np.pi) * (n_grid / (2 * np.pi))
@@ -262,12 +255,6 @@ class LaurentCoeffs:
         if not self.k_min <= k <= self.k_max:
             raise SpecificationError(f"k={k} outside stored range [{self.k_min}, {self.k_max}]")
         return self.coeffs[k - self.k_min]
-
-
-def _spectral_norms(stack: np.ndarray) -> np.ndarray:
-    if stack.shape[0] == 0:
-        return np.zeros(0)
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def _span(ks: np.ndarray, active: np.ndarray):

@@ -11,6 +11,11 @@ matter (a truncated unilateral shift is nilpotent, a truncated
 multiplication operator has spectral radius strictly below its limit)
 are documented on the relevant kinds and exercised in the scenario
 suite.
+
+Values, noise above all, span the whole float range, so norms, residuals,
+convolution blocks and matrix powers are held in power-of-two units.
+:func:`_exponent` (the binary exponent of the largest |entry|) and
+:func:`_ldexp` (an exact scaling by 2^e) are the only code that scales.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ VOLTERRA_RULES = ("corrected_trapezoid", "left")
 COND_LIMIT = 1e12
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -241,16 +247,42 @@ def apply_batch(op: Operator, block: np.ndarray) -> np.ndarray:
     return op.matrix @ block
 
 
+def _exponent(x: np.ndarray, axis=None):
+    """Binary exponent e of the largest |entry| of ``x``: 2^-e brings it into [1/2, 1).
+
+    Per slice along ``axis`` when given (kept as size-1 axes, so it
+    broadcasts against ``x``); 0 for an empty or all-zero ``x``.
+    """
+    e = np.frexp(np.abs(x).max(axis=axis, initial=0.0, keepdims=axis is not None))[1]
+    return int(e) if axis is None else e
+
+
+def _ldexp(x: np.ndarray, e, out=None) -> np.ndarray:
+    """x * 2^e, exactly and for any integer ``e`` (or array of them), into ``out``.
+
+    ``out`` defaults to a new array of x's type; a complex ``out`` gets
+    the real and imaginary parts scaled separately, and may be ``x`` itself.
+    """
+    if out is None:
+        out = np.empty_like(x)
+    if np.iscomplexobj(out):
+        np.ldexp(x.real, e, out=out.real)
+        np.ldexp(x.imag, e, out=out.imag)
+    else:
+        np.ldexp(x, e, out=out)
+    return out
+
+
 def _scaled_norm(x: np.ndarray, axis=None) -> tuple:
     """``(np.linalg.norm(x * 2^-k, axis=axis), k)``: norms in units of 2^k.
 
-    k = max(e - 500, 0) for the binary exponent e of the largest |entry|,
-    so the squares cannot overflow.  The scaling is exact: below 2^500
-    (k = 0) the norms are numpy's own, bit for bit.
+    k moves the largest |entry| into [2^-501, 2^500), down or up, so the
+    squares neither overflow nor underflow; k = 0 when it lies there
+    already, and then the norms are numpy's own, bit for bit.
     """
-    peak = float(np.abs(x).max()) if x.size else 0.0
-    k = max(math.frexp(peak)[1] - 500, 0)
-    return np.linalg.norm(x * 2.0**-k if k else x, axis=axis), k
+    e = _exponent(x)
+    k = e - 500 if e > 500 else e + 500 if e < -500 else 0
+    return np.linalg.norm(_ldexp(x, -k) if k else x, axis=axis), k
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -259,39 +291,36 @@ def _frobenius(x: np.ndarray) -> float:
     return float(norm) * 2.0**k
 
 
-def _scaled_matrix_power(matrix: np.ndarray, n: int):
-    """Return (P, log_scale) with matrix**n == P * exp(log_scale).
+def _spectral_norms(x: np.ndarray):
+    """Induced 2-norm (largest singular value) of each matrix of ``x`` (..., m, n); 0 if empty."""
+    if x.size == 0:
+        return np.zeros(x.shape[:-2])[()]
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
 
-    Binary powering with per-step rescaling so that intermediate powers
-    of strongly contracting or expanding operators neither underflow nor
-    overflow.  The arithmetic is real for a real ``matrix``.
+
+def _scaled_matrix_power(matrix: np.ndarray, n: int):
+    """Return (P, e) with matrix**n == P * 2^e for an integer e.
+
+    Binary powering; every factor and product is brought back to a peak
+    in [1/2, 1) by an exact power of two, so that powers of strongly
+    contracting or expanding operators neither underflow nor overflow,
+    and P has the bits of the unscaled products wherever those stay in
+    range.  P is 0 when the power vanishes.  The arithmetic is real for a
+    real ``matrix``.
     """
-    d = matrix.shape[0]
-    result = np.eye(d, dtype=matrix.dtype)
-    log_scale = 0.0
-    base = matrix
-    base_log = 0.0
-    k = n
-    while k:
-        if k & 1:
-            result = result @ base
-            log_scale += base_log
-            top = np.abs(result).max()
-            if top == 0.0:
-                return result, log_scale
-            result = result / top
-            log_scale += math.log(top)
-        k >>= 1
-        if k:
-            base = base @ base
-            base_log *= 2
-            top = np.abs(base).max()
-            if top == 0.0:
-                base_log = -math.inf
-            else:
-                base = base / top
-                base_log += math.log(top)
-    return result, log_scale
+    result, e = np.eye(matrix.shape[0], dtype=matrix.dtype), 0
+    base, base_e = matrix, 0
+    while n:
+        k = _exponent(base)
+        base, base_e = _ldexp(base, -k), base_e + k
+        if n & 1:
+            result, e = result @ base, e + base_e
+            k = _exponent(result)
+            result, e = _ldexp(result, -k), e + k
+        n >>= 1
+        if n:
+            base, base_e = base @ base, 2 * base_e
+    return result, e
 
 
 def power_log_norm(op: Operator, n: int) -> float:
@@ -300,11 +329,9 @@ def power_log_norm(op: Operator, n: int) -> float:
         raise SpecificationError("power must be >= 0")
     if n == 0:
         return 0.0
-    p, log_scale = _scaled_matrix_power(op.matrix, n)
-    top = np.linalg.norm(p, 2)
-    if top == 0.0 or log_scale == -math.inf:
-        return -math.inf
-    return math.log(top) + log_scale
+    p, e = _scaled_matrix_power(op.matrix, n)
+    top = _spectral_norms(p)
+    return -math.inf if top == 0.0 else math.log(top) + e * _LN2
 
 
 def power_norm(op: Operator, n: int) -> float:
@@ -348,11 +375,9 @@ def structured_log_norm(op: Operator, n: int) -> float:
         top = np.abs(np.diagonal(op.matrix)).max()
         return -math.inf if top == 0.0 else n * math.log(top)
     if kind == "volterra":
-        p, log_scale = _scaled_matrix_power(np.ascontiguousarray(op.matrix.real), n)
+        p, e = _scaled_matrix_power(np.ascontiguousarray(op.matrix.real), n)
         rowsum = np.abs(p).sum(axis=1).max()
-        if rowsum == 0.0 or log_scale == -math.inf:
-            return -math.inf
-        return math.log(rowsum) + log_scale
+        return -math.inf if rowsum == 0.0 else math.log(rowsum) + e * _LN2
     if kind == "circular_shift":
         return 0.0
     if kind == "scaled_unilateral_shift":

@@ -44,6 +44,7 @@ from .errors import SpecificationError, UnknownScenarioError
 from .laurent import laurent_coeffs
 from .operators import (
     OperatorSpec,
+    _spectral_norms,
     arma_model,
     build_operator,
     companion_lift,
@@ -239,10 +240,7 @@ def _scenario_nilpotent(params, seed):
 
     kernel, _ = build_split_kernel(model)
     k0 = -kernel.l_min
-    tail = max(
-        float(np.linalg.norm(kernel.psis[k0 + j], 2))
-        for j in range(d, kernel.l_max + 1)
-    )
+    tail = float(_spectral_norms(kernel.psis[k0 + d :]).max())
     checks.append(
         _check(
             f"[oracle] solution series terminates: kernel lags >= {d} vanish below 1e-12",

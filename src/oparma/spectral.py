@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HyperbolicityError, QuadratureError
-from .operators import Operator, _frobenius
+from .operators import Operator, _frobenius, _spectral_norms
 
 #: eigenvalues closer to the unit circle than this make the splitting
 #: numerically meaningless
@@ -98,8 +98,8 @@ def riesz_projector(op: Operator):
     approximants = _trapezoid_projectors(m)
     _, prev = next(approximants)
     for n, cur in approximants:
-        diff = np.linalg.norm(cur - prev, 2)
-        tol = QUAD_TOL * (1.0 + np.linalg.norm(cur, 2))
+        diff = _spectral_norms(cur - prev)
+        tol = QUAD_TOL * (1.0 + _spectral_norms(cur))
         if diff <= tol:
             return cur, n, float(diff)
         prev = cur
@@ -137,12 +137,6 @@ class SpectralSplit:
     @property
     def dim(self) -> int:
         return self.projector.shape[0]
-
-
-def _norm2(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
 
 
 def hyperbolic_split(op: Operator) -> SpectralSplit:
@@ -197,7 +191,7 @@ def hyperbolic_split(op: Operator) -> SpectralSplit:
         **{f"{name}_residual": value for name, (value, _) in residuals.items()},
         "radius_inner": r_in,
         "radius_outer_inv": r_out_inv,
-        "sylvester_norm": _norm2(x),
+        "sylvester_norm": float(_spectral_norms(x)),
         "projector_convention": "P = Z1 (Z1^H - X Z2^H) from the ordered Schur "
         "form; P projects onto eigenvalues inside the disc",
     })
@@ -264,10 +258,10 @@ def check_split(split: SpectralSplit, op: Operator) -> dict:
         "outer_expands": split.rank == split.dim
         or np.abs(np.linalg.eigvals(split.block_outer)).min() > 1.0,
         "bases_orthonormal": all(
-            _norm2(v.conj().T @ v - np.eye(v.shape[1])) <= CHECK_TOL
+            _spectral_norms(v.conj().T @ v - np.eye(v.shape[1])) <= CHECK_TOL
             for v in (split.basis_inner, split.basis_outer)
         ),
-        "matches_riesz": _norm2(split.projector - riesz_projector(op)[0])
-        <= CHECK_TOL * (1.0 + _norm2(split.projector)),
+        "matches_riesz": _spectral_norms(split.projector - riesz_projector(op)[0])
+        <= CHECK_TOL * (1.0 + _spectral_norms(split.projector)),
     }
     return results

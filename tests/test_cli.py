@@ -1033,6 +1033,22 @@ class TestFloatLimit:
         assert code == 0
         assert json.loads(out)["estimate"] == pytest.approx(moment, abs=0.02)
 
+    def test_tiny_transform_keeps_the_verdict(self, tmp_path, capsys):
+        # log ||T Z|| = P - 460.5 for T = 1e-200 I is as Pareto-tailed as at 1e-100,
+        # though ||T x||^2 underflows
+        noise = tmp_path / "n.json"
+        noise.write_text(json.dumps({"kind": "pareto_exp", "dim": 2, "seed": 3}))
+        verdicts = []
+        for scale in (1e-100, 1e-200):
+            t_op = tmp_path / f"t{scale}.json"
+            op = {"kind": "multiplication", "dim": 2, "params": {"multipliers": [scale, scale]}}
+            t_op.write_text(json.dumps(op))
+            argv = ["moments", "--noise", str(noise), "--transform", str(t_op)]
+            code, out = run_cli(*argv, "--n-samples", "200000", capsys=capsys)
+            assert code == 0
+            verdicts.append(json.loads(out)["finite_verdict"])
+        assert verdicts[1] == verdicts[0]
+
 
 class TestClampedDraws:
     """Heavy-tailed draws clamped at e^700 are counted in simulate and fail verify."""

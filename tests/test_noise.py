@@ -17,6 +17,7 @@ from oparma.engine.noise import (
     NoisePath,
     NoiseSpec,
     log_magnitude_samples,
+    log_norm_blocks,
     make_rng,
     sample_path,
 )
@@ -164,6 +165,27 @@ def test_lognorms_fallback_for_gaussian():
         path.lognorms(), np.log(np.linalg.norm(path.values, axis=1)), rtol=1e-12
     )
     assert log_magnitude_samples(spec, 40).shape == (40,)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-200, 1e300])
+def test_gaussian_log_magnitudes_shift_by_log_sigma(sigma):
+    # sigma Z squares below the smallest normal float (or past the largest);
+    # the log-norms are taken in power-of-two units and stay finite
+    unit = log_magnitude_samples(NoiseSpec(kind="gaussian", dim=2, seed=4), 10_000)
+    spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": sigma}, seed=4)
+    np.testing.assert_allclose(
+        log_magnitude_samples(spec, 10_000), unit + math.log(sigma), rtol=1e-12
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+def test_heavy_log_norms_through_a_tiny_gain_shift_by_its_log(scale):
+    # ||s x||^2 is subnormal or 0 for these s, while log ||s x|| = log s is a plain float
+    spec = NoiseSpec(kind="pareto_exp", dim=2, params={"direction": [0.6, 0.8]}, seed=3)
+    gain = scale * np.eye(2, dtype=complex)
+    plain = np.concatenate([logs for _, logs in log_norm_blocks(spec, 5_000, 0)])
+    gained = np.concatenate([logs for _, logs in log_norm_blocks(spec, 5_000, 0, gain)])
+    np.testing.assert_allclose(gained, plain + math.log(scale), rtol=1e-12)
 
 
 def test_spec_validation():

@@ -26,7 +26,7 @@ from oparma import (
     structured_norm,
     volterra_matrix,
 )
-from oparma.operators import _scaled_matrix_power
+from oparma.operators import _frobenius, _scaled_matrix_power
 
 
 def op(kind, dim, **params):
@@ -95,11 +95,18 @@ def test_volterra_powers_in_real_arithmetic_match_complex(m):
     # the structured norm powers the real matrix; complex powering is the reference
     v = op("volterra", m)
     for n in range(1, 7):
-        p, log_scale = _scaled_matrix_power(v.matrix, n)
-        complex_norm = np.abs(p).sum(axis=1).max() * math.exp(log_scale)
+        p, e = _scaled_matrix_power(v.matrix, n)
+        complex_norm = math.ldexp(np.abs(p).sum(axis=1).max(), e)
         assert structured_norm(v, n) == pytest.approx(complex_norm, rel=1e-14)
     p, _ = _scaled_matrix_power(np.ascontiguousarray(v.matrix.real), 3)
     assert p.dtype == np.float64
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e300])
+def test_frobenius_neither_underflows_nor_overflows(scale):
+    # the squares of 1e-200 underflow to 0 and those of 1e300 overflow
+    want = pytest.approx(math.sqrt(2.0) * scale, rel=1e-15, abs=0.0)
+    assert _frobenius(np.array([scale, scale])) == want
 
 
 def test_weighted_shift_layout():
