@@ -5,6 +5,9 @@ value, a two-element array [re, im] is a complex one.  Models serialize
 canonically (zero imaginary parts collapse back to plain numbers), so
 loading a file and re-serializing it yields the canonical form of the
 same content.  Matrices nest as row-major lists, in pairs for splits.
+A matrix is read by C-level checks and one array conversion; only a
+rejected one is walked entry by entry, to name its first fault.  Bulk
+matrices go out as :class:`JsonRows`, one compact row per line.
 
 Decoding is table-directed: ``operators.PARAMS`` and
 ``engine.noise.NOISE_PARAMS`` are the whole input contract.  One reader
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from itertools import chain, compress, repeat
+from operator import not_
 from pathlib import Path
 
 import numpy as np
@@ -62,17 +67,53 @@ def decode_complex(value, where: str) -> complex:
     raise SpecificationError(f"{where}: expected a number or [re, im], got {value!r}")
 
 
-def encode_matrix(m, pairs: bool = False) -> list:
-    """Nested-list form; ``pairs`` forces [re, im] on every entry."""
-    m = np.asarray(m)
-    if pairs:
-        return [
-            [[float(z.real), float(z.imag)] for z in row] for row in m.astype(complex)
-        ]
-    return [[encode_complex(z) for z in row] for row in m.astype(complex)]
+def encode_matrix(m) -> list:
+    """Nested-list form of canonical elements."""
+    return [[encode_complex(z) for z in row] for row in np.asarray(m).astype(complex)]
+
+
+def _numbers(values) -> bool:
+    """Whether every value is a number (an int or a float, not a bool), by type."""
+    return all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values)))
+
+
+def _elements(cells: list) -> np.ndarray | None:
+    """``cells``, numbers and [re, im] pairs, as a flat complex array.
+
+    Checks and converts in C-level passes.  None when a cell is not an
+    element or an integer lies past the float range: exactly the cells on
+    which :func:`decode_complex` raises.
+    """
+    pair = list(map(isinstance, cells, repeat(list)))
+    pairs = list(compress(cells, pair))
+    reals = list(compress(cells, map(not_, pair)))
+    if not (
+        _numbers(reals) and set(map(len, pairs)) <= {2} and _numbers(chain.from_iterable(pairs))
+    ):
+        return None
+    out = np.empty(len(cells), dtype=complex)
+    mask = np.array(pair, dtype=bool)
+    try:
+        out[~mask] = np.array(reals, dtype=float)
+        out[mask] = np.array(pairs, dtype=float).reshape(-1, 2).view(complex)[:, 0]
+    except OverflowError:
+        return None
+    return out
 
 
 def decode_matrix(value, where: str) -> np.ndarray:
+    """Non-empty equal rows of numbers and [re, im] pairs as a complex array.
+
+    C-level passes check and convert the value.  A value they reject is
+    walked entry by entry, which rejects the same values, to raise its
+    first fault by its JSON path.
+    """
+    if isinstance(value, list) and value and all(map(isinstance, value, repeat(list))):
+        widths = set(map(len, value))
+        if len(widths) == 1 and 0 not in widths:
+            out = _elements(list(chain.from_iterable(value)))
+            if out is not None:
+                return out.reshape(len(value), -1)
     if not isinstance(value, list) or not value:
         raise SpecificationError(f"{where}: expected a non-empty list of rows")
     rows = []
@@ -89,7 +130,10 @@ def decode_matrix(value, where: str) -> np.ndarray:
 def _decode_vector(value, where: str) -> list:
     if not isinstance(value, list):
         raise SpecificationError(f"{where}: expected a list")
-    return [decode_complex(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    out = _elements(value)
+    if out is None:  # the walk raises the first fault by its JSON path
+        return [decode_complex(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return out.tolist()
 
 
 def _real_scalar(value, where: str) -> float:
@@ -290,11 +334,11 @@ def split_payload(split) -> dict:
         "rank": split.rank,
         "radius_inner": sanitize(split.diagnostics.get("radius_inner")),
         "radius_outer_inv": sanitize(split.diagnostics.get("radius_outer_inv")),
-        "projector": encode_matrix(split.projector, pairs=True),
-        "block_inner": encode_matrix(split.block_inner, pairs=True),
-        "block_outer": encode_matrix(split.block_outer, pairs=True),
-        "combine": encode_matrix(split.combine, pairs=True),
-        "combine_inv": encode_matrix(split.combine_inv, pairs=True),
+        "projector": _matrix_rows(split.projector, pairs=True),
+        "block_inner": _matrix_rows(split.block_inner, pairs=True),
+        "block_outer": _matrix_rows(split.block_outer, pairs=True),
+        "combine": _matrix_rows(split.combine, pairs=True),
+        "combine_inv": _matrix_rows(split.combine_inv, pairs=True),
         "diagnostics": sanitize(split.diagnostics),
     }
 
@@ -304,7 +348,7 @@ def laurent_payload(lc) -> dict:
         {
             "k": int(k),
             "norm": float(norm),
-            "psi": encode_matrix(mat),
+            "psi": _matrix_rows(mat),
         }
         for k, norm, mat in zip(lc.ks, lc.norms, lc.coeffs)
     ]
@@ -336,8 +380,8 @@ def circle_payload(cc) -> dict:
 class JsonRows:
     """A matrix already encoded as JSON, one compact row per string.
 
-    :func:`dumps` writes each row on its own line; ``json`` itself
-    rejects the type, so the rows are never encoded twice.
+    :func:`dumps` splices the rows in, one per line, wherever the value
+    sits, so they are never encoded twice; plain ``json`` rejects the type.
     """
 
     rows: list
@@ -350,19 +394,31 @@ def _reprs(values) -> tuple:
     on a value that is not finite, for which strict JSON has no literal.
     """
     if not np.isfinite(values).all():
-        raise ValueError("a simulated value is not finite")
+        raise ValueError("a matrix entry is not finite")
     flat = values.ravel()
     return list(map(repr, flat.real.tolist())), list(map(repr, flat.imag.tolist()))
 
 
+def _matrix_rows(m, pairs: bool = False) -> JsonRows:
+    """2-D ``m`` as :class:`JsonRows` of canonical elements.
+
+    With ``pairs``, every entry is written as [re, im].
+    """
+    m = np.asarray(m)
+    n, d = m.shape
+    if not d:
+        return JsonRows(["[]"] * n)
+    re, im = _reprs(m)
+    cells = list(map("[{}, {}]".format, re, im))
+    if not pairs:
+        for i in np.flatnonzero(m.imag.ravel() == 0.0).tolist():
+            cells[i] = re[i]
+    row = "[" + ", ".join(["{}"] * d) + "]"
+    return JsonRows(list(map(row.format, *(cells[j::d] for j in range(d)))))
+
+
 def simulation_payload(res) -> dict:
     """Simulated window as JSON; ``values`` as :class:`JsonRows` of canonical elements."""
-    re, im = _reprs(res.values)
-    cells = list(map("[{}, {}]".format, re, im))
-    for i in np.flatnonzero(res.values.imag.ravel() == 0.0).tolist():
-        cells[i] = re[i]
-    d = res.values.shape[1]
-    row = "[" + ", ".join(["{}"] * d) + "]"
     return {
         "t_start": int(res.t_start),
         "t_stop": int(res.t_stop_inclusive),
@@ -370,7 +426,7 @@ def simulation_payload(res) -> dict:
         "truncation_K": int(res.truncation_K),
         "max_residual": sanitize(res.max_residual),
         "n_clamped": int(res.noise.n_clamped),
-        "values": JsonRows(list(map(row.format, *(cells[j::d] for j in range(d))))),
+        "values": _matrix_rows(res.values),
     }
 
 
@@ -385,21 +441,33 @@ def simulation_csv(res) -> str:
     return header + "\n" + "\n".join(rows) + "\n"
 
 
-def _indented(value) -> str:
-    """``value`` as the JSON text of a top-level dict entry."""
-    if isinstance(value, JsonRows):
-        return "[\n    " + ",\n    ".join(value.rows) + "\n  ]"
-    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+#: stands in for a :class:`JsonRows` in the encoded skeleton; no other
+#: string of a payload that holds rows contains a NUL
+_ROWS_TOKEN = "\x00rows"
 
 
 def dumps(payload) -> str:
     """Strict JSON with a two-space indent and a final newline.
 
-    A :class:`JsonRows` entry of a top-level dict goes one row per line.
-    That differs from indenting nested lists only in whitespace, and it
-    skips the pure-Python indenting encoder for the bulk of a long path.
+    A :class:`JsonRows` at any depth goes one row per line, indented one
+    step past the line it sits on (``[]`` when empty).  That differs from
+    indenting nested lists only in whitespace, and the pure-Python
+    indenting encoder formats only the small skeleton around the rows.
     """
-    if not (isinstance(payload, dict) and any(isinstance(v, JsonRows) for v in payload.values())):
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    items = (f"  {json.dumps(k)}: {_indented(v)}" for k, v in payload.items())
-    return "{\n" + ",\n".join(items) + "\n}\n"
+    blocks = []
+
+    def token(obj):
+        if not isinstance(obj, JsonRows):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        blocks.append(obj.rows)
+        return _ROWS_TOKEN
+
+    text = json.dumps(payload, indent=2, allow_nan=False, default=token)
+    pieces = text.split(json.dumps(_ROWS_TOKEN))
+    out = [pieces[0]]
+    for before, rows, after in zip(pieces, blocks, pieces[1:]):
+        line = before.rpartition("\n")[2]
+        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        out.append("[" + pad + "  " + ("," + pad + "  ").join(rows) + pad + "]" if rows else "[]")
+        out.append(after)
+    return "".join(out) + "\n"

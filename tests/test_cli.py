@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oparma
 from oparma.cli import main, parse_and_dispatch
@@ -23,11 +25,20 @@ from oparma.jsonio import (
     decode_matrix,
     dump_model,
     encode_complex,
+    encode_matrix,
     load_model,
     load_noise,
 )
-from oparma.laurent import CIRCLE_TOL
-from oparma.operators import KINDS, PARAMS, OperatorSpec, arma_model, build_operator
+from oparma.laurent import CIRCLE_TOL, laurent_coeffs
+from oparma.operators import (
+    KINDS,
+    PARAMS,
+    OperatorSpec,
+    arma_model,
+    build_operator,
+    companion_lift,
+)
+from oparma.spectral import hyperbolic_split
 
 
 @pytest.fixture
@@ -69,6 +80,48 @@ def run_cli(*argv, capsys=None):
     return code, out
 
 
+def _row_lines(out: str, key: str) -> list:
+    """The row lines of each ``key`` matrix of ``out``, in document order."""
+    lines = out.splitlines()
+    blocks = []
+    for i, line in enumerate(lines):
+        if line.strip() == f'"{key}": [':
+            j = i + 1
+            while lines[j].strip() not in ("]", "],"):
+                j += 1
+            blocks.append([row.strip().rstrip(",") for row in lines[i + 1 : j]])
+    return blocks
+
+
+@pytest.fixture
+def complex_model(tmp_path):
+    """A dense AR(1) with complex entries and eigenvalues on both sides of the circle."""
+    path = tmp_path / "complex.json"
+    entries = [[0.5, [0.1, 0.2], 0.0], [0.3, 2.0, 0.1], [0.0, [0.0, -0.4], 1.5]]
+    path.write_text(json.dumps({
+        "ar": [{"kind": "dense", "dim": 3, "params": {"entries": entries}}],
+        "ma": [{"kind": "identity", "dim": 3}],
+    }))
+    return str(path)
+
+
+#: JSON numbers: floats with -0.0, and ints past 2^53 and 2^63
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([-0.0, 2**53 + 1, 2**63 + 1, 2**64 + 3, -(2**63) - 1, 10**300]),
+)
+_PAIRS = st.lists(_NUMBERS, min_size=2, max_size=2)
+
+
+@st.composite
+def _json_matrices(draw):
+    """Rows of numbers, of [re, im] pairs, or of the canonical mix of both."""
+    cell = draw(st.sampled_from([_NUMBERS, _PAIRS, st.one_of(_NUMBERS, _PAIRS)]))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return [[draw(cell) for _ in range(d)] for _ in range(n)]
+
+
 class TestElementCodec:
     def test_real_roundtrip(self):
         assert encode_complex(complex(2.5, 0.0)) == 2.5
@@ -88,6 +141,54 @@ class TestElementCodec:
             decode_matrix([[1.0, 2.0], [3.0]], "m")
         with pytest.raises(SpecificationError):
             decode_matrix([], "m")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_matrices())
+    def test_matrix_decodes_as_its_elements_bit_for_bit(self, m):
+        expected = np.array([[decode_complex(v, "m") for v in row] for row in m], dtype=complex)
+        decoded = decode_matrix(m, "m")
+        assert decoded.shape == expected.shape
+        assert decoded.tobytes() == expected.tobytes()
+        vector = np.array(_CODEC["vector"][0](m[0], "v"), dtype=complex)
+        assert vector.tobytes() == expected[0].tobytes()
+
+    @pytest.mark.parametrize("value, message", [
+        ([[1.0, True]], "$.m[0][1]: expected a number or [re, im], got True"),
+        ([[[1.0, False]]], "$.m[0][0]: expected a number or [re, im], got [1.0, False]"),
+        ([[1.0], ["2.0"]], "$.m[1][0]: expected a number or [re, im], got '2.0'"),
+        ([[None]], "$.m[0][0]: expected a number or [re, im], got None"),
+        ([[[1.0]]], "$.m[0][0]: expected a number or [re, im], got [1.0]"),
+        ([[[1.0, 2.0, 3.0]]], "$.m[0][0]: expected a number or [re, im], got [1.0, 2.0, 3.0]"),
+        ([{"a": 1}], "$.m[0]: expected a non-empty row list"),
+        (["ab"], "$.m[0]: expected a non-empty row list"),
+        ([[1.0, 2.0], [3.0]], "$.m: ragged rows, widths [1, 2]"),
+        ([[1.0, 2.0], [3.0, 4.0, 5.0], [True]],
+         "$.m[2][0]: expected a number or [re, im], got True"),
+        ([[1.0], []], "$.m[1]: expected a non-empty row list"),
+        ([[[[1.0, 2.0]]]], "$.m[0][0]: expected a number or [re, im], got [[1.0, 2.0]]"),
+        ([[1.0, 10**400]], "$.m[0][1]: integer out of the float range"),
+        ([[[1.0, -(10**400)]]], "$.m[0][0][1]: integer out of the float range"),
+        ([], "$.m: expected a non-empty list of rows"),
+        ({}, "$.m: expected a non-empty list of rows"),
+    ], ids=["bool", "bool_in_pair", "string", "null", "pair_of_1", "pair_of_3", "dict_row",
+            "string_row", "ragged", "cell_before_ragged", "empty_row", "too_deep", "huge_int",
+            "huge_int_in_pair", "no_rows", "not_a_list"])
+    def test_malformed_matrix_names_its_first_fault(self, value, message):
+        with pytest.raises(SpecificationError) as info:
+            decode_matrix(value, "$.m")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value, message", [
+        ([0.5, True], "$.v[1]: expected a number or [re, im], got True"),
+        ([[1.0]], "$.v[0]: expected a number or [re, im], got [1.0]"),
+        (["x"], "$.v[0]: expected a number or [re, im], got 'x'"),
+        ([10**400], "$.v[0]: integer out of the float range"),
+        (5, "$.v: expected a list"),
+    ])
+    def test_malformed_vector_names_its_first_fault(self, value, message):
+        with pytest.raises(SpecificationError) as info:
+            _CODEC["vector"][0](value, "$.v")
+        assert str(info.value) == message
 
 
 #: one entry of every operator kind and value form, in canonical form
@@ -301,6 +402,38 @@ class TestSubcommands:
         entry = doc["projector"][0][0]
         assert isinstance(entry, list) and len(entry) == 2
 
+    def test_split_writes_the_nested_document_one_row_per_line(self, complex_model, capsys):
+        code, out = run_cli("split", "--model", complex_model, capsys=capsys)
+        assert code == 0
+        split = hyperbolic_split(companion_lift(load_model(complex_model)))
+        keys = ("projector", "block_inner", "block_outer", "combine", "combine_inv")
+        # the document the nested-list encoder writes, every entry as [re, im]
+        expected = {
+            "dim": 3, "rank": split.rank,
+            "radius_inner": split.diagnostics["radius_inner"],
+            "radius_outer_inv": split.diagnostics["radius_outer_inv"],
+            **{key: [[[float(z.real), float(z.imag)] for z in row] for row in getattr(split, key)]
+               for key in keys},
+            "diagnostics": split.diagnostics,
+        }
+        assert json.loads(out) == json.loads(json.dumps(expected, indent=2))
+        for key in keys:
+            assert _row_lines(out, key) == [[json.dumps(row) for row in expected[key]]]
+
+    @pytest.mark.parametrize("mults, empty",
+                             [([0.5, 0.25], "block_outer"), ([2.0, 4.0], "block_inner")],
+                             ids=["rank_d", "rank_0"])
+    def test_split_writes_an_empty_block_as_an_empty_list(self, mults, empty, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "ar": [{"kind": "multiplication", "dim": 2, "params": {"multipliers": mults}}],
+            "ma": [{"kind": "identity", "dim": 2}],
+        }))
+        code, out = run_cli("split", "--model", str(path), capsys=capsys)
+        assert code == 0
+        assert f'  "{empty}": [],' in out.splitlines()
+        assert json.loads(out)[empty] == []
+
     def test_check_circle_unit_root(self, tmp_path, capsys):
         path = tmp_path / "unitroot.json"
         path.write_text(
@@ -370,6 +503,22 @@ class TestSubcommands:
         doc = json.loads(out)
         for rec in doc["coefficients"]:
             assert rec["norm"] == pytest.approx(0.5 ** rec["k"], abs=1e-10)
+
+    def test_laurent_writes_the_nested_document_one_row_per_line(self, complex_model, capsys):
+        code, out = run_cli("laurent", "--model", complex_model, "--k-min", "-3", "--k-max", "3",
+                            capsys=capsys)
+        assert code == 0
+        lc = laurent_coeffs(load_model(complex_model), k_range=(-3, 3))
+        # the document the nested-list encoder writes, in canonical elements
+        records = [{"k": int(k), "norm": float(norm), "psi": encode_matrix(mat)}
+                   for k, norm, mat in zip(lc.ks, lc.norms, lc.coeffs)]
+        expected = {
+            "k_min": -3, "k_max": 3, "n_quad": lc.n_quad, "decay_a": lc.decay_a,
+            "decay_b": lc.decay_b, "reconstruction_residual": lc.reconstruction_residual,
+            "coefficients": records,
+        }
+        assert json.loads(out) == json.loads(json.dumps(expected, indent=2))
+        assert _row_lines(out, "psi") == [[json.dumps(row) for row in r["psi"]] for r in records]
 
     def test_laurent_half_range_usage_error(self, hyper_model):
         code, _ = run_cli("laurent", "--model", str(hyper_model), "--k-min", "-3")
