@@ -7,7 +7,9 @@ loading a file and re-serializing it yields the canonical form of the
 same content.  Matrices nest as row-major lists, in pairs for splits.
 A matrix is read by C-level checks and one array conversion; only a
 rejected one is walked entry by entry, to name its first fault.  Bulk
-matrices go out as :class:`JsonRows`, one compact row per line.
+matrices go out as :class:`JsonRows`, one compact row per line, their
+numbers written by the vectorized formatter ``_ryu`` in ``repr``'s exact
+text, a block at a time.
 
 Decoding is table-directed: ``operators.PARAMS`` and
 ``engine.noise.NOISE_PARAMS`` are the whole input contract.  One reader
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _ryu
 from .engine.noise import NOISE_PARAMS, NoiseSpec
 from .errors import SpecificationError
 from .operators import PARAMS, ArmaModel, Operator, OperatorSpec, arma_model, build_operator
@@ -378,43 +381,73 @@ def circle_payload(cc) -> dict:
 
 @dataclasses.dataclass(frozen=True)
 class JsonRows:
-    """A matrix already encoded as JSON, one compact row per string.
+    """A matrix already encoded as JSON: compact rows, one per line of ``text``.
 
     :func:`dumps` splices the rows in, one per line, wherever the value
     sits, so they are never encoded twice; plain ``json`` rejects the type.
     """
 
-    rows: list
+    text: str
 
 
-def _reprs(values) -> tuple:
-    """repr of the real and of the imaginary part of each entry, row-major.
+#: numbers formatted per block: the formatter's working arrays take under
+#: 1 kB per number, so they stay within a few MB whatever the matrix
+_BLOCK = 1 << 13
 
-    ``repr`` is the text ``json`` writes for a float.  Raises ``ValueError``
-    on a value that is not finite, for which strict JSON has no literal.
-    """
+
+def _finite(values) -> None:
+    """Raise ``ValueError`` on a value that strict JSON has no literal for."""
     if not np.isfinite(values).all():
         raise ValueError("a matrix entry is not finite")
-    flat = values.ravel()
-    return list(map(repr, flat.real.tolist())), list(map(repr, flat.imag.tolist()))
+
+
+#: the text before each number of a matrix's rows.  A real part's prefix is
+#: indexed 4 * place + 2 * (the cell before is a pair) + (its cell is a
+#: pair), place 0 for the first cell, 1 for the first of a later row and 2
+#: for any other: it closes the cell and row before, then opens its own
+#: row and pair.  An imaginary part's prefix is the last.
+_ROW_PREFIXES = tuple(
+    "]" * after_pair * (place > 0) + ("[", "]\n[", ", ")[place] + "[" * pair
+    for place in range(3)
+    for after_pair in range(2)
+    for pair in range(2)
+) + (", ",)
 
 
 def _matrix_rows(m, pairs: bool = False) -> JsonRows:
     """2-D ``m`` as :class:`JsonRows` of canonical elements.
 
-    With ``pairs``, every entry is written as [re, im].
+    With ``pairs``, every entry is written as [re, im].  The numbers are
+    written as ``repr`` writes them, a block of rows at a time.
     """
-    m = np.asarray(m)
+    m = np.ascontiguousarray(m, dtype=complex)
     n, d = m.shape
     if not d:
-        return JsonRows(["[]"] * n)
-    re, im = _reprs(m)
-    cells = list(map("[{}, {}]".format, re, im))
-    if not pairs:
-        for i in np.flatnonzero(m.imag.ravel() == 0.0).tolist():
-            cells[i] = re[i]
-    row = "[" + ", ".join(["{}"] * d) + "]"
-    return JsonRows(list(map(row.format, *(cells[j::d] for j in range(d)))))
+        return JsonRows("\n".join(["[]"] * n))
+    _finite(m)
+    chunks, after_pair = [], False
+    step = max(1, _BLOCK // (2 * d))
+    for i in range(0, n, step):
+        block = m[i : i + step]
+        pair = np.ones(block.size, dtype=bool) if pairs else block.imag.ravel() != 0.0
+        before = np.empty_like(pair)
+        before[0] = after_pair
+        before[1:] = pair[:-1]
+        place = np.full(block.size, 2)
+        place[::d] = 1
+        place[0] = 1 if i else 0
+        prefix = np.empty((block.size, 2), dtype=np.int64)
+        prefix[:, 0] = 4 * place + 2 * before + pair
+        prefix[:, 1] = len(_ROW_PREFIXES) - 1
+        numbers, prefix = block.view(np.float64).ravel(), prefix.ravel()
+        if not pair.all():
+            kept = np.stack([np.ones_like(pair), pair], axis=1).ravel()
+            numbers, prefix = numbers[kept], prefix[kept]
+        chunks.append(_ryu.write(*_ryu.decimals(numbers), prefix, _ROW_PREFIXES).decode())
+        after_pair = bool(pair[-1])
+    if n:
+        chunks.append("]]" if after_pair else "]")
+    return JsonRows("".join(chunks))
 
 
 def simulation_payload(res) -> dict:
@@ -431,14 +464,33 @@ def simulation_payload(res) -> dict:
 
 
 def simulation_csv(res) -> str:
-    """Path as CSV: t, component_0_re, component_0_im, ..."""
-    n, d = res.values.shape
-    re, im = _reprs(res.values)
+    """Path as CSV: t, component_0_re, component_0_im, ...
+
+    Each line is an integer ``t`` and the parts of the values, written as
+    ``str`` and ``repr`` write them, a block of lines at a time.
+    """
+    values = np.ascontiguousarray(res.values, dtype=complex)
+    n, d = values.shape
+    _finite(values)
     header = ",".join(["t"] + [f"component_{i}_re,component_{i}_im" for i in range(d)])
-    cells = list(map("{},{}".format, re, im))
-    times = range(res.t_start, res.t_start + n)
-    rows = map(("{}" + ",{}" * d).format, times, *(cells[j::d] for j in range(d)))
-    return header + "\n" + "\n".join(rows) + "\n"
+    chunks = [header]
+    step = max(1, _BLOCK // (2 * d + 1))
+    for i in range(0, n, step):
+        block = values[i : i + step]
+        rows = len(block)
+        neg, s, e = (np.empty((rows, 2 * d + 1), dtype=np.int64) for _ in range(3))
+        for part, out in zip(_ryu.decimals(block.view(np.float64)), (neg, s, e)):
+            out[:, 1:] = part.reshape(rows, 2 * d)
+        t = np.arange(res.t_start + i, res.t_start + i + rows)
+        neg[:, 0], s[:, 0], e[:, 0] = t < 0, np.abs(t), 0
+        label = np.zeros((rows, 2 * d + 1), dtype=bool)
+        label[:, 0] = True
+        label = label.ravel()
+        prefix = (~label).astype(np.int64)  # "\n" before a t, "," before a part
+        text = _ryu.write(neg.ravel(), s.ravel(), e.ravel(), prefix, ("\n", ","), label)
+        chunks.append(text.decode())
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 #: stands in for a :class:`JsonRows` in the encoded skeleton; no other
@@ -459,7 +511,7 @@ def dumps(payload) -> str:
     def token(obj):
         if not isinstance(obj, JsonRows):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        blocks.append(obj.rows)
+        blocks.append(obj.text)
         return _ROWS_TOKEN
 
     text = json.dumps(payload, indent=2, allow_nan=False, default=token)
@@ -468,6 +520,8 @@ def dumps(payload) -> str:
     for before, rows, after in zip(pieces, blocks, pieces[1:]):
         line = before.rpartition("\n")[2]
         pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        out.append("[" + pad + "  " + ("," + pad + "  ").join(rows) + pad + "]" if rows else "[]")
+        step = pad + "  "
+        out += ["[", step, rows.replace("\n", "," + step), pad, "]"] if rows else ["[]"]
         out.append(after)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return "".join(out)
