@@ -79,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-circle", help="denominator invertibility on the unit circle")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--n-grid", type=int, help="number of circle scan points")
     sp.add_argument("--out")
 
     sp = sub.add_parser("simulate", help="simulate the strictly stationary solution")
@@ -174,11 +173,7 @@ def _cmd_laurent(args) -> int:
 
 
 def _cmd_check_circle(args) -> int:
-    model = load_model(args.model)
-    kwargs = {}
-    if args.n_grid is not None:
-        kwargs["n_grid"] = args.n_grid
-    cc = unit_circle_check(model, **kwargs)
+    cc = unit_circle_check(load_model(args.model))
     _emit(dumps(circle_payload(cc)), args.out)
     return 0 if cc.passed else 1
 

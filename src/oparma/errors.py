@@ -31,7 +31,7 @@ class HyperbolicityError(OparmaError):
 
 
 class QuadratureError(OparmaError):
-    """Contour quadrature failed to converge within the node cap."""
+    """A quadrature or iteration failed to converge within its cap."""
 
 
 class WindowError(OparmaError):

@@ -371,8 +371,7 @@ def circle_payload(cc) -> dict:
         "ok": bool(cc.passed),
         "min_singular_value": float(cc.min_singular_value),
         "worst_z": [float(cc.worst_z.real), float(cc.worst_z.imag)],
-        "n_grid": int(cc.n_grid),
-        "n_evaluated": int(cc.n_evaluated),
+        "n_eigensolves": int(cc.n_eigensolves),
         "tol": float(cc.tol),
         "leading_ar_condition": sanitize(cc.leading_ar_condition),
         "leading_ar_invertible": bool(cc.leading_ar_invertible),

@@ -43,20 +43,28 @@ from .operators import COND_LIMIT, ArmaModel, _spectral_norms, companion_lift
 #: smallest singular value of the denominator on the circle must exceed this
 CIRCLE_TOL = 1e-6
 
-#: nodes per formed batch of denominators in the circle scan
-CIRCLE_BATCH = 512
+#: the real point c of the Moebius map z = (w + c) / (1 + c w) of the level-set pencil
+MOBIUS_C = 0.3
 
-#: grid strides of the circle scan's levels, coarse to fine
-SCAN_LEVELS = (64, 32, 16, 8, 4, 1)
+#: pencil eigenvalues w with | |w| - 1 | below this count as points of the circle;
+#: rounding moves a near-double root off the circle by about sqrt(eps cond)
+UNIMODULAR_TOL = 1e-5
 
-#: the circle scan's rounding slack, in units of (p + 1) d eps (1 + sum_k ||A_k||_2)
-SCAN_SLACK_ULPS = 64
+#: each level sits this far below the smallest value found so far, relatively
+LEVEL_GAP = 1e-11
+
+#: level-set eigensolves before the circle check gives up
+MAX_LEVELS = 32
 
 #: coefficients below this relative to the largest are treated as zero
 REL_FLOOR = 1e-12
 
 DEFAULT_N_QUAD = 256
 MAX_N_QUAD = 8192
+
+#: widest |k| of an explicit range: it starts the quadrature at 4 |k| nodes or
+#: more, and stagnation needs the doubled grid too
+MAX_REACH = MAX_N_QUAD // 8
 
 
 def _polynomial(nodes: np.ndarray, mats: list, first: int) -> np.ndarray:
@@ -68,12 +76,7 @@ def _polynomial(nodes: np.ndarray, mats: list, first: int) -> np.ndarray:
 
 
 def _denominators(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
-    """I - z A_1 - ... - z^p A_p at each node, as an (n, d, d) stack.
-
-    For p >= 2 the product's last bits depend on which nodes share the
-    call, so :func:`unit_circle_check` forms fixed 512-node batches and
-    reports the bits of one full-batch formation whatever nodes it keeps.
-    """
+    """I - z A_1 - ... - z^p A_p at each node, as an (n, d, d) stack."""
     den = _polynomial(nodes, [-a.matrix for a in model.ar_ops], 1)
     den.reshape(nodes.size, -1)[:, :: model.dim + 1] += 1.0
     return den
@@ -89,137 +92,113 @@ def _batched_transfer(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
 class CircleCheck:
     """Invertibility diagnostics of the denominator on the unit circle.
 
-    ``n_evaluated`` counts the scan nodes that took an SVD, out of
-    ``n_grid`` plus one probe per nonzero eigenvalue of the companion lift.
+    ``n_eigensolves`` counts the level-set eigensolves of
+    :func:`unit_circle_check`.
     """
 
     min_singular_value: float
     worst_z: complex
-    n_grid: int
-    n_evaluated: int
+    n_eigensolves: int
     tol: float
     passed: bool
     leading_ar_condition: float
     leading_ar_invertible: bool
 
 
-def _lipschitz(norms: list) -> float:
-    """L with |sigma_min(D(e^{is})) - sigma_min(D(e^{it}))| <= L |s - t|,
-    from ``norms`` = [||A_1||_2, ..., ||A_p||_2].
+def _sigma_min(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
+    """Smallest singular value of the denominator at each node."""
+    return np.linalg.svd(_denominators(model, nodes), compute_uv=False)[:, -1]
 
-    For every m, e^{-im theta} D(e^{i theta}) has the singular values of D,
-    and its theta-derivative has 2-norm at most
-    L_m = m + sum_k |k - m| ||A_k||_2, which bounds the change of sigma_min
-    along the arc (Weyl).  L_m is convex and piecewise linear in m, so its
-    minimum over real m is at an integer in 0..p; for p = 1, L = min(1, ||A_1||).
+
+def _level_angles(model: ArmaModel, gamma: float) -> np.ndarray:
+    """Sorted angles theta at which ``gamma`` is a singular value of D(e^{i theta}).
+
+    With D(z) = sum_k z^k D_k (D_0 = I, D_k = -A_k), those are the points
+    of the circle where the 2d x 2d polynomial
+    R(z) = [[-gamma I, D(z)], [z^p D(z)^*, -gamma z^p I]] = sum_j z^j C_j,
+    C_j = [[-gamma [j = 0] I, D_j], [D_{p-j}^*, -gamma [j = p] I]], is
+    singular.  C_p is singular with A_p, so R is taken in w through the
+    Moebius map z = (w + c) / (1 + c w), c = :data:`MOBIUS_C`, which sends
+    the circle to itself: Q(w) = (1 + c w)^p R(z) has the leading
+    coefficient c^p R(1/c), invertible but for a null set of gamma, and
+    the unimodular eigenvalues of its block companion, mapped back, are
+    the points sought.
     """
-    return min(
-        m + sum(abs(k - m) * a for k, a in enumerate(norms, 1)) for m in range(len(norms) + 1)
+    d, p, c = model.dim, model.p, MOBIUS_C
+    dk = [np.eye(d)] + [-a.matrix for a in model.ar_ops]
+    blocks = np.zeros((p + 1, 2 * d, 2 * d), complex)
+    for j in range(p + 1):
+        blocks[j, :d, d:] = dk[j]
+        blocks[j, d:, :d] = dk[p - j].conj().T
+    blocks[0, :d, :d] -= gamma * np.eye(d)
+    blocks[p, d:, d:] -= gamma * np.eye(d)
+    # weights[j, m]: coefficient of w^m in (w + c)^j (1 + c w)^(p - j)
+    poly = np.polynomial.polynomial
+    weights = np.array(
+        [poly.polymul(poly.polypow([c, 1], j), poly.polypow([1, c], p - j)) for j in range(p + 1)]
     )
+    q = np.tensordot(weights, blocks, axes=(0, 0))
+    comp = np.eye(2 * d * p, k=-2 * d, dtype=complex)
+    comp[: 2 * d] = -np.linalg.solve(q[p], np.concatenate(q[p - 1 :: -1], axis=1))
+    w = np.linalg.eigvals(comp)
+    w = w[np.abs(np.abs(w) - 1) < UNIMODULAR_TOL]
+    return np.sort(np.angle((w + c) / (1 + c * w)))
 
 
-def unit_circle_check(model: ArmaModel, n_grid: int = 512) -> CircleCheck:
-    """Scan the denominator's smallest singular value over circle nodes.
+def unit_circle_check(model: ArmaModel) -> CircleCheck:
+    """Smallest singular value of the denominator D(z) over the whole unit circle.
 
-    The nodes are ``n_grid`` equispaced points plus, for each nonzero
-    eigenvalue lambda of the companion lift, the point conj(lambda)/|lambda|
-    nearest to the root 1/lambda of the determinant, so a unit root
-    between grid nodes is hit exactly.  The check passes when the
-    smallest singular value exceeds :data:`CIRCLE_TOL`.  Also reports the
-    condition of the leading AR operator A_p, whose invertibility governs
-    whether the anticausal side of the expansion is a genuine two-sided
-    series rather than a degenerate one (the reversed-time characteristic
-    matrix at zero is -A_p).
+    A level-set iteration (Boyd & Balakrishnan, Systems & Control Letters,
+    1990; Byers, SIAM J. Sci. Stat. Comput., 1988, gives the bisection
+    form).  The value gamma starts as the smallest over 8 equispaced nodes
+    and, for each nonzero eigenvalue lambda of the companion lift, the
+    point conj(lambda)/|lambda| nearest to the root 1/lambda of the
+    determinant, so a unit root is hit exactly.  Each step takes the
+    angles where some singular value equals the level gamma (1 -
+    :data:`LEVEL_GAP`) (:func:`_level_angles`).  Between two consecutive
+    ones sigma_min stays on one side of the level, so an SVD at each arc's
+    midpoint finds every arc below it, and gamma moves to the smallest
+    midpoint value.  The iteration converges quadratically; it stops when
+    no midpoint falls below the level and raises :class:`QuadratureError`
+    after :data:`MAX_LEVELS` eigensolves.  ``min_singular_value`` is
+    gamma, an SVD's value at ``worst_z``.
 
-    The scan is a certified branch and bound.  sigma_min is L-Lipschitz in
-    the angle (:func:`_lipschitz`), so a node at angle r from one of
-    computed value s has sigma_min >= s - L r.  The first of
-    :data:`SCAN_LEVELS` takes an SVD at every 64th grid node.  Each later
-    level bounds the nodes between those of the level before from the two
-    nearest of them (their computed value, or the bound that ruled them
-    out), rules out a node whose bound exceeds the current minimum plus a
-    rounding slack, and takes an SVD at the others.  The eigenvalue probes
-    go last, bounded from the grid nodes on either side.  The slack,
-    :data:`SCAN_SLACK_ULPS` (p + 1) d eps (1 + sum_k ||A_k||_2), covers the
-    rounding of the node and of the formed denominator and the SVD's
-    backward error at both nodes, and the rounding of the bound.  So a
-    ruled-out node computes strictly above the final minimum, and
-    ``min_singular_value`` and ``worst_z`` (the first node attaining it) are
-    those of an SVD at every node.  The denominators are formed in the
-    :data:`CIRCLE_BATCH`-node batches of that full scan, whose bits the
-    kept SVDs reproduce (see :func:`_denominators`).
+    The check passes when the minimum exceeds :data:`CIRCLE_TOL`.  Also
+    reports the condition of the leading AR operator A_p, whose
+    invertibility governs whether the anticausal side of the expansion is
+    a genuine two-sided series rather than a degenerate one (the
+    reversed-time characteristic matrix at zero is -A_p).
     """
-    if n_grid < 1:
-        raise SpecificationError(f"n_grid must be >= 1, got {n_grid}")
     eigs = np.linalg.eigvals(companion_lift(model).matrix)
     eigs = eigs[eigs != 0]
-    nodes = np.concatenate(
-        [np.exp(2j * np.pi * np.arange(n_grid) / n_grid), eigs.conj() / np.abs(eigs)]
-    )
-    ar_sv = [np.linalg.svd(a.matrix, compute_uv=False) for a in model.ar_ops]
-    norms = [float(sv[0]) for sv in ar_sv]
-    slope = _lipschitz(norms) * 2 * np.pi / n_grid
-    slack = SCAN_SLACK_ULPS * (model.p + 1) * model.dim * np.finfo(float).eps * (1 + sum(norms))
-    # per node, its computed value or the bound that ruled it out (which
-    # exceeds the final minimum); grid positions past n_grid stand for node 0
-    # at angle 2 pi, placed farther off than it is, so bounds from them hold
-    grid = np.empty(-(-n_grid // SCAN_LEVELS[0]) * SCAN_LEVELS[0] + 1)
-    probes = np.empty(eigs.size)
-    best, n_evaluated = np.inf, 0
-    batch_start, batch = -1, None
-
-    def evaluate(start: int, bound: np.ndarray, keep: np.ndarray, rows: np.ndarray):
-        """SVDs at the kept ``rows`` of the batch at ``start``; their values
-        replace ``bound`` there."""
-        nonlocal best, n_evaluated, batch_start, batch
-        if not keep.any():
-            return
-        if batch_start != start:
-            batch_start, batch = start, _denominators(model, nodes[start : start + CIRCLE_BATCH])
-        values = np.linalg.svd(batch[rows[keep]], compute_uv=False)[..., -1]
-        bound[keep] = values
-        best = min(best, float(values.min()))
-        n_evaluated += values.size
-
-    for start in range(0, n_grid, CIRCLE_BATCH):
-        rows = np.arange(0, min(CIRCLE_BATCH, n_grid - start), SCAN_LEVELS[0])
-        bound = np.empty(rows.size)
-        evaluate(start, bound, np.ones(rows.size, bool), rows)
-        grid[start + rows] = bound
-    grid[n_grid:] = grid[0]
-    for start in range(0, nodes.size, CIRCLE_BATCH):
-        stop = min(CIRCLE_BATCH, nodes.size - start)
-        n_rows = min(stop, n_grid - start)
-        for coarse, s in zip(SCAN_LEVELS, SCAN_LEVELS[1:]) if n_rows > 0 else ():
-            k = -(-n_rows // coarse)
-            ends = grid[start : start + k * coarse + 1 : coarse]
-            offset = np.arange(s, coarse, s)
-            rows = coarse * np.arange(k)[:, None] + offset
-            bound = grid[start : start + k * coarse : s].reshape(k, -1)[:, 1:]
-            np.maximum(
-                ends[:-1, None] - slope * offset, ends[1:, None] - slope * (coarse - offset), out=bound
-            )
-            evaluate(start, bound, (bound <= best + slack) & (rows < n_rows), rows)
-        if stop > n_rows:
-            rows = np.arange(max(n_rows, 0), stop)
-            at = np.angle(nodes[start + rows]) % (2 * np.pi) * (n_grid / (2 * np.pi))
-            left = np.minimum(at.astype(int), n_grid - 1)
-            bound = np.maximum(
-                grid[left] - slope * np.abs(at - left), grid[left + 1] - slope * np.abs(left + 1 - at)
-            )
-            evaluate(start, bound, bound <= best + slack, rows)
-            probes[start + rows - n_grid] = bound
-    values = np.concatenate([grid[:n_grid], probes])
+    nodes = np.concatenate([np.exp(2j * np.pi * np.arange(8) / 8), eigs.conj() / np.abs(eigs)])
+    values = _sigma_min(model, nodes)
     j = int(np.argmin(values))
-    ap_sv = ar_sv[-1]
+    gamma, worst_z = float(values[j]), complex(nodes[j])
+    n_eigensolves = 0
+    while gamma > 0:
+        if n_eigensolves == MAX_LEVELS:
+            raise QuadratureError(f"circle check did not settle within {MAX_LEVELS} eigensolves")
+        level = gamma * (1 - LEVEL_GAP)
+        angles = _level_angles(model, level)
+        n_eigensolves += 1
+        if angles.size == 0:
+            break
+        mids = np.exp(1j * (angles + np.diff(angles, append=angles[0] + 2 * np.pi) / 2))
+        values = _sigma_min(model, mids)
+        j = int(np.argmin(values))
+        if values[j] < gamma:
+            gamma, worst_z = float(values[j]), complex(mids[j])
+        if not values[j] < level:
+            break
+    ap_sv = np.linalg.svd(model.ar_ops[-1].matrix, compute_uv=False)
     ap_cond = np.inf if ap_sv[-1] == 0.0 else float(ap_sv[0] / ap_sv[-1])
     return CircleCheck(
-        min_singular_value=float(values[j]),
-        worst_z=complex(nodes[j]),
-        n_grid=n_grid,
-        n_evaluated=n_evaluated,
+        min_singular_value=gamma,
+        worst_z=worst_z,
+        n_eigensolves=n_eigensolves,
         tol=CIRCLE_TOL,
-        passed=bool(values[j] > CIRCLE_TOL),
+        passed=gamma > CIRCLE_TOL,
         leading_ar_condition=ap_cond,
         leading_ar_invertible=bool(np.isfinite(ap_cond) and ap_cond < COND_LIMIT),
     )
@@ -317,13 +296,26 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
     count starts at :data:`DEFAULT_N_QUAD` (doubled to at least four
     times the reach of a given ``k_range``) and doubles, up to
     :data:`MAX_N_QUAD`, until two successive grids agree on the
-    extracted block to the same relative floor.  Range and stagnation
-    are judged by Frobenius norm, and the final block is trimmed to the
-    exact 2-norm floor, so the stored range, ``norms`` and
-    ``diagnostics["max_norm"]`` are those of spectral norms.  A failed
-    circle check aborts before any quadrature happens, since the
-    expansion does not exist.
+    extracted block to the same relative floor, so a ``k_range`` may
+    reach at most :data:`MAX_REACH`.  Range and stagnation are judged by
+    Frobenius norm, and the final block is trimmed to the exact 2-norm
+    floor, so the stored range, ``norms`` and ``diagnostics["max_norm"]``
+    are those of spectral norms.  A failed circle check aborts before any
+    quadrature happens, since the expansion does not exist.
     """
+    n = DEFAULT_N_QUAD
+    if k_range is not None:
+        k_min, k_max = int(k_range[0]), int(k_range[1])
+        if k_min > k_max:
+            raise SpecificationError(f"empty coefficient range {k_range}")
+        reach = max(abs(k_min), abs(k_max))
+        if reach > MAX_REACH:
+            raise SpecificationError(
+                f"coefficient range {k_range} reaches past |k| = {MAX_REACH}, the widest "
+                f"that two grids of at most {MAX_N_QUAD} nodes can confirm"
+            )
+        while n < 4 * max(reach, 8):
+            n *= 2
     circle = unit_circle_check(model)
     if not circle.passed:
         raise SingularOperatorError(
@@ -332,13 +324,6 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
             f"z={circle.worst_z:.6f}, needs > {circle.tol:.1e})",
             condition=1.0 / max(circle.min_singular_value, 1e-300),
         )
-    n = DEFAULT_N_QUAD
-    if k_range is not None:
-        k_min, k_max = int(k_range[0]), int(k_range[1])
-        if k_min > k_max:
-            raise SpecificationError(f"empty coefficient range {k_range}")
-        while n < 4 * max(abs(k_min), abs(k_max), 8):
-            n *= 2
     prev_block = None
     prev_range = None
     for n, psi_wrapped in _wrapped_coeffs(model, n):

@@ -474,6 +474,23 @@ class TestSubcommands:
         assert doc["ok"] is False
         assert doc["min_singular_value"] < 1e-12
 
+    def test_check_circle_dip_between_nodes_and_probes(self, tmp_path, capsys):
+        # min sigma 9.91e-7 at phi; the old 512-node scan and both eigenvalue
+        # probes (at phi -+ 5e-4) saw no less than 1.12e-6
+        phi = 100.5 * 2 * np.pi / 512
+        lam, mu = (np.exp(-1j * (phi + s)) / 1.001 for s in (-5e-4, 5e-4))
+        entries = [[[lam.real, lam.imag], 1.2589254117941675], [0.0, [mu.real, mu.imag]]]
+        path = tmp_path / "dip.json"
+        path.write_text(json.dumps({
+            "ar": [{"kind": "dense", "dim": 2, "params": {"entries": entries}}],
+            "ma": [{"kind": "identity", "dim": 2}],
+        }))
+        code, out = run_cli("check-circle", "--model", str(path), capsys=capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["min_singular_value"] == pytest.approx(9.911e-7, rel=1e-4)
+
     def test_check_circle_good_model(self, hyper_model, capsys):
         code, out = run_cli("check-circle", "--model", str(hyper_model), capsys=capsys)
         assert code == 0
@@ -911,7 +928,6 @@ _HYPER = {
     "ar": [{"kind": "multiplication", "dim": 2, "params": {"multipliers": [0.5, 2.0]}}],
     "ma": [{"kind": "identity", "dim": 2}],
 }
-_ZERO_AR = {"ar": [{"kind": "zero", "dim": 2}], "ma": [{"kind": "identity", "dim": 2}]}
 _POINT = {"kind": "point_mass", "dim": 2, "params": {"value": [1.0, 0.0]}}
 _MULT = {"kind": "multiplication", "dim": 2, "params": {"multipliers": [1, 2]}}
 
@@ -924,8 +940,8 @@ class TestUsageErrors:
             ("split --model M --n-quad 1", {"M": _HYPER}),
             ("laurent --model M --n-quad 0", {"M": _HYPER}),
             ("laurent --model M --n-quad -8", {"M": _HYPER}),
-            ("check-circle --model M --n-grid -4", {"M": _HYPER}),
-            ("check-circle --model M --n-grid 0", {"M": _ZERO_AR}),
+            ("laurent --model M --k-min 0 --k-max 1025", {"M": _HYPER}),
+            ("laurent --model M --k-min -3000 --k-max 3000", {"M": _HYPER}),
             ("scenario isometry --set powers=3", {}),
             ("scenario volterra --set grid=abc", {}),
             (
@@ -952,8 +968,8 @@ class TestUsageErrors:
             "split-n-quad-1",
             "laurent-n-quad-0",
             "laurent-n-quad-negative",
-            "check-circle-n-grid-negative",
-            "check-circle-n-grid-0-zero-ar",
+            "laurent-reach-past-1024",
+            "laurent-reach-past-2048",
             "scenario-list-override-not-a-list",
             "scenario-int-override-not-a-number",
             "transform-params-not-an-object",

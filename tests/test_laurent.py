@@ -1,7 +1,5 @@
 """Transfer-function coefficients: oracles, circle checks, envelopes."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,22 +137,34 @@ def test_circle_check_reports_leading_ar_singularity():
     assert cc.leading_ar_condition == np.inf
 
 
-def _full_scan(model, n_grid):
-    """The reference scan: an SVD at every node, the denominators formed in
-    512-node batches; returns (min sigma, first z attaining it, node count)."""
+def _full_scan(model):
+    """The old scan's minimum: an SVD at 512 equispaced nodes and at each
+    eigenvalue probe."""
     eigs = np.linalg.eigvals(companion_lift(model).matrix)
     eigs = eigs[eigs != 0]
-    nodes = np.concatenate(
-        [np.exp(2j * np.pi * np.arange(n_grid) / n_grid), eigs.conj() / np.abs(eigs)]
-    )
-    mins = np.concatenate(
-        [
-            np.linalg.svd(laurent._denominators(model, nodes[i : i + 512]), compute_uv=False)[:, -1]
-            for i in range(0, nodes.size, 512)
-        ]
-    )
-    j = int(np.argmin(mins))
-    return float(mins[j]), complex(nodes[j]), nodes.size
+    grid = np.exp(2j * np.pi * np.arange(512) / 512)
+    nodes = np.concatenate([grid, eigs.conj() / np.abs(eigs)])
+    return float(laurent._sigma_min(model, nodes).min())
+
+
+def _refined_sweep(model, n=1024, n_minima=8, steps=48):
+    """Minimum of an n-node sweep, refined by golden section around its
+    ``n_minima`` lowest local minima, all brackets at once."""
+    theta = 2 * np.pi * np.arange(n) / n
+    values = laurent._sigma_min(model, np.exp(1j * theta))
+    local = np.flatnonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))
+    local = local[np.argsort(values[local])[:n_minima]]
+    lo, hi = theta[local] - 2 * np.pi / n, theta[local] + 2 * np.pi / n
+    g = (np.sqrt(5) - 1) / 2
+    best = values.min()
+    for _ in range(steps):
+        left, right = hi - g * (hi - lo), lo + g * (hi - lo)
+        pair = laurent._sigma_min(model, np.exp(1j * np.concatenate([left, right])))
+        f_left, f_right = np.split(pair, 2)
+        best = min(best, pair.min())
+        keep_left = f_left < f_right
+        hi, lo = np.where(keep_left, right, hi), np.where(keep_left, lo, left)
+    return float(best)
 
 
 def _factored_model(rng, d, p, real, scale, root_angle=None):
@@ -190,19 +200,15 @@ def _factored_model(rng, d, p, real, scale, root_angle=None):
 @given(
     st.integers(1, 6),
     st.integers(1, 3),
-    st.sampled_from([1, 2, 7, 512, 1300]),
     st.booleans(),
     st.sampled_from(["none", "root_on_node", "root_between_nodes", "zero", "tiny"]),
     st.sampled_from([0.3, 1.0, 3.0]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_circle_scan_equals_the_full_scan(d, p, n_grid, real, kind, scale, seed):
-    # real models have mirror-symmetric sigma profiles, so z and conj(z) tie;
-    # a tiny AR part leaves sigma flat at 1 up to the SVD's rounding, where
-    # only the scan's slack keeps the first argmin
+def test_circle_check_attains_the_whole_circle_minimum(d, p, real, kind, scale, seed):
+    # the roots sit on a node of the old 512-node scan or between two
     rng = np.random.default_rng(seed)
-    j = int(rng.integers(n_grid))
     if kind == "zero":
         model = arma_model([dense_operator(np.zeros((d, d)))] * p, [dense_operator(np.eye(d))])
     elif kind == "tiny":
@@ -211,66 +217,47 @@ def test_circle_scan_equals_the_full_scan(d, p, n_grid, real, kind, scale, seed)
         model = _factored_model(rng, d, p, real, scale)
     else:
         offset = 0.0 if kind == "root_on_node" else 0.37
-        model = _factored_model(rng, d, p, real, scale, 2 * np.pi * (j + offset) / n_grid)
-    ref_min, ref_z, n_nodes = _full_scan(model, n_grid)
-    cc = unit_circle_check(model, n_grid)
-    assert cc.min_singular_value == ref_min
-    assert cc.worst_z == ref_z
-    assert cc.passed == (ref_min > CIRCLE_TOL)
-    assert 1 <= cc.n_evaluated <= n_nodes
-
-
-def test_circle_scan_keeps_the_batch_bits():
-    # with p >= 2 the denominators' product takes another BLAS route for
-    # another set of nodes, so the scan forms the full scan's 512-node
-    # batches and takes the SVDs of the rows it keeps; forming only the kept
-    # nodes moves this model's minimum by 1 ulp (with OpenBLAS)
-    rng = np.random.default_rng(211)
-    d = 4
-    model = arma_model(
-        [dense_operator(rng.standard_normal((d, d)) / (2 * np.sqrt(d))) for _ in range(3)],
-        [dense_operator(np.eye(d))],
-    )
-    ref_min, ref_z, _ = _full_scan(model, 1300)
-    cc = unit_circle_check(model, 1300)
-    assert (cc.min_singular_value, cc.worst_z) == (ref_min, ref_z)
-
-
-def test_circle_scan_forms_denominators_per_batch():
-    # all 200 000 denominators at once would take 205 MB
-    rng = np.random.default_rng(3)
-    d = 8
-    model = arma_model(
-        [dense_operator(rng.standard_normal((d, d)) / np.sqrt(d))], [dense_operator(np.eye(d))]
-    )
-    tracemalloc.start()
-    try:
-        unit_circle_check(model, n_grid=200_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 2**20
-
-
-def _unitary(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def test_circle_scan_rules_out_most_nodes_of_a_planted_model():
-    # the benchmark's planted AR(1): half the spectrum at moduli in
-    # [0.4, 0.85], half in [1.25, 2.2], in an eigenbasis of condition 10
-    rng = np.random.default_rng(1)
-    d = 64
-    moduli = np.concatenate([rng.uniform(0.4, 0.85, d // 2), rng.uniform(1.25, 2.2, d // 2)])
-    moduli[0], moduli[d // 2] = 0.85, 1.25
-    eigs = moduli * np.exp(2j * np.pi * rng.uniform(size=d))
-    basis = (_unitary(rng, d) * np.geomspace(1.0, 10.0, d)) @ _unitary(rng, d).conj().T
-    a = basis @ np.diag(eigs) @ np.linalg.inv(basis)
-    model = arma_model([dense_operator(a)], [dense_operator(np.eye(d))])
+        angle = 2 * np.pi * (int(rng.integers(512)) + offset) / 512
+        model = _factored_model(rng, d, p, real, scale, angle)
     cc = unit_circle_check(model)
-    assert cc.passed
-    assert cc.n_evaluated <= 0.35 * (512 + d)
+    # sigma_min's rounding, for minima that are zero in exact arithmetic
+    norms = [np.linalg.norm(a.matrix, 2) for a in model.ar_ops]
+    slack = 64 * (p + 1) * d * np.finfo(float).eps * (1 + sum(norms))
+    assert cc.min_singular_value <= _full_scan(model) * (1 + 1e-10) + slack
+    assert cc.min_singular_value <= _refined_sweep(model) * (1 + 1e-10) + slack
+    assert abs(cc.worst_z) == pytest.approx(1.0, abs=1e-15)
+    at_worst = laurent._sigma_min(model, np.array([cc.worst_z]))[0]
+    assert at_worst == pytest.approx(cc.min_singular_value, rel=1e-12, abs=slack)
+    assert cc.passed == (cc.min_singular_value > CIRCLE_TOL)
+    assert 0 <= cc.n_eigensolves <= laurent.MAX_LEVELS
+
+
+def _planted_model():
+    """A 2x2 AR(1) whose min sigma, 9.91e-7 at angle phi, is below CIRCLE_TOL
+    while every node of the old 512-node scan and both eigenvalue probes
+    (at phi -+ 5e-4) stay above it (the scan reported 1.12e-6)."""
+    phi = 100.5 * 2 * np.pi / 512
+    lam, mu = (np.exp(-1j * (phi + s)) / 1.001 for s in (-5e-4, 5e-4))
+    a = np.array([[lam, 1.2589254117941675], [0, mu]])
+    return arma_model([dense_operator(a)], [dense_operator(np.eye(2))])
+
+
+def test_circle_check_fails_a_dip_between_nodes_and_probes():
+    model = _planted_model()
+    assert _full_scan(model) > CIRCLE_TOL
+    cc = unit_circle_check(model)
+    assert not cc.passed
+    assert cc.min_singular_value == pytest.approx(9.911e-7, rel=1e-4)
+    assert np.angle(cc.worst_z) == pytest.approx(100.5 * 2 * np.pi / 512, abs=1e-6)
+    with pytest.raises(SingularOperatorError, match="nearly singular on the circle"):
+        laurent_coeffs(model)
+
+
+def test_circle_check_gives_up_after_max_levels(monkeypatch):
+    # the planted dip takes a second level; with one allowed the check raises
+    monkeypatch.setattr(laurent, "MAX_LEVELS", 1)
+    with pytest.raises(QuadratureError, match="within 1 eigensolves"):
+        unit_circle_check(_planted_model())
 
 
 def test_decay_envelope_majorizes_and_tracks_rate():
@@ -307,6 +294,18 @@ def test_explicit_range_and_evaluate():
         lc.coefficient(13)
     with pytest.raises(SpecificationError):
         laurent_coeffs(model, k_range=(4, -4))
+
+
+def test_explicit_range_reaches_at_most_an_eighth_of_the_node_cap():
+    model = scalar_model([0.5], [1.0])
+    for k_range in [(0, 1024), (-1024, 3)]:
+        lc = laurent_coeffs(model, k_range=k_range)
+        assert (lc.k_min, lc.k_max) == k_range
+        assert lc.n_quad == laurent.MAX_N_QUAD
+        assert lc.coefficient(3)[0, 0] == pytest.approx(0.125, rel=1e-12)
+    for k_range in [(0, 1025), (-3000, 3000)]:
+        with pytest.raises(SpecificationError, match="reaches past .k. = 1024"):
+            laurent_coeffs(model, k_range=k_range)
 
 
 def test_slow_decay_grows_the_grid():
