@@ -16,7 +16,10 @@ The only quadrature error is aliasing, psi_hat_k = sum over m congruent
 to k mod n of psi_m, which dies geometrically in n; a grid-doubling
 loop detects stagnation the same way the projector quadrature does.
 Each doubling evaluates H only at the n new odd nodes and merges their
-DFT into the old coefficients by one radix-2 step.
+DFT into the old coefficients by one radix-2 step, in place: the grid is
+held as consecutive pieces, so a doubling holds 1.5 grids of the new
+size at most, and the stagnation test reads each old coefficient just
+before the step overwrites it.
 
 The range and the stagnation test run on Frobenius norms, which bound
 the spectral norm from above (||psi||_2 <= ||psi||_F <= sqrt(d) ||psi||_2),
@@ -61,6 +64,9 @@ REL_FLOOR = 1e-12
 
 DEFAULT_N_QUAD = 256
 MAX_N_QUAD = 8192
+
+#: values of H solved at once while a grid is filled
+SOLVE_BLOCK = 2**16
 
 #: widest |k| of an explicit range: it starts the quadrature at 4 |k| nodes or
 #: more, and stagnation needs the doubled grid too
@@ -151,10 +157,11 @@ def unit_circle_check(model: ArmaModel) -> CircleCheck:
     A level-set iteration (Boyd & Balakrishnan, Systems & Control Letters,
     1990; Byers, SIAM J. Sci. Stat. Comput., 1988, gives the bisection
     form).  The value gamma starts as the smallest over 8 equispaced nodes
-    and, for each nonzero eigenvalue lambda of the companion lift, the
-    point conj(lambda)/|lambda| nearest to the root 1/lambda of the
-    determinant, so a unit root is hit exactly.  Each step takes the
-    angles where some singular value equals the level gamma (1 -
+    and one probe: for the nonzero eigenvalue lambda of the companion lift
+    nearest the circle (smallest | |lambda| - 1 |), the point
+    conj(lambda)/|lambda| nearest to the root 1/lambda of the determinant,
+    so a unit root, which has |lambda| = 1, is hit exactly.  Each step
+    takes the angles where some singular value equals the level gamma (1 -
     :data:`LEVEL_GAP`) (:func:`_level_angles`).  Between two consecutive
     ones sigma_min stays on one side of the level, so an SVD at each arc's
     midpoint finds every arc below it, and gamma moves to the smallest
@@ -171,6 +178,7 @@ def unit_circle_check(model: ArmaModel) -> CircleCheck:
     """
     eigs = np.linalg.eigvals(companion_lift(model).matrix)
     eigs = eigs[eigs != 0]
+    eigs = eigs[np.argsort(np.abs(np.abs(eigs) - 1))[:1]]
     nodes = np.concatenate([np.exp(2j * np.pi * np.arange(8) / 8), eigs.conj() / np.abs(eigs)])
     values = _sigma_min(model, nodes)
     j = int(np.argmin(values))
@@ -255,37 +263,80 @@ def _active_range(norms_wrapped: np.ndarray, n: int, floor: float):
     return k_min, k_max
 
 
-def _wrapped_coeffs(model: ArmaModel, n: int):
-    """Yield ``(n, psi_wrapped)`` on the n-grid, then on each doubled grid
-    up to :data:`MAX_N_QUAD`; ``psi_wrapped[k]`` is the trapezoid value of
-    psi_k (k mod n).
+def _transform(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
+    """FFT of H over ``nodes``, divided by their count.
 
-    Doubling transforms only the n new odd nodes z_j e^{i pi / n}: with
-    F their DFT over n and w_k = e^{-i pi k / n}, the 2n-grid values are
-    [psi + w F, psi - w F] / 2 (one radix-2 Cooley-Tukey step).
+    H is solved :data:`SOLVE_BLOCK` values at a time into one buffer,
+    which is dropped as soon as the FFT has returned its own array.  The
+    nodes per block are a power of two, so the blocks tile every grid
+    exactly, and two at least: the product in :func:`_polynomial` rounds
+    differently for a single node, and the coefficients would change.
     """
-    nodes = np.exp(2j * np.pi * np.arange(n) / n)
-    psi = np.fft.fft(_batched_transfer(model, nodes), axis=0) / n
-    while True:
-        yield n, psi
-        if 2 * n > MAX_N_QUAD:
-            return
-        odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
-        f = np.fft.fft(_batched_transfer(model, odd), axis=0) / n
-        f *= np.exp(-1j * np.pi * np.arange(n) / n)[:, None, None]
-        # formed in place: halving is exact, so the bits are those of
-        # concatenating the sum and the difference and dividing by 2
-        doubled = np.empty((2 * n, *psi.shape[1:]), psi.dtype)
-        np.add(psi, f, out=doubled[:n])
-        np.subtract(psi, f, out=doubled[n:])
-        doubled *= 0.5
-        psi = doubled
-        n *= 2
+    n, d = nodes.size, model.dim
+    step = min(n, 1 << max(1, (SOLVE_BLOCK // (d * d)).bit_length() - 1))
+    h = np.empty((n, d, d), complex)
+    for s in range(0, n, step):
+        h[s : s + step] = _batched_transfer(model, nodes[s : s + step])
+    f = np.fft.fft(h, axis=0)
+    del h
+    f /= n
+    return f
 
 
-def _extract(psi_wrapped: np.ndarray, n: int, k_min: int, k_max: int) -> np.ndarray:
-    idx = np.arange(k_min, k_max + 1) % n
-    return psi_wrapped[idx]
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-contiguous (m, d, d) stack."""
+    flat = stack.view(float).reshape(len(stack), -1)
+    return np.sqrt(np.einsum("ki,ki->k", flat, flat))
+
+
+def _rows(grid: list, positions: np.ndarray) -> np.ndarray:
+    """The coefficients at ``positions`` of a grid held as consecutive pieces."""
+    out = np.empty((positions.size, *grid[0].shape[1:]), grid[0].dtype)
+    start = 0
+    for piece in grid:
+        here = (positions >= start) & (positions < start + len(piece))
+        out[here] = piece[positions[here] - start]
+        start += len(piece)
+    return out
+
+
+def _double(model: ArmaModel, grid: list, n: int, rng) -> float:
+    """Turn the n-node ``grid`` into the 2n-node one in place and return
+    max |psi_2n - psi_n| over the k-range ``rng`` (inf without one).
+
+    With F the DFT of H over the n new odd nodes z_j e^{i pi / n} and
+    w_k = e^{-i pi k / n}, the 2n-grid values are [psi + w F, psi - w F] / 2
+    (one radix-2 Cooley-Tukey step).  Each old piece takes its part of the
+    first half and w F becomes the second half, a new last piece, so the
+    doubling holds the old grid, H and F at most.  Coefficient k >= 0 stays
+    at index k, in the first half; k < 0 moves from n + k to 2n + k, in the
+    second; both are compared with the old value before it is overwritten.
+    """
+    odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
+    wf = _transform(model, odd)
+    wf *= np.exp(-1j * np.pi * np.arange(n) / n)[:, None, None]
+    step = max(1, SOLVE_BLOCK // wf[0].size)
+    diff = 0.0 if rng is not None else np.inf
+    start = 0
+    for piece in grid:
+        for s in range(0, len(piece), step):
+            psi = piece[s : s + step]
+            high = wf[start + s : start + s + len(psi)]
+            low = psi + high
+            np.subtract(psi, high, out=high)
+            low *= 0.5
+            high *= 0.5
+            if rng is not None:
+                j = np.arange(start + s, start + s + len(psi))
+                k = np.where(j < n // 2, j, j - n)
+                in_range = (k >= rng[0]) & (k <= rng[1])
+                for new, side in ((low, k >= 0), (high, k < 0)):
+                    sel = in_range & side
+                    diff = np.maximum(diff, np.abs(new[sel] - psi[sel]).max(initial=0.0))
+            psi[...] = low
+        start += len(piece)
+    grid.append(wf)
+    return float(diff)
 
 
 def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoeffs:
@@ -324,28 +375,29 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
             f"z={circle.worst_z:.6f}, needs > {circle.tol:.1e})",
             condition=1.0 / max(circle.min_singular_value, 1e-300),
         )
-    prev_block = None
-    prev_range = None
-    for n, psi_wrapped in _wrapped_coeffs(model, n):
-        flat = psi_wrapped.view(float).reshape(n, -1)
-        fro = np.sqrt(np.einsum("ki,ki->k", flat, flat))
+    grid = [_transform(model, np.exp(2j * np.pi * np.arange(n) / n))]
+    prev_range = diff = None
+    while True:
+        fro = np.concatenate([_frobenius_norms(piece) for piece in grid])
         # ||psi||_2 >= ||psi||_F / sqrt(d): only these can hold the largest 2-norm
-        top = _spectral_norms(psi_wrapped[fro >= fro.max() / np.sqrt(model.dim)]).max()
+        candidates = np.flatnonzero(fro >= fro.max() / np.sqrt(model.dim))
+        top = _spectral_norms(_rows(grid, candidates)).max()
         floor = REL_FLOOR * max(top, 1e-300)
         if k_range is None:
             rng = _active_range(fro, n, floor)
         else:
             rng = (k_min, k_max)
-        if rng is not None:
-            block = _extract(psi_wrapped, n, rng[0], rng[1])
-            if prev_block is not None and prev_range == rng:
-                diff = np.abs(block - prev_block).max()
-                if diff <= floor:
-                    return _finalize(model, block, rng, n, top, circle, k_range is None)
-            prev_block, prev_range = block, rng
-    raise QuadratureError(
-        f"coefficient quadrature did not stagnate within {MAX_N_QUAD} nodes"
-    )
+        if rng is not None and rng == prev_range and diff <= floor:
+            block = _rows(grid, np.arange(rng[0], rng[1] + 1) % n)
+            del grid
+            return _finalize(model, block, rng, n, top, circle, k_range is None)
+        if 2 * n > MAX_N_QUAD:
+            raise QuadratureError(
+                f"coefficient quadrature did not stagnate within {MAX_N_QUAD} nodes"
+            )
+        diff = _double(model, grid, n, rng)
+        prev_range = rng
+        n *= 2
 
 
 def _finalize(model, block, rng, n, top, circle, trim) -> LaurentCoeffs:

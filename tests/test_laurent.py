@@ -1,5 +1,7 @@
 """Transfer-function coefficients: oracles, circle checks, envelopes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -404,32 +406,91 @@ def _planted_models():
         "ar1": arma_model([dense_operator(_planted(rng, d))], ma),
         # (I - z C1)(I - z C2): the companion spectrum is eig(C1) | eig(C2)
         "ar2": arma_model([dense_operator(c1 + c2), dense_operator(-c1 @ c2)], ma),
+        # complex B_1, B_2: H solved one node at a time rounds differently here
+        "ar1_q2": arma_model(
+            [dense_operator(c1)],
+            [dense_operator(np.eye(d))]
+            + [dense_operator(0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))] * 2,
+        ),
     }
 
 
-def _full_fft_coeffs(model, n):
-    """The reference for the radix-2 update: every grid transformed in full."""
-    while n <= laurent.MAX_N_QUAD:
-        nodes = np.exp(2j * np.pi * np.arange(n) / n)
-        yield n, np.fft.fft(laurent._batched_transfer(model, nodes), axis=0) / n
+def _out_of_place_coeffs(model, k_range=None):
+    """The reference for the in-place quadrature: each grid held whole, the
+    doubled one built beside it, and a copy of the previous block kept for
+    the stagnation test."""
+    n = laurent.DEFAULT_N_QUAD
+    if k_range is not None:
+        while n < 4 * max(abs(k_range[0]), abs(k_range[1]), 8):
+            n *= 2
+    nodes = np.exp(2j * np.pi * np.arange(n) / n)
+    psi = np.fft.fft(laurent._batched_transfer(model, nodes), axis=0) / n
+    prev_block = prev_range = None
+    while True:
+        flat = psi.view(float).reshape(n, -1)
+        fro = np.sqrt(np.einsum("ki,ki->k", flat, flat))
+        top = laurent._spectral_norms(psi[fro >= fro.max() / np.sqrt(model.dim)]).max()
+        floor = laurent.REL_FLOOR * max(top, 1e-300)
+        rng = laurent._active_range(fro, n, floor) if k_range is None else tuple(k_range)
+        if rng is not None:
+            block = psi[np.arange(rng[0], rng[1] + 1) % n]
+            if prev_range == rng and np.abs(block - prev_block).max() <= floor:
+                circle = unit_circle_check(model)
+                return laurent._finalize(model, block, rng, n, top, circle, k_range is None)
+            prev_block, prev_range = block, rng
+        assert 2 * n <= laurent.MAX_N_QUAD
+        odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
+        f = np.fft.fft(laurent._batched_transfer(model, odd), axis=0) / n
+        f *= np.exp(-1j * np.pi * np.arange(n) / n)[:, None, None]
+        psi = np.concatenate([psi + f, psi - f]) * 0.5
         n *= 2
 
 
-@pytest.mark.parametrize("name", ["ar1", "ar2"])
-def test_radix2_update_equals_a_full_fft_of_the_merged_grid(name, monkeypatch):
-    model = _planted_models()[name]
-    lc = laurent_coeffs(model)
-    for (n, psi), (n_ref, ref) in zip(
-        laurent._wrapped_coeffs(model, 256), _full_fft_coeffs(model, 256)
-    ):
-        assert n == n_ref
-        assert np.abs(psi - ref).max() <= 1e-13 * np.abs(ref).max()
-        if n == lc.n_quad:
-            break
-    monkeypatch.setattr(laurent, "_wrapped_coeffs", _full_fft_coeffs)
-    ref = laurent_coeffs(model)
-    assert (lc.n_quad, lc.k_min, lc.k_max) == (ref.n_quad, ref.k_min, ref.k_max)
-    assert np.abs(lc.coeffs - ref.coeffs).max() <= 1e-13 * np.abs(ref.coeffs).max()
+@pytest.mark.parametrize(
+    "name, k_range",
+    [("ar1", None), ("ar2", None), ("ar1_q2", None), ("ar2", (-7, 40)), ("slow_decay", None)],
+)
+def test_in_place_quadrature_keeps_the_bits_of_the_out_of_place_one(name, k_range):
+    # slow_decay reaches 2048 nodes or more, so the first half of its grid
+    # is itself split over several pieces
+    models = dict(_planted_models(), slow_decay=scalar_model([0.97], [1.0]))
+    model = models[name]
+    lc = laurent_coeffs(model, k_range=k_range)
+    ref = _out_of_place_coeffs(model, k_range)
+    assert (lc.k_min, lc.k_max, lc.n_quad) == (ref.k_min, ref.k_max, ref.n_quad)
+    assert lc.coeffs.tobytes() == ref.coeffs.tobytes()
+    assert lc.norms.tobytes() == ref.norms.tobytes()
+    assert (lc.decay_a, lc.decay_b) == (ref.decay_a, ref.decay_b)
+    assert lc.reconstruction_residual == ref.reconstruction_residual
+    assert lc.diagnostics == ref.diagnostics
+    if name == "slow_decay":
+        assert lc.n_quad >= 2048
+    # and the radix-2 steps agree with one FFT of the whole final grid
+    nodes = np.exp(2j * np.pi * np.arange(lc.n_quad) / lc.n_quad)
+    full = np.fft.fft(laurent._batched_transfer(model, nodes), axis=0) / lc.n_quad
+    assert np.abs(lc.coeffs - full[lc.ks % lc.n_quad]).max() <= 1e-13 * np.abs(full).max()
+
+
+def test_quadrature_holds_one_and_a_half_grids():
+    # the last doubling holds the old grid, H at the new nodes and their FFT;
+    # a grid doubled beside the old one, or a copy of the previous block
+    # (here 286 coefficients, over a quarter grid), would pass 1.75 grids
+    rng = np.random.default_rng(32)
+    d = 32
+    moduli = np.concatenate([rng.uniform(0.4, 0.85, d // 2), rng.uniform(1.25, 2.2, d // 2)])
+    # the slowest decay on both sides sets the range and the node count
+    moduli[0], moduli[-1] = 0.85, 1.25
+    basis = np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    a = basis @ np.diag(moduli * np.exp(2j * np.pi * rng.uniform(size=d))) @ np.linalg.inv(basis)
+    model = arma_model([dense_operator(a)], [dense_operator(np.eye(d))])
+    tracemalloc.start()
+    try:
+        lc = laurent_coeffs(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lc.n_quad == 1024
+    assert peak <= 1.75 * lc.n_quad * d * d * 16
 
 
 def test_reconstruction_points_see_aliasing():
