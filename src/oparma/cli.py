@@ -3,8 +3,9 @@
 Exit codes: 0 on success (and all checks green), 1 when a mathematical
 check fails (circle check negative, scenario or verify checks red,
 non-hyperbolic spectrum, a path that leaves the float range), 2 on
-usage or input errors (bad flags, missing or invalid files).  Results go
-to standard output or ``--out``; diagnostics go to standard error.
+usage or input errors (bad flags, missing or invalid files, an ``--out``
+path that cannot be written).  Results go to standard output or
+``--out``; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -141,7 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise SpecificationError(f"{out}: cannot write: {exc.strerror or exc}") from None
         print(f"wrote {out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

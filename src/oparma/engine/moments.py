@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import SpecificationError
+from ..errors import DimensionMismatchError, SpecificationError
 from ..operators import Operator
 from .noise import NoiseSpec, _table_lookup, log_norm_blocks
 
@@ -254,6 +254,10 @@ def moment_estimate(
     if n_samples < 1000:
         raise SpecificationError(f"need at least 1000 samples, got {n_samples}")
     t_mat = _transform_matrix(transform)
+    if t_mat is not None and t_mat.shape[0] != spec.dim:
+        raise DimensionMismatchError(
+            f"transform has dim {t_mat.shape[0]}, but the noise has dim {spec.dim}"
+        )
     g = np.empty(n_samples)
     for lo, logs in log_norm_blocks(spec, n_samples, stream, t_mat):
         g[lo : lo + logs.shape[0]] = transform_log_norms(logs, moment_kind)

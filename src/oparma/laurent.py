@@ -24,9 +24,11 @@ before the step overwrites it.
 The range and the stagnation test run on Frobenius norms, which bound
 the spectral norm from above (||psi||_2 <= ||psi||_F <= sqrt(d) ||psi||_2),
 so the searched range can only be wider than needed.  Spectral norms
-(one SVD each) are taken only where a value is reported: the few
+(one SVD each) are taken only where a value is needed: the few
 coefficients that can hold the largest one, which sets the floor, and
-the final block, which is then trimmed to the exact 2-norm floor.
+the ends of the final block, walked in one coefficient at a time until
+one is above the floor.  The norms of the stored block and the decay
+envelope fitted to them are computed when they are read.
 
 On the two-sided representation: nonzero coefficients at negative k are
 exactly the anticausal part of the stationary solution contributed by
@@ -216,20 +218,22 @@ def unit_circle_check(model: ArmaModel) -> CircleCheck:
 class LaurentCoeffs:
     """Laurent coefficients psi_k for k in [k_min, k_max] plus diagnostics.
 
-    ``coeffs[i]`` is psi_{k_min + i}.  ``decay_a`` and ``decay_b`` give a
-    majorizing envelope ||psi_k|| <= decay_a * decay_b**|k| valid over
-    the whole stored range.  ``reconstruction_residual`` is the largest
-    relative mismatch between the truncated series and H on circle
-    points offset from the quadrature grid.
+    ``coeffs[i]`` is psi_{k_min + i}.  ``reconstruction_residual`` is the
+    largest relative mismatch between the truncated series and H on
+    circle points offset from the quadrature grid, and
+    ``diagnostics["max_norm"]`` the largest coefficient 2-norm.
+
+    ``norms`` (the 2-norm of each coefficient) and the envelope
+    ``decay_a`` and ``decay_b``, with ||psi_k|| <= decay_a * decay_b**|k|
+    over the whole stored range, are computed on each access: one SVD per
+    coefficient, which no certificate reads.  :meth:`envelope` fits the
+    envelope to norms already taken.
     """
 
     k_min: int
     k_max: int
     coeffs: np.ndarray
-    norms: np.ndarray
     n_quad: int
-    decay_a: float
-    decay_b: float
     reconstruction_residual: float
     circle: CircleCheck
     diagnostics: dict = field(default_factory=dict)
@@ -237,6 +241,23 @@ class LaurentCoeffs:
     @property
     def ks(self) -> np.ndarray:
         return np.arange(self.k_min, self.k_max + 1)
+
+    @property
+    def norms(self) -> np.ndarray:
+        return _spectral_norms(self.coeffs)
+
+    @property
+    def decay_a(self) -> float:
+        return self.envelope(self.norms)[0]
+
+    @property
+    def decay_b(self) -> float:
+        return self.envelope(self.norms)[1]
+
+    def envelope(self, norms: np.ndarray):
+        """(decay_a, decay_b) fitted to ``norms``, the values of :attr:`norms`."""
+        floor = REL_FLOOR * max(self.diagnostics["max_norm"], 1e-300)
+        return _fit_decay(self.ks, norms, floor)
 
     def coefficient(self, k: int) -> np.ndarray:
         if not self.k_min <= k <= self.k_max:
@@ -321,18 +342,18 @@ def _double(model: ArmaModel, grid: list, n: int, rng) -> float:
     for piece in grid:
         for s in range(0, len(piece), step):
             psi = piece[s : s + step]
-            high = wf[start + s : start + s + len(psi)]
+            j = start + s
+            high = wf[j : j + len(psi)]
             low = psi + high
             np.subtract(psi, high, out=high)
             low *= 0.5
             high *= 0.5
             if rng is not None:
-                j = np.arange(start + s, start + s + len(psi))
-                k = np.where(j < n // 2, j, j - n)
-                in_range = (k >= rng[0]) & (k <= rng[1])
-                for new, side in ((low, k >= 0), (high, k < 0)):
-                    sel = in_range & side
-                    diff = np.maximum(diff, np.abs(new[sel] - psi[sel]).max(initial=0.0))
+                # the range is a front (k >= 0) and a back (k < 0) slice of the old grid
+                for new, first, last in ((low, 0, rng[1] + 1), (high, n + rng[0], n)):
+                    lo, hi = max(first - j, 0), min(last - j, len(psi))
+                    if lo < hi:
+                        diff = np.maximum(diff, np.abs(new[lo:hi] - psi[lo:hi]).max())
             psi[...] = low
         start += len(piece)
     grid.append(wf)
@@ -350,9 +371,12 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
     extracted block to the same relative floor, so a ``k_range`` may
     reach at most :data:`MAX_REACH`.  Range and stagnation are judged by
     Frobenius norm, and the final block is trimmed to the exact 2-norm
-    floor, so the stored range, ``norms`` and ``diagnostics["max_norm"]``
-    are those of spectral norms.  A failed circle check aborts before any
-    quadrature happens, since the expansion does not exist.
+    floor by walking in from each end, so the stored range and
+    ``diagnostics["max_norm"]`` are those of spectral norms.  Singular
+    values are taken for the coefficients that can hold the largest norm,
+    the trim's steps and the reconstruction check only; ``norms`` and the
+    decay envelope are computed when read.  A failed circle check aborts
+    before any quadrature happens, since the expansion does not exist.
     """
     n = DEFAULT_N_QUAD
     if k_range is not None:
@@ -401,26 +425,28 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
 
 
 def _finalize(model, block, rng, n, top, circle, trim) -> LaurentCoeffs:
-    floor = REL_FLOOR * max(top, 1e-300)
-    norms = _spectral_norms(block)
     k_min, k_max = rng
     if trim:
-        # the Frobenius range holds the 2-norm one; cut it back to that
-        k_min, k_max = _span(np.arange(rng[0], rng[1] + 1), norms > floor)
-        keep = slice(k_min - rng[0], k_max - rng[0] + 1)
-        block, norms = block[keep], norms[keep]
+        # the Frobenius range holds the 2-norm one; walk in from each end to
+        # the first coefficient above the floor, or to k = 0
+        floor = REL_FLOOR * max(top, 1e-300)
+
+        def below(k):
+            i = k - rng[0]
+            return not _spectral_norms(block[i : i + 1])[0] > floor
+
+        while k_max > 0 and below(k_max):
+            k_max -= 1
+        while k_min < 0 and below(k_min):
+            k_min += 1
+        block = block[k_min - rng[0] : k_max - rng[0] + 1]
     ks = np.arange(k_min, k_max + 1)
-    a, b = _fit_decay(ks, norms, floor)
-    recon = _reconstruction_residual(model, block, ks)
     return LaurentCoeffs(
         k_min=k_min,
         k_max=k_max,
         coeffs=block,
-        norms=norms,
         n_quad=n,
-        decay_a=a,
-        decay_b=b,
-        reconstruction_residual=recon,
+        reconstruction_residual=_reconstruction_residual(model, block, ks),
         circle=circle,
         diagnostics={"max_norm": float(top)},
     )

@@ -949,6 +949,10 @@ class TestUsageErrors:
                 {"N": _POINT, "T": {"kind": "dense", "dim": 2, "params": [1]}},
             ),
             ("moments --noise N --transform T", {"N": _POINT, "T": dict(_MULT, extra=1)}),
+            (
+                "moments --noise N --transform T --n-samples 1000",
+                {"N": _POINT, "T": {"kind": "identity", "dim": 3}},
+            ),
             ("scenario hyperbolic_pipeline --set window=1", {}),
             ("scenario rescaled_half_shift --set replicates=0", {}),
             ("scenario quasinilpotent_shift --set replicates=0", {}),
@@ -974,6 +978,7 @@ class TestUsageErrors:
             "scenario-int-override-not-a-number",
             "transform-params-not-an-object",
             "transform-unknown-key",
+            "transform-dim-differs-from-noise",
             "certify-window-below-p-plus-2",
             "rescaled-half-shift-zero-replicates",
             "quasinilpotent-zero-replicates",
@@ -998,6 +1003,19 @@ class TestUsageErrors:
     def test_bad_file_exit_2(self, tmp_path):
         code, _ = run_cli("split", "--model", str(tmp_path / "absent.json"))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "out, reason",
+        [(".", "Is a directory"), ("absent/out.json", "No such file or directory")],
+        ids=["out-is-a-directory", "out-in-a-missing-directory"],
+    )
+    def test_unwritable_out_exit_2(self, out, reason, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(_HYPER))
+        out = str(tmp_path / out)
+        assert parse_and_dispatch(["split", "--model", str(model), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"oparma split: {out}: cannot write: {reason}\n"
 
     def test_no_subcommand_exit_2(self):
         assert parse_and_dispatch([]) == 2

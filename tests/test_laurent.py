@@ -1,6 +1,7 @@
 """Transfer-function coefficients: oracles, circle checks, envelopes."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -337,7 +338,7 @@ def test_range_is_trimmed_to_the_spectral_norm_floor():
 def test_range_search_takes_fewer_svds_than_nodes(monkeypatch):
     # the grid doublings size the range by Frobenius norm; singular values
     # are taken only for the few coefficients that can hold the largest
-    # 2-norm, the stored block and the reconstruction test points
+    # 2-norm, the trim's steps and the reconstruction test points
     rng = np.random.default_rng(3)
     d = 16
     moduli = np.concatenate([rng.uniform(0.4, 0.85, d // 2), rng.uniform(1.25, 2.2, d // 2)])
@@ -415,10 +416,34 @@ def _planted_models():
     }
 
 
+def _trim_models():
+    """Models whose Frobenius range is wider than their 2-norm range, each
+    with (Frobenius range, 2-norm range): the trim walks in from the ends."""
+    q = np.linalg.qr(np.random.default_rng(21).normal(size=(8, 8)))[0]
+    eye, a = np.eye(8), 2e12
+
+    def model(ar, *ma):
+        return arma_model([dense_operator(ar)], [dense_operator(b) for b in ma])
+
+    return {
+        # ||psi_k||_F = 2 ||psi_k||_2 on both sides
+        "wide_frobenius": (
+            model(q @ np.diag([0.6] * 4 + [2.0] * 4) @ q.T, eye),
+            ((-40, 55), (-39, 54)),
+        ),
+        # psi_1 = 6e-13 I and psi_-1 = I / a sit between the floor and sqrt(8)
+        # times it, so each walk goes all the way to k = 0
+        "causal_floor": (model(0 * eye, eye, 6e-13 * eye), ((0, 1), (0, 0))),
+        "anticausal_floor": (model(a * eye, 0 * eye, -a * eye), ((-1, 0), (0, 0))),
+    }
+
+
 def _out_of_place_coeffs(model, k_range=None):
-    """The reference for the in-place quadrature: each grid held whole, the
-    doubled one built beside it, and a copy of the previous block kept for
-    the stagnation test."""
+    """The reference for the in-place quadrature and the walk-in trim: each
+    grid held whole, the doubled one built beside it, a copy of the previous
+    block kept for the stagnation test, and the 2-norms of the whole final
+    block taken at once and trimmed by ``_span``.  Also returns the
+    Frobenius range and the number of top-norm candidates over all grids."""
     n = laurent.DEFAULT_N_QUAD
     if k_range is not None:
         while n < 4 * max(abs(k_range[0]), abs(k_range[1]), 8):
@@ -426,17 +451,19 @@ def _out_of_place_coeffs(model, k_range=None):
     nodes = np.exp(2j * np.pi * np.arange(n) / n)
     psi = np.fft.fft(laurent._batched_transfer(model, nodes), axis=0) / n
     prev_block = prev_range = None
+    n_candidates = 0
     while True:
         flat = psi.view(float).reshape(n, -1)
         fro = np.sqrt(np.einsum("ki,ki->k", flat, flat))
-        top = laurent._spectral_norms(psi[fro >= fro.max() / np.sqrt(model.dim)]).max()
+        candidates = psi[fro >= fro.max() / np.sqrt(model.dim)]
+        n_candidates += len(candidates)
+        top = laurent._spectral_norms(candidates).max()
         floor = laurent.REL_FLOOR * max(top, 1e-300)
         rng = laurent._active_range(fro, n, floor) if k_range is None else tuple(k_range)
         if rng is not None:
             block = psi[np.arange(rng[0], rng[1] + 1) % n]
             if prev_range == rng and np.abs(block - prev_block).max() <= floor:
-                circle = unit_circle_check(model)
-                return laurent._finalize(model, block, rng, n, top, circle, k_range is None)
+                break
             prev_block, prev_range = block, rng
         assert 2 * n <= laurent.MAX_N_QUAD
         odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
@@ -444,16 +471,48 @@ def _out_of_place_coeffs(model, k_range=None):
         f *= np.exp(-1j * np.pi * np.arange(n) / n)[:, None, None]
         psi = np.concatenate([psi + f, psi - f]) * 0.5
         n *= 2
+    norms = laurent._spectral_norms(block)
+    k_min, k_max = rng
+    if k_range is None:
+        k_min, k_max = laurent._span(np.arange(rng[0], rng[1] + 1), norms > floor)
+        keep = slice(k_min - rng[0], k_max - rng[0] + 1)
+        block, norms = block[keep], norms[keep]
+    ks = np.arange(k_min, k_max + 1)
+    decay_a, decay_b = laurent._fit_decay(ks, norms, floor)
+    return SimpleNamespace(
+        k_min=k_min,
+        k_max=k_max,
+        coeffs=block,
+        norms=norms,
+        n_quad=n,
+        decay_a=decay_a,
+        decay_b=decay_b,
+        reconstruction_residual=laurent._reconstruction_residual(model, block, ks),
+        diagnostics={"max_norm": float(top)},
+        fro_range=rng,
+        n_candidates=n_candidates,
+    )
 
 
 @pytest.mark.parametrize(
     "name, k_range",
-    [("ar1", None), ("ar2", None), ("ar1_q2", None), ("ar2", (-7, 40)), ("slow_decay", None)],
+    [
+        ("ar1", None),
+        ("ar2", None),
+        ("ar1_q2", None),
+        ("ar2", (-7, 40)),
+        ("slow_decay", None),
+        ("wide_frobenius", None),
+        ("causal_floor", None),
+        ("anticausal_floor", None),
+    ],
 )
 def test_in_place_quadrature_keeps_the_bits_of_the_out_of_place_one(name, k_range):
     # slow_decay reaches 2048 nodes or more, so the first half of its grid
     # is itself split over several pieces
+    trims = _trim_models()
     models = dict(_planted_models(), slow_decay=scalar_model([0.97], [1.0]))
+    models.update({key: model for key, (model, _) in trims.items()})
     model = models[name]
     lc = laurent_coeffs(model, k_range=k_range)
     ref = _out_of_place_coeffs(model, k_range)
@@ -465,16 +524,16 @@ def test_in_place_quadrature_keeps_the_bits_of_the_out_of_place_one(name, k_rang
     assert lc.diagnostics == ref.diagnostics
     if name == "slow_decay":
         assert lc.n_quad >= 2048
+    if name in trims:
+        assert (ref.fro_range, (lc.k_min, lc.k_max)) == trims[name][1]
     # and the radix-2 steps agree with one FFT of the whole final grid
     nodes = np.exp(2j * np.pi * np.arange(lc.n_quad) / lc.n_quad)
     full = np.fft.fft(laurent._batched_transfer(model, nodes), axis=0) / lc.n_quad
     assert np.abs(lc.coeffs - full[lc.ks % lc.n_quad]).max() <= 1e-13 * np.abs(full).max()
 
 
-def test_quadrature_holds_one_and_a_half_grids():
-    # the last doubling holds the old grid, H at the new nodes and their FFT;
-    # a grid doubled beside the old one, or a copy of the previous block
-    # (here 286 coefficients, over a quarter grid), would pass 1.75 grids
+def _slow_ar1_d32():
+    """A dense d = 32 AR(1) whose Laurent grid ends at 1 024 nodes."""
     rng = np.random.default_rng(32)
     d = 32
     moduli = np.concatenate([rng.uniform(0.4, 0.85, d // 2), rng.uniform(1.25, 2.2, d // 2)])
@@ -482,7 +541,15 @@ def test_quadrature_holds_one_and_a_half_grids():
     moduli[0], moduli[-1] = 0.85, 1.25
     basis = np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     a = basis @ np.diag(moduli * np.exp(2j * np.pi * rng.uniform(size=d))) @ np.linalg.inv(basis)
-    model = arma_model([dense_operator(a)], [dense_operator(np.eye(d))])
+    return arma_model([dense_operator(a)], [dense_operator(np.eye(d))])
+
+
+def test_quadrature_holds_one_and_a_half_grids():
+    # the last doubling holds the old grid, H at the new nodes and their FFT;
+    # a grid doubled beside the old one, or a copy of the previous block
+    # (here 286 coefficients, over a quarter grid), would pass 1.75 grids
+    model = _slow_ar1_d32()
+    d = model.dim
     tracemalloc.start()
     try:
         lc = laurent_coeffs(model)
@@ -491,6 +558,27 @@ def test_quadrature_holds_one_and_a_half_grids():
         tracemalloc.stop()
     assert lc.n_quad == 1024
     assert peak <= 1.75 * lc.n_quad * d * d * 16
+
+
+def test_trim_takes_one_svd_per_step_not_one_per_coefficient(monkeypatch):
+    # singular values go to the top-norm candidates of each grid, the
+    # coefficients the trim steps over at each end, and the 2 x 64 matrices
+    # of the reconstruction check; the stored block's norms are not taken
+    model = _slow_ar1_d32()
+    ref = _out_of_place_coeffs(model)
+    seen = []
+    spectral_norms = laurent._spectral_norms
+
+    def counting(stack):
+        seen.append(stack.shape[0])
+        return spectral_norms(stack)
+
+    monkeypatch.setattr(laurent, "_spectral_norms", counting)
+    lc = laurent_coeffs(model)
+    ends = (lc.k_min - ref.fro_range[0] + 1) + (ref.fro_range[1] - lc.k_max + 1)
+    assert sum(seen) <= ref.n_candidates + ends + 128
+    assert lc.k_max - lc.k_min + 1 > 250
+    assert (lc.k_min, lc.k_max) == (ref.k_min, ref.k_max)
 
 
 def test_reconstruction_points_see_aliasing():

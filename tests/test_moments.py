@@ -17,7 +17,7 @@ from oparma.engine.moments import (
     transform_log_norms,
 )
 from oparma.engine.noise import NoiseSpec, log_magnitude_samples
-from oparma.errors import SpecificationError
+from oparma.errors import DimensionMismatchError, SpecificationError
 
 
 class TestGammaInverse:
@@ -213,3 +213,10 @@ class TestValidation:
         spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0})
         with pytest.raises(SpecificationError):
             moment_estimate(spec, np.ones((2, 3)), "log_plus", 5_000)
+
+    @pytest.mark.parametrize("kind, params", [("gaussian", {"sigma": 1.0}), ("pareto_exp", {})])
+    def test_transform_dim_must_match_the_noise(self, kind, params):
+        spec = NoiseSpec(kind=kind, dim=2, params=params)
+        match = "transform has dim 3, but the noise has dim 2"
+        with pytest.raises(DimensionMismatchError, match=match):
+            moment_estimate(spec, np.eye(3), "log_plus", 5_000)
