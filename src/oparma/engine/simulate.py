@@ -549,8 +549,7 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: in
     is real when A, M and the noise are.  A sum that overflows is left
     to :func:`_norm_quantile`.
     """
-    if model.p != 1:
-        raise SpecificationError("expects a first-order model; lift first")
+    _require_first_order(model)
     q = model.q
     # segment [c, e) of the rows j - q; span (a, b) covers those with a - q <= c < b - q
     bounds = sorted({0} | {end - q for span in spans for end in span})
@@ -591,6 +590,11 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: in
     }
 
 
+def _require_first_order(model: ArmaModel) -> None:
+    if model.p != 1:
+        raise SpecificationError("expects a first-order model; lift first")
+
+
 def _probe_grid(model: ArmaModel, n_grid) -> tuple:
     """``n_grid`` as a tuple of ints, each past the MA window (n > q)."""
     n_grid = tuple(int(n) for n in n_grid)
@@ -626,6 +630,7 @@ def plim_probe(
     ``OverflowError`` naming n when a partial sum or its norm leaves the
     float range, as heavy-tailed noise can make it.
     """
+    _require_first_order(model)
     rad = spectral_radius(model.ar_ops[0])
     if rad > 1.0 + 1e-9:
         raise SpecificationError(

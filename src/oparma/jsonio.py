@@ -347,24 +347,20 @@ def split_payload(split) -> dict:
 
 
 def laurent_payload(lc) -> dict:
-    # the coefficient norms take one SVD each: take them once for the
-    # records and the decay envelope
-    norms = lc.norms
-    decay_a, decay_b = lc.envelope(norms)
     records = [
         {
             "k": int(k),
             "norm": float(norm),
             "psi": _matrix_rows(mat),
         }
-        for k, norm, mat in zip(lc.ks, norms, lc.coeffs)
+        for k, norm, mat in zip(lc.ks, lc.norms, lc.coeffs)
     ]
     return {
         "k_min": lc.k_min,
         "k_max": lc.k_max,
         "n_quad": lc.n_quad,
-        "decay_a": float(decay_a),
-        "decay_b": float(decay_b),
+        "decay_a": float(lc.decay_a),
+        "decay_b": float(lc.decay_b),
         "reconstruction_residual": float(lc.reconstruction_residual),
         "coefficients": records,
     }

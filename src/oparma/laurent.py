@@ -4,31 +4,36 @@ The transfer function is
 
     H(z) = (I - z A_1 - ... - z^p A_p)^{-1} (B_0 + z B_1 + ... + z^q B_q)
 
-and, when the denominator is invertible on an annulus containing the
-unit circle, H has a Laurent expansion H(z) = sum_k psi_k z^k there.
-The coefficients are contour integrals psi_k = (1/2 pi i) * integral of
-z^{-k-1} H(z) dz, which the equispaced trapezoid rule turns into a
-plain DFT of the node values:
+and, when the denominator D(z) is invertible on an annulus
+1/rho < |z| < rho around the unit circle, H has a Laurent expansion
+H(z) = sum_k psi_k z^k there.  The coefficients are contour integrals
+psi_k = (1/2 pi i) * integral of z^{-k-1} H(z) dz, which the equispaced
+trapezoid rule turns into a plain DFT of the node values:
 
     psi_k ~ (1/n) sum_j z_j^{-k} H(z_j) = FFT(H(z_0..z_{n-1}))[k mod n] / n.
 
-The only quadrature error is aliasing, psi_hat_k = sum over m congruent
-to k mod n of psi_m, which dies geometrically in n; a grid-doubling
-loop detects stagnation the same way the projector quadrature does.
-Each doubling evaluates H only at the n new odd nodes and merges their
-DFT into the old coefficients by one radix-2 step, in place: the grid is
-held as consecutive pieces, so a doubling holds 1.5 grids of the new
-size at most, and the stagnation test reads each old coefficient just
-before the step overwrites it.
+The grid is sized before it is built.  With M the largest
+||H(z)|| <= sum_j |z|^j ||B_j|| / sigma_min(D(z)) over the two circles
+|z| = rho and |z| = 1/rho, Cauchy's estimate gives ||psi_k|| <= M rho^{-|k|},
+and the only quadrature error, aliasing (psi_hat_k = sum over m congruent
+to k mod n of psi_m), is at most
 
-The range and the stagnation test run on Frobenius norms, which bound
-the spectral norm from above (||psi||_2 <= ||psi||_F <= sqrt(d) ||psi||_2),
-so the searched range can only be wider than needed.  Spectral norms
-(one SVD each) are taken only where a value is needed: the few
-coefficients that can hold the largest one, which sets the floor, and
-the ends of the final block, walked in one coefficient at a time until
-one is above the floor.  The norms of the stored block and the decay
-envelope fitted to them are computed when they are read.
+    M (rho^{-(n - k)} + rho^{-(n + k)}) / (1 - rho^{-n})   for |k| < n
+
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Review 56, 2014).  rho is set below the nearest root radius of
+det D off the circle, so no root lies in the closed annulus, and sigma_min
+on each circle comes from the same level-set iteration that certifies the
+unit circle, run on the scaled coefficients rho^{+-j} D_j.  The node count
+is the smallest power of two whose aliasing is below the relative floor,
+and one grid is built.
+
+The range is read from Frobenius norms, which bound the spectral norm
+from above (||psi||_2 <= ||psi||_F <= sqrt(d) ||psi||_2), so it can only be
+wider than needed; it is then trimmed to the 2-norm floor by walking in
+from each end, one SVD per step.  Spectral norms are otherwise taken only
+for the few coefficients that can hold the largest one and for the
+reconstruction check; the norms of the stored block are computed when read.
 
 On the two-sided representation: nonzero coefficients at negative k are
 exactly the anticausal part of the stationary solution contributed by
@@ -38,6 +43,7 @@ because the circle check below guarantees an annulus of invertibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,15 +70,24 @@ MAX_LEVELS = 32
 #: coefficients below this relative to the largest are treated as zero
 REL_FLOOR = 1e-12
 
-DEFAULT_N_QUAD = 256
+#: the annulus radius rho is the nearest root radius of det D off the circle
+#: to this power, so the roots stay a margin away from both circles ...
+ANNULUS_POWER = 0.9
+#: ... and at most this, where the root radius is large or infinite
+ANNULUS_MAX = 2.0
+
 MAX_N_QUAD = 8192
 
 #: values of H solved at once while a grid is filled
 SOLVE_BLOCK = 2**16
 
-#: widest |k| of an explicit range: it starts the quadrature at 4 |k| nodes or
-#: more, and stagnation needs the doubled grid too
+#: widest |k| of an explicit range: the grid needs more nodes than the reach
+#: plus the envelope's own range, and an eighth of the cap leaves room for both
 MAX_REACH = MAX_N_QUAD // 8
+
+#: circle points of the reconstruction check, e^{2 pi i (m + 1/3) / 64}: on no
+#: power-of-two grid, where the DFT inverts exactly and would hide aliasing
+TEST_POINTS = np.exp(2j * np.pi * (np.arange(64) + 1.0 / 3.0) / 64)
 
 
 def _polynomial(nodes: np.ndarray, mats: list, first: int) -> np.ndarray:
@@ -83,17 +98,22 @@ def _polynomial(nodes: np.ndarray, mats: list, first: int) -> np.ndarray:
     return (powers @ stacked).reshape(nodes.size, *mats[0].shape)
 
 
-def _denominators(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
-    """I - z A_1 - ... - z^p A_p at each node, as an (n, d, d) stack."""
-    den = _polynomial(nodes, [-a.matrix for a in model.ar_ops], 1)
-    den.reshape(nodes.size, -1)[:, :: model.dim + 1] += 1.0
+def _denominator_coeffs(model: ArmaModel, radius: float = 1.0) -> list:
+    """D_0, ..., D_p of D(radius w) = sum_j w^j D_j: D_0 = I, D_j = -radius^j A_j."""
+    return [np.eye(model.dim)] + [-(radius**j) * a.matrix for j, a in enumerate(model.ar_ops, 1)]
+
+
+def _denominators(coeffs: list, nodes: np.ndarray) -> np.ndarray:
+    """sum_j w^j coeffs[j] at each node w, as an (n, d, d) stack."""
+    den = _polynomial(nodes, coeffs[1:], 1)
+    den += coeffs[0]
     return den
 
 
 def _batched_transfer(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
     """H at many circle nodes as a stacked (n, d, d) array."""
     num = _polynomial(nodes, [b.matrix for b in model.ma_ops], 0)
-    return np.linalg.solve(_denominators(model, nodes), num)
+    return np.linalg.solve(_denominators(_denominator_coeffs(model), nodes), num)
 
 
 @dataclass(frozen=True)
@@ -101,7 +121,8 @@ class CircleCheck:
     """Invertibility diagnostics of the denominator on the unit circle.
 
     ``n_eigensolves`` counts the level-set eigensolves of
-    :func:`unit_circle_check`.
+    :func:`unit_circle_check`.  ``root_radius`` is the nearest root radius of
+    det D off the circle, max(|z|, 1/|z|) over the roots z (inf without one).
     """
 
     min_singular_value: float
@@ -111,33 +132,33 @@ class CircleCheck:
     passed: bool
     leading_ar_condition: float
     leading_ar_invertible: bool
+    root_radius: float
 
 
-def _sigma_min(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
-    """Smallest singular value of the denominator at each node."""
-    return np.linalg.svd(_denominators(model, nodes), compute_uv=False)[:, -1]
+def _sigma_min(coeffs: list, nodes: np.ndarray) -> np.ndarray:
+    """Smallest singular value of D(w) = sum_j w^j coeffs[j] at each node."""
+    return np.linalg.svd(_denominators(coeffs, nodes), compute_uv=False)[:, -1]
 
 
-def _level_angles(model: ArmaModel, gamma: float) -> np.ndarray:
+def _level_angles(coeffs: list, gamma: float) -> np.ndarray:
     """Sorted angles theta at which ``gamma`` is a singular value of D(e^{i theta}).
 
-    With D(z) = sum_k z^k D_k (D_0 = I, D_k = -A_k), those are the points
+    With D(z) = sum_k z^k D_k (the list ``coeffs``), those are the points
     of the circle where the 2d x 2d polynomial
     R(z) = [[-gamma I, D(z)], [z^p D(z)^*, -gamma z^p I]] = sum_j z^j C_j,
     C_j = [[-gamma [j = 0] I, D_j], [D_{p-j}^*, -gamma [j = p] I]], is
-    singular.  C_p is singular with A_p, so R is taken in w through the
+    singular.  C_p is singular with D_p, so R is taken in w through the
     Moebius map z = (w + c) / (1 + c w), c = :data:`MOBIUS_C`, which sends
     the circle to itself: Q(w) = (1 + c w)^p R(z) has the leading
     coefficient c^p R(1/c), invertible but for a null set of gamma, and
     the unimodular eigenvalues of its block companion, mapped back, are
     the points sought.
     """
-    d, p, c = model.dim, model.p, MOBIUS_C
-    dk = [np.eye(d)] + [-a.matrix for a in model.ar_ops]
+    d, p, c = coeffs[0].shape[0], len(coeffs) - 1, MOBIUS_C
     blocks = np.zeros((p + 1, 2 * d, 2 * d), complex)
     for j in range(p + 1):
-        blocks[j, :d, d:] = dk[j]
-        blocks[j, d:, :d] = dk[p - j].conj().T
+        blocks[j, :d, d:] = coeffs[j]
+        blocks[j, d:, :d] = coeffs[p - j].conj().T
     blocks[0, :d, :d] -= gamma * np.eye(d)
     blocks[p, d:, d:] -= gamma * np.eye(d)
     # weights[j, m]: coefficient of w^m in (w + c)^j (1 + c w)^(p - j)
@@ -153,24 +174,56 @@ def _level_angles(model: ArmaModel, gamma: float) -> np.ndarray:
     return np.sort(np.angle((w + c) / (1 + c * w)))
 
 
-def unit_circle_check(model: ArmaModel) -> CircleCheck:
-    """Smallest singular value of the denominator D(z) over the whole unit circle.
+def _circle_min(coeffs: list, probes: np.ndarray):
+    """(gamma, worst_w, n_eigensolves): the smallest singular value of
+    D(w) = sum_j w^j coeffs[j] over the whole unit circle |w| = 1.
 
     A level-set iteration (Boyd & Balakrishnan, Systems & Control Letters,
     1990; Byers, SIAM J. Sci. Stat. Comput., 1988, gives the bisection
     form).  The value gamma starts as the smallest over 8 equispaced nodes
-    and one probe: for the nonzero eigenvalue lambda of the companion lift
-    nearest the circle (smallest | |lambda| - 1 |), the point
+    and the ``probes``.  Each step takes the angles where some singular
+    value equals the level gamma (1 - :data:`LEVEL_GAP`)
+    (:func:`_level_angles`).  Between two consecutive ones sigma_min stays
+    on one side of the level, so an SVD at each arc's midpoint finds every
+    arc below it, and gamma moves to the smallest midpoint value.  The
+    iteration converges quadratically; it stops when no midpoint falls
+    below the level, so sigma_min >= gamma (1 - :data:`LEVEL_GAP`) on the
+    whole circle, and raises :class:`QuadratureError` after
+    :data:`MAX_LEVELS` eigensolves.  gamma is an SVD's value at worst_w.
+    """
+    nodes = np.concatenate([np.exp(2j * np.pi * np.arange(8) / 8), probes])
+    values = _sigma_min(coeffs, nodes)
+    j = int(np.argmin(values))
+    gamma, worst = float(values[j]), complex(nodes[j])
+    n_eigensolves = 0
+    while gamma > 0:
+        if n_eigensolves == MAX_LEVELS:
+            raise QuadratureError(f"circle check did not settle within {MAX_LEVELS} eigensolves")
+        level = gamma * (1 - LEVEL_GAP)
+        angles = _level_angles(coeffs, level)
+        n_eigensolves += 1
+        if angles.size == 0:
+            break
+        mids = np.exp(1j * (angles + np.diff(angles, append=angles[0] + 2 * np.pi) / 2))
+        values = _sigma_min(coeffs, mids)
+        j = int(np.argmin(values))
+        if values[j] < gamma:
+            gamma, worst = float(values[j]), complex(mids[j])
+        if not values[j] < level:
+            break
+    return gamma, worst, n_eigensolves
+
+
+def unit_circle_check(model: ArmaModel) -> CircleCheck:
+    """Smallest singular value of the denominator D(z) over the whole unit circle.
+
+    The level-set iteration of :func:`_circle_min`, started with one probe
+    besides its 8 nodes: for the nonzero eigenvalue lambda of the companion
+    lift nearest the circle (smallest | |lambda| - 1 |), the point
     conj(lambda)/|lambda| nearest to the root 1/lambda of the determinant,
-    so a unit root, which has |lambda| = 1, is hit exactly.  Each step
-    takes the angles where some singular value equals the level gamma (1 -
-    :data:`LEVEL_GAP`) (:func:`_level_angles`).  Between two consecutive
-    ones sigma_min stays on one side of the level, so an SVD at each arc's
-    midpoint finds every arc below it, and gamma moves to the smallest
-    midpoint value.  The iteration converges quadratically; it stops when
-    no midpoint falls below the level and raises :class:`QuadratureError`
-    after :data:`MAX_LEVELS` eigensolves.  ``min_singular_value`` is
-    gamma, an SVD's value at ``worst_z``.
+    so a unit root, which has |lambda| = 1, is hit exactly.
+    ``min_singular_value`` is gamma, an SVD's value at ``worst_z``.  The
+    same eigenvalues give ``root_radius``.
 
     The check passes when the minimum exceeds :data:`CIRCLE_TOL`.  Also
     reports the condition of the leading AR operator A_p, whose
@@ -180,27 +233,12 @@ def unit_circle_check(model: ArmaModel) -> CircleCheck:
     """
     eigs = np.linalg.eigvals(companion_lift(model).matrix)
     eigs = eigs[eigs != 0]
+    # the roots of det D are the 1/lambda; log-distance from the circle
+    root_radius = float(np.exp(np.abs(np.log(np.abs(eigs))).min(initial=np.inf)))
     eigs = eigs[np.argsort(np.abs(np.abs(eigs) - 1))[:1]]
-    nodes = np.concatenate([np.exp(2j * np.pi * np.arange(8) / 8), eigs.conj() / np.abs(eigs)])
-    values = _sigma_min(model, nodes)
-    j = int(np.argmin(values))
-    gamma, worst_z = float(values[j]), complex(nodes[j])
-    n_eigensolves = 0
-    while gamma > 0:
-        if n_eigensolves == MAX_LEVELS:
-            raise QuadratureError(f"circle check did not settle within {MAX_LEVELS} eigensolves")
-        level = gamma * (1 - LEVEL_GAP)
-        angles = _level_angles(model, level)
-        n_eigensolves += 1
-        if angles.size == 0:
-            break
-        mids = np.exp(1j * (angles + np.diff(angles, append=angles[0] + 2 * np.pi) / 2))
-        values = _sigma_min(model, mids)
-        j = int(np.argmin(values))
-        if values[j] < gamma:
-            gamma, worst_z = float(values[j]), complex(mids[j])
-        if not values[j] < level:
-            break
+    gamma, worst_z, n_eigensolves = _circle_min(
+        _denominator_coeffs(model), eigs.conj() / np.abs(eigs)
+    )
     ap_sv = np.linalg.svd(model.ar_ops[-1].matrix, compute_uv=False)
     ap_cond = np.inf if ap_sv[-1] == 0.0 else float(ap_sv[0] / ap_sv[-1])
     return CircleCheck(
@@ -211,6 +249,7 @@ def unit_circle_check(model: ArmaModel) -> CircleCheck:
         passed=gamma > CIRCLE_TOL,
         leading_ar_condition=ap_cond,
         leading_ar_invertible=bool(np.isfinite(ap_cond) and ap_cond < COND_LIMIT),
+        root_radius=root_radius,
     )
 
 
@@ -218,16 +257,16 @@ def unit_circle_check(model: ArmaModel) -> CircleCheck:
 class LaurentCoeffs:
     """Laurent coefficients psi_k for k in [k_min, k_max] plus diagnostics.
 
-    ``coeffs[i]`` is psi_{k_min + i}.  ``reconstruction_residual`` is the
-    largest relative mismatch between the truncated series and H on
-    circle points offset from the quadrature grid, and
-    ``diagnostics["max_norm"]`` the largest coefficient 2-norm.
-
-    ``norms`` (the 2-norm of each coefficient) and the envelope
-    ``decay_a`` and ``decay_b``, with ||psi_k|| <= decay_a * decay_b**|k|
-    over the whole stored range, are computed on each access: one SVD per
-    coefficient, which no certificate reads.  :meth:`envelope` fits the
-    envelope to norms already taken.
+    ``coeffs[i]`` is psi_{k_min + i}, read from one grid of ``n_quad``
+    nodes.  ``decay_a`` and ``decay_b`` are the certified Cauchy envelope
+    M and 1/rho: ||psi_k|| <= decay_a * decay_b**|k| for every k, and each
+    coefficient the grid holds out to the range it was sized for, which
+    holds the stored one, is within ``diagnostics["aliasing_bound"]`` of the
+    exact psi_k.  ``reconstruction_residual`` is the largest relative
+    mismatch between the truncated series and H on circle points offset
+    from the grid, and ``diagnostics["max_norm"]`` the largest coefficient
+    2-norm.  ``norms`` (the 2-norm of each coefficient) is computed on each
+    access: one SVD per coefficient, which no certificate reads.
     """
 
     k_min: int
@@ -236,6 +275,8 @@ class LaurentCoeffs:
     n_quad: int
     reconstruction_residual: float
     circle: CircleCheck
+    decay_a: float
+    decay_b: float
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -245,19 +286,6 @@ class LaurentCoeffs:
     @property
     def norms(self) -> np.ndarray:
         return _spectral_norms(self.coeffs)
-
-    @property
-    def decay_a(self) -> float:
-        return self.envelope(self.norms)[0]
-
-    @property
-    def decay_b(self) -> float:
-        return self.envelope(self.norms)[1]
-
-    def envelope(self, norms: np.ndarray):
-        """(decay_a, decay_b) fitted to ``norms``, the values of :attr:`norms`."""
-        floor = REL_FLOOR * max(self.diagnostics["max_norm"], 1e-300)
-        return _fit_decay(self.ks, norms, floor)
 
     def coefficient(self, k: int) -> np.ndarray:
         if not self.k_min <= k <= self.k_max:
@@ -273,35 +301,29 @@ def _span(ks: np.ndarray, active: np.ndarray):
     return min(int(act_ks.min()), 0), max(int(act_ks.max()), 0)
 
 
-def _active_range(norms_wrapped: np.ndarray, n: int, floor: float):
-    """Centered k-range of above-floor coefficients, or None if the range
-    still touches the wrap boundary (meaning n is too small)."""
-    ks = np.where(np.arange(n) < n // 2, np.arange(n), np.arange(n) - n)
-    k_min, k_max = _span(ks, norms_wrapped > floor)
-    guard = max(2, n // 16)
-    if k_max >= n // 2 - guard or k_min <= -n // 2 + guard:
-        return None
-    return k_min, k_max
-
-
 def _transform(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
-    """FFT of H over ``nodes``, divided by their count.
+    """FFT of H over ``nodes``, divided by their count, in one buffer.
 
-    H is solved :data:`SOLVE_BLOCK` values at a time into one buffer,
-    which is dropped as soon as the FFT has returned its own array.  The
-    nodes per block are a power of two, so the blocks tile every grid
+    H is solved :data:`SOLVE_BLOCK` values at a time into the buffer, and
+    the FFT then overwrites it a block of about as many values (whole
+    columns of the (n, d * d) view) at a time, so no second grid is held;
+    pocketfft transforms each column on its own, so the values are those
+    of one FFT of the whole stack, bit for bit.  The nodes
+    per solve block are a power of two, so the blocks tile every grid
     exactly, and two at least: the product in :func:`_polynomial` rounds
     differently for a single node, and the coefficients would change.
     """
     n, d = nodes.size, model.dim
     step = min(n, 1 << max(1, (SOLVE_BLOCK // (d * d)).bit_length() - 1))
-    h = np.empty((n, d, d), complex)
+    grid = np.empty((n, d, d), complex)
     for s in range(0, n, step):
-        h[s : s + step] = _batched_transfer(model, nodes[s : s + step])
-    f = np.fft.fft(h, axis=0)
-    del h
-    f /= n
-    return f
+        grid[s : s + step] = _batched_transfer(model, nodes[s : s + step])
+    flat = grid.reshape(n, d * d)
+    cols = max(1, SOLVE_BLOCK // n)
+    for c in range(0, d * d, cols):
+        flat[:, c : c + cols] = np.fft.fft(flat[:, c : c + cols], axis=0)
+    grid /= n
+    return grid
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -310,87 +332,71 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", flat, flat))
 
 
-def _rows(grid: list, positions: np.ndarray) -> np.ndarray:
-    """The coefficients at ``positions`` of a grid held as consecutive pieces."""
-    out = np.empty((positions.size, *grid[0].shape[1:]), grid[0].dtype)
-    start = 0
-    for piece in grid:
-        here = (positions >= start) & (positions < start + len(piece))
-        out[here] = piece[positions[here] - start]
-        start += len(piece)
-    return out
+def _cauchy_bound(model: ArmaModel, rho: float) -> float:
+    """M, the largest sum_j |z|^j ||B_j||_2 / sigma_min(D(z)) over |z| = rho
+    and |z| = 1/rho, with sigma_min bounded below by gamma (1 - :data:`LEVEL_GAP`)
+    from the level-set iteration on each circle (M is inf where that is 0)."""
+    b_norms = _spectral_norms(np.stack([b.matrix for b in model.ma_ops]))
+    bound = 0.0
+    for radius in (rho, 1.0 / rho):
+        gamma = _circle_min(_denominator_coeffs(model, radius), np.empty(0))[0]
+        lower = gamma * (1 - LEVEL_GAP)
+        top = float(np.polynomial.polynomial.polyval(radius, b_norms))
+        bound = max(bound, top / lower if lower > 0 else math.inf)
+    return bound
 
 
-def _double(model: ArmaModel, grid: list, n: int, rng) -> float:
-    """Turn the n-node ``grid`` into the 2n-node one in place and return
-    max |psi_2n - psi_n| over the k-range ``rng`` (inf without one).
+def _decay_steps(ratio: float, rho: float) -> int:
+    """Smallest s >= 0 with ratio * rho**-s <= 1."""
+    return max(0, math.ceil(math.log(ratio) / math.log(rho))) if ratio > 1 else 0
 
-    With F the DFT of H over the n new odd nodes z_j e^{i pi / n} and
-    w_k = e^{-i pi k / n}, the 2n-grid values are [psi + w F, psi - w F] / 2
-    (one radix-2 Cooley-Tukey step).  Each old piece takes its part of the
-    first half and w F becomes the second half, a new last piece, so the
-    doubling holds the old grid, H and F at most.  Coefficient k >= 0 stays
-    at index k, in the first half; k < 0 moves from n + k to 2n + k, in the
-    second; both are compared with the old value before it is overwritten.
-    """
-    odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
-    wf = _transform(model, odd)
-    wf *= np.exp(-1j * np.pi * np.arange(n) / n)[:, None, None]
-    step = max(1, SOLVE_BLOCK // wf[0].size)
-    diff = 0.0 if rng is not None else np.inf
-    start = 0
-    for piece in grid:
-        for s in range(0, len(piece), step):
-            psi = piece[s : s + step]
-            j = start + s
-            high = wf[j : j + len(psi)]
-            low = psi + high
-            np.subtract(psi, high, out=high)
-            low *= 0.5
-            high *= 0.5
-            if rng is not None:
-                # the range is a front (k >= 0) and a back (k < 0) slice of the old grid
-                for new, first, last in ((low, 0, rng[1] + 1), (high, n + rng[0], n)):
-                    lo, hi = max(first - j, 0), min(last - j, len(psi))
-                    if lo < hi:
-                        diff = np.maximum(diff, np.abs(new[lo:hi] - psi[lo:hi]).max())
-            psi[...] = low
-        start += len(piece)
-    grid.append(wf)
-    return float(diff)
+
+def _aliasing(bound: float, rho: float, n: int, reach: int) -> float:
+    """Largest aliasing error of the n-node rule over |k| <= reach < n."""
+    return bound * (rho ** (reach - n) + rho ** (-reach - n)) / (1 - rho**-n)
+
+
+def _cap_error(bound: float, rho: float) -> QuadratureError:
+    return QuadratureError(
+        f"the Laurent grid needs more than MAX_N_QUAD = {MAX_N_QUAD} nodes: the Cauchy "
+        f"bound M = {bound:.3e} on the annulus of radius rho = {rho:.6g} aliases above "
+        f"the floor on every grid up to the cap"
+    )
 
 
 def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoeffs:
-    """Laurent coefficients of H with automatic range and grid selection.
+    """Laurent coefficients of H on one grid sized by the Cauchy bound.
 
-    When ``k_range`` is omitted the range is chosen to cover every
-    coefficient above :data:`REL_FLOOR` times the largest one.  The node
-    count starts at :data:`DEFAULT_N_QUAD` (doubled to at least four
-    times the reach of a given ``k_range``) and doubles, up to
-    :data:`MAX_N_QUAD`, until two successive grids agree on the
-    extracted block to the same relative floor, so a ``k_range`` may
-    reach at most :data:`MAX_REACH`.  Range and stagnation are judged by
-    Frobenius norm, and the final block is trimmed to the exact 2-norm
-    floor by walking in from each end, so the stored range and
-    ``diagnostics["max_norm"]`` are those of spectral norms.  Singular
-    values are taken for the coefficients that can hold the largest norm,
-    the trim's steps and the reconstruction check only; ``norms`` and the
-    decay envelope are computed when read.  A failed circle check aborts
-    before any quadrature happens, since the expansion does not exist.
+    rho is the nearest root radius of det D to the power
+    :data:`ANNULUS_POWER`, at most :data:`ANNULUS_MAX`, and M the bound of
+    :func:`_cauchy_bound`.  The floor is :data:`REL_FLOOR` times a lower
+    bound on the largest ||psi_k||, known before the grid: with hmax the
+    largest ||H|| at the reconstruction points and R0 the smallest reach
+    whose envelope tail 2 M rho^{-(R0 + 1)} / (1 - 1/rho) is at most
+    hmax / 2, the 2 R0 + 1 coefficients within R0 carry at least hmax / 2.
+    Every coefficient past R, the last |k| with M rho^{-|k|} above the
+    floor, is below it.  The node count is the smallest power of two that
+    holds the range and aliases by at most the floor over it; a count past
+    :data:`MAX_N_QUAD` raises :class:`QuadratureError`, as does a root
+    radius that leaves no annulus (rho <= 1).
+
+    When ``k_range`` is omitted the stored range is trimmed from
+    [-R, R] to the coefficients above :data:`REL_FLOOR` times the largest
+    one, by Frobenius norm and then by walking in from each end by 2-norm,
+    so the stored range and ``diagnostics["max_norm"]`` are those of
+    spectral norms.  A given ``k_range`` may reach at most
+    :data:`MAX_REACH`.  A failed circle check aborts before any quadrature
+    happens, since the expansion does not exist.
     """
-    n = DEFAULT_N_QUAD
     if k_range is not None:
         k_min, k_max = int(k_range[0]), int(k_range[1])
         if k_min > k_max:
             raise SpecificationError(f"empty coefficient range {k_range}")
-        reach = max(abs(k_min), abs(k_max))
-        if reach > MAX_REACH:
+        if max(abs(k_min), abs(k_max)) > MAX_REACH:
             raise SpecificationError(
                 f"coefficient range {k_range} reaches past |k| = {MAX_REACH}, the widest "
-                f"that two grids of at most {MAX_N_QUAD} nodes can confirm"
+                f"that a grid of at most {MAX_N_QUAD} nodes holds beside the envelope's range"
             )
-        while n < 4 * max(reach, 8):
-            n *= 2
     circle = unit_circle_check(model)
     if not circle.passed:
         raise SingularOperatorError(
@@ -399,92 +405,64 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
             f"z={circle.worst_z:.6f}, needs > {circle.tol:.1e})",
             condition=1.0 / max(circle.min_singular_value, 1e-300),
         )
-    grid = [_transform(model, np.exp(2j * np.pi * np.arange(n) / n))]
-    prev_range = diff = None
-    while True:
-        fro = np.concatenate([_frobenius_norms(piece) for piece in grid])
-        # ||psi||_2 >= ||psi||_F / sqrt(d): only these can hold the largest 2-norm
-        candidates = np.flatnonzero(fro >= fro.max() / np.sqrt(model.dim))
-        top = _spectral_norms(_rows(grid, candidates)).max()
-        floor = REL_FLOOR * max(top, 1e-300)
-        if k_range is None:
-            rng = _active_range(fro, n, floor)
-        else:
-            rng = (k_min, k_max)
-        if rng is not None and rng == prev_range and diff <= floor:
-            block = _rows(grid, np.arange(rng[0], rng[1] + 1) % n)
-            del grid
-            return _finalize(model, block, rng, n, top, circle, k_range is None)
-        if 2 * n > MAX_N_QUAD:
-            raise QuadratureError(
-                f"coefficient quadrature did not stagnate within {MAX_N_QUAD} nodes"
-            )
-        diff = _double(model, grid, n, rng)
-        prev_range = rng
+    rho = min(circle.root_radius**ANNULUS_POWER, ANNULUS_MAX)
+    bound = _cauchy_bound(model, rho) if rho > 1 else math.inf
+    if not math.isfinite(bound):
+        raise _cap_error(bound, rho)
+    href = _batched_transfer(model, TEST_POINTS)
+    href_norms = _spectral_norms(href)
+    hmax = float(href_norms.max())
+    r0 = max(_decay_steps(4 * bound / (hmax * (1 - 1 / rho)), rho) - 1, 0) if hmax > 0 else 0
+    floor = REL_FLOOR * max(hmax / (2 * (2 * r0 + 1)), 1e-300)
+    if k_range is None:
+        k_max = max(_decay_steps(bound / floor, rho) - 1, 0)
+        k_min = -k_max
+    reach = max(-k_min, k_max)
+    n = 2
+    while n <= max(k_max - k_min, reach) or _aliasing(bound, rho, n, reach) > floor:
         n *= 2
-
-
-def _finalize(model, block, rng, n, top, circle, trim) -> LaurentCoeffs:
-    k_min, k_max = rng
-    if trim:
+        if n > MAX_N_QUAD:
+            raise _cap_error(bound, rho)
+    grid = _transform(model, np.exp(2j * np.pi * np.arange(n) / n))
+    fro = _frobenius_norms(grid)
+    # ||psi||_2 >= ||psi||_F / sqrt(d): only these can hold the largest 2-norm
+    top = _spectral_norms(grid[fro >= fro.max() / np.sqrt(model.dim)]).max()
+    floor = REL_FLOOR * max(top, 1e-300)
+    if k_range is None:
         # the Frobenius range holds the 2-norm one; walk in from each end to
         # the first coefficient above the floor, or to k = 0
-        floor = REL_FLOOR * max(top, 1e-300)
+        ks = np.arange(k_min, k_max + 1)
+        k_min, k_max = _span(ks, fro[ks % n] > floor)
 
         def below(k):
-            i = k - rng[0]
-            return not _spectral_norms(block[i : i + 1])[0] > floor
+            return not _spectral_norms(grid[k % n : k % n + 1])[0] > floor
 
         while k_max > 0 and below(k_max):
             k_max -= 1
         while k_min < 0 and below(k_min):
             k_min += 1
-        block = block[k_min - rng[0] : k_max - rng[0] + 1]
     ks = np.arange(k_min, k_max + 1)
+    block = grid[ks % n]
+    del grid
     return LaurentCoeffs(
         k_min=k_min,
         k_max=k_max,
         coeffs=block,
         n_quad=n,
-        reconstruction_residual=_reconstruction_residual(model, block, ks),
+        reconstruction_residual=_reconstruction_residual(block, ks, href, href_norms),
         circle=circle,
-        diagnostics={"max_norm": float(top)},
+        decay_a=bound,
+        decay_b=1.0 / rho,
+        diagnostics={
+            "max_norm": float(top),
+            "aliasing_bound": _aliasing(bound, rho, n, reach),
+        },
     )
 
 
-def _fit_decay(ks: np.ndarray, norms: np.ndarray, floor: float):
-    """Majorizing envelope a * b**|k| fitted to the coefficient norms.
-
-    Least squares on log ||psi_k|| against |k|, restricted to |k| >= 3
-    so the envelope is not dragged up by the near-origin bulge; the
-    prefactor is then raised until every stored coefficient lies below
-    the envelope.  Degenerate ranges fall back to b = 1/2.
-    """
-    absk = np.abs(ks)
-    mask = (norms > floor) & (absk >= 3)
-    if mask.sum() < 2 or np.unique(absk[mask]).size < 2:
-        mask = (norms > floor) & (absk >= 1)
-    if mask.sum() < 2 or np.unique(absk[mask]).size < 2:
-        b = 0.5
-    else:
-        slope = np.polyfit(absk[mask], np.log(norms[mask]), 1)[0]
-        b = float(np.exp(min(slope, -1e-12)))
-    pos = norms > 0
-    log_a = np.max(np.log(norms[pos]) - absk[pos] * np.log(b)) if pos.any() else 0.0
-    return float(np.exp(log_a)), b
-
-
-def _reconstruction_residual(model, block, ks) -> float:
-    """Relative residual of the truncated series on 64 circle points off the grid.
-
-    The points e^{2 pi i (m + 1/3) / 64} sit on no power-of-two grid, where
-    the DFT inverts exactly and would hide aliasing.
-    """
-    n_test = 64
-    zs = np.exp(2j * np.pi * (np.arange(n_test) + 1.0 / 3.0) / n_test)
-    powers = zs[:, None] ** ks[None, :].astype(float)
+def _reconstruction_residual(block, ks, href, href_norms) -> float:
+    """Relative residual of the truncated series against ``href``, H at the
+    :data:`TEST_POINTS`, whose 2-norms are ``href_norms``."""
+    powers = TEST_POINTS[:, None] ** ks[None, :].astype(float)
     series = np.tensordot(powers, block, axes=(1, 0))
-    href = _batched_transfer(model, zs)
-    num = _spectral_norms(series - href)
-    den = 1.0 + _spectral_norms(href)
-    return float((num / den).max())
+    return float((_spectral_norms(series - href) / (1.0 + href_norms)).max())

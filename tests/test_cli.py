@@ -1080,9 +1080,10 @@ class TestModuleEntryPoint:
         "argv",
         [
             ["check-circle", "--model", "{model}"],
+            ["laurent", "--model", "{model}"],
             ["simulate", "--model", "{model}", "--noise", "{noise}", "--method", "ma"],
         ],
-        ids=["check-circle", "simulate-ma"],
+        ids=["check-circle", "laurent", "simulate-ma"],
     )
     def test_numpy_only_subcommands_load_no_scipy(self, argv, hyper_model, gauss_noise):
         argv = [a.format(model=hyper_model, noise=gauss_noise) for a in argv]

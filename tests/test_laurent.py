@@ -1,7 +1,6 @@
 """Transfer-function coefficients: oracles, circle checks, envelopes."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -147,14 +146,15 @@ def _full_scan(model):
     eigs = eigs[eigs != 0]
     grid = np.exp(2j * np.pi * np.arange(512) / 512)
     nodes = np.concatenate([grid, eigs.conj() / np.abs(eigs)])
-    return float(laurent._sigma_min(model, nodes).min())
+    return float(laurent._sigma_min(laurent._denominator_coeffs(model), nodes).min())
 
 
 def _refined_sweep(model, n=1024, n_minima=8, steps=48):
     """Minimum of an n-node sweep, refined by golden section around its
     ``n_minima`` lowest local minima, all brackets at once."""
     theta = 2 * np.pi * np.arange(n) / n
-    values = laurent._sigma_min(model, np.exp(1j * theta))
+    coeffs = laurent._denominator_coeffs(model)
+    values = laurent._sigma_min(coeffs, np.exp(1j * theta))
     local = np.flatnonzero((values <= np.roll(values, 1)) & (values <= np.roll(values, -1)))
     local = local[np.argsort(values[local])[:n_minima]]
     lo, hi = theta[local] - 2 * np.pi / n, theta[local] + 2 * np.pi / n
@@ -162,7 +162,7 @@ def _refined_sweep(model, n=1024, n_minima=8, steps=48):
     best = values.min()
     for _ in range(steps):
         left, right = hi - g * (hi - lo), lo + g * (hi - lo)
-        pair = laurent._sigma_min(model, np.exp(1j * np.concatenate([left, right])))
+        pair = laurent._sigma_min(coeffs, np.exp(1j * np.concatenate([left, right])))
         f_left, f_right = np.split(pair, 2)
         best = min(best, pair.min())
         keep_left = f_left < f_right
@@ -229,7 +229,7 @@ def test_circle_check_attains_the_whole_circle_minimum(d, p, real, kind, scale, 
     assert cc.min_singular_value <= _full_scan(model) * (1 + 1e-10) + slack
     assert cc.min_singular_value <= _refined_sweep(model) * (1 + 1e-10) + slack
     assert abs(cc.worst_z) == pytest.approx(1.0, abs=1e-15)
-    at_worst = laurent._sigma_min(model, np.array([cc.worst_z]))[0]
+    at_worst = laurent._sigma_min(laurent._denominator_coeffs(model), np.array([cc.worst_z]))[0]
     assert at_worst == pytest.approx(cc.min_singular_value, rel=1e-12, abs=slack)
     assert cc.passed == (cc.min_singular_value > CIRCLE_TOL)
     assert 0 <= cc.n_eigensolves <= laurent.MAX_LEVELS
@@ -304,7 +304,7 @@ def test_explicit_range_reaches_at_most_an_eighth_of_the_node_cap():
     for k_range in [(0, 1024), (-1024, 3)]:
         lc = laurent_coeffs(model, k_range=k_range)
         assert (lc.k_min, lc.k_max) == k_range
-        assert lc.n_quad == laurent.MAX_N_QUAD
+        assert lc.k_max - lc.k_min < lc.n_quad <= laurent.MAX_N_QUAD
         assert lc.coefficient(3)[0, 0] == pytest.approx(0.125, rel=1e-12)
     for k_range in [(0, 1025), (-3000, 3000)]:
         with pytest.raises(SpecificationError, match="reaches past .k. = 1024"):
@@ -336,9 +336,9 @@ def test_range_is_trimmed_to_the_spectral_norm_floor():
 
 
 def test_range_search_takes_fewer_svds_than_nodes(monkeypatch):
-    # the grid doublings size the range by Frobenius norm; singular values
-    # are taken only for the few coefficients that can hold the largest
-    # 2-norm, the trim's steps and the reconstruction test points
+    # the range is read by Frobenius norm; singular values are taken only
+    # for the B_j, the few coefficients that can hold the largest 2-norm,
+    # the trim's steps and the reconstruction test points
     rng = np.random.default_rng(3)
     d = 16
     moduli = np.concatenate([rng.uniform(0.4, 0.85, d // 2), rng.uniform(1.25, 2.2, d // 2)])
@@ -438,98 +438,61 @@ def _trim_models():
     }
 
 
-def _out_of_place_coeffs(model, k_range=None):
-    """The reference for the in-place quadrature and the walk-in trim: each
-    grid held whole, the doubled one built beside it, a copy of the previous
-    block kept for the stagnation test, and the 2-norms of the whole final
-    block taken at once and trimmed by ``_span``.  Also returns the
-    Frobenius range and the number of top-norm candidates over all grids."""
-    n = laurent.DEFAULT_N_QUAD
-    if k_range is not None:
-        while n < 4 * max(abs(k_range[0]), abs(k_range[1]), 8):
-            n *= 2
+def _one_fft(model, n):
+    """The n-node grid from one FFT of H solved at every node at once."""
     nodes = np.exp(2j * np.pi * np.arange(n) / n)
-    psi = np.fft.fft(laurent._batched_transfer(model, nodes), axis=0) / n
-    prev_block = prev_range = None
-    n_candidates = 0
-    while True:
-        flat = psi.view(float).reshape(n, -1)
-        fro = np.sqrt(np.einsum("ki,ki->k", flat, flat))
-        candidates = psi[fro >= fro.max() / np.sqrt(model.dim)]
-        n_candidates += len(candidates)
-        top = laurent._spectral_norms(candidates).max()
-        floor = laurent.REL_FLOOR * max(top, 1e-300)
-        rng = laurent._active_range(fro, n, floor) if k_range is None else tuple(k_range)
-        if rng is not None:
-            block = psi[np.arange(rng[0], rng[1] + 1) % n]
-            if prev_range == rng and np.abs(block - prev_block).max() <= floor:
-                break
-            prev_block, prev_range = block, rng
-        assert 2 * n <= laurent.MAX_N_QUAD
-        odd = np.exp(2j * np.pi * (2 * np.arange(n) + 1) / (2 * n))
-        f = np.fft.fft(laurent._batched_transfer(model, odd), axis=0) / n
-        f *= np.exp(-1j * np.pi * np.arange(n) / n)[:, None, None]
-        psi = np.concatenate([psi + f, psi - f]) * 0.5
-        n *= 2
-    norms = laurent._spectral_norms(block)
-    k_min, k_max = rng
-    if k_range is None:
-        k_min, k_max = laurent._span(np.arange(rng[0], rng[1] + 1), norms > floor)
-        keep = slice(k_min - rng[0], k_max - rng[0] + 1)
-        block, norms = block[keep], norms[keep]
-    ks = np.arange(k_min, k_max + 1)
-    decay_a, decay_b = laurent._fit_decay(ks, norms, floor)
-    return SimpleNamespace(
-        k_min=k_min,
-        k_max=k_max,
-        coeffs=block,
-        norms=norms,
-        n_quad=n,
-        decay_a=decay_a,
-        decay_b=decay_b,
-        reconstruction_residual=laurent._reconstruction_residual(model, block, ks),
-        diagnostics={"max_norm": float(top)},
-        fro_range=rng,
-        n_candidates=n_candidates,
-    )
+    return np.fft.fft(laurent._batched_transfer(model, nodes), axis=0) / n
 
 
-@pytest.mark.parametrize(
-    "name, k_range",
-    [
-        ("ar1", None),
-        ("ar2", None),
-        ("ar1_q2", None),
-        ("ar2", (-7, 40)),
-        ("slow_decay", None),
-        ("wide_frobenius", None),
-        ("causal_floor", None),
-        ("anticausal_floor", None),
-    ],
-)
-def test_in_place_quadrature_keeps_the_bits_of_the_out_of_place_one(name, k_range):
-    # slow_decay reaches 2048 nodes or more, so the first half of its grid
-    # is itself split over several pieces
-    trims = _trim_models()
+_CERTIFIED = [
+    ("ar1", None),
+    ("ar2", None),
+    ("ar1_q2", None),
+    ("ar2", (-7, 40)),
+    ("slow_decay", None),
+    ("wide_frobenius", None),
+    ("causal_floor", None),
+    ("anticausal_floor", None),
+]
+
+
+def _certified_models():
     models = dict(_planted_models(), slow_decay=scalar_model([0.97], [1.0]))
-    models.update({key: model for key, (model, _) in trims.items()})
-    model = models[name]
+    models.update({key: model for key, (model, _) in _trim_models().items()})
+    return models
+
+
+@pytest.mark.parametrize("name, k_range", _CERTIFIED)
+def test_stored_norms_sit_under_the_certified_envelope(name, k_range):
+    lc = laurent_coeffs(_certified_models()[name], k_range=k_range)
+    alias = lc.diagnostics["aliasing_bound"]
+    # the grid is sized so that its aliasing stays below the floor
+    assert alias <= laurent.REL_FLOOR * lc.diagnostics["max_norm"]
+    assert 0 < lc.decay_b < 1
+    assert np.all(lc.norms <= lc.decay_a * lc.decay_b ** np.abs(lc.ks) + alias)
+
+
+@pytest.mark.parametrize("name, k_range", _CERTIFIED)
+def test_block_is_one_fft_of_the_grid(name, k_range):
+    # slow_decay takes 4 096 nodes, so the grid is solved in several blocks
+    model = _certified_models()[name]
     lc = laurent_coeffs(model, k_range=k_range)
-    ref = _out_of_place_coeffs(model, k_range)
-    assert (lc.k_min, lc.k_max, lc.n_quad) == (ref.k_min, ref.k_max, ref.n_quad)
-    assert lc.coeffs.tobytes() == ref.coeffs.tobytes()
-    assert lc.norms.tobytes() == ref.norms.tobytes()
-    assert (lc.decay_a, lc.decay_b) == (ref.decay_a, ref.decay_b)
-    assert lc.reconstruction_residual == ref.reconstruction_residual
-    assert lc.diagnostics == ref.diagnostics
-    if name == "slow_decay":
-        assert lc.n_quad >= 2048
+    n = lc.n_quad
+    full = _one_fft(model, n)
+    assert lc.coeffs.tobytes() == full[lc.ks % n].tobytes()
+    assert lc.diagnostics["max_norm"] == laurent._spectral_norms(full).max()
+    trims = _trim_models()
     if name in trims:
-        assert (ref.fro_range, (lc.k_min, lc.k_max)) == trims[name][1]
-    # and the radix-2 steps agree with one FFT of the whole final grid
-    nodes = np.exp(2j * np.pi * np.arange(lc.n_quad) / lc.n_quad)
-    full = np.fft.fft(laurent._batched_transfer(model, nodes), axis=0) / lc.n_quad
-    assert np.abs(lc.coeffs - full[lc.ks % lc.n_quad]).max() <= 1e-13 * np.abs(full).max()
+        ks = np.arange(-(n // 2), n // 2)
+        fro = laurent._frobenius_norms(full[ks % n])
+        fro_range = laurent._span(ks, fro > laurent.REL_FLOOR * lc.diagnostics["max_norm"])
+        assert (fro_range, (lc.k_min, lc.k_max)) == trims[name][1]
+
+
+def test_a_bound_past_the_node_cap_raises():
+    # rho = (1 / 0.995)^0.9 = 1.00452 and M ~ 2e3: the bound asks for over 1e4 nodes
+    with pytest.raises(QuadratureError, match=r"MAX_N_QUAD = 8192 .*M = 1\.9\d+e\+03 .*rho = 1\.00452"):
+        laurent_coeffs(scalar_model([0.995], [1.0]))
 
 
 def _slow_ar1_d32():
@@ -544,10 +507,10 @@ def _slow_ar1_d32():
     return arma_model([dense_operator(a)], [dense_operator(np.eye(d))])
 
 
-def test_quadrature_holds_one_and_a_half_grids():
-    # the last doubling holds the old grid, H at the new nodes and their FFT;
-    # a grid doubled beside the old one, or a copy of the previous block
-    # (here 286 coefficients, over a quarter grid), would pass 1.75 grids
+def test_quadrature_holds_one_grid():
+    # the FFT overwrites the solved values a block of columns at a time, so
+    # the peak is the grid, the stored block and the solve blocks; a second
+    # grid beside the first would pass two grids
     model = _slow_ar1_d32()
     d = model.dim
     tracemalloc.start()
@@ -556,16 +519,21 @@ def test_quadrature_holds_one_and_a_half_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lc.n_quad == 1024
-    assert peak <= 1.75 * lc.n_quad * d * d * 16
+    assert lc.n_quad == 512
+    grid = lc.n_quad * d * d * 16
+    assert peak <= 1.5 * grid + lc.coeffs.nbytes
 
 
 def test_trim_takes_one_svd_per_step_not_one_per_coefficient(monkeypatch):
-    # singular values go to the top-norm candidates of each grid, the
-    # coefficients the trim steps over at each end, and the 2 x 64 matrices
-    # of the reconstruction check; the stored block's norms are not taken
+    # singular values go to the B_j of the Cauchy bound, the top-norm
+    # candidates, the coefficients the trim steps over at each end, and the
+    # 2 x 64 matrices of the reconstruction check; the stored block's norms
+    # are not taken
     model = _slow_ar1_d32()
-    ref = _out_of_place_coeffs(model)
+    n = laurent_coeffs(model).n_quad
+    full = _one_fft(model, n)
+    fro = laurent._frobenius_norms(full)
+    candidates = np.count_nonzero(fro >= fro.max() / np.sqrt(model.dim))
     seen = []
     spectral_norms = laurent._spectral_norms
 
@@ -575,10 +543,11 @@ def test_trim_takes_one_svd_per_step_not_one_per_coefficient(monkeypatch):
 
     monkeypatch.setattr(laurent, "_spectral_norms", counting)
     lc = laurent_coeffs(model)
-    ends = (lc.k_min - ref.fro_range[0] + 1) + (ref.fro_range[1] - lc.k_max + 1)
-    assert sum(seen) <= ref.n_candidates + ends + 128
+    ks = np.arange(-(n // 2), n // 2)
+    fro_min, fro_max = laurent._span(ks, fro[ks % n] > laurent.REL_FLOOR * lc.diagnostics["max_norm"])
+    ends = (lc.k_min - fro_min + 1) + (fro_max - lc.k_max + 1)
+    assert sum(seen) <= len(model.ma_ops) + candidates + ends + 128
     assert lc.k_max - lc.k_min + 1 > 250
-    assert (lc.k_min, lc.k_max) == (ref.k_min, ref.k_max)
 
 
 def test_reconstruction_points_see_aliasing():
@@ -603,5 +572,7 @@ def test_reconstruction_points_see_aliasing():
     on_grid = np.exp(1j * np.pi * (2 * np.arange(64) + 1) / 64)
     series = np.tensordot(on_grid[:, None] ** ks, aliased, axes=(1, 0))
     assert np.abs(series - laurent._batched_transfer(model, on_grid)).max() < 1e-12
-    assert laurent._reconstruction_residual(model, aliased, ks) > RECONSTRUCTION_MAX
+    href = laurent._batched_transfer(model, laurent.TEST_POINTS)
+    residual = laurent._reconstruction_residual(aliased, ks, href, laurent._spectral_norms(href))
+    assert residual > RECONSTRUCTION_MAX
     assert laurent_coeffs(model).reconstruction_residual <= RECONSTRUCTION_MAX

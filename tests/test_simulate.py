@@ -509,8 +509,15 @@ class TestPlimProbe:
             [dense_operator(np.array([[0.1]])), dense_operator(np.array([[0.1]]))],
             [dense_operator(np.array([[1.0]]))],
         )
-        with pytest.raises(SpecificationError):
+        with pytest.raises(SpecificationError, match="expects a first-order model; lift first"):
             plim_probe(two, spec)
+        # the order is checked before the spectral radius of A_1
+        ar2 = arma_model(
+            [dense_operator(np.array([[1.5]])), dense_operator(np.array([[0.1]]))],
+            [dense_operator(np.array([[1.0]]))],
+        )
+        with pytest.raises(SpecificationError, match="expects a first-order model; lift first"):
+            plim_probe(ar2, spec)
         with pytest.raises(SpecificationError):
             plim_probe(scalar_model(0.5, bs=(1.0, 1.0)), spec, n_grid=(1, 2))
         wide = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
