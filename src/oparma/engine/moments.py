@@ -192,8 +192,8 @@ def _transform_matrix(transform) -> np.ndarray | None:
     if isinstance(transform, Operator):
         return transform.matrix
     m = np.asarray(transform, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SpecificationError(f"transform must be square, got shape {m.shape}")
+    if m.ndim != 2:
+        raise SpecificationError(f"transform must be a matrix, got shape {m.shape}")
     return m
 
 
@@ -243,8 +243,9 @@ def moment_estimate(
     arrays of n entries.  The transforms act entry by entry, so the chunk
     does not change g (see :func:`.noise.log_magnitude_samples` for the
     Gaussian kinds at entries of 2^500 and above or below 2^-501).  The
-    ``transform`` T is taken in power-of-two units too, so a T near 1e-300 I
-    shifts the log-norms by log 1e-300 instead of sending them to -inf.
+    ``transform`` T, any m x d matrix, is taken in power-of-two units too,
+    so a T near 1e-300 I shifts the log-norms by log 1e-300 instead of
+    sending them to -inf.
     """
     if moment_kind not in MOMENT_KINDS:
         raise SpecificationError(
@@ -254,9 +255,9 @@ def moment_estimate(
     if n_samples < 1000:
         raise SpecificationError(f"need at least 1000 samples, got {n_samples}")
     t_mat = _transform_matrix(transform)
-    if t_mat is not None and t_mat.shape[0] != spec.dim:
+    if t_mat is not None and t_mat.shape[1] != spec.dim:
         raise DimensionMismatchError(
-            f"transform has dim {t_mat.shape[0]}, but the noise has dim {spec.dim}"
+            f"transform has dim {t_mat.shape[1]}, but the noise has dim {spec.dim}"
         )
     g = np.empty(n_samples)
     for lo, logs in log_norm_blocks(spec, n_samples, stream, t_mat):

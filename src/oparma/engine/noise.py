@@ -396,7 +396,7 @@ def sample_path(
 def log_norm_blocks(spec: NoiseSpec, count: int, stream: int, gain=None, row: tuple = ()):
     """Yield ``(lo, logs)``: log ||T Z_t|| for lo <= t < lo + len(logs), over 0 <= t < count.
 
-    T is the d x d matrix ``gain``, or the identity when None.  The blocks
+    T is the m x d matrix ``gain``, or the identity when None.  The blocks
     are :func:`_raw_blocks` blocks of ``stream``, ``row`` included.  The
     gain is taken in power-of-two units.  The heavy kinds read the exact
     log channel off their raw uniforms and add log ||T x|| for their

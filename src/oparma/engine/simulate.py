@@ -535,11 +535,12 @@ def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count, replicates
 def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: int) -> dict:
     """S_{a,b} = sum_{j=a}^{b-1} A^{j-q} M Z_j for each (a, b) in ``spans``, q <= a < b.
 
-    M = sum_k A^{q-k} B_k.  The partial sum S_n is the span (q, n), and the
-    increment S_{2n} - S_n the span (n, 2n), summed from its own terms
-    rather than as the difference of two larger sums.  Returns
-    {(a, b): (d, replicates) array}; replicate i reads noise stream i.
-    The state is the (replicates, d) block, never a d x d power chain:
+    A is the pd x pd companion lift and M the pd x d
+    :func:`.operators.ma_moment_operator`.  S_n is the span (q, n), and
+    S_{2n} - S_n the span (n, 2n), summed from its own terms rather than
+    as the difference of two larger sums.  Returns {(a, b): (pd,
+    replicates) array}; replicate i reads noise stream i.  The state is
+    the (replicates, pd) block, never a pd x pd power chain:
     the span ends cut the rows into segments, and each span sums the
     carried terms A^{c-q} T of its segments [c, e), lowest first.  The
     segment sum T = sum_{j=c}^{e-1} A^{j-c} M Z_j is reduced as aligned
@@ -549,11 +550,10 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: in
     is real when A, M and the noise are.  A sum that overflows is left
     to :func:`_norm_quantile`.
     """
-    _require_first_order(model)
     q = model.q
     # segment [c, e) of the rows j - q; span (a, b) covers those with a - q <= c < b - q
     bounds = sorted({0} | {end - q for span in spans for end in span})
-    a_t = real_if_exact(model.ar_ops[0].matrix).T
+    a_t = real_if_exact(companion_lift(model).matrix).T
     m_t = real_if_exact(ma_moment_operator(model)).T
     segments = {c: [] for c in bounds[:-1]}  # T of each block, by segment start
     with np.errstate(over="ignore", invalid="ignore"):
@@ -590,11 +590,6 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: in
     }
 
 
-def _require_first_order(model: ArmaModel) -> None:
-    if model.p != 1:
-        raise SpecificationError("expects a first-order model; lift first")
-
-
 def _probe_grid(model: ArmaModel, n_grid) -> tuple:
     """``n_grid`` as a tuple of ints, each past the MA window (n > q)."""
     n_grid = tuple(int(n) for n in n_grid)
@@ -622,7 +617,8 @@ def plim_probe(
 
     For each n in the grid, estimates the :data:`PROBE_QUANTILE` of
     ||S_{2n} - S_n|| over replicates, where S_n = sum_{j=q}^{n-1}
-    A^{j-q} M Z_j and M = sum_k A^{q-k} B_k.  Convergence is declared
+    A^{j-q} M Z_j is the lifted state of :func:`_partial_sums`, for any
+    order p; A must have spectral radius <= 1.  Convergence is declared
     when the final dispersion falls below :data:`PROBE_TOL`.  Useful
     verdicts need geometric or at least summable tails; near loglog-type
     boundaries the dispersion curve should be inspected rather than the
@@ -630,8 +626,7 @@ def plim_probe(
     ``OverflowError`` naming n when a partial sum or its norm leaves the
     float range, as heavy-tailed noise can make it.
     """
-    _require_first_order(model)
-    rad = spectral_radius(model.ar_ops[0])
+    rad = spectral_radius(companion_lift(model))
     if rad > 1.0 + 1e-9:
         raise SpecificationError(
             f"probe requires spectral radius <= 1, got {rad:.6f}"

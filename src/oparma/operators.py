@@ -468,21 +468,21 @@ def companion_lift(model: ArmaModel) -> Operator:
 
 
 def ma_moment_operator(model: ArmaModel) -> np.ndarray:
-    """The operator sum_{k=0}^{q} A_1^{q-k} B_k entering the log-moment test.
+    """The pd x d operator M = sum_{k=0}^{q} A^{q-k} E B_k entering the log-moment test.
 
-    Defined for p = 1 models; order-p models go through the companion
-    lift first (the lifted sum applied to the embedded noise has the
-    same norm behaviour up to the similarity).
+    A is :func:`companion_lift` and E embeds the noise in the lift's first
+    block, as the split does.  The probes sum A^{j-q} M Z_j, so M Z_j is
+    the lifted state that Z_j drives past the MA window, and a noise
+    direction x with M x = 0 enters only finitely many lags.  For p = 1,
+    A = A_1, E = I and M = sum_k A_1^{q-k} B_k.
     """
-    if model.p != 1:
-        raise SpecificationError("ma_moment_operator expects p = 1; lift the model first")
-    a = model.ar_ops[0].matrix
-    q = model.q
-    acc = np.zeros_like(a)
-    pw = np.eye(model.dim, dtype=complex)
-    # pw = A^(q-k) built from k = q downward
+    d, q = model.dim, model.q
+    a = companion_lift(model).matrix
+    acc = np.zeros((a.shape[0], d), dtype=complex)
+    pw = np.eye(a.shape[0], dtype=complex)
+    # pw = A^(q-k) built from k = q downward; pw[:, :d] = A^(q-k) E
     for k in range(q, -1, -1):
-        acc = acc + pw @ model.ma_ops[k].matrix
+        acc = acc + pw[:, :d] @ model.ma_ops[k].matrix
         if k > 0:
             pw = a @ pw
     return acc

@@ -215,6 +215,18 @@ class TestValidation:
             moment_estimate(spec, np.ones((2, 3)), "log_plus", 5_000)
 
     @pytest.mark.parametrize("kind, params", [("gaussian", {"sigma": 1.0}), ("pareto_exp", {})])
+    def test_rectangular_transform_with_zero_rows_keeps_the_report(self, kind, params):
+        # an m x d transform, like the pd x d moment operator of an order-p
+        # model; zero rows add nothing to a norm, so [T; 0] reads T's bits
+        spec = NoiseSpec(kind=kind, dim=2, params=params, seed=3)
+        t = np.array([[1.5, -0.25], [0.5, 2.0]])
+        tall = np.vstack([t, np.zeros((2, 2))])
+        for moment_kind in ("log_plus", "gamma_inverse"):
+            assert moment_estimate(spec, tall, moment_kind, 5_000) == moment_estimate(
+                spec, t, moment_kind, 5_000
+            )
+
+    @pytest.mark.parametrize("kind, params", [("gaussian", {"sigma": 1.0}), ("pareto_exp", {})])
     def test_transform_dim_must_match_the_noise(self, kind, params):
         spec = NoiseSpec(kind=kind, dim=2, params=params)
         match = "transform has dim 3, but the noise has dim 2"

@@ -368,11 +368,20 @@ def test_ma_moment_operator_scalar_oracle():
     np.testing.assert_allclose(ma_moment_operator(model), [[15.0]])
 
 
-def test_ma_moment_operator_requires_first_order():
-    a = op("identity", 2)
-    model = arma_model([a, a], [a])
-    with pytest.raises(SpecificationError):
-        ma_moment_operator(model)
+def test_ma_moment_operator_is_the_lifted_sum():
+    # AR(2), q = 2: M = sum_k Ahat^(q-k) E B_k, pd x d, with Ahat the block
+    # companion matrix written out here and E the first-block embedding
+    rng = np.random.default_rng(8)
+    d, q = 3, 2
+    a1, a2 = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
+    bs = [rng.normal(size=(d, d)) for _ in range(q + 1)]
+    model = arma_model([dense_operator(a1), dense_operator(a2)], [dense_operator(b) for b in bs])
+    lift = np.block([[a1, a2], [np.eye(d), np.zeros((d, d))]])
+    embed = np.vstack([np.eye(d), np.zeros((d, d))])
+    want = sum(np.linalg.matrix_power(lift, q - k) @ embed @ b for k, b in enumerate(bs))
+    got = ma_moment_operator(model)
+    assert got.shape == (2 * d, d)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from oparma.operators import (
     OperatorSpec,
     arma_model,
     build_operator,
+    companion_lift,
     dense_operator,
     ma_moment_operator,
 )
@@ -509,14 +510,13 @@ class TestPlimProbe:
             [dense_operator(np.array([[0.1]])), dense_operator(np.array([[0.1]]))],
             [dense_operator(np.array([[1.0]]))],
         )
-        with pytest.raises(SpecificationError, match="expects a first-order model; lift first"):
-            plim_probe(two, spec)
-        # the order is checked before the spectral radius of A_1
+        assert plim_probe(two, spec, n_grid=(4, 8), replicates=20).converges
+        # an order-2 model is gated on its lift: z^2 - 1.5 z - 0.1 has a root 1.5639...
         ar2 = arma_model(
             [dense_operator(np.array([[1.5]])), dense_operator(np.array([[0.1]]))],
             [dense_operator(np.array([[1.0]]))],
         )
-        with pytest.raises(SpecificationError, match="expects a first-order model; lift first"):
+        with pytest.raises(SpecificationError, match=r"spectral radius <= 1, got 1\.56"):
             plim_probe(ar2, spec)
         with pytest.raises(SpecificationError):
             plim_probe(scalar_model(0.5, bs=(1.0, 1.0)), spec, n_grid=(1, 2))
@@ -635,6 +635,95 @@ class TestPartialSumScan:
                 partial_sum_quantiles(doubling, gauss, n_grid=(8, 2048), replicates=10)
             with pytest.raises(OverflowError, match="S_16 - S_8"):
                 plim_probe(loud, heavy, n_grid=(8, 16, 32), replicates=400)
+
+
+def _cancelling_ar2(a1, a2):
+    """A dyadic AR(2) with q = 2 whose MA part cancels D(z) along x = e_1.
+
+    B_1 x = -A_1 B_0 x and B_2 x = -A_2 B_0 x, so B(z) x = D(z) B_0 x and
+    H(z) x = B_0 x: noise along x enters lag 0 only.  Every entry is
+    dyadic, so the cancellation is exact in floating point.  Returns the
+    model, x and y = e_2, along which nothing cancels.
+    """
+    a1, a2 = np.array(a1), np.array(a2)
+    b0 = np.array([[1.0, 0.5], [0.5, 1.0]])
+    b1 = np.column_stack([-a1 @ b0[:, 0], [0.25, -0.5]])
+    b2 = np.column_stack([-a2 @ b0[:, 0], [0.5, 0.125]])
+    ar = [dense_operator(a) for a in (a1, a2)]
+    ma = [dense_operator(b) for b in (b0, b1, b2)]
+    return arma_model(ar, ma), np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+
+#: lift spectral radius 0.78: the probes run on it
+_STABLE_AR2 = ([[0.5, 0.25], [0.0, 0.25]], [[0.125, 0.0], [0.25, -0.125]])
+#: lift eigenvalue moduli 1.38, 0.5, 0.28, 0.16: the split has both sides
+_HYPERBOLIC_AR2 = ([[1.5, 0.25], [0.0, 0.5]], [[-0.25, 0.0], [0.25, 0.125]])
+
+
+class TestOrderTwoProbes:
+    def test_ar2_sums_are_the_lifted_power_sum(self):
+        model, _, _ = _cancelling_ar2(*_STABLE_AR2)
+        q, d, reps = model.q, model.dim, 30
+        a1, a2 = (a.matrix for a in model.ar_ops)
+        big = np.block([[a1, a2], [np.eye(d), np.zeros((d, d))]])
+        m = sum(
+            np.linalg.matrix_power(big, q - k)[:, :d] @ b.matrix
+            for k, b in enumerate(model.ma_ops)
+        )
+        spec = NoiseSpec(kind="gaussian", dim=d, params={"sigma": 1.0}, seed=5)
+        spans = {(q, 9), (9, 20), (q, 20)}
+        got = simulate._partial_sums(model, spec, spans, reps)
+        z = np.stack([sample_path(spec, 20 - q, stream=i).values for i in range(reps)])
+        g = np.stack([np.linalg.matrix_power(big, j) @ m for j in range(20 - q)])
+        for lo, hi in spans:
+            ref = np.tensordot(g[lo - q : hi - q], z[:, lo - q : hi - q], axes=([0, 2], [1, 2]))
+            assert got[lo, hi].shape == (2 * d, reps)
+            assert np.abs(got[lo, hi] - ref).max() <= 1e-12 * np.linalg.norm(ref, axis=0).max()
+        probe = plim_probe(model, spec, n_grid=(16, 32, 64), replicates=100)
+        assert probe.converges
+        assert probe.dispersions[0] > probe.dispersions[1] > probe.dispersions[2]
+
+
+class TestMaCancellation:
+    """Noise along a direction the MA part cancels needs no moment."""
+
+    def test_moment_operator_vanishes_exactly_along_x(self):
+        for ar in (_STABLE_AR2, _HYPERBOLIC_AR2):
+            model, x, y = _cancelling_ar2(*ar)
+            m = ma_moment_operator(model)
+            assert (m @ x == 0).all()
+            assert np.linalg.norm(m @ y) > 0.1
+
+    def test_probe_along_x_is_exactly_zero_and_along_y_diverges(self):
+        model, x, y = _cancelling_ar2(*_STABLE_AR2)
+        along_x, along_y = (
+            NoiseSpec(kind="pareto_exp", dim=2, params={"direction": list(v)}, seed=0)
+            for v in (x, y)
+        )
+        probe = plim_probe(model, along_x, n_grid=(8, 16, 32), replicates=200)
+        assert probe.dispersions == (0.0, 0.0, 0.0)
+        assert probe.converges
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="S_16 - S_8"):
+                plim_probe(model, along_y, n_grid=(8, 16, 32), replicates=200)
+
+    def test_split_kernel_tails_vanish_along_x(self):
+        # past the MA window the causal states are L1^(m-q) phi_q and the
+        # anticausal ones L2^(m+1) a_{-1}; both are projections of M, so
+        # they vanish on x on both sides of the circle
+        model, x, y = _cancelling_ar2(*_HYPERBOLIC_AR2)
+        split = hyperbolic_split(companion_lift(model))
+        assert 0 < split.rank < split.dim
+        causal, anticausal = simulate._split_lag_states(model, split)
+        phis = [next(causal) for _ in range(40)]  # phi_0 .. phi_39
+        tails = [next(anticausal) for _ in range(43)][model.q + 1 :]  # a_{-1} .. a_{-40}
+        scale = max(np.linalg.norm(s, 2) for s in phis + tails)
+        assert max(np.linalg.norm(s @ x) for s in phis[model.q :] + tails) <= 1e-12 * scale
+        # x does enter the window lags, and y the tails
+        assert np.linalg.norm(phis[0] @ x) > 0.1 * scale
+        assert np.linalg.norm(phis[model.q] @ y) > 0.1 * scale
+        assert np.linalg.norm(tails[0] @ y) > 0.1 * scale
 
 
 class TestRealArithmetic:
