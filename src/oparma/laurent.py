@@ -24,7 +24,8 @@ to k mod n of psi_m), is at most
 SIAM Review 56, 2014).  rho is set below the nearest root radius of
 det D off the circle, so no root lies in the closed annulus, and sigma_min
 on each circle comes from the same level-set iteration that certifies the
-unit circle, run on the scaled coefficients rho^{+-j} D_j.  The node count
+unit circle, run on the scaled coefficients rho^{+-j} D_j and probed at the
+root nearest that circle.  The node count
 is the smallest power of two whose aliasing is below the relative floor,
 and one grid is built.
 
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, SingularOperatorError, SpecificationError
-from .operators import COND_LIMIT, ArmaModel, _spectral_norms, companion_lift
+from .operators import COND_LIMIT, ArmaModel, _exponent, _ldexp, _spectral_norms, companion_lift
 
 #: smallest singular value of the denominator on the circle must exceed this
 CIRCLE_TOL = 1e-6
@@ -66,6 +67,9 @@ LEVEL_GAP = 1e-11
 
 #: level-set eigensolves before the circle check gives up
 MAX_LEVELS = 32
+
+#: Newton steps of one polish of a candidate minimum
+NEWTON_STEPS = 8
 
 #: coefficients below this relative to the largest are treated as zero
 REL_FLOOR = 1e-12
@@ -121,8 +125,10 @@ class CircleCheck:
     """Invertibility diagnostics of the denominator on the unit circle.
 
     ``n_eigensolves`` counts the level-set eigensolves of
-    :func:`unit_circle_check`.  ``root_radius`` is the nearest root radius of
-    det D off the circle, max(|z|, 1/|z|) over the roots z (inf without one).
+    :func:`unit_circle_check`.  ``eigenvalues`` are the nonzero eigenvalues
+    lambda of the companion lift, whose 1/lambda are the roots of det D, and
+    ``root_radius`` is the nearest root radius off the circle,
+    max(|z|, 1/|z|) over the roots z (inf without one).
     """
 
     min_singular_value: float
@@ -133,6 +139,7 @@ class CircleCheck:
     leading_ar_condition: float
     leading_ar_invertible: bool
     root_radius: float
+    eigenvalues: np.ndarray = field(repr=False, compare=False)
 
 
 def _sigma_min(coeffs: list, nodes: np.ndarray) -> np.ndarray:
@@ -174,6 +181,78 @@ def _level_angles(coeffs: list, gamma: float) -> np.ndarray:
     return np.sort(np.angle((w + c) / (1 + c * w)))
 
 
+def _newton_terms(stack: np.ndarray, theta: float):
+    """(sigma, sigma', sigma''): the smallest singular value of
+    D(theta) = sum_j e^{i j theta} stack[j] and its first two derivatives in
+    theta, or None where it is not simple and well above rounding
+    (sigma_n or sigma_{n-1} - sigma_n at most eps max(sigma_1, 1)).
+
+    From one SVD D = U S V^* with P = U^* D' V, n the last index and
+    u, v the last singular vectors: sigma' = Re P_nn and
+    sigma'' = Re(u^* D'' v) + (Im P_nn)^2 / sigma
+    + sum_{k != n} [sigma (|P_kn|^2 + |P_nk|^2) + 2 sigma_k Re(P_kn P_nk)]
+    / ((sigma - sigma_k)(sigma + sigma_k)).  With the entries of ``stack``
+    at most 1 in modulus, the guard keeps every term finite.
+    """
+    j = np.arange(len(stack))
+    w = np.exp(1j * j * theta)
+    den, d1, d2 = np.tensordot(np.stack([w, 1j * j * w, -(j**2) * w]), stack, axes=1)
+    u, s, vh = np.linalg.svd(den)
+    sigma, tol = s[-1], np.finfo(float).eps * max(s[0], 1.0)
+    if not (sigma > tol and (s.size == 1 or s[-2] - sigma > tol)):
+        return None
+    un, vn = u[:, -1].conj(), vh[-1].conj()
+    col, row = u.conj().T @ (d1 @ vn), (un @ d1) @ vh.conj().T
+    pnn, col, row, sk = col[-1], col[:-1], row[:-1], s[:-1]
+    coupling = (sigma * (abs(col) ** 2 + abs(row) ** 2) + 2 * sk * (col * row).real) / (
+        (sigma - sk) * (sigma + sk)
+    )
+    curv = (un @ d2 @ vn).real + pnn.imag**2 / sigma + coupling.sum()
+    return sigma, pnn.real, curv
+
+
+def _polish(coeffs: list, w: complex, gamma: float, half_arc: float):
+    """(gamma, w) after Newton steps on sigma_min'(theta) = 0 from w = e^{i theta},
+    where gamma = sigma_min(D(w)) and D(w) = sum_j w^j coeffs[j].
+
+    The steps run on the coefficients brought to a largest entry in
+    [1/2, 1) by a power of two (:func:`_newton_terms`).  They stop where
+    sigma_min is not simple or is at rounding, where sigma'' is not
+    positive, where the point would leave the arc of half-width
+    ``half_arc`` around the start, where a step would lower sigma by less
+    than its rounding, at the first step that does not lower it, or after
+    :data:`NEWTON_STEPS`.  The best point seen is returned with
+    :func:`_sigma_min`'s value there, or the start where that value is not
+    below ``gamma``.  (Benner & Mitchell, SIAM J. Sci. Comput. 40(5), 2018,
+    polish the level-set iteration of the H-infinity norm in this way.)
+    """
+    stack = np.stack(coeffs)
+    stack = _ldexp(stack, -_exponent(stack))
+    start = theta = best = float(np.angle(w))
+    terms = _newton_terms(stack, theta)
+    for _ in range(NEWTON_STEPS):
+        if terms is None:
+            break
+        sigma, slope, curv = terms
+        if not (curv > 0 and abs(slope) <= half_arc * curv):
+            break
+        # the step lowers sigma by about slope^2 / (2 curv)
+        if slope**2 <= 2 * np.finfo(float).eps * sigma * curv:
+            break
+        theta -= slope / curv
+        if abs(theta - start) > half_arc:
+            break
+        terms = _newton_terms(stack, theta)
+        if terms is None or not terms[0] < sigma:
+            break
+        best = theta
+    if best == start:
+        return gamma, w
+    point = np.exp(1j * np.array([best]))
+    value = float(_sigma_min(coeffs, point)[0])
+    return (value, complex(point[0])) if value < gamma else (gamma, w)
+
+
 def _circle_min(coeffs: list, probes: np.ndarray):
     """(gamma, worst_w, n_eigensolves): the smallest singular value of
     D(w) = sum_j w^j coeffs[j] over the whole unit circle |w| = 1.
@@ -181,20 +260,22 @@ def _circle_min(coeffs: list, probes: np.ndarray):
     A level-set iteration (Boyd & Balakrishnan, Systems & Control Letters,
     1990; Byers, SIAM J. Sci. Stat. Comput., 1988, gives the bisection
     form).  The value gamma starts as the smallest over 8 equispaced nodes
-    and the ``probes``.  Each step takes the angles where some singular
-    value equals the level gamma (1 - :data:`LEVEL_GAP`)
+    and the ``probes``, polished by :func:`_polish` within half a node
+    spacing.  Each step takes the angles where some singular value equals
+    the level gamma (1 - :data:`LEVEL_GAP`)
     (:func:`_level_angles`).  Between two consecutive ones sigma_min stays
     on one side of the level, so an SVD at each arc's midpoint finds every
-    arc below it, and gamma moves to the smallest midpoint value.  The
-    iteration converges quadratically; it stops when no midpoint falls
-    below the level, so sigma_min >= gamma (1 - :data:`LEVEL_GAP`) on the
-    whole circle, and raises :class:`QuadratureError` after
+    arc below it, and gamma moves to the smallest midpoint value, polished
+    within its arc.  The polish leaves the eigensolve only its certifying
+    job, so it usually runs once; the iteration stops when no midpoint
+    falls below the level, so sigma_min >= gamma (1 - :data:`LEVEL_GAP`) on
+    the whole circle, and raises :class:`QuadratureError` after
     :data:`MAX_LEVELS` eigensolves.  gamma is an SVD's value at worst_w.
     """
     nodes = np.concatenate([np.exp(2j * np.pi * np.arange(8) / 8), probes])
     values = _sigma_min(coeffs, nodes)
     j = int(np.argmin(values))
-    gamma, worst = float(values[j]), complex(nodes[j])
+    gamma, worst = _polish(coeffs, complex(nodes[j]), float(values[j]), np.pi / 8)
     n_eigensolves = 0
     while gamma > 0:
         if n_eigensolves == MAX_LEVELS:
@@ -204,26 +285,36 @@ def _circle_min(coeffs: list, probes: np.ndarray):
         n_eigensolves += 1
         if angles.size == 0:
             break
-        mids = np.exp(1j * (angles + np.diff(angles, append=angles[0] + 2 * np.pi) / 2))
+        arcs = np.diff(angles, append=angles[0] + 2 * np.pi)
+        mids = np.exp(1j * (angles + arcs / 2))
         values = _sigma_min(coeffs, mids)
         j = int(np.argmin(values))
         if values[j] < gamma:
-            gamma, worst = float(values[j]), complex(mids[j])
+            gamma, worst = _polish(coeffs, complex(mids[j]), float(values[j]), arcs[j] / 2)
         if not values[j] < level:
             break
     return gamma, worst, n_eigensolves
+
+
+def _probe(eigs: np.ndarray, radius: float) -> np.ndarray:
+    """The point conj(lambda)/|lambda| of the unit circle for the eigenvalue
+    lambda whose root 1/lambda lies nearest |z| = radius in log distance, at
+    the root's angle (none without an eigenvalue)."""
+    near = eigs[np.argsort(np.abs(np.log(np.abs(eigs) * radius)))[:1]]
+    return near.conj() / np.abs(near)
 
 
 def unit_circle_check(model: ArmaModel) -> CircleCheck:
     """Smallest singular value of the denominator D(z) over the whole unit circle.
 
     The level-set iteration of :func:`_circle_min`, started with one probe
-    besides its 8 nodes: for the nonzero eigenvalue lambda of the companion
-    lift nearest the circle (smallest | |lambda| - 1 |), the point
-    conj(lambda)/|lambda| nearest to the root 1/lambda of the determinant,
-    so a unit root, which has |lambda| = 1, is hit exactly.
-    ``min_singular_value`` is gamma, an SVD's value at ``worst_z``.  The
-    same eigenvalues give ``root_radius``.
+    besides its 8 nodes (:func:`_probe`): for the nonzero eigenvalue lambda
+    of the companion lift whose root 1/lambda of the determinant lies
+    nearest the circle (smallest | log |lambda| |), the point
+    conj(lambda)/|lambda| nearest to that root, so a unit root, which has
+    |lambda| = 1, is hit to rounding.  ``min_singular_value`` is gamma, an
+    SVD's value at ``worst_z``.  The same eigenvalues give ``root_radius``
+    and, kept as ``eigenvalues``, the probes of the Cauchy bound's circles.
 
     The check passes when the minimum exceeds :data:`CIRCLE_TOL`.  Also
     reports the condition of the leading AR operator A_p, whose
@@ -235,10 +326,7 @@ def unit_circle_check(model: ArmaModel) -> CircleCheck:
     eigs = eigs[eigs != 0]
     # the roots of det D are the 1/lambda; log-distance from the circle
     root_radius = float(np.exp(np.abs(np.log(np.abs(eigs))).min(initial=np.inf)))
-    eigs = eigs[np.argsort(np.abs(np.abs(eigs) - 1))[:1]]
-    gamma, worst_z, n_eigensolves = _circle_min(
-        _denominator_coeffs(model), eigs.conj() / np.abs(eigs)
-    )
+    gamma, worst_z, n_eigensolves = _circle_min(_denominator_coeffs(model), _probe(eigs, 1.0))
     ap_sv = np.linalg.svd(model.ar_ops[-1].matrix, compute_uv=False)
     ap_cond = np.inf if ap_sv[-1] == 0.0 else float(ap_sv[0] / ap_sv[-1])
     return CircleCheck(
@@ -250,6 +338,7 @@ def unit_circle_check(model: ArmaModel) -> CircleCheck:
         leading_ar_condition=ap_cond,
         leading_ar_invertible=bool(np.isfinite(ap_cond) and ap_cond < COND_LIMIT),
         root_radius=root_radius,
+        eigenvalues=eigs,
     )
 
 
@@ -332,14 +421,16 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ki->k", flat, flat))
 
 
-def _cauchy_bound(model: ArmaModel, rho: float) -> float:
+def _cauchy_bound(model: ArmaModel, rho: float, eigs: np.ndarray) -> float:
     """M, the largest sum_j |z|^j ||B_j||_2 / sigma_min(D(z)) over |z| = rho
     and |z| = 1/rho, with sigma_min bounded below by gamma (1 - :data:`LEVEL_GAP`)
-    from the level-set iteration on each circle (M is inf where that is 0)."""
+    from the level-set iteration on each circle (M is inf where that is 0).
+    Each iteration is probed at the root nearest its circle, from the
+    companion-lift eigenvalues ``eigs``."""
     b_norms = _spectral_norms(np.stack([b.matrix for b in model.ma_ops]))
     bound = 0.0
     for radius in (rho, 1.0 / rho):
-        gamma = _circle_min(_denominator_coeffs(model, radius), np.empty(0))[0]
+        gamma = _circle_min(_denominator_coeffs(model, radius), _probe(eigs, radius))[0]
         lower = gamma * (1 - LEVEL_GAP)
         top = float(np.polynomial.polynomial.polyval(radius, b_norms))
         bound = max(bound, top / lower if lower > 0 else math.inf)
@@ -406,7 +497,7 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
             condition=1.0 / max(circle.min_singular_value, 1e-300),
         )
     rho = min(circle.root_radius**ANNULUS_POWER, ANNULUS_MAX)
-    bound = _cauchy_bound(model, rho) if rho > 1 else math.inf
+    bound = _cauchy_bound(model, rho, circle.eigenvalues) if rho > 1 else math.inf
     if not math.isfinite(bound):
         raise _cap_error(bound, rho)
     href = _batched_transfer(model, TEST_POINTS)

@@ -20,7 +20,7 @@ from oparma.laurent import (
     laurent_coeffs,
     unit_circle_check,
 )
-from oparma.operators import companion_lift
+from oparma.operators import _exponent, _ldexp, companion_lift
 
 
 def scalar_model(ar, ma):
@@ -245,8 +245,17 @@ def _planted_model():
     return arma_model([dense_operator(a)], [dense_operator(np.eye(2))])
 
 
-def test_circle_check_fails_a_dip_between_nodes_and_probes():
-    model = _planted_model()
+def _planted_model_with_decoy():
+    """The planted 2x2 block beside a normal eigenvalue nearer the circle in
+    modulus, e^{-2i} / 1.0005: the probe goes to its dip at angle 2, 5.0e-4
+    deep, and the first level reveals the planted one."""
+    a = np.zeros((3, 3), complex)
+    a[:2, :2] = _planted_model().ar_ops[0].matrix
+    a[2, 2] = np.exp(-2j) / 1.0005
+    return arma_model([dense_operator(a)], [dense_operator(np.eye(3))])
+
+
+def _assert_fails_the_planted_dip(model):
     assert _full_scan(model) > CIRCLE_TOL
     cc = unit_circle_check(model)
     assert not cc.passed
@@ -256,11 +265,105 @@ def test_circle_check_fails_a_dip_between_nodes_and_probes():
         laurent_coeffs(model)
 
 
+def test_circle_check_fails_a_dip_between_nodes_and_probes():
+    _assert_fails_the_planted_dip(_planted_model())
+
+
+def test_circle_check_fails_a_dip_behind_a_decoy():
+    # the polished start is the decoy's shallower dip, and only the
+    # eigensolve finds the planted one
+    _assert_fails_the_planted_dip(_planted_model_with_decoy())
+
+
 def test_circle_check_gives_up_after_max_levels(monkeypatch):
-    # the planted dip takes a second level; with one allowed the check raises
+    # the decoy's dip is polished and certified by one level, which finds the
+    # planted dip below it; with one level allowed the check raises
+    model = _planted_model_with_decoy()
+    cc = unit_circle_check(model)
+    assert cc.n_eigensolves == 2
+    assert cc.min_singular_value == pytest.approx(9.911e-7, rel=1e-4)
     monkeypatch.setattr(laurent, "MAX_LEVELS", 1)
     with pytest.raises(QuadratureError, match="within 1 eigensolves"):
-        unit_circle_check(_planted_model())
+        unit_circle_check(model)
+
+
+def _scaled_stack(model):
+    """The denominator coefficients as ``laurent._polish`` scales them."""
+    stack = np.stack(laurent._denominator_coeffs(model))
+    return _ldexp(stack, -_exponent(stack))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_newton_terms_match_central_differences(p, real):
+    rng = np.random.default_rng(10 * p + real)
+    for d in (1, 3, 6):
+        model = _factored_model(rng, d, p, real, 1.0)
+        stack = _scaled_stack(model)
+        theta = rng.uniform(-np.pi, np.pi)
+        h = 1e-4
+        sig = laurent._sigma_min(list(stack), np.exp(1j * (theta + np.array([-h, 0.0, h]))))
+        sigma, slope, curv = laurent._newton_terms(stack, theta)
+        assert sigma == pytest.approx(sig[1], rel=1e-12)
+        assert slope == pytest.approx((sig[2] - sig[0]) / (2 * h), rel=1e-6, abs=1e-9)
+        assert curv == pytest.approx((sig[2] - 2 * sig[1] + sig[0]) / h**2, rel=1e-5, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polish_never_rises(seed):
+    rng = np.random.default_rng(seed)
+    model = _factored_model(rng, int(rng.integers(1, 7)), int(rng.integers(1, 4)), seed % 2 == 0, 1.0)
+    coeffs = laurent._denominator_coeffs(model)
+    # random starts, and last the best of 512 nodes off the real axis (where
+    # a real model's minimum may sit), from which the polish moves
+    scan = np.exp(2j * np.pi * (np.arange(512) + 1 / 3) / 512)
+    best = scan[np.argmin(laurent._sigma_min(coeffs, scan))]
+    for w in [*np.exp(1j * rng.uniform(-np.pi, np.pi, size=8)), best]:
+        start = float(laurent._sigma_min(coeffs, np.array([w]))[0])
+        gamma, worst = laurent._polish(coeffs, complex(w), start, np.pi / 8)
+        assert gamma <= start
+        assert abs(np.angle(worst / w)) <= np.pi / 8
+        assert gamma == laurent._sigma_min(coeffs, np.array([worst]))[0]
+    assert gamma < start
+
+
+def test_polish_stays_on_an_exact_zero():
+    # the probe hits the unit root z = 1 of 1 - z exactly
+    coeffs = laurent._denominator_coeffs(scalar_model([1.0], [1.0]))
+    assert laurent._sigma_min(coeffs, np.ones(1))[0] == 0.0
+    assert laurent._polish(coeffs, 1 + 0j, 0.0, np.pi / 8) == (0.0, 1 + 0j)
+    cc = unit_circle_check(scalar_model([1.0], [1.0]))
+    assert (cc.min_singular_value, cc.worst_z, cc.n_eigensolves) == (0.0, 1 + 0j, 0)
+
+
+def _planted_ar1(seed, d):
+    """AR(1) with half its spectrum at moduli in [0.4, 0.85] and half in
+    [1.25, 2.2], at random angles, in a well-conditioned random basis."""
+    rng = np.random.default_rng(seed)
+    moduli = np.concatenate([rng.uniform(0.4, 0.85, d // 2), rng.uniform(1.25, 2.2, d - d // 2)])
+    eigs = moduli * np.exp(2j * np.pi * rng.uniform(size=d))
+    noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    basis = np.eye(d) + 0.3 * noise / np.sqrt(d)
+    a = basis @ np.diag(eigs) @ np.linalg.inv(basis)
+    return arma_model([dense_operator(a)], [dense_operator(np.eye(d))])
+
+
+def test_each_circle_takes_one_eigensolve(monkeypatch):
+    # the polish leaves the eigensolve only its certifying job, on the unit
+    # circle and on both circles of the Cauchy bound
+    model = _planted_ar1(1, 16)
+    assert unit_circle_check(model).n_eigensolves == 1
+    counts = []
+    circle_min = laurent._circle_min
+
+    def counting(coeffs, probes):
+        result = circle_min(coeffs, probes)
+        counts.append(result[2])
+        return result
+
+    monkeypatch.setattr(laurent, "_circle_min", counting)
+    laurent_coeffs(model)
+    assert counts == [1, 1, 1]
 
 
 def test_decay_envelope_majorizes_and_tracks_rate():
