@@ -53,7 +53,8 @@ from .noise import (
     sample_path,
 )
 
-#: dropped-tail bound for the automatic truncation choice; tightened an
+#: dropped-tail bound for the automatic truncation choice, in units of the
+#: MA operators' largest entry (see :func:`_split_depth`); tightened an
 #: extra two decades below the 1e-10 residual target so that the few
 #: dropped tails summed over AR and MA terms stay clear of it
 DEFAULT_TAIL_TOL = 1e-12
@@ -158,9 +159,12 @@ def _split_depth(model: ArmaModel, split=None, k_trunc=None) -> tuple[int, Spect
     Runs :func:`_split_lag_states` keeping only the newest state per side,
     so memory is O(d^2).  K is the first lag past the MA window (K > q) at
     which both newest states, phi_K and a_{-K}, have norm <=
-    :data:`DEFAULT_TAIL_TOL`; measured on the lifted state rather than on
-    its first block, so an order-p model whose kernel lag vanishes only
-    transiently is not cut there.  ``k_trunc`` forces K instead.
+    :data:`DEFAULT_TAIL_TOL` in units of 2^(e - 1), the power of two that
+    brings the largest |entry| of the B_k into [1, 2): the states scale
+    with the B_k, so K is the same for B_k and 2^m B_k.  The norm is
+    measured on the lifted state rather than on its first block, so an
+    order-p model whose kernel lag vanishes only transiently is not cut
+    there.  ``k_trunc`` forces K instead.
     """
     if k_trunc is not None and k_trunc < 0:
         raise SpecificationError(f"truncation depth must be >= 0, got {k_trunc}")
@@ -172,6 +176,7 @@ def _split_depth(model: ArmaModel, split=None, k_trunc=None) -> tuple[int, Spect
             f"split has dim {split.dim}, lifted operator has {lift.dim}"
         )
     causal, anticausal = _split_lag_states(model, split)
+    tol = DEFAULT_TAIL_TOL * 2.0 ** (_exponent(np.stack([b.matrix for b in model.ma_ops])) - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
         for _ in range(model.q):
             next(anticausal)  # a_q .. a_1
@@ -180,7 +185,7 @@ def _split_depth(model: ArmaModel, split=None, k_trunc=None) -> tuple[int, Spect
             tail = max(abs(np.vdot(x, x)) for x in newest) ** 0.5
             if not math.isfinite(tail) and not all(np.isfinite(x).all() for x in newest):
                 raise OverflowError(f"split kernel lag states leave the float range at lag {k}")
-            if k == k_trunc or (k_trunc is None and k > model.q and tail <= DEFAULT_TAIL_TOL):
+            if k == k_trunc or (k_trunc is None and k > model.q and tail <= tol):
                 return k, split
 
 

@@ -25,9 +25,10 @@ SIAM Review 56, 2014).  rho is set below the nearest root radius of
 det D off the circle, so no root lies in the closed annulus, and sigma_min
 on each circle comes from the same level-set iteration that certifies the
 unit circle, run on the scaled coefficients rho^{+-j} D_j and probed at the
-root nearest that circle.  The node count
-is the smallest power of two whose aliasing is below the relative floor,
-and one grid is built.
+root nearest that circle.  Every sigma_min of that iteration, its polish
+steps included, is one batched SVD of D at the points asked for.  The node
+count is the smallest power of two whose aliasing is below the relative
+floor, and one grid is built.
 
 The range is read from Frobenius norms, which bound the spectral norm
 from above (||psi||_2 <= ||psi||_F <= sqrt(d) ||psi||_2), so it can only be
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, SingularOperatorError, SpecificationError
-from .operators import COND_LIMIT, ArmaModel, _exponent, _ldexp, _spectral_norms, companion_lift
+from .operators import COND_LIMIT, ArmaModel, _spectral_norms, companion_lift
 
 #: smallest singular value of the denominator on the circle must exceed this
 CIRCLE_TOL = 1e-6
@@ -70,6 +71,8 @@ MAX_LEVELS = 32
 
 #: Newton steps of one polish of a candidate minimum
 NEWTON_STEPS = 8
+#: half-width of the central differences of a polish's first step
+POLISH_H = 1e-3
 
 #: coefficients below this relative to the largest are treated as zero
 REL_FLOOR = 1e-12
@@ -181,71 +184,40 @@ def _level_angles(coeffs: list, gamma: float) -> np.ndarray:
     return np.sort(np.angle((w + c) / (1 + c * w)))
 
 
-def _newton_terms(stack: np.ndarray, theta: float):
-    """(sigma, sigma', sigma''): the smallest singular value of
-    D(theta) = sum_j e^{i j theta} stack[j] and its first two derivatives in
-    theta, or None where it is not simple and well above rounding
-    (sigma_n or sigma_{n-1} - sigma_n at most eps max(sigma_1, 1)).
-
-    From one SVD D = U S V^* with P = U^* D' V, n the last index and
-    u, v the last singular vectors: sigma' = Re P_nn and
-    sigma'' = Re(u^* D'' v) + (Im P_nn)^2 / sigma
-    + sum_{k != n} [sigma (|P_kn|^2 + |P_nk|^2) + 2 sigma_k Re(P_kn P_nk)]
-    / ((sigma - sigma_k)(sigma + sigma_k)).  With the entries of ``stack``
-    at most 1 in modulus, the guard keeps every term finite.
-    """
-    j = np.arange(len(stack))
-    w = np.exp(1j * j * theta)
-    den, d1, d2 = np.tensordot(np.stack([w, 1j * j * w, -(j**2) * w]), stack, axes=1)
-    u, s, vh = np.linalg.svd(den)
-    sigma, tol = s[-1], np.finfo(float).eps * max(s[0], 1.0)
-    if not (sigma > tol and (s.size == 1 or s[-2] - sigma > tol)):
-        return None
-    un, vn = u[:, -1].conj(), vh[-1].conj()
-    col, row = u.conj().T @ (d1 @ vn), (un @ d1) @ vh.conj().T
-    pnn, col, row, sk = col[-1], col[:-1], row[:-1], s[:-1]
-    coupling = (sigma * (abs(col) ** 2 + abs(row) ** 2) + 2 * sk * (col * row).real) / (
-        (sigma - sk) * (sigma + sk)
-    )
-    curv = (un @ d2 @ vn).real + pnn.imag**2 / sigma + coupling.sum()
-    return sigma, pnn.real, curv
-
-
 def _polish(coeffs: list, w: complex, gamma: float, half_arc: float):
     """(gamma, w) after Newton steps on sigma_min'(theta) = 0 from w = e^{i theta},
     where gamma = sigma_min(D(w)) and D(w) = sum_j w^j coeffs[j].
 
-    The steps run on the coefficients brought to a largest entry in
-    [1/2, 1) by a power of two (:func:`_newton_terms`).  They stop where
-    sigma_min is not simple or is at rounding, where sigma'' is not
-    positive, where the point would leave the arc of half-width
-    ``half_arc`` around the start, where a step would lower sigma by less
-    than its rounding, at the first step that does not lower it, or after
-    :data:`NEWTON_STEPS`.  The best point seen is returned with
-    :func:`_sigma_min`'s value there, or the start where that value is not
-    below ``gamma``.  (Benner & Mitchell, SIAM J. Sci. Comput. 40(5), 2018,
-    polish the level-set iteration of the H-infinity norm in this way.)
+    Each step reads :func:`_sigma_min` at theta and theta +- h and moves
+    theta to the vertex of the parabola through the three values squared:
+    a Newton step on sigma^2 with central differences.  h is
+    :data:`POLISH_H` (at most ``half_arc``) at first and then the last
+    step's length.  The steps stop where the curvature is not positive,
+    where the predicted fall is below sigma's rounding, where the point
+    would leave the arc of half-width ``half_arc`` around the start, or
+    after :data:`NEWTON_STEPS`.  The best point read (each lies in the arc)
+    is returned with :func:`_sigma_min`'s value there, or the start where
+    that value is not below ``gamma``.  (Benner & Mitchell, SIAM J. Sci.
+    Comput. 40(5), 2018, polish the level-set iteration of the H-infinity
+    norm in this way.)
     """
-    stack = np.stack(coeffs)
-    stack = _ldexp(stack, -_exponent(stack))
-    start = theta = best = float(np.angle(w))
-    terms = _newton_terms(stack, theta)
+    start = theta = float(np.angle(w))
+    h, best, low = min(POLISH_H, half_arc), start, gamma
     for _ in range(NEWTON_STEPS):
-        if terms is None:
+        lo, mid, hi = _sigma_min(coeffs, np.exp(1j * (theta + np.array([-h, 0.0, h]))))
+        if mid < low:
+            best, low = theta, mid
+        curv = lo - 2 * mid + hi
+        # the step lowers sigma by about (lo - hi)^2 / (8 curv)
+        if not curv > 0 or (lo - hi) ** 2 <= 8 * np.finfo(float).eps * mid * curv:
             break
-        sigma, slope, curv = terms
-        if not (curv > 0 and abs(slope) <= half_arc * curv):
-            break
-        # the step lowers sigma by about slope^2 / (2 curv)
-        if slope**2 <= 2 * np.finfo(float).eps * sigma * curv:
-            break
-        theta -= slope / curv
+        # the vertex of the parabola through the squares: sigma^2 is smooth
+        # across a dip narrower than h, where sigma is V-shaped
+        step = h * (lo * lo - hi * hi) / (2 * (lo * lo - 2 * mid * mid + hi * hi))
+        theta += step
         if abs(theta - start) > half_arc:
             break
-        terms = _newton_terms(stack, theta)
-        if terms is None or not terms[0] < sigma:
-            break
-        best = theta
+        h = abs(step)
     if best == start:
         return gamma, w
     point = np.exp(1j * np.array([best]))
@@ -266,11 +238,13 @@ def _circle_min(coeffs: list, probes: np.ndarray):
     (:func:`_level_angles`).  Between two consecutive ones sigma_min stays
     on one side of the level, so an SVD at each arc's midpoint finds every
     arc below it, and gamma moves to the smallest midpoint value, polished
-    within its arc.  The polish leaves the eigensolve only its certifying
-    job, so it usually runs once; the iteration stops when no midpoint
-    falls below the level, so sigma_min >= gamma (1 - :data:`LEVEL_GAP`) on
-    the whole circle, and raises :class:`QuadratureError` after
-    :data:`MAX_LEVELS` eigensolves.  gamma is an SVD's value at worst_w.
+    within its arc.  The polish reads sigma_min through :func:`_sigma_min`
+    as the rest of the iteration does, and leaves the eigensolve only its
+    certifying job, so it usually runs once; the iteration stops when no
+    midpoint falls below the level, so sigma_min >= gamma
+    (1 - :data:`LEVEL_GAP`) on the whole circle, and raises
+    :class:`QuadratureError` after :data:`MAX_LEVELS` eigensolves.  gamma
+    is an SVD's value at worst_w.
     """
     nodes = np.concatenate([np.exp(2j * np.pi * np.arange(8) / 8), probes])
     values = _sigma_min(coeffs, nodes)

@@ -20,7 +20,7 @@ from oparma.laurent import (
     laurent_coeffs,
     unit_circle_check,
 )
-from oparma.operators import _exponent, _ldexp, companion_lift
+from oparma.operators import companion_lift
 
 
 def scalar_model(ar, ma):
@@ -287,28 +287,6 @@ def test_circle_check_gives_up_after_max_levels(monkeypatch):
         unit_circle_check(model)
 
 
-def _scaled_stack(model):
-    """The denominator coefficients as ``laurent._polish`` scales them."""
-    stack = np.stack(laurent._denominator_coeffs(model))
-    return _ldexp(stack, -_exponent(stack))
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-def test_newton_terms_match_central_differences(p, real):
-    rng = np.random.default_rng(10 * p + real)
-    for d in (1, 3, 6):
-        model = _factored_model(rng, d, p, real, 1.0)
-        stack = _scaled_stack(model)
-        theta = rng.uniform(-np.pi, np.pi)
-        h = 1e-4
-        sig = laurent._sigma_min(list(stack), np.exp(1j * (theta + np.array([-h, 0.0, h]))))
-        sigma, slope, curv = laurent._newton_terms(stack, theta)
-        assert sigma == pytest.approx(sig[1], rel=1e-12)
-        assert slope == pytest.approx((sig[2] - sig[0]) / (2 * h), rel=1e-6, abs=1e-9)
-        assert curv == pytest.approx((sig[2] - 2 * sig[1] + sig[0]) / h**2, rel=1e-5, abs=1e-6)
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_polish_never_rises(seed):
     rng = np.random.default_rng(seed)
@@ -334,6 +312,22 @@ def test_polish_stays_on_an_exact_zero():
     assert laurent._polish(coeffs, 1 + 0j, 0.0, np.pi / 8) == (0.0, 1 + 0j)
     cc = unit_circle_check(scalar_model([1.0], [1.0]))
     assert (cc.min_singular_value, cc.worst_z, cc.n_eigensolves) == (0.0, 1 + 0j, 0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_polish_reaches_the_minimum(p):
+    # from the best of 512 nodes, within one node spacing either side, the
+    # polish ends at the arc's minimum as a 2^14-node scan of the arc reads it
+    rng = np.random.default_rng(100 + p)
+    half_arc = 2 * np.pi / 512
+    for d, real in [(1, True), (3, False), (4, True), (6, False)]:
+        coeffs = laurent._denominator_coeffs(_factored_model(rng, d, p, real, 1.0))
+        scan = np.exp(2j * np.pi * (np.arange(512) + 1 / 3) / 512)
+        values = laurent._sigma_min(coeffs, scan)
+        j = int(np.argmin(values))
+        gamma, _ = laurent._polish(coeffs, complex(scan[j]), float(values[j]), half_arc)
+        arc = np.angle(scan[j]) + np.linspace(-half_arc, half_arc, 2**14)
+        assert gamma <= laurent._sigma_min(coeffs, np.exp(1j * arc)).min() * (1 + 1e-12)
 
 
 def _planted_ar1(seed, d):

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from oparma.cli import main
 from oparma.engine import simulate
 from oparma.engine.noise import NOISE_KINDS, NoiseSpec, sample_path
 from oparma.engine.simulate import (
@@ -18,6 +20,7 @@ from oparma.engine.simulate import (
     stationarity_ks,
 )
 from oparma.errors import DimensionMismatchError, SpecificationError, WindowError
+from oparma.jsonio import dump_model
 from oparma.laurent import laurent_coeffs
 from oparma.operators import (
     OperatorSpec,
@@ -172,6 +175,47 @@ class TestTruncationControl:
         tight = simulate_theorem1(model, spec, t_range=(0, 99))
         assert tight.max_residual < loose.max_residual
         assert tight.truncation_K > loose.truncation_K
+
+
+def _hyperbolic_ar1(rng, d, q):
+    """AR(1) with half its spectrum inside the circle and half outside, and
+    q + 1 random MA operators."""
+    moduli = np.concatenate([rng.uniform(0.4, 0.85, d // 2), rng.uniform(1.25, 2.2, d - d // 2)])
+    basis = np.eye(d) + 0.3 * rng.normal(size=(d, d)) / np.sqrt(d)
+    a = basis @ np.diag(moduli * np.exp(2j * np.pi * rng.uniform(size=d))) @ np.linalg.inv(basis)
+    return [a], [rng.normal(size=(d, d)) for _ in range(q + 1)]
+
+
+class TestScaleFreeDepth:
+    """K is read in units of the MA operators' scale."""
+
+    @pytest.mark.parametrize("order", ["ar1_q2", "ar2"])
+    def test_depth_is_the_same_for_scaled_ma_operators(self, order):
+        rng = np.random.default_rng(6)
+        if order == "ar1_q2":
+            ars, mas = _hyperbolic_ar1(rng, 6, 2)
+        else:
+            ars = [np.array([[0.5, 0.3], [0.0, 1.2]]), np.array([[0.2, 0.0], [0.1, -0.4]])]
+            mas = [rng.normal(size=(2, 2))]
+
+        def depth(m):
+            model = arma_model(
+                [dense_operator(a) for a in ars], [dense_operator(np.ldexp(b, m)) for b in mas]
+            )
+            return build_split_kernel(model)[0].l_max
+
+        base = depth(0)
+        assert [depth(m) for m in (-40, -20, 20, 40)] == [base] * 4
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-13])
+    def test_small_ma_operators_keep_the_residual(self, scale, tmp_path):
+        mult = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [0.9, 2.0]})
+        model = arma_model([build_operator(mult)], [dense_operator(scale * np.eye(2))])
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
+        assert simulate_theorem1(model, spec, t_range=(0, 199)).max_residual <= 1e-10
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dump_model(model)))
+        assert main(["verify", "--model", str(path)]) == 0
 
 
 class TestRecursionResidual:
