@@ -74,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("laurent", help="Laurent coefficients of the transfer function")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--k-min", type=int, help="lowest coefficient index (with --k-max)")
-    sp.add_argument("--k-max", type=int, help="highest coefficient index (with --k-min)")
     sp.add_argument("--out")
 
     sp = sub.add_parser("check-circle", help="denominator invertibility on the unit circle")
@@ -92,12 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("split", "ma"),
         default="split",
         help="split series (default) or two-sided moving average",
-    )
-    sp.add_argument(
-        "--K",
-        type=int,
-        dest="k_trunc",
-        help="force the truncation depth K >= 0 (split method only)",
     )
     sp.add_argument("--seed", type=int, help="override the noise file's seed")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -165,13 +157,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_laurent(args) -> int:
-    if (args.k_min is None) != (args.k_max is None):
-        raise SpecificationError("--k-min and --k-max must be given together")
-    model = load_model(args.model)
-    kwargs = {}
-    if args.k_min is not None:
-        kwargs["k_range"] = (args.k_min, args.k_max)
-    lc = laurent_coeffs(model, **kwargs)
+    lc = laurent_coeffs(load_model(args.model))
     _emit(dumps(laurent_payload(lc)), args.out)
     return 0
 
@@ -187,11 +173,9 @@ def _cmd_simulate(args) -> int:
     spec = _load_noise(args)
     if args.t1 < args.t0:
         raise SpecificationError(f"--t1 must be >= --t0, got ({args.t0}, {args.t1})")
-    if args.k_trunc is not None and args.method != "split":
-        raise SpecificationError("--K applies to --method split only")
     t_range = (args.t0, args.t1)
     if args.method == "split":
-        res = simulate_theorem1(model, spec, t_range, k_trunc=args.k_trunc)
+        res = simulate_theorem1(model, spec, t_range)
     else:
         res = simulate_ma(model, laurent_coeffs(model), spec, t_range)
     if args.format == "csv":

@@ -128,13 +128,13 @@ def _real(params, key, default) -> float:
     return float(x)
 
 
-def _unit_direction(params, d, key="direction"):
-    """The unit direction vector: real unless some entry is truly complex."""
-    if key not in params:
+def _unit_direction(params, d):
+    """The unit ``direction`` vector: real unless some entry is truly complex."""
+    if "direction" not in params:
         x = np.zeros(d)
         x[0] = 1.0
         return x
-    x = _numbers(params, key, None, numbers.Complex)
+    x = _numbers(params, "direction", None, numbers.Complex)
     if x.shape != (d,):
         raise SpecificationError(f"direction must have length {d}, got {x.shape}")
     nrm = _frobenius(x)

@@ -37,6 +37,7 @@ from ..operators import (
     ArmaModel,
     _exponent,
     _ldexp,
+    _scaled_norm,
     companion_lift,
     ma_moment_operator,
     spectral_radius,
@@ -53,8 +54,8 @@ from .noise import (
     sample_path,
 )
 
-#: dropped-tail bound for the automatic truncation choice, in units of the
-#: MA operators' largest entry (see :func:`_split_depth`); tightened an
+#: dropped-tail bound for the truncation depth, in units of the MA
+#: operators' largest entry (see :func:`_split_depth`); tightened an
 #: extra two decades below the 1e-10 residual target so that the few
 #: dropped tails summed over AR and MA terms stay clear of it
 DEFAULT_TAIL_TOL = 1e-12
@@ -153,21 +154,19 @@ def _split_lag_states(model: ArmaModel, split: SpectralSplit):
     )
 
 
-def _split_depth(model: ArmaModel, split=None, k_trunc=None) -> tuple[int, SpectralSplit]:
+def _split_depth(model: ArmaModel, split=None) -> tuple[int, SpectralSplit]:
     """Reach K of the split kernel, and the split of the lifted AR operator.
 
     Runs :func:`_split_lag_states` keeping only the newest state per side,
     so memory is O(d^2).  K is the first lag past the MA window (K > q) at
     which both newest states, phi_K and a_{-K}, have norm <=
-    :data:`DEFAULT_TAIL_TOL` in units of 2^(e - 1), the power of two that
-    brings the largest |entry| of the B_k into [1, 2): the states scale
-    with the B_k, so K is the same for B_k and 2^m B_k.  The norm is
-    measured on the lifted state rather than on its first block, so an
-    order-p model whose kernel lag vanishes only transiently is not cut
-    there.  ``k_trunc`` forces K instead.
+    :data:`DEFAULT_TAIL_TOL`.  The states are run on the B_k scaled by
+    2^(1 - e), the power of two that brings their largest |entry| into
+    [1, 2), exactly: the states scale with the B_k, so K is the same for
+    B_k and 2^m B_k over the whole float range.  The norm is measured on
+    the lifted state rather than on its first block, so an order-p model
+    whose kernel lag vanishes only transiently is not cut there.
     """
-    if k_trunc is not None and k_trunc < 0:
-        raise SpecificationError(f"truncation depth must be >= 0, got {k_trunc}")
     lift = companion_lift(model)
     if split is None:
         split = hyperbolic_split(lift)
@@ -175,8 +174,9 @@ def _split_depth(model: ArmaModel, split=None, k_trunc=None) -> tuple[int, Spect
         raise DimensionMismatchError(
             f"split has dim {split.dim}, lifted operator has {lift.dim}"
         )
-    causal, anticausal = _split_lag_states(model, split)
-    tol = DEFAULT_TAIL_TOL * 2.0 ** (_exponent(np.stack([b.matrix for b in model.ma_ops])) - 1)
+    shift = 1 - _exponent(np.stack([b.matrix for b in model.ma_ops]))
+    unit_ma = tuple(replace(b, matrix=_ldexp(b.matrix, shift)) for b in model.ma_ops)
+    causal, anticausal = _split_lag_states(replace(model, ma_ops=unit_ma), split)
     with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
         for _ in range(model.q):
             next(anticausal)  # a_q .. a_1
@@ -185,7 +185,7 @@ def _split_depth(model: ArmaModel, split=None, k_trunc=None) -> tuple[int, Spect
             tail = max(abs(np.vdot(x, x)) for x in newest) ** 0.5
             if not math.isfinite(tail) and not all(np.isfinite(x).all() for x in newest):
                 raise OverflowError(f"split kernel lag states leave the float range at lag {k}")
-            if k == k_trunc or (k_trunc is None and k > model.q and tail <= tol):
+            if k > model.q and tail <= DEFAULT_TAIL_TOL:
                 return k, split
 
 
@@ -194,11 +194,7 @@ def _depth_diagnostics(k: int, split: SpectralSplit) -> dict:
     return {"truncation_K": k, **{key: split.diagnostics[key] for key in radii}}
 
 
-def build_split_kernel(
-    model: ArmaModel,
-    split: SpectralSplit | None = None,
-    k_trunc: int | None = None,
-) -> tuple[LagKernel, SpectralSplit]:
+def build_split_kernel(model: ArmaModel) -> tuple[LagKernel, SpectralSplit]:
     """Finite lag kernel of the split-series solution.
 
     psi_m = V1 phi_m for m >= 0 minus V2 a_m for m <= q - 1 (the states of
@@ -207,7 +203,7 @@ def build_split_kernel(
     lift; the kernel maps original noise to the original state (first
     block of the lifted solution).
     """
-    k, split = _split_depth(model, split, k_trunc)
+    k, split = _split_depth(model)
     d = model.dim
     causal, anticausal = _split_lag_states(model, split)
     phis = [next(causal) for _ in range(k + 1)]  # phi_0 .. phi_K
@@ -347,20 +343,21 @@ def _split_series(model, split, z, first, n_t, k) -> np.ndarray:
 
 
 def _relative_max_norm(rows: np.ndarray, path: np.ndarray) -> float:
-    """max_t ||rows_t|| / max_t ||path_t||; a path that is exactly 0 reads 0
-    when ``rows`` is exactly 0 too and inf otherwise."""
-    num = np.linalg.norm(rows, axis=1).max()
-    den = np.linalg.norm(path, axis=1).max()
+    """max_t ||rows_t|| / max_t ||path_t||, each side's norms in its own
+    power-of-two units (:func:`.operators._scaled_norm`); a path that is
+    exactly 0 reads 0 when ``rows`` is exactly 0 too and inf otherwise."""
+    num, k_num = _scaled_norm(rows, axis=1)
+    den, k_den = _scaled_norm(path, axis=1)
+    num, den = num.max(), den.max()
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
-    return float(num / den)
+    with np.errstate(over="ignore", under="ignore"):
+        return float(_ldexp(num / den, k_num - k_den))
 
 
 def _relative_gap(values: np.ndarray, ref: np.ndarray) -> float:
-    """max_t ||values_t - ref_t|| / max_t ||ref_t||, scaled as in :func:`recursion_residual`."""
-    diff = values - ref
-    e = max(_exponent(diff), _exponent(ref))
-    return _relative_max_norm(_ldexp(diff, -e, out=diff), _ldexp(ref, -e))
+    """max_t ||values_t - ref_t|| / max_t ||ref_t||."""
+    return _relative_max_norm(values - ref, ref)
 
 
 def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
@@ -370,10 +367,11 @@ def recursion_residual(model: ArmaModel, y, z: NoisePath) -> float:
     maximum runs over every t for which all required Y and Z indices are
     in range, the denominator's over every row of ``y``.  Y and Z are first
     scaled by the one power of two that brings their largest |entry| into
-    [1/2, 1), up or down, so the norms neither overflow nor underflow where
-    they square, and noise multiplied by 2^k gives the same figure bit for
-    bit.  A path that is exactly 0 reads 0 when its residual is exactly 0
-    too (zero noise) and inf otherwise.
+    [1/2, 1), up or down, so the products do not overflow, and noise
+    multiplied by 2^k gives the same figure bit for bit; each norm is then
+    taken in its own units (:func:`_relative_max_norm`), so a path far below
+    the noise's scale is still measured.  A path that is exactly 0 reads 0
+    when its residual is exactly 0 too (zero noise) and inf otherwise.
     """
     y_vals = np.asarray(y.values)
     y0 = int(y.t_start)
@@ -443,18 +441,15 @@ def simulate_theorem1(
     noise,
     t_range: tuple = (0, 199),
     split: SpectralSplit | None = None,
-    k_trunc: int | None = None,
 ) -> SimulationResult:
     """Simulate via the split-series solution.
 
     ``noise`` is a NoiseSpec; a window of exactly the required reach,
     K + q before the range and K after it, is sampled from its stream 0.
     K is the kernel's reach from :func:`_split_depth`; the forward scan sums
-    K + 1 terms of f1 and the backward scan K terms of h.  For q = 0 that
-    is the kernel's lag cut; for q >= 1 the scans keep whole terms of f,
-    so a forced small K truncates differently from the kernel.
+    K + 1 terms of f1 and the backward scan K terms of h.
     """
-    k, split = _split_depth(model, split, k_trunc)
+    k, split = _split_depth(model, split)
     t0, t1 = _window(t_range)
     _check_noise(model, noise)
     n_t = t1 - t0 + 1

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, SingularOperatorError, SpecificationError
-from .operators import COND_LIMIT, ArmaModel, _spectral_norms, companion_lift
+from .operators import COND_LIMIT, ArmaModel, _frobenius, _spectral_norms, companion_lift
 
 #: smallest singular value of the denominator on the circle must exceed this
 CIRCLE_TOL = 1e-6
@@ -87,10 +87,6 @@ MAX_N_QUAD = 8192
 
 #: values of H solved at once while a grid is filled
 SOLVE_BLOCK = 2**16
-
-#: widest |k| of an explicit range: the grid needs more nodes than the reach
-#: plus the envelope's own range, and an eighth of the cap leaves room for both
-MAX_REACH = MAX_N_QUAD // 8
 
 #: circle points of the reconstruction check, e^{2 pi i (m + 1/3) / 64}: on no
 #: power-of-two grid, where the DFT inverts exactly and would hide aliasing
@@ -128,7 +124,8 @@ class CircleCheck:
     """Invertibility diagnostics of the denominator on the unit circle.
 
     ``n_eigensolves`` counts the level-set eigensolves of
-    :func:`unit_circle_check`.  ``eigenvalues`` are the nonzero eigenvalues
+    :func:`unit_circle_check` (0: rounding cannot tell the minimum from 0,
+    and none certified it).  ``eigenvalues`` are the nonzero eigenvalues
     lambda of the companion lift, whose 1/lambda are the roots of det D, and
     ``root_radius`` is the nearest root radius off the circle,
     max(|z|, 1/|z|) over the roots z (inf without one).
@@ -148,6 +145,28 @@ class CircleCheck:
 def _sigma_min(coeffs: list, nodes: np.ndarray) -> np.ndarray:
     """Smallest singular value of D(w) = sum_j w^j coeffs[j] at each node."""
     return np.linalg.svd(_denominators(coeffs, nodes), compute_uv=False)[:, -1]
+
+
+def _at_rounding_level(coeffs: list, w: complex, gamma: float) -> bool:
+    """Whether ``gamma``, the computed sigma_min of D(w) = sum_j w^j coeffs[j]
+    at w on the unit circle, cannot be told from 0.
+
+    D(w) sums the p + 1 terms w^j D_j, the powers by repeated products, so
+    to first order it is computed as D + E with |E| <= c eps S entrywise,
+    c = 2 (p + 1), S = sum_j |D_j|.  As D + E = D (I + D^-1 E), that moves
+    sigma_min by a factor within 1 +- c eps || |D^-1| S ||, which has no
+    correct digit left where the bound reaches 1.  The norm is at most
+    sqrt(d) ||S||_F / sigma_min, so D(w) is inverted only below that."""
+    s = sum(np.abs(c) for c in coeffs)
+    c_eps = 2 * len(coeffs) * np.finfo(float).eps
+    if gamma > c_eps * math.sqrt(s.shape[0]) * _frobenius(s):
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            inv = np.linalg.inv(_denominators(coeffs, np.array([w]))[0])
+        except np.linalg.LinAlgError:  # exactly singular
+            return True
+        return not c_eps * _frobenius(np.abs(inv) @ s) < 1
 
 
 def _level_angles(coeffs: list, gamma: float) -> np.ndarray:
@@ -243,13 +262,17 @@ def _circle_min(coeffs: list, probes: np.ndarray):
     certifying job, so it usually runs once; the iteration stops when no
     midpoint falls below the level, so sigma_min >= gamma
     (1 - :data:`LEVEL_GAP`) on the whole circle, and raises
-    :class:`QuadratureError` after :data:`MAX_LEVELS` eigensolves.  gamma
-    is an SVD's value at worst_w.
+    :class:`QuadratureError` after :data:`MAX_LEVELS` eigensolves.  A start
+    that rounding cannot tell from 0 (:func:`_at_rounding_level`) is
+    returned as it is, with no eigensolve: then no level set certified
+    gamma.  gamma is an SVD's value at worst_w.
     """
     nodes = np.concatenate([np.exp(2j * np.pi * np.arange(8) / 8), probes])
     values = _sigma_min(coeffs, nodes)
     j = int(np.argmin(values))
     gamma, worst = _polish(coeffs, complex(nodes[j]), float(values[j]), np.pi / 8)
+    if _at_rounding_level(coeffs, worst, gamma):
+        return gamma, worst, 0
     n_eigensolves = 0
     while gamma > 0:
         if n_eigensolves == MAX_LEVELS:
@@ -290,7 +313,8 @@ def unit_circle_check(model: ArmaModel) -> CircleCheck:
     SVD's value at ``worst_z``.  The same eigenvalues give ``root_radius``
     and, kept as ``eigenvalues``, the probes of the Cauchy bound's circles.
 
-    The check passes when the minimum exceeds :data:`CIRCLE_TOL`.  Also
+    The check passes when a level set certified the minimum
+    (``n_eigensolves`` > 0) and it exceeds :data:`CIRCLE_TOL`.  Also
     reports the condition of the leading AR operator A_p, whose
     invertibility governs whether the anticausal side of the expansion is
     a genuine two-sided series rather than a degenerate one (the
@@ -308,7 +332,7 @@ def unit_circle_check(model: ArmaModel) -> CircleCheck:
         worst_z=worst_z,
         n_eigensolves=n_eigensolves,
         tol=CIRCLE_TOL,
-        passed=gamma > CIRCLE_TOL,
+        passed=n_eigensolves > 0 and gamma > CIRCLE_TOL,
         leading_ar_condition=ap_cond,
         leading_ar_invertible=bool(np.isfinite(ap_cond) and ap_cond < COND_LIMIT),
         root_radius=root_radius,
@@ -398,14 +422,16 @@ def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
 def _cauchy_bound(model: ArmaModel, rho: float, eigs: np.ndarray) -> float:
     """M, the largest sum_j |z|^j ||B_j||_2 / sigma_min(D(z)) over |z| = rho
     and |z| = 1/rho, with sigma_min bounded below by gamma (1 - :data:`LEVEL_GAP`)
-    from the level-set iteration on each circle (M is inf where that is 0).
-    Each iteration is probed at the root nearest its circle, from the
-    companion-lift eigenvalues ``eigs``."""
+    from the level-set iteration on each circle, or by 0 where no level set
+    certified gamma (M is inf where the bound is 0).  Each iteration is
+    probed at the root nearest its circle, from the companion-lift
+    eigenvalues ``eigs``."""
     b_norms = _spectral_norms(np.stack([b.matrix for b in model.ma_ops]))
     bound = 0.0
     for radius in (rho, 1.0 / rho):
-        gamma = _circle_min(_denominator_coeffs(model, radius), _probe(eigs, radius))[0]
-        lower = gamma * (1 - LEVEL_GAP)
+        coeffs = _denominator_coeffs(model, radius)
+        gamma, _, n_eigensolves = _circle_min(coeffs, _probe(eigs, radius))
+        lower = gamma * (1 - LEVEL_GAP) if n_eigensolves else 0.0
         top = float(np.polynomial.polynomial.polyval(radius, b_norms))
         bound = max(bound, top / lower if lower > 0 else math.inf)
     return bound
@@ -429,7 +455,7 @@ def _cap_error(bound: float, rho: float) -> QuadratureError:
     )
 
 
-def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoeffs:
+def laurent_coeffs(model: ArmaModel) -> LaurentCoeffs:
     """Laurent coefficients of H on one grid sized by the Cauchy bound.
 
     rho is the nearest root radius of det D to the power
@@ -445,23 +471,13 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
     :data:`MAX_N_QUAD` raises :class:`QuadratureError`, as does a root
     radius that leaves no annulus (rho <= 1).
 
-    When ``k_range`` is omitted the stored range is trimmed from
-    [-R, R] to the coefficients above :data:`REL_FLOOR` times the largest
-    one, by Frobenius norm and then by walking in from each end by 2-norm,
-    so the stored range and ``diagnostics["max_norm"]`` are those of
-    spectral norms.  A given ``k_range`` may reach at most
-    :data:`MAX_REACH`.  A failed circle check aborts before any quadrature
-    happens, since the expansion does not exist.
+    The stored range is trimmed from [-R, R] to the coefficients above
+    :data:`REL_FLOOR` times the largest one, by Frobenius norm and then by
+    walking in from each end by 2-norm, so the stored range and
+    ``diagnostics["max_norm"]`` are those of spectral norms.  A failed
+    circle check aborts before any quadrature happens, since the expansion
+    does not exist.
     """
-    if k_range is not None:
-        k_min, k_max = int(k_range[0]), int(k_range[1])
-        if k_min > k_max:
-            raise SpecificationError(f"empty coefficient range {k_range}")
-        if max(abs(k_min), abs(k_max)) > MAX_REACH:
-            raise SpecificationError(
-                f"coefficient range {k_range} reaches past |k| = {MAX_REACH}, the widest "
-                f"that a grid of at most {MAX_N_QUAD} nodes holds beside the envelope's range"
-            )
     circle = unit_circle_check(model)
     if not circle.passed:
         raise SingularOperatorError(
@@ -479,12 +495,9 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
     hmax = float(href_norms.max())
     r0 = max(_decay_steps(4 * bound / (hmax * (1 - 1 / rho)), rho) - 1, 0) if hmax > 0 else 0
     floor = REL_FLOOR * max(hmax / (2 * (2 * r0 + 1)), 1e-300)
-    if k_range is None:
-        k_max = max(_decay_steps(bound / floor, rho) - 1, 0)
-        k_min = -k_max
-    reach = max(-k_min, k_max)
+    reach = max(_decay_steps(bound / floor, rho) - 1, 0)
     n = 2
-    while n <= max(k_max - k_min, reach) or _aliasing(bound, rho, n, reach) > floor:
+    while n <= 2 * reach or _aliasing(bound, rho, n, reach) > floor:
         n *= 2
         if n > MAX_N_QUAD:
             raise _cap_error(bound, rho)
@@ -493,19 +506,18 @@ def laurent_coeffs(model: ArmaModel, k_range: tuple | None = None) -> LaurentCoe
     # ||psi||_2 >= ||psi||_F / sqrt(d): only these can hold the largest 2-norm
     top = _spectral_norms(grid[fro >= fro.max() / np.sqrt(model.dim)]).max()
     floor = REL_FLOOR * max(top, 1e-300)
-    if k_range is None:
-        # the Frobenius range holds the 2-norm one; walk in from each end to
-        # the first coefficient above the floor, or to k = 0
-        ks = np.arange(k_min, k_max + 1)
-        k_min, k_max = _span(ks, fro[ks % n] > floor)
+    # the Frobenius range holds the 2-norm one; walk in from each end to
+    # the first coefficient above the floor, or to k = 0
+    ks = np.arange(-reach, reach + 1)
+    k_min, k_max = _span(ks, fro[ks % n] > floor)
 
-        def below(k):
-            return not _spectral_norms(grid[k % n : k % n + 1])[0] > floor
+    def below(k):
+        return not _spectral_norms(grid[k % n : k % n + 1])[0] > floor
 
-        while k_max > 0 and below(k_max):
-            k_max -= 1
-        while k_min < 0 and below(k_min):
-            k_min += 1
+    while k_max > 0 and below(k_max):
+        k_max -= 1
+    while k_min < 0 and below(k_min):
+        k_min += 1
     ks = np.arange(k_min, k_max + 1)
     block = grid[ks % n]
     del grid

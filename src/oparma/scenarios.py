@@ -69,16 +69,16 @@ def _identity_model(a, dim):
     return arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=dim))])
 
 
-def _count_check(description, probs, counts, sigmas=3.0):
+def _count_check(description, probs, counts):
     """Compare a replicate-mean exceedance count to its oracle."""
     expected = float(np.sum(probs))
     var = float(np.sum(probs * (1.0 - probs)))
     se = math.sqrt(var / counts.shape[0]) if var > 0 else 0.0
     observed = float(np.mean(counts))
-    passed = abs(observed - expected) <= sigmas * se if se > 0 else observed == expected
+    passed = abs(observed - expected) <= 3.0 * se if se > 0 else observed == expected
     return _check(
         f"{description} (mean over {counts.shape[0]} replicates within "
-        f"{sigmas:g} standard errors of {expected:.4f})",
+        f"3 standard errors of {expected:.4f})",
         expected,
         observed,
         passed,

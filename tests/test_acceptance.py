@@ -149,22 +149,27 @@ def test_criterion_02_split_similarity_contract():
     )
 
 
+def _stored_or_zero(lc, k):
+    """psi_k as stored, or 0 outside the stored range (below the floor)."""
+    return lc.coefficient(k) if lc.k_min <= k <= lc.k_max else np.zeros_like(lc.coeffs[0])
+
+
 def test_criterion_03_laurent_oracles_and_split_agreement():
     t0 = time.monotonic()
     inner = arma_model(
         [dense_operator([[0.5]])], [dense_operator([[1.0]])]
     )
-    lc = laurent_coeffs(inner, k_range=(0, 30))
+    lc = laurent_coeffs(inner)
     err_inner = max(
-        abs(lc.coefficient(k)[0, 0] - 0.5**k) for k in range(0, 31)
+        abs(_stored_or_zero(lc, k)[0, 0] - 0.5**k) for k in range(0, 31)
     )
 
     outer = arma_model([dense_operator([[2.0]])], [dense_operator([[1.0]])])
-    lc2 = laurent_coeffs(outer, k_range=(-30, 0))
+    lc2 = laurent_coeffs(outer)
     err_outer = max(
-        abs(lc2.coefficient(-k)[0, 0] - (-(2.0 ** -k))) for k in range(1, 31)
+        abs(_stored_or_zero(lc2, -k)[0, 0] - (-(2.0 ** -k))) for k in range(1, 31)
     )
-    err_outer = max(err_outer, abs(lc2.coefficient(0)[0, 0]))
+    err_outer = max(err_outer, abs(_stored_or_zero(lc2, 0)[0, 0]))
 
     rng = np.random.default_rng(3003)
     worst_pair = 0.0
@@ -172,7 +177,7 @@ def test_criterion_03_laurent_oracles_and_split_agreement():
         dim = int(rng.integers(1, 9))
         q = int(rng.integers(0, 3))
         model = _random_hyperbolic_model(rng, dim, q)
-        lcr = laurent_coeffs(model, k_range=(-20, 20))
+        lcr = laurent_coeffs(model)
         kernel, _ = build_split_kernel(model)
         for k in range(-20, 21):
             idx = k - kernel.l_min
@@ -183,7 +188,7 @@ def test_criterion_03_laurent_oracles_and_split_agreement():
             )
             worst_pair = max(
                 worst_pair,
-                np.abs(lcr.coefficient(k) - psi_split).max(),
+                np.abs(_stored_or_zero(lcr, k) - psi_split).max(),
             )
     elapsed = time.monotonic() - t0
     ok = (

@@ -512,34 +512,27 @@ class TestSubcommands:
                 }
             )
         )
-        code, out = run_cli(
-            "laurent", "--model", str(path), "--k-min", "0", "--k-max", "10",
-            capsys=capsys,
-        )
+        code, out = run_cli("laurent", "--model", str(path), capsys=capsys)
         assert code == 0
         doc = json.loads(out)
+        assert (doc["k_min"], doc["k_max"]) == (0, 39)
         for rec in doc["coefficients"]:
             assert rec["norm"] == pytest.approx(0.5 ** rec["k"], abs=1e-10)
 
     def test_laurent_writes_the_nested_document_one_row_per_line(self, complex_model, capsys):
-        code, out = run_cli("laurent", "--model", complex_model, "--k-min", "-3", "--k-max", "3",
-                            capsys=capsys)
+        code, out = run_cli("laurent", "--model", complex_model, capsys=capsys)
         assert code == 0
-        lc = laurent_coeffs(load_model(complex_model), k_range=(-3, 3))
+        lc = laurent_coeffs(load_model(complex_model))
         # the document the nested-list encoder writes, in canonical elements
         records = [{"k": int(k), "norm": float(norm), "psi": encode_matrix(mat)}
                    for k, norm, mat in zip(lc.ks, lc.norms, lc.coeffs)]
         expected = {
-            "k_min": -3, "k_max": 3, "n_quad": lc.n_quad, "decay_a": lc.decay_a,
+            "k_min": lc.k_min, "k_max": lc.k_max, "n_quad": lc.n_quad, "decay_a": lc.decay_a,
             "decay_b": lc.decay_b, "reconstruction_residual": lc.reconstruction_residual,
             "coefficients": records,
         }
         assert json.loads(out) == json.loads(json.dumps(expected, indent=2))
         assert _row_lines(out, "psi") == [[json.dumps(row) for row in r["psi"]] for r in records]
-
-    def test_laurent_half_range_usage_error(self, hyper_model):
-        code, _ = run_cli("laurent", "--model", str(hyper_model), "--k-min", "-3")
-        assert code == 2
 
     def test_simulate_json(self, hyper_model, gauss_noise, capsys):
         code, out = run_cli(
@@ -569,37 +562,6 @@ class TestSubcommands:
         assert lines[0] == "t,component_0_re,component_0_im,component_1_re,component_1_im"
         assert len(lines) == 6
         assert lines[1].split(",")[0] == "0"
-
-    def test_simulate_k_override(self, hyper_model, gauss_noise, capsys):
-        code, out = run_cli(
-            "simulate",
-            "--model", str(hyper_model),
-            "--noise", str(gauss_noise),
-            "--t1", "9",
-            "--K", "12",
-            capsys=capsys,
-        )
-        assert code == 0
-        assert json.loads(out)["truncation_K"] == 12
-
-    def test_simulate_k_with_ma_method_exit_2(self, hyper_model, gauss_noise):
-        code, _ = run_cli(
-            "simulate",
-            "--model", str(hyper_model),
-            "--noise", str(gauss_noise),
-            "--method", "ma",
-            "--K", "3",
-        )
-        assert code == 2
-
-    def test_simulate_negative_k_exit_2(self, hyper_model, gauss_noise):
-        code, _ = run_cli(
-            "simulate",
-            "--model", str(hyper_model),
-            "--noise", str(gauss_noise),
-            "--K", "-1",
-        )
-        assert code == 2
 
     def test_simulate_rerun_bitwise(self, hyper_model, gauss_noise, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -929,6 +891,7 @@ _HYPER = {
     "ma": [{"kind": "identity", "dim": 2}],
 }
 _POINT = {"kind": "point_mass", "dim": 2, "params": {"value": [1.0, 0.0]}}
+_GAUSS = {"kind": "gaussian", "dim": 2, "params": {"sigma": 1.0}}
 _MULT = {"kind": "multiplication", "dim": 2, "params": {"multipliers": [1, 2]}}
 
 
@@ -940,8 +903,10 @@ class TestUsageErrors:
             ("split --model M --n-quad 1", {"M": _HYPER}),
             ("laurent --model M --n-quad 0", {"M": _HYPER}),
             ("laurent --model M --n-quad -8", {"M": _HYPER}),
-            ("laurent --model M --k-min 0 --k-max 1025", {"M": _HYPER}),
-            ("laurent --model M --k-min -3000 --k-max 3000", {"M": _HYPER}),
+            ("laurent --model M --k-min -3 --k-max 3", {"M": _HYPER}),
+            ("laurent --model M --k-min -3", {"M": _HYPER}),
+            ("simulate --model M --noise N --K 3", {"M": _HYPER, "N": _GAUSS}),
+            ("simulate --model M --noise N --method ma --K 3", {"M": _HYPER, "N": _GAUSS}),
             ("scenario isometry --set powers=3", {}),
             ("scenario volterra --set grid=abc", {}),
             (
@@ -972,8 +937,10 @@ class TestUsageErrors:
             "split-n-quad-1",
             "laurent-n-quad-0",
             "laurent-n-quad-negative",
-            "laurent-reach-past-1024",
-            "laurent-reach-past-2048",
+            "laurent-k-range",
+            "laurent-k-min",
+            "simulate-K",
+            "simulate-ma-K",
             "scenario-list-override-not-a-list",
             "scenario-int-override-not-a-number",
             "transform-params-not-an-object",

@@ -1,5 +1,6 @@
 """Transfer-function coefficients: oracles, circle checks, envelopes."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -125,8 +126,35 @@ def test_circle_check_probes_eigenvalue_angles(model):
     cc = unit_circle_check(model)
     assert not cc.passed
     assert cc.min_singular_value < 1e-12
+    # the probe's value is at rounding level, so no level set runs
+    assert cc.n_eigensolves == 0
     with pytest.raises(SingularOperatorError, match="nearly singular on the circle"):
         laurent_coeffs(model)
+
+
+def test_rounding_level_is_read_entry_by_entry():
+    # one entry of 1e300 puts eps ||D|| far above sigma_min = 1, yet it
+    # rounds only its own entry, which sigma_min does not read
+    big = arma_model([dense_operator(np.diag([1e300, 2.0]))], [dense_operator(np.eye(2))])
+    coeffs = laurent._denominator_coeffs(big)
+    assert laurent._sigma_min(coeffs, np.ones(1))[0] == 1.0
+    assert not laurent._at_rounding_level(coeffs, 1 + 0j, 1.0)
+    # the probe of a unit root reads 2e-16, not 0
+    rotation = _unit_roots_between_nodes()[0]
+    cc = unit_circle_check(rotation)
+    assert 0 < cc.min_singular_value < 1e-15
+    coeffs = laurent._denominator_coeffs(rotation)
+    assert laurent._at_rounding_level(coeffs, cc.worst_z, cc.min_singular_value)
+
+
+def test_uncertified_cauchy_circle_bounds_nothing():
+    # the root 2 e^{-0.3i} sits on the circle |z| = 2, where the probe reads
+    # sigma_min at rounding level: no level set certifies it, so M is inf
+    model = scalar_model([0.5 * np.exp(0.3j)], [1.0])
+    eigs = np.linalg.eigvals(model.ar_ops[0].matrix)
+    coeffs = laurent._denominator_coeffs(model, 2.0)
+    assert laurent._circle_min(coeffs, laurent._probe(eigs, 2.0))[2] == 0
+    assert laurent._cauchy_bound(model, 2.0, eigs) == math.inf
 
 
 def test_circle_check_reports_leading_ar_singularity():
@@ -382,30 +410,15 @@ def test_pure_ma_degenerate_range():
     assert np.all(lc.norms <= env * (1 + 1e-9))
 
 
-def test_explicit_range_and_evaluate():
-    model = scalar_model([0.5], [1.0])
-    lc = laurent_coeffs(model, k_range=(-5, 12))
-    assert (lc.k_min, lc.k_max) == (-5, 12)
-    for k in range(-5, 0):
-        assert abs(lc.coefficient(k)[0, 0]) < 1e-12
-    for k in range(13):
+def test_stored_range_and_evaluate():
+    lc = laurent_coeffs(scalar_model([0.5], [1.0]))
+    # psi_k = 0.5^k for k >= 0 down to the floor, 1e-12 times psi_0
+    assert (lc.k_min, lc.k_max) == (0, 39)
+    for k in range(lc.k_max + 1):
         assert abs(lc.coefficient(k)[0, 0] - 0.5**k) <= 1e-12
-    with pytest.raises(SpecificationError):
-        lc.coefficient(13)
-    with pytest.raises(SpecificationError):
-        laurent_coeffs(model, k_range=(4, -4))
-
-
-def test_explicit_range_reaches_at_most_an_eighth_of_the_node_cap():
-    model = scalar_model([0.5], [1.0])
-    for k_range in [(0, 1024), (-1024, 3)]:
-        lc = laurent_coeffs(model, k_range=k_range)
-        assert (lc.k_min, lc.k_max) == k_range
-        assert lc.k_max - lc.k_min < lc.n_quad <= laurent.MAX_N_QUAD
-        assert lc.coefficient(3)[0, 0] == pytest.approx(0.125, rel=1e-12)
-    for k_range in [(0, 1025), (-3000, 3000)]:
-        with pytest.raises(SpecificationError, match="reaches past .k. = 1024"):
-            laurent_coeffs(model, k_range=k_range)
+    for k in (-1, lc.k_max + 1):
+        with pytest.raises(SpecificationError, match="outside stored range"):
+            lc.coefficient(k)
 
 
 def test_slow_decay_grows_the_grid():
@@ -542,14 +555,13 @@ def _one_fft(model, n):
 
 
 _CERTIFIED = [
-    ("ar1", None),
-    ("ar2", None),
-    ("ar1_q2", None),
-    ("ar2", (-7, 40)),
-    ("slow_decay", None),
-    ("wide_frobenius", None),
-    ("causal_floor", None),
-    ("anticausal_floor", None),
+    "ar1",
+    "ar2",
+    "ar1_q2",
+    "slow_decay",
+    "wide_frobenius",
+    "causal_floor",
+    "anticausal_floor",
 ]
 
 
@@ -559,9 +571,9 @@ def _certified_models():
     return models
 
 
-@pytest.mark.parametrize("name, k_range", _CERTIFIED)
-def test_stored_norms_sit_under_the_certified_envelope(name, k_range):
-    lc = laurent_coeffs(_certified_models()[name], k_range=k_range)
+@pytest.mark.parametrize("name", _CERTIFIED)
+def test_stored_norms_sit_under_the_certified_envelope(name):
+    lc = laurent_coeffs(_certified_models()[name])
     alias = lc.diagnostics["aliasing_bound"]
     # the grid is sized so that its aliasing stays below the floor
     assert alias <= laurent.REL_FLOOR * lc.diagnostics["max_norm"]
@@ -569,11 +581,11 @@ def test_stored_norms_sit_under_the_certified_envelope(name, k_range):
     assert np.all(lc.norms <= lc.decay_a * lc.decay_b ** np.abs(lc.ks) + alias)
 
 
-@pytest.mark.parametrize("name, k_range", _CERTIFIED)
-def test_block_is_one_fft_of_the_grid(name, k_range):
+@pytest.mark.parametrize("name", _CERTIFIED)
+def test_block_is_one_fft_of_the_grid(name):
     # slow_decay takes 4 096 nodes, so the grid is solved in several blocks
     model = _certified_models()[name]
-    lc = laurent_coeffs(model, k_range=k_range)
+    lc = laurent_coeffs(model)
     n = lc.n_quad
     full = _one_fft(model, n)
     assert lc.coeffs.tobytes() == full[lc.ks % n].tobytes()

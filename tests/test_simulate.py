@@ -158,14 +158,6 @@ class TestTruncationControl:
         assert res.truncation_K >= 20
         assert res.max_residual <= 1e-12
 
-    def test_forced_depth(self):
-        model = scalar_model(0.5, bs=(1.0, 0.5, 0.25))
-        kernel, _ = build_split_kernel(model, k_trunc=0)
-        assert kernel.l_min == 0 and kernel.psis.shape == (1, 1, 1)
-        np.testing.assert_allclose(kernel.psis[0], [[1.0]])
-        with pytest.raises(SpecificationError):
-            build_split_kernel(model, k_trunc=-1)
-
     def test_deeper_truncation_shrinks_residual(self, monkeypatch):
         model = scalar_model(0.9)
         spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=7)
@@ -184,6 +176,28 @@ def _hyperbolic_ar1(rng, d, q):
     basis = np.eye(d) + 0.3 * rng.normal(size=(d, d)) / np.sqrt(d)
     a = basis @ np.diag(moduli * np.exp(2j * np.pi * rng.uniform(size=d))) @ np.linalg.inv(basis)
     return [a], [rng.normal(size=(d, d)) for _ in range(q + 1)]
+
+
+def _assert_tail_sweep_converges(model, monkeypatch):
+    """Paths at tail tolerances 1e-3 .. 1e-9 approach the one at 1e-30
+    at least tenfold per step, as K grows by the spectral rate."""
+    spec = NoiseSpec(kind="gaussian", dim=model.dim, params={"sigma": 1.0}, seed=5)
+
+    def run(tol):
+        monkeypatch.setattr(simulate, "DEFAULT_TAIL_TOL", tol)
+        return simulate_theorem1(model, spec, t_range=(0, 9))
+
+    ref = run(1e-30).values
+    runs = [run(tol) for tol in (1e-3, 1e-5, 1e-7, 1e-9)]
+    depths = [res.truncation_K for res in runs]
+    gaps = [np.abs(res.values - ref).max() for res in runs]
+    assert depths == sorted(set(depths))
+    assert all(g1 <= 0.1 * g0 for g0, g1 in zip(gaps, gaps[1:]))
+    assert gaps[-1] <= 1e-8
+
+
+#: binary exponents m of the MA operators 2^m B_k, out to both ends of the float range
+_MA_SCALES = (-1000, -900, -565, -40, -20, 20, 40, 565, 900)
 
 
 class TestScaleFreeDepth:
@@ -205,7 +219,26 @@ class TestScaleFreeDepth:
             return build_split_kernel(model)[0].l_max
 
         base = depth(0)
-        assert [depth(m) for m in (-40, -20, 20, 40)] == [base] * 4
+        assert [depth(m) for m in _MA_SCALES] == [base] * len(_MA_SCALES)
+
+    def test_residual_is_the_same_over_the_float_range(self):
+        # the squares of states and norms would underflow or overflow at
+        # these scales; read in power-of-two units they give the same bits,
+        # and a wrong path still reads a wrong residual
+        mult = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [0.9, 2.0]})
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
+
+        def run(m):
+            model = arma_model([build_operator(mult)], [dense_operator(np.ldexp(np.eye(2), m))])
+            return model, simulate_theorem1(model, spec, t_range=(0, 199))
+
+        base = run(0)[1]
+        assert base.truncation_K == 263
+        for m in _MA_SCALES:
+            model, res = run(m)
+            assert (res.truncation_K, res.max_residual) == (263, base.max_residual)
+            wrong = dataclasses.replace(res, values=1.5 * res.values)
+            assert recursion_residual(model, wrong, res.noise) > 0.25
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-13])
     def test_small_ma_operators_keep_the_residual(self, scale, tmp_path):
@@ -478,18 +511,10 @@ class TestTimeAddressedNoise:
             want = sample_path(spec, 2 * k + 2, t_start=t - k - 1)
             assert res.noise.values.tobytes() == want.values.tobytes()
 
-    def test_truncation_sweep_converges_geometrically(self):
+    def test_truncation_sweep_converges_geometrically(self, monkeypatch):
         a = dense_operator(np.diag([0.6, 1.0 / 0.6]))
         model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=2))])
-        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=5)
-        ref = simulate_theorem1(model, spec, t_range=(0, 9), k_trunc=120).values
-        gaps = []
-        for k in (10, 20, 30, 40):
-            res = simulate_theorem1(model, spec, t_range=(0, 9), k_trunc=k)
-            gaps.append(np.abs(res.values - ref).max())
-        # 0.6^10 ~ 6e-3 per extra ten lags; demand at least 10x per step
-        assert all(g1 <= 0.1 * g0 for g0, g1 in zip(gaps, gaps[1:]))
-        assert gaps[-1] <= 1e-8
+        _assert_tail_sweep_converges(model, monkeypatch)
 
 
 class TestStationarity:
@@ -904,32 +929,27 @@ class TestTwoPassScan:
         assert 2500 > 2 ** int(np.ceil(np.log2(early.truncation_K + 1)))
         np.testing.assert_array_equal(early.values[2500:], late.values[:2500])
 
-    def test_forced_depth_is_the_kernel_cut_without_ma_terms(self):
+    def test_shallow_depth_is_the_kernel_cut_without_ma_terms(self, monkeypatch):
         # for q = 0 the forward scan sums lags 0..K and the backward one
-        # lags -1..-K, exactly the kernel's reach
+        # lags -1..-K, exactly the kernel's reach, at any tail tolerance
+        monkeypatch.setattr(simulate, "DEFAULT_TAIL_TOL", 1e-2)
         a = dense_operator(np.diag([0.6, 1.0 / 0.6]) + np.eye(2, k=1))
         model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=2))])
         spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=5)
-        res = simulate_theorem1(model, spec, t_range=(0, 99), k_trunc=7)
-        kernel, _ = build_split_kernel(model, k_trunc=7)
-        ref = simulate._lag_sum(res.noise.values.astype(complex), kernel.psis, 14, 14 + len(res))
+        res = simulate_theorem1(model, spec, t_range=(0, 99))
+        kernel, _ = build_split_kernel(model)
+        k = res.truncation_K
+        assert k == kernel.l_max <= 10
+        z = res.noise.values.astype(complex)
+        ref = simulate._lag_sum(z, kernel.psis, 2 * k, 2 * k + len(res))
         assert np.abs(res.values - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_forced_depth_sweep_with_ma_terms(self):
+    def test_tail_sweep_with_ma_terms(self, monkeypatch):
         # with q >= 1 the scans cut whole terms of f, not kernel lags; the
-        # forced depth still converges at the spectral rate
+        # depth still converges at the spectral rate
         a = dense_operator(np.diag([0.6, 1.0 / 0.6]))
         ma = [build_operator(OperatorSpec(kind="identity", dim=2)), dense_operator(0.5 * np.eye(2))]
-        model = arma_model([a], ma)
-        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=5)
-        ref = simulate_theorem1(model, spec, t_range=(0, 9), k_trunc=120).values
-        gaps = []
-        for k in (10, 20, 30, 40):
-            res = simulate_theorem1(model, spec, t_range=(0, 9), k_trunc=k)
-            assert res.truncation_K == k
-            gaps.append(np.abs(res.values - ref).max())
-        assert all(g1 <= 0.1 * g0 for g0, g1 in zip(gaps, gaps[1:]))
-        assert gaps[-1] <= 1e-8
+        _assert_tail_sweep_converges(arma_model([a], ma), monkeypatch)
 
     def test_non_finite_path_raises_naming_t(self):
         ar = OperatorSpec(kind="multiplication", dim=2, params={"multipliers": [0.5, 2.0]})
@@ -956,12 +976,22 @@ class TestSplitDepth:
         assert 0.0 < report["ks_statistic_t"] < 1.0
 
     def test_overflowing_lag_states_raise(self):
-        # a transient gain of 1e10 takes B_0 = 1e300 I past the float range at lag 1;
-        # the nan states that follow would never meet the tail tolerance
+        # a transient gain of 1e200 takes the unit-scaled states past the float
+        # range at lag 2; the nan states that follow would never meet the tail
+        # tolerance
+        a = dense_operator(0.5 * np.eye(3) + 1e200 * np.eye(3, k=1))
+        model = arma_model([a], [dense_operator(np.eye(3))])
+        spec = NoiseSpec(kind="gaussian", dim=3, params={"sigma": 1.0}, seed=0)
+        with pytest.raises(OverflowError, match="lag states leave the float range at lag 2"):
+            simulate_theorem1(model, spec, t_range=(0, 3))
+
+    def test_overflowing_scaled_path_raises(self):
+        # the states are read in units of B_0 = 1e300 I and stay finite, but a
+        # transient gain of 1e10 takes the path past the float range
         a = dense_operator([[0.5, 1e10], [0.0, 0.5]])
         model = arma_model([a], [dense_operator(1e300 * np.eye(2))])
         spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
-        with pytest.raises(OverflowError, match="lag states leave the float range at lag 1"):
+        with pytest.raises(OverflowError, match="simulated path leaves the float range at t = 0"):
             simulate_theorem1(model, spec, t_range=(0, 3))
 
     @pytest.mark.parametrize("name", ["ar1_q2", "ar2_q1"])
