@@ -137,6 +137,25 @@ class TestTruncationControl:
         others = np.delete(kernel.psis, k0, axis=0)
         assert others.size and np.all(others == 0.0)
 
+    @pytest.mark.parametrize("bs", [(1.0, 0.5), (1.0, 0.5, 0.25)], ids=["q1", "q2"])
+    def test_pure_ma_kernel_is_the_ma_operators(self, bs):
+        # A = 0: the depth rule reaches past lag q, and the kernel holds
+        # B_0 .. B_q at lags 0 .. q and nothing else, so the path is the
+        # moving average sum_j B_j Z_{t-j} itself
+        model = scalar_model(0.0, bs=bs)
+        kernel, _ = build_split_kernel(model)
+        q = len(bs) - 1
+        assert kernel.l_max >= q
+        psis = kernel.psis[:, 0, 0]
+        np.testing.assert_array_equal(psis[-kernel.l_min : -kernel.l_min + q + 1], bs)
+        assert np.count_nonzero(psis) == q + 1
+        spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=3)
+        res = simulate_theorem1(model, spec, t_range=(0, 9))
+        z, t0 = res.noise.values[:, 0], res.noise.t_start
+        want = [sum(b * z[t - j - t0] for j, b in enumerate(bs)) for t in range(10)]
+        np.testing.assert_allclose(res.values[:, 0], want, rtol=1e-15, atol=0)
+        assert res.max_residual == 0.0
+
     def test_non_normal_tail_is_read_off_the_lags(self):
         # Jordan-like block: ||A^k|| first grows, so a depth taken from the
         # spectral radius alone stops while the lags are still large
