@@ -16,11 +16,23 @@ sees the same value.  Z_t for t >= 0 is row t of the (seed, stream)
 generator; Z_t for t < 0 is row -t-1 of a mirror generator keyed by
 (seed, stream) plus a fixed extra spawn-key entry.
 
-One generator, :func:`_raw_blocks`, reads every stream: it keys it, skips
-to the first row wanted and yields the raw rows (d normals, or one
-uniform, per t) in :func:`draw_chunks` blocks.  :func:`_window_into` decodes
-them into paths, :func:`log_norm_blocks` into the log-norms that the
-moment estimates and the scenarios' exceedance counts read.
+A Philox key is a pure function of the seed and the spawn key (NumPy
+NEP 19; Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011), so :func:`_stream_keys` computes the keys of a whole array of
+streams, plain and mirror, in one vectorized pass of the ``SeedSequence``
+hash, bit for bit the keys ``SeedSequence(seed, spawn_key=(stream,))`` and
+``spawn_key=(stream, 1)`` give: every sample is the one a generator built
+from that ``SeedSequence`` draws.  It is the only keying route; a reader
+builds one Philox generator and restarts it on each stream's key
+(:func:`_rekey`).
+
+:func:`_raw_blocks` reads a keyed stream: it skips to the first row wanted
+and yields the raw rows (d normals, or one uniform, per t) in
+:func:`draw_chunks` blocks.  :func:`_window_into` draws the Gaussian kinds'
+windows straight into their destination rows and decodes the blocks of
+the heavy kinds into paths; :func:`log_norm_blocks` decodes them into the
+log-norms that the moment estimates and the scenarios' exceedance counts
+read.
 """
 
 from __future__ import annotations
@@ -201,12 +213,121 @@ def _log_norms(values: np.ndarray) -> np.ndarray:
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream), platform independent."""
-    return _philox(seed, (int(stream),))
+    return _rekey(_generator(), _stream_keys(seed, [stream])[0, 0])
 
 
-def _philox(seed: int, spawn_key: tuple) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=spawn_key)
-    return np.random.Generator(np.random.Philox(ss))
+_M32 = 0xFFFFFFFF
+#: SeedSequence's default pool size, in 32-bit words
+_POOL = 4
+#: the largest spawn key here: a stream of two 32-bit words and the mirror entry
+_MAX_SPAWN_WORDS = 3
+
+
+def _running_constants(init, mult, n):
+    """The n + 1 values a SeedSequence hash constant takes: init, init * mult, ... mod 2^32."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _M32)
+    return out
+
+
+#: the constants of numpy's SeedSequence (numpy/random/bit_generator.pyx):
+#: hash call k of the entropy mixing reads _HASH_A[k] and _HASH_A[k + 1];
+#: word k of generate_state reads _HASH_B[k] and _HASH_B[k + 1]
+_HASH_A = _running_constants(0x43B0D7E5, 0x931E8875, _POOL**2 + _POOL * _MAX_SPAWN_WORDS)
+_HASH_B = _running_constants(0x8B51F9DD, 0x58F38DED, _POOL)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash(value, before, after):
+    """SeedSequence's hash of a 32-bit word whose running constant goes from ``before`` to ``after``.
+
+    Words are Python ints or uint64 arrays holding 32-bit values; every
+    product is masked back to 32 bits, so both wrap as the uint32 original.
+    """
+    value = (value ^ before) * after & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two 32-bit words (Python ints or uint64 arrays)."""
+    x = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return x ^ x >> 16
+
+
+def _mix_in(pool, word, k):
+    """Mix a spawn-key word past the pool into the four words of ``pool`` (n, 4).
+
+    Hash calls k .. k + 3 of the entropy mixing, one per pool word, as one
+    array step.
+    """
+    consts = np.array(_HASH_A[k : k + _POOL + 1], np.uint64)
+    return _mix(pool, _hash(word, consts[:-1], consts[1:]))
+
+
+def _generate_state(pool) -> np.ndarray:
+    """SeedSequence's ``generate_state(2, np.uint64)`` of each row of ``pool`` (n, 4): (n, 2)."""
+    consts = np.array(_HASH_B, np.uint64)
+    out = _hash(pool, consts[:-1], consts[1:])
+    return out[:, 0::2] | out[:, 1::2] << 32  # little-endian pairs of 32-bit words
+
+
+def _stream_keys(seed: int, streams) -> np.ndarray:
+    """Philox keys of ``streams`` under ``seed``: (n, 2, 2) uint64, plain then mirror.
+
+    ``keys[i, 0]`` is ``np.random.SeedSequence(seed & (2**64 - 1),
+    spawn_key=(streams[i],)).generate_state(2, np.uint64)`` and
+    ``keys[i, 1]`` the same with ``spawn_key=(streams[i], _MIRROR_KEY)``,
+    bit for bit, computed in one vectorized pass of that hash.  The seed's
+    words, padded to the four-word pool, are mixed once; then each
+    spawn-key word (a stream's one word below 2^32, or two from there, then
+    the mirror entry) is mixed into the pools of all streams at once, so the
+    plain key is read off the mirror key's prefix.
+    """
+    seed = int(seed) & (2**64 - 1)
+    words = [seed & _M32, seed >> 32] if seed >> 32 else [seed]
+    words += [0] * (_POOL - len(words))
+    pool = [_hash(w, _HASH_A[k], _HASH_A[k + 1]) for k, w in enumerate(words)]
+    k = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[k], _HASH_A[k + 1]))
+                k += 1
+    streams = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
+    keys = np.empty((streams.shape[0], 2, 2), np.uint64)
+    wide = streams[:, 0] > _M32
+    for rows, n_words in ((~wide, 1), (wide, 2)):
+        if rows.any():
+            mixer, j = np.array(pool, np.uint64), k
+            for word in (streams[rows] & _M32, streams[rows] >> 32)[:n_words]:
+                mixer, j = _mix_in(mixer, word, j), j + _POOL
+            keys[rows, 0] = _generate_state(mixer)
+            keys[rows, 1] = _generate_state(_mix_in(mixer, _MIRROR_KEY, j))
+    return keys
+
+
+def _generator() -> np.random.Generator:
+    """A Philox generator for :func:`_rekey` to restart on each stream's key."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+def _rekey(rng: np.random.Generator, key) -> np.random.Generator:
+    """``rng`` restarted at counter 0 of the Philox stream ``key``, a :func:`_stream_keys` entry.
+
+    The state of a Philox generator built from a ``SeedSequence`` whose
+    ``generate_state(2, np.uint64)`` is ``key``: its buffer empty and no
+    half-used 32-bit word.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": key},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 #: nodes of the gamma_inv_tail inverse-CDF table
@@ -292,23 +413,29 @@ def draw_chunks(count: int, row_shape: tuple = (), fill=None, dtype=float):
         yield lo, block
 
 
-def _raw_blocks(spec: NoiseSpec, spawn_key: tuple, first: int, count: int, row: tuple = ()):
+def _raw_blocks(spec: NoiseSpec, rng, first: int, count: int, row: tuple = (), out=None):
     """Yield ``(lo, block)``: rows first + lo .. first + lo + len(block) - 1 of a raw stream.
 
     The one reader of raw draws.  Each of the ``count`` rows holds a
     ``row``-shaped group of raw rows: d normals for the Gaussian kinds, one
     uniform for the heavy kinds, d unfilled values for ``point_mass``, which
-    draws nothing.  One generator keyed by ``spawn_key`` skips the rows
-    before ``first`` and fills the rest, :func:`draw_chunks` block by block.
+    draws nothing.  ``rng``, keyed to the stream by :func:`_rekey`, skips
+    the rows before ``first`` and fills the rest, :func:`draw_chunks` block
+    by block, or, given a C-contiguous ``out`` of those rows, straight into
+    it as one block: it holds them anyway, and one draw equals the chunked
+    draws bit for bit.
     """
-    rng = _philox(spec.seed, spawn_key)
     if spec.kind in HEAVY_KINDS:
         shape, fill = row, rng.random
     else:
         shape, fill = (*row, spec.dim), rng.standard_normal if spec.kind in GAUSSIAN_KINDS else None
     for _ in draw_chunks(first, shape, fill):
         pass
-    yield from draw_chunks(count, shape, fill)
+    if out is None:
+        yield from draw_chunks(count, shape, fill)
+    else:
+        fill(out=out)
+        yield 0, out
 
 
 def _law_factor(spec: NoiseSpec) -> np.ndarray:
@@ -341,37 +468,47 @@ def _law_factor(spec: NoiseSpec) -> np.ndarray:
     return _unit_direction(p, d)
 
 
-def _window_into(spec: NoiseSpec, factor, stream: int, t_start: int, out: np.ndarray):
-    """Write Z_t for t_start <= t < t_start + len(out) of ``stream`` into the rows of ``out``.
+def _window_into(spec: NoiseSpec, factor, rng, keys, t_start: int, out: np.ndarray):
+    """Write Z_t for t_start <= t < t_start + len(out) of one stream into the rows of ``out``.
 
     ``factor`` is :func:`_law_factor` of ``spec``, so a caller filling many
-    windows validates the spec once.  Z_t is raw row t of the (seed, stream)
-    generator for t >= 0 and raw row -t-1 of the mirror generator for
-    t < 0, read backwards into time order.  Returns the exact
-    log-magnitudes of the heavy kinds, or None.
+    windows validates the spec once; ``keys`` is the stream's
+    :func:`_stream_keys` entry and ``rng`` the generator that
+    :func:`_rekey` restarts on each side's key.  Z_t is raw row t of the
+    (seed, stream) generator for t >= 0 and raw row -t-1 of the mirror
+    generator for t < 0, read backwards into time order.  The Gaussian
+    kinds draw each side straight into its rows of ``out``, which must be
+    C-contiguous, and scale it there.  Returns the exact log-magnitudes of
+    the heavy kinds, or None.
     """
     if spec.kind == "point_mass":
         out[:] = factor
         return None
-    t_stop = t_start + out.shape[0]
-    logm = np.empty(out.shape[0]) if spec.kind in HEAVY_KINDS else None
-    sides = []  # (spawn key, first raw row, the rows of out in raw-row order)
+    n = out.shape[0]
+    t_stop = t_start + n
+    logm = np.empty(n) if spec.kind in HEAVY_KINDS else None
+    sides = []  # (key, first raw row, the rows of out it fills, whether raw order runs back in time)
     if t_start < 0:
-        hi = min(t_stop, 0)
-        sides.append(((stream, _MIRROR_KEY), -hi, slice(hi - t_start - 1, None, -1)))
+        sides.append((keys[1], -min(t_stop, 0), slice(0, min(t_stop, 0) - t_start), True))
     if t_stop > 0:
-        lo = max(t_start, 0)
-        sides.append(((stream,), lo, slice(lo - t_start, None)))
-    for key, first, rows in sides:
+        sides.append((keys[0], max(t_start, 0), slice(max(t_start, 0) - t_start, n), False))
+    for key, first, span, backwards in sides:
+        _rekey(rng, key)
+        if logm is None:
+            dest = out[span]
+            for _ in _raw_blocks(spec, rng, first, dest.shape[0], out=dest):
+                pass
+            # a mirror side turns into time order as it is scaled (numpy buffers the overlap)
+            np.multiply(dest[::-1] if backwards else dest, factor, out=dest)
+            continue
+        rows = slice(span.stop - 1, None, -1) if backwards else span
         dest = out[rows]
-        for lo, raw in _raw_blocks(spec, key, first, dest.shape[0]):
+        for lo, raw in _raw_blocks(spec, rng, first, dest.shape[0]):
             part = slice(lo, lo + raw.shape[0])
-            if logm is None:
-                np.multiply(raw, factor, out=dest[part])
-            else:  # exp and log on the contiguous block: a strided view may take another loop
-                logs = _log_magnitudes(spec, raw)
-                logm[rows][part] = logs
-                np.multiply(np.exp(np.minimum(logs, CLAMP_LOG))[:, None], factor, out=dest[part])
+            # exp and log on the contiguous block: a strided view may take another loop
+            logs = _log_magnitudes(spec, raw)
+            logm[rows][part] = logs
+            np.multiply(np.exp(np.minimum(logs, CLAMP_LOG))[:, None], factor, out=dest[part])
     return logm
 
 
@@ -388,7 +525,8 @@ def sample_path(
         raise SpecificationError("count must be >= 1")
     factor = _law_factor(spec)
     values = np.empty((count, spec.dim), factor.dtype)
-    logm = _window_into(spec, factor, int(stream), t_start, values)
+    keys = _stream_keys(spec.seed, [stream])[0]
+    logm = _window_into(spec, factor, _generator(), keys, t_start, values)
     clamped = int((logm > CLAMP_LOG).sum()) if spec.kind in HEAVY_KINDS else 0
     return NoisePath(t_start=t_start, values=values, log_mags=logm, n_clamped=clamped)
 
@@ -407,7 +545,7 @@ def log_norm_blocks(spec: NoiseSpec, count: int, stream: int, gain=None, row: tu
     sample's bits to the size of its block.
     """
     factor = _law_factor(spec)
-    blocks = _raw_blocks(spec, (int(stream),), 0, count, row)
+    blocks = _raw_blocks(spec, make_rng(spec.seed, stream), 0, count, row)
     if gain is not None:
         _, kt = _scaled_norm(gain)
         gain = _ldexp(gain, -kt)

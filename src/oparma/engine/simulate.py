@@ -47,7 +47,9 @@ from .noise import (
     HEAVY_KINDS,
     NoisePath,
     NoiseSpec,
+    _generator,
     _law_factor,
+    _stream_keys,
     _window_into,
     draw_chunks,
     real_if_exact,
@@ -520,15 +522,19 @@ def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count, replicates
     :func:`.noise.draw_chunks` blocks of :data:`.noise.DRAW_CHUNK` values,
     or one replicate where a window alone holds more.  Every replicate
     goes through the same products whatever c, so results do not depend
-    on the chunk.
+    on the chunk.  The keys of all the streams come from one
+    :func:`.noise._stream_keys` pass, and one generator is restarted on
+    each.
     """
     if replicates < 1:
         raise SpecificationError(f"need at least one replicate, got {replicates}")
     _check_noise(model, noise_spec)
     factor = _law_factor(noise_spec)
+    keys = _stream_keys(noise_spec.seed, np.arange(replicates))
+    rng = _generator()
     for lo, block in draw_chunks(replicates, (count, noise_spec.dim), dtype=factor.dtype):
         for i, row in enumerate(block):
-            _window_into(noise_spec, factor, lo + i, t_start, row)
+            _window_into(noise_spec, factor, rng, keys[lo + i], t_start, row)
         yield lo, block
 
 
@@ -542,7 +548,9 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: in
     replicates) array}; replicate i reads noise stream i.  The state is
     the (replicates, pd) block, never a pd x pd power chain:
     the span ends cut the rows into segments, and each span sums the
-    carried terms A^{c-q} T of its segments [c, e), lowest first.  The
+    carried terms A^{c-q} T of its segments [c, e), lowest first; a
+    segment that no span reads is drawn, as the stream passes it, but
+    never reduced.  The
     segment sum T = sum_{j=c}^{e-1} A^{j-c} M Z_j is reduced as aligned
     pairs x_{2i} + A^{2^l} x_{2i+1} (an odd tail keeps its last row) and
     A^{c-q} acts by the binary digits of its exponent.  The powers
@@ -555,7 +563,9 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: in
     bounds = sorted({0} | {end - q for span in spans for end in span})
     a_t = real_if_exact(companion_lift(model).matrix).T
     m_t = real_if_exact(ma_moment_operator(model)).T
-    segments = {c: [] for c in bounds[:-1]}  # T of each block, by segment start
+    # T of each block, by segment start, for the segments some span reads: the
+    # stream still passes the others (plim_probe's leading [0, n_0 - q))
+    segments = {c: [] for c in bounds[:-1] if any(a - q <= c < b - q for a, b in spans)}
     with np.errstate(over="ignore", invalid="ignore"):
         powers = [a_t]  # powers[l] = (A^(2^l))^T, for rows
         while len(powers) < (bounds[-1] - 1).bit_length():
@@ -564,6 +574,8 @@ def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: in
         for _, block in _replicate_blocks(model, noise_spec, bounds[-1], replicates):
             block = block.astype(np.result_type(block, a_t, m_t), copy=False)
             for c, e in zip(bounds, bounds[1:]):
+                if c not in segments:
+                    continue
                 z = block[:, c:e]
                 x = z[:, ::2] @ m_t
                 x[:, : z.shape[1] // 2] += z[:, 1::2] @ am_t

@@ -485,17 +485,21 @@ def _scenario_multiplication(params, seed):
     lam_c = lam[comps]
     sig_c = sig[comps]
     rng = make_rng(seed, stream=1)
-    y = np.zeros((reps, len(comps)))
-    buf = np.empty_like(y)
+    # component-major, so every update runs along the replicates; the draws
+    # stay (replicates, components) rows
+    y = np.zeros((len(comps), reps))
+    scaled = np.empty_like(y)
+    buf = np.empty((reps, len(comps)))
     # stop once the slowest component has forgotten its zero start to 1e-12
     # (the variance bias is then below 1e-24); ``steps`` caps the loop
     for _ in range(min(steps, math.ceil(math.log(1e-12) / math.log(lam_c.max())))):
         rng.standard_normal(out=buf)
-        buf *= sig_c
-        y *= lam_c
-        y += buf
+        np.multiply(buf.T, sig_c[:, None], out=scaled)
+        y *= lam_c[:, None]
+        y += scaled
     target = sig_c**2 / (1.0 - lam_c**2)
-    observed = np.var(y, axis=0)
+    # np.var sums in the order of its input's layout: (replicates, components) in C order
+    observed = np.var(np.ascontiguousarray(y.T), axis=0)
     rel = np.abs(observed / target - 1.0)
     checks.append(
         _check(

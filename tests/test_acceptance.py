@@ -285,17 +285,19 @@ def test_criterion_06_multiplication_variance():
     sig = np.array([(i + 1.0) ** -2.0 for i in comps])
     reps = 100_000
     rng = make_rng(606, stream=0)
-    y = np.zeros((reps, len(comps)))
-    buf = np.empty_like(y)
+    # component-major, as the multiplication scenario runs it
+    y = np.zeros((len(comps), reps))
+    scaled = np.empty_like(y)
+    buf = np.empty((reps, len(comps)))
     # stop once the slowest component has forgotten its zero start to 1e-12,
     # as the multiplication scenario does: 926 of the 2048 steps at lambda = 33/34
     for _ in range(min(2048, math.ceil(math.log(1e-12) / math.log(lam.max())))):
         rng.standard_normal(out=buf)
-        buf *= sig
-        y *= lam
-        y += buf
+        np.multiply(buf.T, sig[:, None], out=scaled)
+        y *= lam[:, None]
+        y += scaled
     target = sig**2 / (1.0 - lam**2)
-    rel = np.abs(np.var(y, axis=0) / target - 1.0)
+    rel = np.abs(np.var(np.ascontiguousarray(y.T), axis=0) / target - 1.0)
     elapsed = time.monotonic() - t0
     ok = bool(np.all(rel <= 0.05)) and elapsed < 120.0
     _report(

@@ -42,6 +42,11 @@ def _hyperbolic_model():
     return arma_model([build_operator(ar)], [dense_operator(np.eye(3)), b1])
 
 
+def _diagonal_model(d):
+    mult = OperatorSpec(kind="multiplication", dim=d, params={"multipliers": [0.9] * d})
+    return arma_model([build_operator(mult)], [build_operator(OperatorSpec(kind="identity", dim=d))])
+
+
 def _window(kind, count, t_start, stream):
     path = sample_path(_noise(kind), count, t_start=t_start, stream=stream)
     return path.values, path.log_mags, path.n_clamped
@@ -64,6 +69,14 @@ CASES = {
     ),
     "partial_sum_quantiles": lambda: partial_sum_quantiles(
         _causal_model(), _noise("componentwise_gaussian"), (3, 10, 33), replicates=9
+    ),
+    # 150 windows of 128 rows x 16: the default chunk holds 128 of them, so the
+    # replicates cross a block edge
+    "plim_probe_across_blocks": lambda: plim_probe(
+        _diagonal_model(16),
+        NoiseSpec(kind="gaussian", dim=16, params={"sigma": 1.0}, seed=11),
+        n_grid=(4, 64),
+        replicates=150,
     ),
     "stationarity_ks": lambda: stationarity_ks(
         _hyperbolic_model(), _noise("gaussian"), replicates=12

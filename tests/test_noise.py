@@ -289,6 +289,28 @@ def test_far_window_matches_window_from_zero(kind):
     np.testing.assert_array_equal(far.values, whole.values[t0:])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -7])
+def test_stream_keys_are_the_seed_sequence_keys(seed):
+    streams = [0, 1, 2**32 - 1, 2**32]
+    keys = noise._stream_keys(seed, streams)
+    assert keys.shape == (4, 2, 2) and keys.dtype == np.uint64
+    for i, stream in enumerate(streams):
+        for side, spawn_key in enumerate([(stream,), (stream, 1)]):
+            ss = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=spawn_key)
+            assert keys[i, side].tobytes() == ss.generate_state(2, np.uint64).tobytes()
+
+
+def test_a_rekeyed_generator_starts_its_stream_afresh():
+    rng = make_rng(5, 3)
+    rng.standard_normal(7)  # stops inside Philox's four-word buffer
+    rng.random(dtype=np.float32)  # keeps the other half of a 64-bit word
+    assert rng.bit_generator.state["has_uint32"] == 1
+    key = noise._stream_keys(5, [9])[0, 1]
+    got = noise._rekey(rng, key).standard_normal(11)
+    ss = np.random.SeedSequence(5, spawn_key=(9, 1))
+    assert got.tobytes() == np.random.Generator(np.random.Philox(ss)).standard_normal(11).tobytes()
+
+
 def test_nonnegative_times_are_rows_of_make_rng():
     d, seed, stream = 3, 17, 4
     spec = NoiseSpec(kind="gaussian", dim=d, params={"sigma": 1.0}, seed=seed)

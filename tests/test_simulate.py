@@ -1062,7 +1062,10 @@ NOISE_PARAMS = {
 
 class TestReplicateBlocks:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
-    @pytest.mark.parametrize("t_start,count", [(0, 9), (3, 9), (-2, 9), (-20, 9), (-4000, 5000)])
+    # 2 x 40 000 values a window: three replicates a block, so the five cross a block edge
+    @pytest.mark.parametrize(
+        "t_start,count", [(0, 9), (3, 9), (-2, 9), (-20, 9), (-4000, 5000), (-30000, 40000)]
+    )
     def test_blocks_are_stacked_sample_paths(self, kind, t_start, count):
         spec = NoiseSpec(kind=kind, dim=2, params=NOISE_PARAMS[kind], seed=6)
         model = arma_model([dense_operator(0.5 * np.eye(2))], [dense_operator(np.eye(2))])
