@@ -284,6 +284,11 @@ def _stream_keys(seed: int, streams) -> np.ndarray:
     the mirror entry) is mixed into the pools of all streams at once, so the
     plain key is read off the mirror key's prefix.
     """
+    streams = np.asarray(streams, dtype=None if isinstance(streams, np.ndarray) else object)
+    if streams.dtype.kind not in "iu" or streams.size and streams.min() < 0:
+        bad = [s for s in streams.ravel().tolist() if not (_is_int(s) and 0 <= s < 2**64)]
+        if bad:
+            raise SpecificationError(f"stream must be an integer in [0, 2**64), got {bad[0]!r}")
     seed = int(seed) & (2**64 - 1)
     words = [seed & _M32, seed >> 32] if seed >> 32 else [seed]
     words += [0] * (_POOL - len(words))
@@ -294,7 +299,7 @@ def _stream_keys(seed: int, streams) -> np.ndarray:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[k], _HASH_A[k + 1]))
                 k += 1
-    streams = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
+    streams = streams.astype(np.uint64).reshape(-1, 1)
     keys = np.empty((streams.shape[0], 2, 2), np.uint64)
     wide = streams[:, 0] > _M32
     for rows, n_words in ((~wide, 1), (wide, 2)):

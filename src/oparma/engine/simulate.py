@@ -38,6 +38,7 @@ from ..operators import (
     _exponent,
     _ldexp,
     _scaled_norm,
+    _unit_ma,
     companion_lift,
     ma_moment_operator,
     spectral_radius,
@@ -162,12 +163,9 @@ def _split_depth(model: ArmaModel, split=None) -> tuple[int, SpectralSplit]:
     Runs :func:`_split_lag_states` keeping only the newest state per side,
     so memory is O(d^2).  K is the first lag past the MA window (K > q) at
     which both newest states, phi_K and a_{-K}, have norm <=
-    :data:`DEFAULT_TAIL_TOL`.  The states are run on the B_k scaled by
-    2^(1 - e), the power of two that brings their largest |entry| into
-    [1, 2), exactly: the states scale with the B_k, so K is the same for
-    B_k and 2^m B_k over the whole float range.  The norm is measured on
-    the lifted state rather than on its first block, so an order-p model
-    whose kernel lag vanishes only transiently is not cut there.
+    :data:`DEFAULT_TAIL_TOL`, on the B_k of :func:`_unit_ma`.  The norm is
+    measured on the lifted state rather than on its first block, so an
+    order-p model whose kernel lag vanishes only transiently is not cut there.
     """
     lift = companion_lift(model)
     if split is None:
@@ -176,9 +174,7 @@ def _split_depth(model: ArmaModel, split=None) -> tuple[int, SpectralSplit]:
         raise DimensionMismatchError(
             f"split has dim {split.dim}, lifted operator has {lift.dim}"
         )
-    shift = 1 - _exponent(np.stack([b.matrix for b in model.ma_ops]))
-    unit_ma = tuple(replace(b, matrix=_ldexp(b.matrix, shift)) for b in model.ma_ops)
-    causal, anticausal = _split_lag_states(replace(model, ma_ops=unit_ma), split)
+    causal, anticausal = _split_lag_states(_unit_ma(model)[0], split)
     with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows raises below
         for _ in range(model.q):
             next(anticausal)  # a_q .. a_1

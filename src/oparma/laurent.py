@@ -51,7 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QuadratureError, SingularOperatorError, SpecificationError
-from .operators import COND_LIMIT, ArmaModel, _frobenius, _spectral_norms, companion_lift
+from .operators import COND_LIMIT, ArmaModel, _frobenius, _ldexp, _spectral_norms, _unit_ma
+from .operators import companion_lift
 
 #: smallest singular value of the denominator on the circle must exceed this
 CIRCLE_TOL = 1e-6
@@ -349,9 +350,9 @@ class LaurentCoeffs:
     M and 1/rho: ||psi_k|| <= decay_a * decay_b**|k| for every k, and each
     coefficient the grid holds out to the range it was sized for, which
     holds the stored one, is within ``diagnostics["aliasing_bound"]`` of the
-    exact psi_k.  ``reconstruction_residual`` is the largest relative
-    mismatch between the truncated series and H on circle points offset
-    from the grid, and ``diagnostics["max_norm"]`` the largest coefficient
+    exact psi_k.  ``reconstruction_residual`` is the largest mismatch of the
+    truncated series and H on circle points off the grid over the largest
+    ||H|| there, and ``diagnostics["max_norm"]`` the largest coefficient
     2-norm.  ``norms`` (the 2-norm of each coefficient) is computed on each
     access: one SVD per coefficient, which no certificate reads.
     """
@@ -382,10 +383,7 @@ class LaurentCoeffs:
 
 def _span(ks: np.ndarray, active: np.ndarray):
     """Smallest k-range holding 0 and every active k."""
-    act_ks = ks[active]
-    if act_ks.size == 0:
-        return 0, 0
-    return min(int(act_ks.min()), 0), max(int(act_ks.max()), 0)
+    return int(ks[active].min(initial=0)), int(ks[active].max(initial=0))
 
 
 def _transform(model: ArmaModel, nodes: np.ndarray) -> np.ndarray:
@@ -450,8 +448,8 @@ def _aliasing(bound: float, rho: float, n: int, reach: int) -> float:
 def _cap_error(bound: float, rho: float) -> QuadratureError:
     return QuadratureError(
         f"the Laurent grid needs more than MAX_N_QUAD = {MAX_N_QUAD} nodes: the Cauchy "
-        f"bound M = {bound:.3e} on the annulus of radius rho = {rho:.6g} aliases above "
-        f"the floor on every grid up to the cap"
+        f"bound M = {bound:.3e} (unit-scale B_k) on the annulus of radius rho = {rho:.6g} "
+        f"aliases above the floor on every grid up to the cap"
     )
 
 
@@ -476,7 +474,9 @@ def laurent_coeffs(model: ArmaModel) -> LaurentCoeffs:
     walking in from each end by 2-norm, so the stored range and
     ``diagnostics["max_norm"]`` are those of spectral norms.  A failed
     circle check aborts before any quadrature happens, since the expansion
-    does not exist.
+    does not exist.  All else runs on the B_k of :func:`_unit_ma`, so the
+    range, n and the residual hold for every 2^m B_k; the block, M and the
+    diagnostics scale back by 2^e (:class:`OverflowError` past the float range).
     """
     circle = unit_circle_check(model)
     if not circle.passed:
@@ -484,28 +484,28 @@ def laurent_coeffs(model: ArmaModel) -> LaurentCoeffs:
             f"denominator nearly singular on the circle "
             f"(min singular value {circle.min_singular_value:.3e} at "
             f"z={circle.worst_z:.6f}, needs > {circle.tol:.1e})",
-            condition=1.0 / max(circle.min_singular_value, 1e-300),
+            condition=math.inf if circle.min_singular_value == 0 else 1 / circle.min_singular_value,
         )
+    unit, e = _unit_ma(model)
     rho = min(circle.root_radius**ANNULUS_POWER, ANNULUS_MAX)
-    bound = _cauchy_bound(model, rho, circle.eigenvalues) if rho > 1 else math.inf
+    bound = _cauchy_bound(unit, rho, circle.eigenvalues) if rho > 1 else math.inf
     if not math.isfinite(bound):
         raise _cap_error(bound, rho)
-    href = _batched_transfer(model, TEST_POINTS)
-    href_norms = _spectral_norms(href)
-    hmax = float(href_norms.max())
+    href = _batched_transfer(unit, TEST_POINTS)
+    hmax = float(_spectral_norms(href).max())
     r0 = max(_decay_steps(4 * bound / (hmax * (1 - 1 / rho)), rho) - 1, 0) if hmax > 0 else 0
-    floor = REL_FLOOR * max(hmax / (2 * (2 * r0 + 1)), 1e-300)
-    reach = max(_decay_steps(bound / floor, rho) - 1, 0)
+    floor = REL_FLOOR * hmax / (2 * (2 * r0 + 1))
+    reach = max(_decay_steps(bound / floor, rho) - 1, 0) if floor > 0 else 0
     n = 2
-    while n <= 2 * reach or _aliasing(bound, rho, n, reach) > floor:
+    while n <= 2 * reach or (alias := _aliasing(bound, rho, n, reach)) > floor:
         n *= 2
         if n > MAX_N_QUAD:
             raise _cap_error(bound, rho)
-    grid = _transform(model, np.exp(2j * np.pi * np.arange(n) / n))
+    grid = _transform(unit, np.exp(2j * np.pi * np.arange(n) / n))
     fro = _frobenius_norms(grid)
     # ||psi||_2 >= ||psi||_F / sqrt(d): only these can hold the largest 2-norm
     top = _spectral_norms(grid[fro >= fro.max() / np.sqrt(model.dim)]).max()
-    floor = REL_FLOOR * max(top, 1e-300)
+    floor = REL_FLOOR * top
     # the Frobenius range holds the 2-norm one; walk in from each end to
     # the first coefficient above the floor, or to k = 0
     ks = np.arange(-reach, reach + 1)
@@ -521,25 +521,28 @@ def laurent_coeffs(model: ArmaModel) -> LaurentCoeffs:
     ks = np.arange(k_min, k_max + 1)
     block = grid[ks % n]
     del grid
+    residual = _reconstruction_residual(block, ks, href, hmax)
+    with np.errstate(over="ignore"):
+        _ldexp(block, e, out=block)
+        bound, top, alias = map(float, _ldexp(np.array([bound, top, alias]), e))
+    if not (math.isfinite(bound) and np.isfinite(block).all()):
+        raise OverflowError(f"the Laurent block or M leaves the float range (B_k ~ 2^{e})")
     return LaurentCoeffs(
         k_min=k_min,
         k_max=k_max,
         coeffs=block,
         n_quad=n,
-        reconstruction_residual=_reconstruction_residual(block, ks, href, href_norms),
+        reconstruction_residual=residual,
         circle=circle,
         decay_a=bound,
         decay_b=1.0 / rho,
-        diagnostics={
-            "max_norm": float(top),
-            "aliasing_bound": _aliasing(bound, rho, n, reach),
-        },
+        diagnostics={"max_norm": top, "aliasing_bound": alias},
     )
 
 
-def _reconstruction_residual(block, ks, href, href_norms) -> float:
-    """Relative residual of the truncated series against ``href``, H at the
-    :data:`TEST_POINTS`, whose 2-norms are ``href_norms``."""
+def _reconstruction_residual(block, ks, href, hmax) -> float:
+    """Largest 2-norm of the truncated series less ``href``, H at the
+    :data:`TEST_POINTS`, relative to ``hmax``, the largest ||H|| there."""
     powers = TEST_POINTS[:, None] ** ks[None, :].astype(float)
-    series = np.tensordot(powers, block, axes=(1, 0))
-    return float((_spectral_norms(series - href) / (1.0 + href_norms)).max())
+    gap = _spectral_norms(np.tensordot(powers, block, axes=(1, 0)) - href).max()
+    return float(gap / hmax) if hmax > 0 else math.inf if gap else 0.0

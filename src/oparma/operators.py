@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -271,6 +271,13 @@ def _ldexp(x: np.ndarray, e, out=None) -> np.ndarray:
     else:
         np.ldexp(x, e, out=out)
     return out
+
+
+def _unit_ma(model: ArmaModel) -> tuple:
+    """``(unit, e)``: ``model`` with its B_k times 2^-e exactly, their largest |entry| in [1, 2)."""
+    e = _exponent(np.stack([b.matrix for b in model.ma_ops])) - 1
+    ma = tuple(replace(b, matrix=_ldexp(b.matrix, -e)) for b in model.ma_ops)
+    return replace(model, ma_ops=ma), e
 
 
 def _scaled_norm(x: np.ndarray, axis=None) -> tuple:

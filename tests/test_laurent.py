@@ -1,5 +1,6 @@
 """Transfer-function coefficients: oracles, circle checks, envelopes."""
 
+import json
 import math
 import tracemalloc
 
@@ -16,6 +17,8 @@ from oparma import (
     dense_operator,
 )
 from oparma import laurent
+from oparma.cli import main
+from oparma.jsonio import dump_model
 from oparma.laurent import (
     CIRCLE_TOL,
     laurent_coeffs,
@@ -682,6 +685,66 @@ def test_reconstruction_points_see_aliasing():
     series = np.tensordot(on_grid[:, None] ** ks, aliased, axes=(1, 0))
     assert np.abs(series - laurent._batched_transfer(model, on_grid)).max() < 1e-12
     href = laurent._batched_transfer(model, laurent.TEST_POINTS)
-    residual = laurent._reconstruction_residual(aliased, ks, href, laurent._spectral_norms(href))
+    hmax = laurent._spectral_norms(href).max()
+    residual = laurent._reconstruction_residual(aliased, ks, href, hmax)
     assert residual > RECONSTRUCTION_MAX
     assert laurent_coeffs(model).reconstruction_residual <= RECONSTRUCTION_MAX
+
+
+#: binary exponents m of the MA operators 2^m B_k, out to both ends of the
+#: float range (those of test_simulate.TestScaleFreeDepth)
+_MA_SCALES = (-1000, -900, -565, -40, -20, 20, 40, 565, 900)
+
+
+def _scaled_ma(model, m):
+    """``model`` with its MA operators times 2^m, exactly."""
+    return arma_model(model.ar_ops, [dense_operator(b.matrix * 2.0**m) for b in model.ma_ops])
+
+
+class TestScaleFreeLaurent:
+    """The Laurent range is read in units of the MA operators' scale."""
+
+    @pytest.mark.parametrize("name", ["ar1", "ar2", "ar1_q2"])
+    def test_range_is_the_same_for_scaled_ma_operators(self, name):
+        model = _planted_models()[name]
+        base = laurent_coeffs(model)
+
+        def read(lc):
+            return (lc.k_min, lc.k_max), lc.n_quad, lc.reconstruction_residual
+
+        for m in _MA_SCALES:
+            lc = laurent_coeffs(_scaled_ma(model, m))
+            assert read(lc) == read(base)
+            assert lc.decay_a == base.decay_a * 2.0**m
+
+    def test_tiny_ma_operators_simulate_and_verify(self, tmp_path, capsys):
+        # at 2^-600 the squared norms of the coefficients underflow
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(dump_model(_scaled_ma(_planted_models()["ar2"], -600))))
+        noise = tmp_path / "n.json"
+        noise.write_text(json.dumps({"kind": "gaussian", "dim": 6, "seed": 3}))
+        argv = ["simulate", "--model", str(model), "--noise", str(noise), "--method", "ma"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-8
+        assert main(["verify", "--model", str(model)]) == 0
+
+
+def test_zero_ma_side_stores_one_zero_coefficient():
+    model = arma_model([dense_operator(np.diag([0.5, 2.0]))], [dense_operator(np.zeros((2, 2)))])
+    lc = laurent_coeffs(model)
+    assert ((lc.k_min, lc.k_max), lc.n_quad, lc.reconstruction_residual) == ((0, 0), 2, 0.0)
+    assert not lc.coefficient(0).any()
+
+
+@pytest.mark.parametrize("b0, code", [(1e308, 1), (1e300, 0)])
+def test_coefficients_past_the_float_range_exit_1(b0, code, tmp_path, capsys):
+    # the Cauchy bound M is about 15 b0: past the float range at 1e308, not at
+    # 1e300; a warning on the way fails the suite
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "ar": [{"kind": "multiplication", "dim": 2, "params": {"multipliers": [0.5, 2.0]}}],
+        "ma": [{"kind": "multiplication", "dim": 2, "params": {"multipliers": [b0, b0]}}],
+    }))
+    assert main(["laurent", "--model", str(path)]) == code
+    err = capsys.readouterr().err
+    assert ("leaves the float range" in err) == (code == 1)

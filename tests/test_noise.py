@@ -10,6 +10,7 @@ from scipy.stats import kstest
 
 from oparma import SpecificationError
 from oparma.engine import noise
+from oparma.engine.moments import moment_estimate
 from oparma.engine.noise import (
     CLAMP_LOG,
     HEAVY_KINDS,
@@ -298,6 +299,26 @@ def test_stream_keys_are_the_seed_sequence_keys(seed):
         for side, spawn_key in enumerate([(stream,), (stream, 1)]):
             ss = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=spawn_key)
             assert keys[i, side].tobytes() == ss.generate_state(2, np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("stream", [-1, 2**64, 1.5, True])
+def test_a_bad_stream_is_a_specification_error(stream):
+    spec = NoiseSpec(kind="gaussian", dim=1)
+    calls = [
+        lambda: sample_path(spec, 3, stream=stream),
+        lambda: make_rng(0, stream),
+        lambda: moment_estimate(spec, n_samples=1000, stream=stream),
+    ]
+    for call in calls:
+        with pytest.raises(SpecificationError, match=re.escape(f"got {stream!r}")):
+            call()
+
+
+@pytest.mark.parametrize("stream", [0, 2**64 - 1])
+def test_streams_at_the_ends_key_as_seed_sequences(stream):
+    ss = np.random.SeedSequence(7, spawn_key=(stream,))
+    want = np.random.Generator(np.random.Philox(ss)).standard_normal(5)
+    assert make_rng(7, stream).standard_normal(5).tobytes() == want.tobytes()
 
 
 def test_a_rekeyed_generator_starts_its_stream_afresh():
