@@ -108,8 +108,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_spec("noise", NOISE_PARAMS, self)
-        if not _is_int(self.seed):
-            raise SpecificationError(f"seed must be an integer, got {self.seed!r}")
+        _check_u64("seed", [self.seed])
         _law_factor(self)
 
 
@@ -272,10 +271,18 @@ def _generate_state(pool) -> np.ndarray:
     return out[:, 0::2] | out[:, 1::2] << 32  # little-endian pairs of 32-bit words
 
 
+def _check_u64(name: str, values) -> None:
+    """Raise :class:`SpecificationError` naming the first of ``values`` that
+    is not an integer in [0, 2**64); a bool is not one."""
+    bad = [v for v in values if not (_is_int(v) and 0 <= v < 2**64)]
+    if bad:
+        raise SpecificationError(f"{name} must be an integer in [0, 2**64), got {bad[0]!r}")
+
+
 def _stream_keys(seed: int, streams) -> np.ndarray:
     """Philox keys of ``streams`` under ``seed``: (n, 2, 2) uint64, plain then mirror.
 
-    ``keys[i, 0]`` is ``np.random.SeedSequence(seed & (2**64 - 1),
+    ``keys[i, 0]`` is ``np.random.SeedSequence(seed,
     spawn_key=(streams[i],)).generate_state(2, np.uint64)`` and
     ``keys[i, 1]`` the same with ``spawn_key=(streams[i], _MIRROR_KEY)``,
     bit for bit, computed in one vectorized pass of that hash.  The seed's
@@ -286,10 +293,9 @@ def _stream_keys(seed: int, streams) -> np.ndarray:
     """
     streams = np.asarray(streams, dtype=None if isinstance(streams, np.ndarray) else object)
     if streams.dtype.kind not in "iu" or streams.size and streams.min() < 0:
-        bad = [s for s in streams.ravel().tolist() if not (_is_int(s) and 0 <= s < 2**64)]
-        if bad:
-            raise SpecificationError(f"stream must be an integer in [0, 2**64), got {bad[0]!r}")
-    seed = int(seed) & (2**64 - 1)
+        _check_u64("stream", streams.ravel().tolist())
+    _check_u64("seed", [seed])
+    seed = int(seed)
     words = [seed & _M32, seed >> 32] if seed >> 32 else [seed]
     words += [0] * (_POOL - len(words))
     pool = [_hash(w, _HASH_A[k], _HASH_A[k + 1]) for k, w in enumerate(words)]

@@ -23,7 +23,8 @@ every simulation, not trusted from the derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,9 +80,9 @@ KS_SHIFT = 5
 class SimulationResult:
     """A simulated window Y_t, t_start <= t <= t_stop_inclusive.
 
-    ``max_residual`` is the recursion residual measured on the interior
-    of the window against the noise actually used; ``truncation_K`` the
-    kernel's one-sided lag reach.
+    ``max_residual`` is the recursion residual measured on every row of
+    the window, from the p rows before it, against the noise actually
+    used; ``truncation_K`` the kernel's one-sided lag reach.
     """
 
     t_start: int
@@ -225,14 +226,14 @@ def _check_noise(model: ArmaModel, noise) -> None:
 def _window_sums(x: np.ndarray, step: np.ndarray, width: int) -> np.ndarray:
     """Rows y_t = sum_{j < width} step^j x_{t-j} for the last n - width + 1 of the n rows.
 
-    ``x`` has shape (..., n, m); leading axes are replicates.
+    ``x`` has shape (..., n, m); leading axes are replicates; ``width`` >= 1.
     A log-depth doubling scan with no loop over t: window sums of s rows
     double by x_t + step^s x_{t-s}, and the result gathers the windows of
     the set bits of ``width``, lowest first, by y_t = x_t + step^s y_{t-s}.
     Every output row goes through the same passes over full windows, so
     its bits do not depend on where it sits in ``x``.
     """
-    out = None if width else np.zeros((*x.shape[:-2], x.shape[-2] + 1, x.shape[-1]), x.dtype)
+    out = None
     s, power = 1, step  # x holds s-row window sums (end-aligned), power = step^s
     while s <= width:
         # each sum is formed in its product's buffer, so a pass holds two
@@ -410,28 +411,28 @@ def _window(t_range) -> tuple:
 
 
 def _result(model, t0, values, method, truncation_k, path, diagnostics) -> SimulationResult:
-    """Wrap a simulated window and measure its recursion residual.
+    """Measure the recursion residual of rows t0 - p .. t1 and keep rows t0 .. t1.
 
-    Raises ``OverflowError`` naming the first time whose value is not
-    finite, as heavy-tailed noise through an expanding block can make it.
+    ``values`` holds Y_t for t0 - p <= t <= t1, so the residual's numerator
+    covers every kept row.  Raises ``OverflowError`` naming the first time
+    whose value is not finite, as heavy-tailed noise through an expanding
+    block can make it.
     """
+    window = SimpleNamespace(t_start=t0 - model.p, values=values)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise OverflowError(
-            f"simulated path leaves the float range at t = {t0 + int(bad[0])}"
+            f"simulated path leaves the float range at t = {window.t_start + int(bad[0])}"
         )
-    res = SimulationResult(
+    return SimulationResult(
         t_start=t0,
-        values=values,
+        values=values[model.p :],
         method=method,
         truncation_K=truncation_k,
-        max_residual=float("nan"),
+        max_residual=recursion_residual(model, window, path),
         noise=path,
         diagnostics=dict(diagnostics),
     )
-    if len(res) <= model.p:
-        return res
-    return replace(res, max_residual=recursion_residual(model, res, path))
 
 
 def simulate_theorem1(
@@ -442,21 +443,19 @@ def simulate_theorem1(
 ) -> SimulationResult:
     """Simulate via the split-series solution.
 
-    ``noise`` is a NoiseSpec; a window of exactly the required reach,
-    K + q before the range and K after it, is sampled from its stream 0.
+    ``noise`` is a NoiseSpec; the scans compute the rows t0 - p .. t1, which
+    the recursion residual reads, so a window of exactly their reach,
+    K + q + p before the range and K after it, is sampled from its stream 0.
     K is the kernel's reach from :func:`_split_depth`; the forward scan sums
     K + 1 terms of f1 and the backward scan K terms of h.
     """
     k, split = _split_depth(model, split)
     t0, t1 = _window(t_range)
     _check_noise(model, noise)
-    n_t = t1 - t0 + 1
-    path = sample_path(noise, n_t + 2 * k + model.q, t_start=t0 - k - model.q)
-    z = path.values
-    if n_t == 1:  # one row would take another BLAS route: add a zero row t0 does not read
-        z = np.concatenate([z, np.zeros_like(z[:1])])
+    n_t = t1 - t0 + 1 + model.p
+    path = sample_path(noise, n_t + 2 * k + model.q, t_start=t0 - model.p - k - model.q)
     with np.errstate(over="ignore", invalid="ignore"):  # _result names the first bad t
-        values = _split_series(model, split, z, k + model.q, max(n_t, 2), k)[:n_t]
+        values = _split_series(model, split, path.values, k + model.q, n_t, k)
     return _result(model, t0, values, "theorem1_split", k, path, _depth_diagnostics(k, split))
 
 
@@ -471,8 +470,9 @@ def simulate_ma(
     ``noise`` is a NoiseSpec; psi_k acts on Z_{t-k}.  The sum runs as the
     overlap-save FFT of :func:`_block_sum`, its blocks anchored to
     absolute t: block b yields b step <= t < (b + 1) step, so the noise is
-    sampled out to the edges of the blocks the window touches and a value
-    depends on t alone, not on the window.  The FFT error scales with the
+    sampled out to the edges of the blocks that the rows t0 - p .. t1 touch
+    (and back to t0 - q, for the recursion residual), and a value depends
+    on t alone, not on the window.  The FFT error scales with the
     largest draw in a block, not with the terms an output reads, so the
     heavy kinds (:data:`.noise.HEAVY_KINDS`) take the direct lag sum over
     exactly the coefficients' reach instead.
@@ -488,15 +488,18 @@ def simulate_ma(
     n_lags = coeffs.k_max - coeffs.k_min + 1
     heavy = noise.kind in HEAVY_KINDS
     step = 1 if heavy else _block_shape(n_lags)[1]
-    lo, hi = t0 // step * step, -(-(t1 + 1) // step) * step  # output times of the rows computed
-    path = sample_path(noise, hi - lo + n_lags - 1, t_start=lo - coeffs.k_max)
+    t_first = t0 - model.p  # the first row the recursion residual reads
+    lo, hi = t_first // step * step, -(-(t1 + 1) // step) * step  # times of the rows computed
+    start = min(lo - coeffs.k_max, t0 - model.q)  # the residual reads Z back to t0 - q
+    path = sample_path(noise, hi - coeffs.k_min - start, t_start=start)
+    z = path.values[lo - coeffs.k_max - start :]
     # real noise is cast to the coefficients' type once, not at every lag
-    z = path.values.astype(np.result_type(path.values, coeffs.coeffs), copy=False)
+    z = z.astype(np.result_type(z, coeffs.coeffs), copy=False)
     with np.errstate(over="ignore", invalid="ignore"):  # _result names the first bad t
         if heavy:
             values = _lag_sum(z, coeffs.coeffs, n_lags - 1, z.shape[0])
         else:
-            values = _block_sum(z, coeffs.coeffs)[t0 - lo : t1 + 1 - lo]
+            values = _block_sum(z, coeffs.coeffs)[t_first - lo : t1 + 1 - lo]
     return _result(model, t0, values, "ma_infinity", reach, path, {"n_quad": coeffs.n_quad})
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine.moments import moment_estimate
-from .engine.noise import CLAMP_LOG, NoiseSpec, log_norm_blocks, make_rng
+from .engine.noise import CLAMP_LOG, NoiseSpec, _check_u64, log_norm_blocks, make_rng
 from .engine.simulate import (
     RECONSTRUCTION_MAX,
     _relative_gap,
@@ -150,14 +150,9 @@ def certify(model, noise, t1: int, residual_max: float):
     split-vs-MA gap sup_t ||Y_t^split - Y_t^MA||_2 / max_t ||Y_t^split||_2
     <= :data:`GAP_MAX`, and no noise draw clamped at e^CLAMP_LOG in either
     route's window (the residual and the gap would otherwise certify noise
-    that is not the law's).  A window of
-    fewer than p + 2 points, too short for the recursion residual,
-    raises :class:`SpecificationError`.
+    that is not the law's).  An empty window (t1 < 0) raises
+    :class:`SpecificationError`.
     """
-    if t1 + 1 < model.p + 2:
-        raise SpecificationError(
-            f"window must be at least p + 2 = {model.p + 2}, got {t1 + 1}"
-        )
     op = companion_lift(model)
     split = hyperbolic_split(op)
     flags = check_split(split, op)
@@ -831,7 +826,8 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0) -> Sce
     ``overrides`` updates the scenario's default parameters; unknown keys
     and values whose type does not match the default's are rejected
     (an integral float is accepted for an integer, an integer for a
-    float), and so is a ``*replicates`` count below 1.  Reports are
+    float), and so are a ``*replicates`` count below 1 and a seed that is
+    not an integer in [0, 2**64).  Reports are
     bitwise deterministic per (name, overrides, seed) apart from
     runtime_ms.  Exceptions escaping a scenario body signal broken
     infrastructure and propagate; a failed check is a regular report
@@ -840,6 +836,7 @@ def run_scenario(name: str, overrides: dict | None = None, seed: int = 0) -> Sce
     if name not in _BY_NAME:
         known = ", ".join(sorted(_BY_NAME))
         raise UnknownScenarioError(f"unknown scenario {name!r}; catalog: {known}")
+    _check_u64("seed", [seed])
     anchor, fn, defaults = _BY_NAME[name]
     params = dict(defaults)
     if overrides:

@@ -758,6 +758,29 @@ class TestSubcommands:
         assert doc["passed"] is True
         assert len(doc["checks"]) == 7
 
+    def test_verify_one_row_window(self, hyper_model, capsys):
+        code, out = run_cli("verify", "--model", str(hyper_model), "--window", "1",
+                            capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("method", ["split", "ma"])
+    def test_short_window_writes_its_residual(self, method, tmp_path, capsys):
+        # two rows of an AR(2): the p rows before t0 give each a recursion row
+        model, noise = tmp_path / "m.json", tmp_path / "n.json"
+        ar = [{"kind": "dense", "dim": 1, "params": {"entries": [[a]]}} for a in (0.5, 0.1)]
+        model.write_text(json.dumps({"ar": ar, "ma": [{"kind": "identity", "dim": 1}]}))
+        noise.write_text(json.dumps({"kind": "gaussian", "dim": 1, "params": {"sigma": 1.0}}))
+        argv = ["simulate", "--model", str(model), "--noise", str(noise),
+                "--t0", "3", "--t1", "4", "--method", method]
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        residual = json.loads(out)["max_residual"]
+        assert isinstance(residual, float) and residual <= 1e-10
+        assert run_cli(*argv, "--format", "csv") == (0, None)
+        summary = dict(f.split("=") for f in capsys.readouterr().err.split() if "=" in f)
+        assert float(summary["max_residual"]) <= 1e-10
+
     def test_verify_scans_the_circle_once(self, hyper_model, monkeypatch):
         import oparma.laurent
 
@@ -918,7 +941,7 @@ class TestUsageErrors:
                 "moments --noise N --transform T --n-samples 1000",
                 {"N": _POINT, "T": {"kind": "identity", "dim": 3}},
             ),
-            ("scenario hyperbolic_pipeline --set window=1", {}),
+            ("scenario hyperbolic_pipeline --set window=0", {}),
             ("scenario rescaled_half_shift --set replicates=0", {}),
             ("scenario quasinilpotent_shift --set replicates=0", {}),
             ("scenario hyperbolic_pipeline --set ks_replicates=0", {}),
@@ -946,7 +969,7 @@ class TestUsageErrors:
             "transform-params-not-an-object",
             "transform-unknown-key",
             "transform-dim-differs-from-noise",
-            "certify-window-below-p-plus-2",
+            "certify-empty-window",
             "rescaled-half-shift-zero-replicates",
             "quasinilpotent-zero-replicates",
             "pipeline-zero-ks-replicates",
@@ -1094,6 +1117,12 @@ class TestSeedOverride:
             outs[file_seed, flag] = out.read_bytes()
         assert outs[5, None] != outs[9, None]
         assert outs[9, "5"] == outs[5, None]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("sub", ["scenario nilpotent", "simulate --model {model}"])
+    def test_a_seed_outside_64_bits_exit_2(self, sub, seed, hyper_model):
+        argv = [a.format(model=hyper_model) for a in sub.split()]
+        assert run_cli(*argv, "--seed", seed)[0] == 2
 
     def test_verify_default_noise_takes_the_seed(self, hyper_model, tmp_path):
         noise = tmp_path / "unit.json"

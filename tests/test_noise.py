@@ -23,6 +23,7 @@ from oparma.engine.noise import (
     sample_path,
 )
 from oparma.operators import OperatorSpec
+from oparma.scenarios import run_scenario
 
 
 def test_point_mass_repeats_vector():
@@ -290,14 +291,14 @@ def test_far_window_matches_window_from_zero(kind):
     np.testing.assert_array_equal(far.values, whole.values[t0:])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -7])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
 def test_stream_keys_are_the_seed_sequence_keys(seed):
     streams = [0, 1, 2**32 - 1, 2**32]
     keys = noise._stream_keys(seed, streams)
     assert keys.shape == (4, 2, 2) and keys.dtype == np.uint64
     for i, stream in enumerate(streams):
         for side, spawn_key in enumerate([(stream,), (stream, 1)]):
-            ss = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=spawn_key)
+            ss = np.random.SeedSequence(seed, spawn_key=spawn_key)
             assert keys[i, side].tobytes() == ss.generate_state(2, np.uint64).tobytes()
 
 
@@ -311,6 +312,20 @@ def test_a_bad_stream_is_a_specification_error(stream):
     ]
     for call in calls:
         with pytest.raises(SpecificationError, match=re.escape(f"got {stream!r}")):
+            call()
+
+
+@pytest.mark.parametrize("seed", [-7, -1, 2**64, 2**64 + 1, 1.5, True])
+def test_a_bad_seed_is_a_specification_error(seed):
+    calls = [
+        lambda: NoiseSpec(kind="gaussian", dim=1, seed=seed),
+        lambda: make_rng(seed),
+        lambda: noise._stream_keys(seed, [0]),
+        lambda: run_scenario("nilpotent", seed=seed),
+    ]
+    message = re.escape(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    for call in calls:
+        with pytest.raises(SpecificationError, match=message):
             call()
 
 

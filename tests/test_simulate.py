@@ -109,12 +109,14 @@ class TestPureMovingAverage:
             assert np.allclose(res.values[t], expected, atol=1e-13)
         assert res.max_residual < 1e-14
 
-    def test_short_window_residual_is_nan(self):
+    def test_one_row_window_measures_its_residual(self):
+        # the p rows before the window are computed too, so even one row has
+        # a recursion row to check
         model = scalar_model(0.5)
         spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=3)
         res = simulate_theorem1(model, spec, t_range=(5, 5))
         assert len(res) == 1
-        assert np.isnan(res.max_residual)
+        assert res.max_residual <= 1e-10
 
 
 class TestTruncationControl:
@@ -525,15 +527,67 @@ class TestTimeAddressedNoise:
         for t in range(11):
             res = simulate_theorem1(model, spec, t_range=(t, t))
             assert res.values.tobytes() == ref.values[t : t + 1].tobytes(), t
-            # the noise is the window row t reads, and no more
-            assert (res.noise.t_start, res.noise.t_stop) == (t - k - 1, t + k + 1)
-            want = sample_path(spec, 2 * k + 2, t_start=t - k - 1)
+            # the noise is the window rows t - p .. t read, and no more
+            start = t - model.p - k - model.q
+            assert (res.noise.t_start, res.noise.t_stop) == (start, t + k + 1)
+            want = sample_path(spec, 2 * k + 3, t_start=start)
             assert res.noise.values.tobytes() == want.values.tobytes()
 
     def test_truncation_sweep_converges_geometrically(self, monkeypatch):
         a = dense_operator(np.diag([0.6, 1.0 / 0.6]))
         model = arma_model([a], [build_operator(OperatorSpec(kind="identity", dim=2))])
         _assert_tail_sweep_converges(model, monkeypatch)
+
+
+def _window_rule_model(p, q):
+    """A 3 x 3 hyperbolic ARMA(p, q): the A_1 and B_k of
+    :func:`random_hyperbolic_model`, and small A_2 .. A_p."""
+    rng = np.random.default_rng(10 * p + q)
+    base = random_hyperbolic_model(rng, 3, q)
+    extra = [dense_operator(rng.normal(size=(3, 3)) / 30) for _ in range(p - 1)]
+    return arma_model(list(base.ar_ops) + extra, list(base.ma_ops))
+
+
+class TestWindowRule:
+    """Every window computes the p rows before it, so each of its rows has
+    a recursion row, a window of one row included."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "pareto_exp"])
+    @pytest.mark.parametrize("method", ["split", "ma"])
+    @pytest.mark.parametrize("q", [0, 2])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_short_windows_are_rows_of_a_long_window(self, p, q, method, kind):
+        model = _window_rule_model(p, q)
+        params = {"sigma": 1.0} if kind == "gaussian" else {}
+        spec = NoiseSpec(kind=kind, dim=3, params=params, seed=p + q)
+        coeffs = laurent_coeffs(model)
+
+        def run(t0, t1):
+            if method == "split":
+                return simulate_theorem1(model, spec, (t0, t1))
+            return simulate_ma(model, coeffs, spec, (t0, t1))
+
+        for t0 in (-7, 0, 5):
+            ref = run(t0, t0 + 63)
+            for n in range(1, p + 3):
+                res = run(t0, t0 + n - 1)
+                assert res.values.tobytes() == ref.values[:n].tobytes(), (t0, n)
+                assert np.isfinite(res.max_residual), (t0, n)
+                if kind == "gaussian":
+                    assert res.max_residual <= 1e-10, (t0, n)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "pareto_exp"])
+    def test_ma_noise_reaches_back_q_rows(self, kind):
+        # the Laurent range drops the negligible B_1 .. B_3, so k_max = 0 < q - p,
+        # yet the residual of row t0 reads Z back to t0 - q
+        model = scalar_model(0.0, bs=(1.0, 1e-20, 1e-20, 1e-20))
+        coeffs = laurent_coeffs(model)
+        assert coeffs.k_max == 0
+        params = {"sigma": 1.0} if kind == "gaussian" else {}
+        spec = NoiseSpec(kind=kind, dim=1, params=params, seed=1)
+        res = simulate_ma(model, coeffs, spec, t_range=(5, 5))
+        assert res.noise.t_start == 5 - model.q
+        assert res.max_residual <= 1e-10
 
 
 class TestStationarity:
@@ -879,9 +933,8 @@ class TestRealArithmetic:
         assert res.noise.values.dtype == np.float64
         k, split = simulate._split_depth(model)
         cast = res.noise.values.astype(complex)
-        np.testing.assert_array_equal(
-            res.values, simulate._split_series(model, split, cast, k + model.q, 50, k)
-        )
+        rows = simulate._split_series(model, split, cast, k + model.q, 50 + model.p, k)
+        np.testing.assert_array_equal(res.values, rows[model.p :])
         coeffs = laurent_coeffs(model)
         res = simulate_ma(model, coeffs, spec, t_range=(0, 49))
         cast = res.noise.values.astype(complex)
@@ -930,9 +983,10 @@ class TestTwoPassScan:
         kernel, _ = build_split_kernel(model)
         k = res.truncation_K
         assert -kernel.l_min == k
-        # the noise reaches K + q rows before the window, the kernel only K
+        # the noise reaches K + q + p rows before the window, the kernel only K
         z = res.noise.values.astype(complex)
-        ref = simulate._lag_sum(z, kernel.psis, 2 * k + model.q, 2 * k + model.q + len(res))
+        first = 2 * k + model.q + model.p
+        ref = simulate._lag_sum(z, kernel.psis, first, first + len(res))
         assert np.abs(res.values - ref).max() <= 1e-12 * np.abs(ref).max()
         assert res.max_residual <= 1e-10
 
@@ -960,7 +1014,8 @@ class TestTwoPassScan:
         k = res.truncation_K
         assert k == kernel.l_max <= 10
         z = res.noise.values.astype(complex)
-        ref = simulate._lag_sum(z, kernel.psis, 2 * k, 2 * k + len(res))
+        first = 2 * k + model.p  # the noise reaches K + p rows before the window
+        ref = simulate._lag_sum(z, kernel.psis, first, first + len(res))
         assert np.abs(res.values - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_tail_sweep_with_ma_terms(self, monkeypatch):
@@ -1006,11 +1061,12 @@ class TestSplitDepth:
 
     def test_overflowing_scaled_path_raises(self):
         # the states are read in units of B_0 = 1e300 I and stay finite, but a
-        # transient gain of 1e10 takes the path past the float range
+        # transient gain of 1e10 takes the path past the float range; t = -1
+        # is the first row the recursion residual reads
         a = dense_operator([[0.5, 1e10], [0.0, 0.5]])
         model = arma_model([a], [dense_operator(1e300 * np.eye(2))])
         spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
-        with pytest.raises(OverflowError, match="simulated path leaves the float range at t = 0"):
+        with pytest.raises(OverflowError, match="simulated path leaves the float range at t = -1"):
             simulate_theorem1(model, spec, t_range=(0, 3))
 
     @pytest.mark.parametrize("name", ["ar1_q2", "ar2_q1"])
@@ -1149,7 +1205,9 @@ class TestRecursionResidualBuffers:
         params = {"sigma": 1.0} if kind == "gaussian" else {}
         spec = NoiseSpec(kind=kind, dim=model.dim, params=params, seed=2)
         res = simulate_theorem1(model, spec, t_range=(-5, 120))
-        assert res.max_residual == _recursion_residual_reference(model, res, res.noise)
+        # the residual reads the p rows before the window too
+        reach = simulate_theorem1(model, spec, t_range=(-5 - model.p, 120))
+        assert res.max_residual == _recursion_residual_reference(model, reach, res.noise)
         big = 2.0 ** (900 - np.frexp(np.abs(res.values).max())[1])  # peak near 2^900
         for values, t_start in [
             (res.values * big, res.t_start),  # squares would overflow unscaled
@@ -1235,7 +1293,8 @@ class TestBlockConvolution:
         spec = NoiseSpec(kind=kind, dim=3, params={}, seed=4)
         coeffs = laurent_coeffs(model)
         res = simulate_ma(model, coeffs, spec, t_range=(-30, 300))
-        assert res.noise.t_start == -30 - coeffs.k_max
+        # from the row t0 - p the recursion residual reads
+        assert res.noise.t_start == -30 - model.p - coeffs.k_max
         assert res.noise.t_stop == 301 - coeffs.k_min
         np.testing.assert_array_equal(res.values, _direct_ma(res, coeffs))
 
