@@ -23,6 +23,8 @@ every simulation, not trusted from the derivation.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -513,28 +515,67 @@ class ProbeResult:
     replicates: int
 
 
+#: the most threads that draw replicate blocks: each holds one block of
+#: DRAW_CHUNK values, so this, and not the machine, bounds their memory
+_MAX_DRAW_THREADS = 2
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replicate_blocks(model: ArmaModel, noise_spec: NoiseSpec, count, replicates, t_start=0):
     """Noise windows [t_start, t_start + count) of streams 0 .. replicates - 1, in chunks.
 
-    Yields ``(lo, block)`` with ``block`` of shape (c, count, d) holding
-    streams lo .. lo + c - 1, of the paths' own dtype: the
-    :func:`.noise.draw_chunks` blocks of :data:`.noise.DRAW_CHUNK` values,
-    or one replicate where a window alone holds more.  Every replicate
-    goes through the same products whatever c, so results do not depend
-    on the chunk.  The keys of all the streams come from one
-    :func:`.noise._stream_keys` pass, and one generator is restarted on
-    each.
+    Yields ``(lo, block)`` in order of lo, with ``block`` of shape
+    (c, count, d) holding streams lo .. lo + c - 1, of the paths' own
+    dtype: the :func:`.noise.draw_chunks` blocks of :data:`.noise.DRAW_CHUNK`
+    values, or one replicate where a window alone holds more.  Every
+    replicate goes through the same products whatever c, so results do not
+    depend on the chunk.  The keys of all the streams come from one
+    :func:`.noise._stream_keys` pass.
+
+    A pool of one thread per usable core, at most :data:`_MAX_DRAW_THREADS`,
+    fills the blocks, restarting a generator on each replicate's key, so a
+    window's values do not depend on the thread or the number of threads.
+    While the caller reduces the block it holds, the threads draw the
+    next ones, so at most threads + 2 blocks are alive: threads + 1 drawn
+    or waiting, and the one the caller holds until the next is yielded.
+    Each fill runs under the caller's numpy error state at submission.  The
+    threads are joined, and blocks not yet started are dropped, when the
+    generator finishes, fails or is closed.
     """
     if replicates < 1:
         raise SpecificationError(f"need at least one replicate, got {replicates}")
     _check_noise(model, noise_spec)
     factor = _law_factor(noise_spec)
     keys = _stream_keys(noise_spec.seed, np.arange(replicates))
-    rng = _generator()
-    for lo, block in draw_chunks(replicates, (count, noise_spec.dim), dtype=factor.dtype):
-        for i, row in enumerate(block):
-            _window_into(noise_spec, factor, rng, keys[lo + i], t_start, row)
-        yield lo, block
+
+    def fill(lo, block, err):
+        rng = _generator()
+        with np.errstate(**err):
+            for i, row in enumerate(block):
+                _window_into(noise_spec, factor, rng, keys[lo + i], t_start, row)
+        return lo, block
+
+    # imported here so that importing the package leaves concurrent.futures unloaded
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = min(_usable_cores(), _MAX_DRAW_THREADS)
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for lo, block in draw_chunks(replicates, (count, noise_spec.dim), dtype=factor.dtype):
+            pending.append(pool.submit(fill, lo, block, np.geterr()))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _partial_sums(model: ArmaModel, noise_spec: NoiseSpec, spans, replicates: int) -> dict:

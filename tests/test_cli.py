@@ -1044,12 +1044,14 @@ class TestModuleEntryPoint:
 
     def test_import_leaves_scipy_optimize_unloaded(self):
         # the package imports numpy only; each scipy submodule loads in the
-        # function that evaluates it
-        names = ["scipy.optimize", "scipy.linalg", "scipy.special", "scipy.stats"]
+        # function that evaluates it, and the thread pool in the one that draws on it
+        names = [
+            "scipy.optimize", "scipy.linalg", "scipy.special", "scipy.stats", "concurrent.futures"
+        ]
         code = f"import sys, oparma.cli; print([m in sys.modules for m in {names!r}])"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[False, False, False, False]"
+        assert proc.stdout.strip() == "[False, False, False, False, False]"
 
     @staticmethod
     def _scipy_loaded_by(argv):

@@ -1,5 +1,6 @@
 """Bulk draws run in blocks of DRAW_CHUNK values: results do not depend on
-the chunk, and working memory does not grow with the sample."""
+the chunk or on the number of threads that draw the replicate blocks, and
+working memory does not grow with the sample."""
 
 import tracemalloc
 
@@ -7,14 +8,24 @@ import numpy as np
 import pytest
 
 from oparma import scenarios
-from oparma.engine import noise
+from oparma.engine import noise, simulate
 from oparma.engine.moments import moment_estimate
 from oparma.engine.noise import NOISE_KINDS, NoiseSpec, log_magnitude_samples, sample_path
 from oparma.engine.simulate import partial_sum_quantiles, plim_probe, stationarity_ks
 from oparma.operators import OperatorSpec, arma_model, build_operator, dense_operator
 
-#: a single value (one row per block), a few, and more than any sample here
-CHUNKS = [1, 7, 1 << 30]
+#: DRAW_CHUNK a single value (one row per block), a few, and more than any
+#: sample here; then the replicate blocks drawn by one thread, and by three
+#: (past the default cap on the draw threads)
+SETTINGS = {
+    **{str(chunk): [(noise, "DRAW_CHUNK", chunk)] for chunk in (1, 7, 1 << 30)},
+    **{
+        f"{n}_draw_threads": [
+            (simulate, "_usable_cores", lambda n=n: n), (simulate, "_MAX_DRAW_THREADS", n)
+        ]
+        for n in (1, 3)
+    },
+}
 
 NOISE_PARAMS = {
     "gaussian": {"sigma": [1.0, 0.5, 2.0]},
@@ -124,11 +135,12 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("setting", list(SETTINGS))
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_results_do_not_depend_on_the_chunk(monkeypatch, case, chunk):
+def test_results_do_not_depend_on_the_chunk(monkeypatch, case, setting):
     want = CASES[case]()
-    monkeypatch.setattr(noise, "DRAW_CHUNK", chunk)
+    for patch in SETTINGS[setting]:
+        monkeypatch.setattr(*patch)
     assert _same(CASES[case](), want)
 
 
@@ -147,7 +159,7 @@ def test_moment_samples_stay_within_a_few_copies_of_g():
     assert peak < 4 * 8e6, peak
 
 
-def test_stationarity_ks_memory_is_bounded_by_the_chunk(monkeypatch):
+def _stationarity_ks_peak(monkeypatch):
     # the hyperbolic_pipeline model (d = 6, q = 2) at 2 000 replicates:
     # the whole noise would be 2 000 windows of 2K + q + 7 rows
     peaks = []
@@ -163,11 +175,11 @@ def test_stationarity_ks_memory_is_bounded_by_the_chunk(monkeypatch):
 
     monkeypatch.setattr(scenarios, "stationarity_ks", traced)
     rep = scenarios.run_scenario("hyperbolic_pipeline", {"ks_replicates": 2000})
-    assert rep.passed
-    assert len(peaks) == 1 and peaks[0] < 16e6, peaks
+    assert rep.passed and len(peaks) == 1
+    return peaks[0]
 
 
-def test_partial_sums_memory_is_bounded_by_the_chunk():
+def _partial_sums_peak():
     # the isometry scenario's growth check: 200 windows of 4 096 rows at
     # d = 16 would be 105 MB of noise; the products of a block stay in it
     shift = build_operator(OperatorSpec(kind="circular_shift", dim=16))
@@ -180,4 +192,20 @@ def test_partial_sums_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert quants.shape == (9,)
-    assert peak < 16e6, peak
+    return peak
+
+
+def test_stationarity_ks_memory_is_bounded_by_the_chunk(monkeypatch):
+    assert _stationarity_ks_peak(monkeypatch) < 16e6
+
+
+def test_partial_sums_memory_is_bounded_by_the_chunk():
+    assert _partial_sums_peak() < 16e6
+
+
+@pytest.mark.parametrize("probe", ["stationarity_ks", "partial_sums"])
+def test_memory_does_not_grow_with_the_cores(monkeypatch, probe):
+    # the draw threads, and so the replicate blocks alive, are capped
+    monkeypatch.setattr(simulate, "_usable_cores", lambda: 16)
+    peak = _stationarity_ks_peak(monkeypatch) if probe == "stationarity_ks" else _partial_sums_peak()
+    assert peak < 16e6

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import threading
 import tracemalloc
 import warnings
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from oparma.cli import main
-from oparma.engine import simulate
+from oparma.engine import noise, simulate
 from oparma.engine.noise import NOISE_KINDS, NoiseSpec, sample_path
 from oparma.engine.simulate import (
     ProbeResult,
@@ -1148,6 +1150,46 @@ class TestReplicateBlocks:
         spec = NoiseSpec(kind="gaussian", dim=1, params={"sigma": 1.0}, seed=0)
         with pytest.raises(SpecificationError, match="at least one replicate"):
             check(scalar_model(0.5), spec)
+
+
+class TestDrawThreads:
+    """The replicate blocks are drawn on a pool of threads while the caller reduces."""
+
+    def test_warnings_reach_the_draw_threads(self):
+        # N(0, 1) draws scaled by 1e308 overflow to inf as they are drawn; the
+        # probe reduces under numpy's errstate(over="ignore") and then raises,
+        # and the draw threads must run under that errstate too
+        model = arma_model([dense_operator(0.5 * np.eye(3))], [dense_operator(np.eye(3))])
+        spec = NoiseSpec(kind="gaussian", dim=3, params={"sigma": 1e308}, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="S_16 - S_8"):
+                plim_probe(model, spec, n_grid=(8, 16), replicates=50)
+
+    @pytest.mark.parametrize("stop", ["close_after_one_block", "a_fill_raises"])
+    def test_no_thread_outlives_its_blocks(self, monkeypatch, stop):
+        monkeypatch.setattr(noise, "DRAW_CHUNK", 1)  # one replicate a block
+        model = arma_model([dense_operator(0.5 * np.eye(2))], [dense_operator(np.eye(2))])
+        spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": 1.0}, seed=0)
+        baseline = threading.active_count()
+        blocks = simulate._replicate_blocks(model, spec, 9, 40)
+        if stop == "close_after_one_block":
+            lo, block = next(blocks)
+            assert lo == 0 and block.shape == (1, 9, 2)
+            blocks.close()
+        else:
+            calls, real = itertools.count(), simulate._window_into
+
+            def fill(*args):
+                if next(calls) == 5:
+                    raise RuntimeError("fill failed")
+                return real(*args)
+
+            monkeypatch.setattr(simulate, "_window_into", fill)
+            with pytest.raises(RuntimeError, match="fill failed"):
+                for _ in blocks:
+                    pass
+        assert threading.active_count() == baseline
 
 
 _NOISE_USERS = {
