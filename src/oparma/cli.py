@@ -243,7 +243,7 @@ _HANDLERS = {
 }
 
 
-def parse_and_dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     """Parse arguments, run the subcommand, and return the exit code."""
     parser = _build_parser()
     try:
@@ -259,10 +259,6 @@ def parse_and_dispatch(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"oparma {args.subcommand}: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return parse_and_dispatch(argv)
 
 
 if __name__ == "__main__":

@@ -26,13 +26,14 @@ from that ``SeedSequence`` draws.  It is the only keying route; a reader
 builds one Philox generator and restarts it on each stream's key
 (:func:`_rekey`).
 
-:func:`_raw_blocks` reads a keyed stream: it skips to the first row wanted
-and yields the raw rows (d normals, or one uniform, per t) in
-:func:`draw_chunks` blocks.  :func:`_window_into` draws the Gaussian kinds'
-windows straight into their destination rows and decodes the blocks of
-the heavy kinds into paths; :func:`log_norm_blocks` decodes them into the
-log-norms that the moment estimates and the scenarios' exceedance counts
-read.
+:func:`_read` reads a keyed stream: it skips the raw rows (d normals, or one
+uniform, per t) before the first one wanted and fills its destination with
+one draw.  :func:`_window_into` calls it once per side of t = 0, drawing
+the Gaussian kinds' windows straight into their destination rows and
+decoding each side's uniforms of the heavy kinds into paths in one pass;
+:func:`log_norm_blocks` calls it once per :func:`draw_chunks` block and
+decodes the blocks into the log-norms that the moment estimates and the
+scenarios' exceedance counts read.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import SpecificationError
-from ..operators import _LN2, _check_spec, _frobenius, _is_int, _ldexp, _scaled_norm
+from ..operators import (
+    _LN2, _check_spec, _frobenius, _is_int, _ldexp, _param_array, _scaled_norm
+)
 
 #: each noise kind's params and the form of each value ("real", "reals", "real
 #: or reals" or a complex "vector"); :func:`_law_factor` checks the values
@@ -58,9 +61,6 @@ NOISE_PARAMS = {
 }
 
 NOISE_KINDS = tuple(NOISE_PARAMS)
-
-#: kinds sampled as independent normals scaled per component
-GAUSSIAN_KINDS = ("gaussian", "componentwise_gaussian")
 
 #: kinds sampled as direction * magnitude with an exact log channel
 HEAVY_KINDS = ("pareto_exp", "gamma_inv_tail")
@@ -129,7 +129,7 @@ def _numbers(params, key, default, kind=numbers.Real) -> np.ndarray:
     entries = np.asarray(raw, dtype=object).ravel()
     if not all(isinstance(v, kind) and not isinstance(v, bool) for v in entries):
         raise SpecificationError(f"{key!r} must hold {kind.__name__.lower()} numbers, got {raw!r}")
-    return np.asarray(raw, dtype=float if kind is numbers.Real else complex)
+    return _param_array(key, raw, float if kind is numbers.Real else complex)
 
 
 def _real(params, key, default) -> float:
@@ -404,49 +404,35 @@ def _log_magnitudes(spec: NoiseSpec, uniforms: np.ndarray) -> np.ndarray:
     return np.exp(_table_lookup(target, table))  # Y = log X = e^t
 
 
-def draw_chunks(count: int, row_shape: tuple = (), fill=None, dtype=float):
+def draw_chunks(count: int, row_shape: tuple = (), dtype=float):
     """Yield ``(lo, block)``: rows lo .. lo + len(block) - 1 of ``count`` rows, in order.
 
-    Each ``block`` is a new (c, *row_shape) array of about
+    Each ``block`` is a new, unfilled (c, *row_shape) array of about
     :data:`DRAW_CHUNK` values (at least one row), so a caller that
     consumes one block at a time holds that much whatever ``count``.
-    ``fill``, a bound ``random`` or ``standard_normal`` of one generator,
-    fills every block before it is yielded: the generator runs on across
-    blocks, never restarted, and since chunked draws match one big draw
-    bit for bit, the blocks are that draw cut into pieces.  Without
-    ``fill`` the blocks are left for the caller to fill.
     """
     step = max(1, DRAW_CHUNK // math.prod(row_shape))
     for lo in range(0, count, step):
-        block = np.empty((min(step, count - lo), *row_shape), dtype)
-        if fill is not None:
-            fill(out=block)
-        yield lo, block
+        yield lo, np.empty((min(step, count - lo), *row_shape), dtype)
 
 
-def _raw_blocks(spec: NoiseSpec, rng, first: int, count: int, row: tuple = (), out=None):
-    """Yield ``(lo, block)``: rows first + lo .. first + lo + len(block) - 1 of a raw stream.
+def _read(spec: NoiseSpec, rng, skip: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the raw rows of a stream that follow its next ``skip``; return it.
 
-    The one reader of raw draws.  Each of the ``count`` rows holds a
-    ``row``-shaped group of raw rows: d normals for the Gaussian kinds, one
-    uniform for the heavy kinds, d unfilled values for ``point_mass``, which
-    draws nothing.  ``rng``, keyed to the stream by :func:`_rekey`, skips
-    the rows before ``first`` and fills the rest, :func:`draw_chunks` block
-    by block, or, given a C-contiguous ``out`` of those rows, straight into
-    it as one block: it holds them anyway, and one draw equals the chunked
-    draws bit for bit.
+    The one reader of raw draws.  ``out`` is C-contiguous: (n, d) normals
+    for the Gaussian kinds, (n,) uniforms for the heavy kinds, or groups of
+    such rows (n, *row, d) or (n, *row); ``point_mass`` draws nothing and
+    leaves ``out`` as it is.  ``rng``, keyed to the stream by
+    :func:`_rekey`, draws the ``skip`` rows before ``out``'s into
+    :func:`draw_chunks` blocks, then ``out`` with one draw: chunked draws
+    match one big draw bit for bit.
     """
-    if spec.kind in HEAVY_KINDS:
-        shape, fill = row, rng.random
-    else:
-        shape, fill = (*row, spec.dim), rng.standard_normal if spec.kind in GAUSSIAN_KINDS else None
-    for _ in draw_chunks(first, shape, fill):
-        pass
-    if out is None:
-        yield from draw_chunks(count, shape, fill)
-    else:
+    if spec.kind != "point_mass":
+        fill = rng.random if spec.kind in HEAVY_KINDS else rng.standard_normal
+        for _, block in draw_chunks(skip, out.shape[1:]):
+            fill(out=block)
         fill(out=out)
-        yield 0, out
+    return out
 
 
 def _law_factor(spec: NoiseSpec) -> np.ndarray:
@@ -506,20 +492,15 @@ def _window_into(spec: NoiseSpec, factor, rng, keys, t_start: int, out: np.ndarr
     for key, first, span, backwards in sides:
         _rekey(rng, key)
         if logm is None:
-            dest = out[span]
-            for _ in _raw_blocks(spec, rng, first, dest.shape[0], out=dest):
-                pass
+            dest = _read(spec, rng, first, out[span])
             # a mirror side turns into time order as it is scaled (numpy buffers the overlap)
             np.multiply(dest[::-1] if backwards else dest, factor, out=dest)
             continue
+        # decoded in raw order, contiguous: a strided view may take another exp or log loop
+        logs = _log_magnitudes(spec, _read(spec, rng, first, np.empty(span.stop - span.start)))
         rows = slice(span.stop - 1, None, -1) if backwards else span
-        dest = out[rows]
-        for lo, raw in _raw_blocks(spec, rng, first, dest.shape[0]):
-            part = slice(lo, lo + raw.shape[0])
-            # exp and log on the contiguous block: a strided view may take another loop
-            logs = _log_magnitudes(spec, raw)
-            logm[rows][part] = logs
-            np.multiply(np.exp(np.minimum(logs, CLAMP_LOG))[:, None], factor, out=dest[part])
+        logm[rows] = logs
+        np.multiply(np.exp(np.minimum(logs, CLAMP_LOG))[:, None], factor, out=out[rows])
     return logm
 
 
@@ -546,17 +527,20 @@ def log_norm_blocks(spec: NoiseSpec, count: int, stream: int, gain=None, row: tu
     """Yield ``(lo, logs)``: log ||T Z_t|| for lo <= t < lo + len(logs), over 0 <= t < count.
 
     T is the m x d matrix ``gain``, or the identity when None.  The blocks
-    are :func:`_raw_blocks` blocks of ``stream``, ``row`` included.  The
-    gain is taken in power-of-two units.  The heavy kinds read the exact
-    log channel off their raw uniforms and add log ||T x|| for their
-    direction x, so no linear value is formed.  The other kinds form T Z_t
+    are the :func:`draw_chunks` blocks of ``stream``'s raw rows, ``row``
+    included, each filled by :func:`_read`.  The gain is taken in
+    power-of-two units.  The heavy kinds read the exact log channel off
+    their raw uniforms and add log ||T x|| for their direction x, so no
+    linear value is formed.  The other kinds form T Z_t
     from both factors in power-of-two units, so the product neither
     overflows nor underflows; one (1, d) product per sample, because a 2-D
     product takes another BLAS route for a single row, which would tie a
     sample's bits to the size of its block.
     """
     factor = _law_factor(spec)
-    blocks = _raw_blocks(spec, make_rng(spec.seed, stream), 0, count, row)
+    rng = make_rng(spec.seed, stream)
+    shape = row if spec.kind in HEAVY_KINDS else (*row, spec.dim)
+    blocks = ((lo, _read(spec, rng, 0, block)) for lo, block in draw_chunks(count, shape))
     if gain is not None:
         _, kt = _scaled_norm(gain)
         gain = _ldexp(gain, -kt)

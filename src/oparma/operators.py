@@ -91,6 +91,18 @@ def _is_int(x) -> bool:
 _MAX_DIM = math.isqrt(sys.maxsize // 16)
 
 
+def _param_array(key: str, value, dtype) -> np.ndarray:
+    """The param ``key``'s ``value`` as an array of ``dtype`` (float or complex).
+
+    An integer past the float range raises :class:`SpecificationError`
+    naming ``key``.
+    """
+    try:
+        return np.asarray(value, dtype=dtype)
+    except OverflowError:
+        raise SpecificationError(f"param {key!r}: integer out of the float range") from None
+
+
 def _check_spec(what: str, table: dict, spec) -> None:
     """Raise unless ``spec`` has a kind of ``table``, a positive dim and only its kind's params."""
     if not isinstance(spec.kind, str) or spec.kind not in table:
@@ -172,11 +184,11 @@ def build_operator(spec: OperatorSpec) -> Operator:
     if kind == "dense":
         if "entries" not in p:
             raise SpecificationError("dense operator needs 'entries'")
-        m = np.asarray(p["entries"], dtype=complex)
+        m = _param_array("entries", p["entries"], complex)
         if m.shape != (d, d):
             raise SpecificationError(f"dense entries must be {d}x{d}, got shape {m.shape}")
     elif kind == "weighted_shift":
-        w = np.asarray(p.get("weights", ()), dtype=float)
+        w = _param_array("weights", p.get("weights", ()), float)
         if w.shape != (d - 1,):
             raise SpecificationError(
                 f"weighted_shift needs {d - 1} weights, got {w.shape}"
@@ -186,7 +198,7 @@ def build_operator(spec: OperatorSpec) -> Operator:
         m = np.zeros((d, d), dtype=complex)
         m[np.arange(1, d), np.arange(d - 1)] = w
     elif kind == "multiplication":
-        lam = np.asarray(p.get("multipliers", ()), dtype=complex)
+        lam = _param_array("multipliers", p.get("multipliers", ()), complex)
         if lam.shape != (d,):
             raise SpecificationError(f"multiplication needs {d} multipliers, got {lam.shape}")
         m = np.diag(lam)
@@ -199,7 +211,7 @@ def build_operator(spec: OperatorSpec) -> Operator:
         m = np.zeros((d, d), dtype=complex)
         m[np.arange(d), np.arange(-1, d - 1)] = 1.0
     elif kind == "scaled_unilateral_shift":
-        c = complex(p.get("scale", 1.0))
+        c = complex(_param_array("scale", p.get("scale", 1.0), complex))
         m = np.zeros((d, d), dtype=complex)
         m[np.arange(1, d), np.arange(d - 1)] = c
     elif kind == "zero":

@@ -41,6 +41,7 @@ from .engine.simulate import (
     stationarity_ks,
 )
 from .errors import SpecificationError, UnknownScenarioError
+from .jsonio import _float
 from .laurent import laurent_coeffs
 from .operators import (
     OperatorSpec,
@@ -813,7 +814,7 @@ def _like(value, default, where: str):
         return [_like(v, default[0], where) for v in value]
     if not isinstance(value, bool):
         if isinstance(default, float) and isinstance(value, (int, float)):
-            return float(value)
+            return _float(value, where)
         integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
         if isinstance(default, int) and integral:
             return int(value)

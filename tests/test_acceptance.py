@@ -32,7 +32,7 @@ from oparma import (
     simulate_theorem1,
     structured_norm,
 )
-from oparma.cli import parse_and_dispatch
+from oparma.cli import main
 from oparma.engine.noise import make_rng
 
 
@@ -383,7 +383,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         outs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{tag}.out"
-            code = parse_and_dispatch(argv + ["--out", str(out)])
+            code = main(argv + ["--out", str(out)])
             assert code == 0
             text = out.read_text()
             if strip_timing:

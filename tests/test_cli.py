@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oparma
-from oparma.cli import main, parse_and_dispatch
+from oparma.cli import main
 from oparma.engine.noise import NOISE_KINDS, NOISE_PARAMS
 from oparma.engine.simulate import simulate_theorem1
 from oparma.errors import SpecificationError
@@ -73,7 +73,7 @@ def gauss_noise(tmp_path):
 
 
 def run_cli(*argv, capsys=None):
-    code = parse_and_dispatch(list(argv))
+    code = main(list(argv))
     if capsys is None:
         return code, None
     out = capsys.readouterr().out
@@ -680,7 +680,7 @@ class TestSubcommands:
             "ma": [{"kind": "multiplication", "dim": 2, "params": {"multipliers": [1e10, 1e10]}}],
         }))
         noise.write_text(json.dumps({"kind": "pareto_exp", "dim": 2, "seed": 1}))
-        code = parse_and_dispatch(["simulate", "--model", str(model), "--noise", str(noise),
+        code = main(["simulate", "--model", str(model), "--noise", str(noise),
                                    "--t1", "400", "--format", fmt])
         captured = capsys.readouterr()
         assert code == 1
@@ -988,7 +988,7 @@ class TestUsageErrors:
         for name, doc in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv.split()]
-        assert parse_and_dispatch(argv) == 2
+        assert main(argv) == 2
 
     def test_bad_file_exit_2(self, tmp_path):
         code, _ = run_cli("split", "--model", str(tmp_path / "absent.json"))
@@ -1003,18 +1003,18 @@ class TestUsageErrors:
         model = tmp_path / "m.json"
         model.write_text(json.dumps(_HYPER))
         out = str(tmp_path / out)
-        assert parse_and_dispatch(["split", "--model", str(model), "--out", out]) == 2
+        assert main(["split", "--model", str(model), "--out", out]) == 2
         err = capsys.readouterr().err
         assert err == f"oparma split: {out}: cannot write: {reason}\n"
 
     def test_no_subcommand_exit_2(self):
-        assert parse_and_dispatch([]) == 2
+        assert main([]) == 2
 
     def test_version_exit_0(self):
-        assert parse_and_dispatch(["--version"]) == 0
+        assert main(["--version"]) == 0
 
     def test_help_exit_0(self):
-        assert parse_and_dispatch(["--help"]) == 0
+        assert main(["--help"]) == 0
 
 
 class TestModuleEntryPoint:

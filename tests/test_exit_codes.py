@@ -17,8 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oparma.cli import main
+from oparma.engine.noise import NoiseSpec
 from oparma.errors import SpecificationError
 from oparma.jsonio import load_model, load_noise
+from oparma.operators import OperatorSpec, build_operator
+from oparma.scenarios import run_scenario
 
 MODELS = [
     {
@@ -194,3 +197,36 @@ def test_integers_past_the_float_range_exit_2(tmp_path, capsys):
     noise.write_text('{"kind": "gaussian", "dim": 2, "params": {"sigma": 1' + "0" * 5000 + "}}")
     assert main(["moments", "--noise", str(noise), "--n-samples", "1000"]) == 2
     assert capsys.readouterr().err.startswith("oparma moments: ")
+
+
+def test_scenario_override_past_the_float_range_exits_2(capsys):
+    # a JSON integer converted to the float of its default: a usage error, not a check
+    assert main(["scenario", "expanding_shift", "--set", "delta=1" + "0" * 400]) == 2
+    assert "parameter 'delta': integer out of the float range" in capsys.readouterr().err
+
+
+#: an integer past the float range
+BIG = 10**400
+
+
+@pytest.mark.parametrize(
+    "build, param",
+    [
+        (lambda: NoiseSpec("gaussian", 2, {"sigma": BIG}), "sigma"),
+        (
+            lambda: build_operator(OperatorSpec("multiplication", 2, {"multipliers": [BIG, 1]})),
+            "multipliers",
+        ),
+        (lambda: build_operator(OperatorSpec("dense", 1, {"entries": [[BIG]]})), "entries"),
+        (lambda: build_operator(OperatorSpec("weighted_shift", 2, {"weights": [BIG]})), "weights"),
+        (
+            lambda: build_operator(OperatorSpec("scaled_unilateral_shift", 2, {"scale": BIG})),
+            "scale",
+        ),
+        (lambda: run_scenario("expanding_shift", {"delta": BIG}), "delta"),
+    ],
+    ids=["noise_spec", "multiplication", "dense", "weighted_shift", "scale", "run_scenario"],
+)
+def test_integers_past_the_float_range_are_specification_errors(build, param):
+    with pytest.raises(SpecificationError, match=f"'{param}'.*integer out of the float range"):
+        build()

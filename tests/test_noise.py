@@ -74,6 +74,28 @@ def test_log_channel_is_the_path_log_channel(kind):
     assert logs.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("side", ["from_0", "below_0"])
+@pytest.mark.parametrize("kind", HEAVY_KINDS)
+def test_window_decode_is_the_chunked_decode(kind, side, monkeypatch):
+    # a heavy window decodes each side's uniforms in one pass, log_magnitude_samples
+    # a chunk at a time: here five chunks of 7 and a part chunk
+    monkeypatch.setattr(noise, "DRAW_CHUNK", 7)
+    spec = NoiseSpec(kind=kind, dim=2, seed=5)
+    count = 38
+    if side == "below_0":
+        # the samples of the mirror stream, which holds Z_{-1}, Z_{-2}, ...
+        mirror = noise._stream_keys(spec.seed, [2])[0, 1]
+        with monkeypatch.context() as m:
+            m.setattr(noise, "make_rng", lambda *_: noise._rekey(noise._generator(), mirror))
+            want = log_magnitude_samples(spec, count + 3, stream=2)[::-1][:count]
+        # Z_{-count-3} .. Z_{-4}: the mirror side skips three rows
+        got = sample_path(spec, count, t_start=-count - 3, stream=2).log_mags
+    else:
+        want = log_magnitude_samples(spec, count, stream=2)
+        got = sample_path(spec, count, stream=2).log_mags
+    assert got.tobytes() == want.tobytes()
+
+
 def test_gaussian_degenerate_component_is_exactly_zero():
     spec = NoiseSpec(kind="gaussian", dim=2, params={"sigma": [1.0, 0.0]}, seed=2)
     out = sample_path(spec, 500).values
